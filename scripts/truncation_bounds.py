@@ -43,13 +43,11 @@ def main() -> None:
                 ["x", "w_lower", "w_upper", "z_lower", "z_upper",
                  "wp_lower", "wp_upper"]
             )
-            for x in grid:
-                x = float(x)
-                wl, wu = w_bounds(tm, x)
-                zl, zu = z_bounds(tm, x)
-                pl, pu = w_prime_bounds(tm, x) if x > 0 else (float("nan"),) * 2
-                w.writerow([f"{x:.6f}"] + [f"{v:.10g}" for v in
-                                           (wl, wu, zl, zu, pl, pu)])
+            pos = grid > 0
+            wp = np.full((2, grid.size), np.nan)  # W' bounds exist for x > 0 only
+            wp[:, pos] = w_prime_bounds(tm, grid[pos])
+            for x, *vals in zip(grid, *w_bounds(tm, grid), *z_bounds(tm, grid), *wp):
+                w.writerow([f"{x:.6f}"] + [f"{v:.10g}" for v in vals])
         summary.append((m, tm.delta))
         print(f"wrote {dest} (delta_{m} = {tm.delta:.4e})")
 

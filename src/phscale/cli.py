@@ -228,15 +228,11 @@ def _cmd_mero_bounds(args) -> None:
     if args.model != "beta-benchmark":
         raise DomainError("mero-bounds currently supports the beta-benchmark model only")
     tm = truncated_coefficients(BETA_BENCHMARK, args.q, args.m)
-    rows = []
-    for x in _parse_grid(args.grid):
-        wl, wu = w_bounds(tm, float(x))
-        zl, zu = z_bounds(tm, float(x))
-        if x > 0:
-            pl, pu = w_prime_bounds(tm, float(x))
-        else:
-            pl = pu = float("nan")
-        rows.append((x, wl, wu, zl, zu, pl, pu))
+    grid = _parse_grid(args.grid)
+    pos = grid > 0
+    wp = np.full((2, grid.size), np.nan)  # W' bounds exist for x > 0 only
+    wp[:, pos] = w_prime_bounds(tm, grid[pos])
+    rows = list(zip(grid, *w_bounds(tm, grid), *z_bounds(tm, grid), *wp))
     _emit(args, ("x", "w_lower", "w_upper", "z_lower", "z_upper",
                  "wp_lower", "wp_upper"), rows,
           {"command": "mero-bounds", "model": args.model, "q": args.q,
@@ -248,11 +244,9 @@ def _cmd_cgmy(args) -> None:
     grid = _parse_grid(args.grid)
     study = cgmy_limit_study(BETA_BENCHMARK, args.tilde_alpha, args.tilde_c,
                              betas, args.q, args.m, grid)
-    rows = []
-    for beta in betas:
-        c = study["curves"][beta]
-        for x, lo, hi in zip(grid, c["lower"], c["upper"]):
-            rows.append((beta, x, lo, hi))
+    curves = study["curves"]
+    rows = [(beta, *r) for beta in betas
+            for r in zip(grid, curves[beta]["lower"], curves[beta]["upper"])]
     diag = {f"sup_diff_{d['beta_pair'][0]}_{d['beta_pair'][1]}": d["upper_sup_diff"]
             for d in study["sup_diffs"]}
     _emit(args, ("beta", "x", "lower", "upper"), rows,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, gammasgn
 
 from .errors import (
@@ -24,23 +24,28 @@ from .errors import (
     PoleEvaluation,
     UnsupportedRegime,
 )
+from .roots import interlaced_roots
 
 _POLE_TOL = 1e-12
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
+# Elements per temporary in the tiled m x m and grid x m products (bounds peak memory)
+_TILE = 2**14
 
 
-def _signed_log_beta(x: float, y: float) -> Tuple[float, float]:
-    """(sign, log|B(x, y)|) valid for any real non-pole arguments."""
-    for arg in (x, y):
-        if arg <= 0 and abs(arg - round(arg)) < _POLE_TOL * (1.0 + abs(arg)):
-            raise PoleEvaluation(f"gamma pole at {arg}")
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows covering at most ``_TILE`` elements each."""
+    step = max(1, _TILE // n_cols)
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _beta_fn(x, y):
+    """B(x, y) elementwise for real non-pole arguments."""
+    for arg in (np.asarray(x), np.asarray(y)):
+        on_pole = (arg <= 0) & (np.abs(arg - np.rint(arg)) < _POLE_TOL * (1.0 + np.abs(arg)))
+        if on_pole.any():
+            raise PoleEvaluation(f"gamma pole at {float(arg[on_pole].flat[0])}")
+    lg_xy = gammaln(x + y)  # +inf at the poles of Gamma(x + y), where B = 0
     sign = gammasgn(x) * gammasgn(y) * gammasgn(x + y)
-    return float(sign), float(gammaln(x) + gammaln(y) - gammaln(x + y))
-
-
-def _beta_fn(x: float, y: float) -> float:
-    sign, logb = _signed_log_beta(x, y)
-    return sign * math.exp(logb)
+    return np.where(np.isinf(lg_xy), 0.0, sign * np.exp(gammaln(x) + gammaln(y) - lg_xy))
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,11 @@ class BetaFamilyParams:
         if not (0 < self.lam < 3):
             raise DomainError("stability index must lie in (0, 3)")
 
+    @cached_property
+    def _beta0(self) -> float:
+        """B(alpha, 1 - lam), the constant in the Laplace exponent."""
+        return float(_beta_fn(self.alpha_b, 1.0 - self.lam))
+
     def levy_density(self, x: float) -> float:
         """c e^{alpha beta x} / (1 - e^{beta x})^lam for x < 0."""
         if x >= 0:
@@ -78,15 +88,15 @@ def cgmy_levy_density(tilde_c: float, tilde_alpha: float, lam: float, x: float) 
     return tilde_c * math.exp(tilde_alpha * x) / abs(x) ** lam
 
 
-def beta_psi(params: BetaFamilyParams, s: float) -> float:
-    """Laplace exponent of the beta-family at real s."""
+def beta_psi(params: BetaFamilyParams, s):
+    """Laplace exponent of the beta-family at real s, a float or an array."""
     p = params
-    base = p.mu_hat * s + 0.5 * p.sigma**2 * s**2
-    if p.c == 0:
-        return base
-    b1 = _beta_fn(p.alpha_b + s / p.beta_b, 1.0 - p.lam)
-    b0 = _beta_fn(p.alpha_b, 1.0 - p.lam)
-    return base + (p.c / p.beta_b) * (b1 - b0)
+    s = np.asarray(s, dtype=float)
+    out = p.mu_hat * s + 0.5 * p.sigma**2 * s**2
+    if p.c != 0:
+        b1 = _beta_fn(p.alpha_b + s / p.beta_b, 1.0 - p.lam)
+        out = out + (p.c / p.beta_b) * (b1 - p._beta0)
+    return float(out) if out.ndim == 0 else out
 
 
 def beta_psi_derivative(params: BetaFamilyParams, s: float) -> float:
@@ -101,40 +111,11 @@ def beta_psi_derivative(params: BetaFamilyParams, s: float) -> float:
     return base + (p.c / p.beta_b**2) * b1 * (digamma(x) - digamma(x + y))
 
 
-def beta_poles(params: BetaFamilyParams, k: int) -> float:
-    """eta_k = beta*(alpha + k - 1), the k-th pole magnitude (k >= 1)."""
-    if k < 1:
+def beta_poles(params: BetaFamilyParams, k):
+    """eta_k = beta*(alpha + k - 1), the k-th pole magnitude (k >= 1, or an array)."""
+    if np.any(np.asarray(k) < 1):
         raise DomainError("pole index starts at 1")
     return params.beta_b * (params.alpha_b + k - 1)
-
-
-def _find_zeta_beta(params: BetaFamilyParams, q: float) -> float:
-    psi = lambda s: beta_psi(params, s) - q
-    hi = 1.0
-    for _ in range(200):
-        if psi(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketingFailure("could not bracket the positive root")
-    zeta = brentq(psi, 0.0, hi, xtol=1e-14, rtol=_BRENTQ_RTOL)
-    return float(zeta)
-
-
-def _bisect_in(params: BetaFamilyParams, q: float, lo: float, hi: float) -> float:
-    """Root of psi(-s) = q inside the pole gap (lo, hi), creeping toward the
-    endpoints until a sign change appears."""
-    f = lambda s: beta_psi(params, -s) - q
-    width = hi - lo
-    d = 0.25 * width
-    for _ in range(60):
-        a, b = lo + d, hi - d
-        if a < b and np.sign(f(a)) != np.sign(f(b)):
-            return float(brentq(f, a, b, xtol=1e-30, rtol=_BRENTQ_RTOL))
-        d /= 8.0
-        if d < 8 * np.finfo(float).eps * hi:
-            break
-    raise BracketingFailure(f"no sign change in ({lo}, {hi})")
 
 
 def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.ndarray]:
@@ -143,19 +124,20 @@ def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.nd
         raise DomainError("q must be > 0")
     if m < 1:
         raise DomainError("m must be >= 1")
-    zeta = _find_zeta_beta(params, q)
-    etas = [beta_poles(params, k) for k in range(1, m + 2)]
-    xis = []
-    lo = 0.0
-    for eta in etas:
-        xis.append(_bisect_in(params, q, lo, eta))
-        lo = eta
-    xis = np.asarray(xis)
-    for k in range(m + 1):
-        lo_pole = etas[k - 1] if k > 0 else 0.0
-        if not (lo_pole < xis[k] < etas[k]):
-            raise BracketingFailure("interlacing violated")
-    return zeta, xis
+    top = 1.0
+    for _ in range(200):
+        if beta_psi(params, top) > q:
+            break
+        top *= 2.0
+    else:
+        raise BracketingFailure("could not bracket the positive root")
+    # one solve for all roots of psi(-s) = q: -zeta in (-top, 0), xi_k in each pole gap
+    hi = np.concatenate(([0.0], beta_poles(params, np.arange(1, m + 2))))
+    lo = np.concatenate(([-top], hi[:-1]))
+    roots = interlaced_roots(lambda s: beta_psi(params, -s) - q, lo, hi)
+    if not np.all((lo < roots) & (roots < hi)):
+        raise BracketingFailure("interlacing violated")
+    return float(-roots[0]), roots[1:]
 
 
 @dataclass(frozen=True)
@@ -197,16 +179,17 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     epsilon_m."""
     w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
-    etas = np.array([beta_poles(params, k) for k in range(1, m + 1)])
+    etas = beta_poles(params, np.arange(1, m + 1))
+    # A_i = (1 - xi_i/eta_i) prod_{j != i} (1 - xi_i/eta_j) / (1 - xi_i/xi_j): the
+    # product over all j with the j = i denominator set to 1
     A = np.empty(m)
-    for i in range(m):
-        xi = xis[i]
-        val = 1.0 - xi / etas[i]
-        for j in range(m):
-            if j == i:
-                continue
-            val *= (1.0 - xi / etas[j]) / (1.0 - xi / xis[j])
-        A[i] = val
+    for rows in _row_blocks(m, m):
+        xi = xis[rows, None]
+        den = 1.0 - xi / xis[:m]
+        den[np.arange(den.shape[0]), np.arange(rows.start, rows.stop)] = 1.0
+        ratio = 1.0 - xi / etas
+        ratio /= den
+        A[rows] = ratio.prod(axis=1)
     C = (zeta / q) * xis[:m] * A / (zeta + xis[:m])
     ppz = beta_psi_derivative(params, zeta)
     gamma = 1.0 / ppz - w0
@@ -215,7 +198,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
         theta: Optional[float] = 2.0 / params.sigma**2
     elif params.lam < 1:
         # finite total jump mass: (c/beta) B(alpha, 1-lam)
-        mass = (params.c / params.beta_b) * _beta_fn(params.alpha_b, 1.0 - params.lam)
+        mass = (params.c / params.beta_b) * params._beta0
         theta = -zeta / params.mu_hat + (q + mass) / params.mu_hat**2
     else:
         theta = None  # infinite jump measure, sum A_i xi_i diverges
@@ -240,65 +223,66 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     )
 
 
-def w_bounds(tm: TruncatedMero, x: float) -> Tuple[float, float]:
+def _grid(x, positive: bool = False) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs <= 0 if positive else xs < 0):
+        raise DomainError("x must be > 0" if positive else "x must be >= 0")
+    return xs
+
+
+def _exp_sum(tm: TruncatedMero, xs: np.ndarray, weights: np.ndarray, expfn=np.exp) -> np.ndarray:
+    """sum_j weights_j expfn(-xi_j x) at each grid point, in row tiles."""
+    minus_xi = -np.asarray(tm.xi[: tm.m])
+    out = np.empty_like(xs)
+    for rows in _row_blocks(xs.size, minus_xi.size):
+        tile = np.multiply.outer(xs[rows], minus_xi)
+        out[rows] = expfn(tile, out=tile) @ weights
+    return out
+
+
+def _pair(x, lower: np.ndarray, upper: np.ndarray):
+    """The bounds at x >= 0 (x > 0 for W'): floats for a float x, arrays for a grid."""
+    if np.ndim(x) == 0:
+        return float(lower[0]), float(upper[0])
+    return lower, upper
+
+
+def w_bounds(tm: TruncatedMero, x):
     """(lower, upper) sandwich of W^{(q)}(x); gap = delta_m (1 + e^{-xi_{m+1} x})."""
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    xi = np.asarray(tm.xi[: tm.m])
-    C = np.asarray(tm.C_trunc)
-    upper = math.exp(tm.zeta * x) / tm.psi_prime_zeta - float(
-        np.sum(C * np.exp(-xi * x))
-    )
-    lower = upper - tm.delta * (1.0 + math.exp(-tm.xi[tm.m] * x))
-    return lower, upper
+    xs = _grid(x)
+    upper = np.exp(tm.zeta * xs) / tm.psi_prime_zeta - _exp_sum(tm, xs, np.asarray(tm.C_trunc))
+    lower = upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
+    return _pair(x, lower, upper)
 
 
-def w_tilted_bounds(tm: TruncatedMero, x: float) -> Tuple[float, float]:
-    """Bounds on the tilted scale function e^{-zeta x} W^{(q)}(x)."""
-    lo, hi = w_bounds(tm, x)
-    damp = math.exp(-tm.zeta * x)
-    return lo * damp, hi * damp
-
-
-def z_bounds(tm: TruncatedMero, x: float) -> Tuple[float, float]:
+def z_bounds(tm: TruncatedMero, x):
     """(lower, upper) for Z^{(q)}(x) by exact integration of the W bounds."""
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    if x == 0:
-        return 1.0, 1.0
-    xi = np.asarray(tm.xi[: tm.m])
-    C = np.asarray(tm.C_trunc)
-    int_upper = math.expm1(tm.zeta * x) / (tm.zeta * tm.psi_prime_zeta) - float(
-        np.sum(C * (1.0 - np.exp(-xi * x)) / xi)
-    )
-    upper = 1.0 + tm.q * int_upper
+    xs = _grid(x)
+    weights = np.asarray(tm.C_trunc) / np.asarray(tm.xi[: tm.m])
+    int_upper = np.expm1(tm.zeta * xs) / (tm.zeta * tm.psi_prime_zeta)
+    upper = 1.0 + tm.q * (int_upper + _exp_sum(tm, xs, weights, np.expm1))
     xm1 = tm.xi[tm.m]
-    gap = tm.q * tm.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
-    return upper - gap, upper
+    gap = tm.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
+    return _pair(x, upper - gap, upper)
 
 
-def _tail_sup(xi_next: float, x: float) -> float:
-    """sup over k >= m+1 of xi_k e^{-xi_k x} given the smallest tail root."""
-    if xi_next <= 1.0 / x:
-        return 1.0 / (math.e * x)
-    return xi_next * math.exp(-xi_next * x)
-
-
-def w_prime_bounds(tm: TruncatedMero, x: float) -> Tuple[float, float]:
+def w_prime_bounds(tm: TruncatedMero, x):
     """(lower, upper) for the derivative of the scale function at x > 0."""
-    if x <= 0:
-        raise DomainError("x must be > 0")
+    xs = _grid(x, positive=True)
     xi = np.asarray(tm.xi[: tm.m])
-    C = np.asarray(tm.C_trunc)
-    lower = tm.zeta * math.exp(tm.zeta * x) / tm.psi_prime_zeta + float(
-        np.sum(C * xi * np.exp(-xi * x))
-    )
-    head_sup = float(np.max(xi * np.exp(-xi * x)))
-    upper = lower + (head_sup + _tail_sup(tm.xi[tm.m], x)) * tm.delta
+    lower = (tm.zeta * np.exp(tm.zeta * xs) / tm.psi_prime_zeta
+             + _exp_sum(tm, xs, np.asarray(tm.C_trunc) * xi))
+    # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
+    # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
+    near = xi[np.clip(np.searchsorted(xi, 1.0 / xs) + [[-1], [0]], 0, tm.m - 1)]
+    head_sup = np.max(near * np.exp(-near * xs), axis=0)
+    xm1 = tm.xi[tm.m]
+    tail_sup = np.where(xm1 <= 1.0 / xs, 1.0 / (math.e * xs), xm1 * np.exp(-xm1 * xs))
+    upper = lower + (head_sup + tail_sup) * tm.delta
     if tm.epsilon is not None:
-        refined = lower + head_sup * tm.delta + math.exp(-tm.xi[tm.m] * x) * tm.epsilon
-        upper = min(upper, refined)
-    return lower, upper
+        refined = lower + head_sup * tm.delta + np.exp(-xm1 * xs) * tm.epsilon
+        upper = np.minimum(upper, refined)
+    return _pair(x, lower, upper)
 
 
 def cgmy_params(
@@ -328,29 +312,20 @@ def cgmy_limit_study(
     """Bound curves for a decreasing sequence of beta values plus convergence
     diagnostics (sup-norm differences of successive upper/lower curves)."""
     betas = list(betas)
-    if any(b <= 0 for b in betas) or any(
-        b2 >= b1 for b1, b2 in zip(betas, betas[1:])
-    ):
+    if any(b <= 0 for b in betas) or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise DomainError("betas must be positive and strictly decreasing")
     grid = np.asarray(list(grid), dtype=float)
     curves = {}
     for beta in betas:
         tm = truncated_coefficients(cgmy_params(base, tilde_alpha, tilde_c, beta), q, m)
-        lo_up = np.array([w_bounds(tm, float(x)) for x in grid])
-        curves[beta] = {"lower": lo_up[:, 0], "upper": lo_up[:, 1], "delta": tm.delta}
-    sup_diffs = []
-    for b1, b2 in zip(betas, betas[1:]):
-        sup_diffs.append(
-            {
-                "beta_pair": (b1, b2),
-                "upper_sup_diff": float(
-                    np.max(np.abs(curves[b1]["upper"] - curves[b2]["upper"]))
-                ),
-                "lower_sup_diff": float(
-                    np.max(np.abs(curves[b1]["lower"] - curves[b2]["lower"]))
-                ),
-            }
-        )
+        lower, upper = w_bounds(tm, grid)
+        curves[beta] = {"lower": lower, "upper": upper, "delta": tm.delta}
+    sup = lambda b1, b2, key: float(np.max(np.abs(curves[b1][key] - curves[b2][key])))
+    sup_diffs = [
+        {"beta_pair": (b1, b2), "upper_sup_diff": sup(b1, b2, "upper"),
+         "lower_sup_diff": sup(b1, b2, "lower")}
+        for b1, b2 in zip(betas, betas[1:])
+    ]
     return {"grid": grid, "curves": curves, "sup_diffs": sup_diffs}
 
 

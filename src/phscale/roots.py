@@ -112,6 +112,36 @@ def _bisect_neg(model: SnLevyModel, q: float, lo: float, hi: float) -> float:
     raise BracketingFailure(f"no sign change in ({lo}, {hi})")
 
 
+def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]), whose ends
+    may be poles.  As in ``_bisect_neg`` each bracket creeps in from a quarter
+    width (shrinking by 8) until ``f`` changes sign; then all are bisected
+    together to adjacent floats, returning the end with the smaller |f|."""
+    d = 0.25 * (hi - lo)
+    for _ in range(60):
+        a, b = lo + d, hi - d
+        fa, fb = f(a), f(b)
+        todo = ~((a < b) & (np.sign(fa) != np.sign(fb)))
+        creep = todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi)
+        if not creep.any():
+            break
+        d[creep] /= 8.0
+    if todo.any():
+        k = np.flatnonzero(todo)[0]
+        raise BracketingFailure(f"no sign change in ({float(lo[k])}, {float(hi[k])})")
+    mid = 0.5 * (a + b)
+    while (live := np.flatnonzero((a < mid) & (mid < b))).size:
+        fm = f(mid[live])
+        left = np.sign(fm) == np.sign(fa[live])
+        k, j = live[left], live[~left]
+        a[k], fa[k] = mid[k], fm[left]
+        b[j], fb[j] = mid[j], fm[~left]
+        mid = 0.5 * (a + b)
+    if np.isnan(fa).any() or np.isnan(fb).any():
+        raise BracketingFailure("f is NaN inside a bracket")
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+
+
 def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposition:
     """All negative roots for hyperexponential jumps, one per interlacing bracket."""
     if not model.is_hyperexp:

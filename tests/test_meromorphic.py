@@ -1,6 +1,7 @@
 """Beta-family Laplace exponent, roots, truncated scale-function bounds."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,11 +26,38 @@ from phscale.meromorphic import (
     truncated_coefficients,
     w_bounds,
     w_prime_bounds,
-    w_tilted_bounds,
     z_bounds,
 )
 
+# The array paths must not hide a stray divide-by-zero or overflow.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 Q = BETA_BENCHMARK_Q
+
+
+def w_tilted_bounds(tm, x):
+    """Bounds on the tilted scale function e^{-zeta x} W^{(q)}(x)."""
+    lo, hi = w_bounds(tm, x)
+    damp = math.exp(-tm.zeta * x)
+    return lo * damp, hi * damp
+
+
+def reference_bounds(tm, x):
+    """W, Z and W' bounds at one x > 0, term by term over xi_1..xi_m."""
+    xi, C = np.asarray(tm.xi[: tm.m]), np.asarray(tm.C_trunc)
+    xm1, e = tm.xi[tm.m], np.exp(-xi * x)
+    wu = math.exp(tm.zeta * x) / tm.psi_prime_zeta - float(np.sum(C * e))
+    wl = wu - tm.delta * (1.0 + math.exp(-xm1 * x))
+    zu = 1.0 + tm.q * (math.expm1(tm.zeta * x) / (tm.zeta * tm.psi_prime_zeta)
+                       - float(np.sum(C * (1.0 - e) / xi)))
+    zl = zu - tm.q * tm.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
+    pl = tm.zeta * math.exp(tm.zeta * x) / tm.psi_prime_zeta + float(np.sum(C * xi * e))
+    head = float(np.max(xi * e))
+    tail = 1.0 / (math.e * x) if xm1 <= 1.0 / x else xm1 * math.exp(-xm1 * x)
+    pu = pl + (head + tail) * tm.delta
+    if tm.epsilon is not None:
+        pu = min(pu, pl + head * tm.delta + math.exp(-xm1 * x) * tm.epsilon)
+    return wl, wu, zl, zu, pl, pu
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +111,26 @@ class TestPsi:
         assert near > 1e3 * far
 
     def test_pole_evaluation_raised(self):
+        eta1 = beta_poles(BETA_BENCHMARK, 1)
         with pytest.raises(PoleEvaluation):
-            beta_psi(BETA_BENCHMARK, -beta_poles(BETA_BENCHMARK, 1))
+            beta_psi(BETA_BENCHMARK, -eta1)
+        with pytest.raises(PoleEvaluation):
+            beta_psi(BETA_BENCHMARK, np.array([0.5, -eta1, 1.0]))
+
+    def test_finite_at_poles_of_gamma_x_plus_y(self):
+        # at s = -3.5, B(alpha + s, 1 - lam) = B(-0.5, -0.5) = Gamma(-0.5)^2 / Gamma(-1) = 0
+        p = BETA_BENCHMARK
+        b0 = math.gamma(3.0) * math.gamma(-0.5) / math.gamma(2.5)
+        expected = -0.35 + 0.5 * 0.04 * 3.5**2 - p.c * b0
+        assert beta_psi(p, -3.5) == pytest.approx(expected, rel=1e-14)
+        assert beta_psi(p, np.array([-3.5, -4.5]))[0] == beta_psi(p, -3.5)
+
+    def test_array_matches_scalar(self):
+        s = np.linspace(-2.9, 3.0, 41)
+        vals = beta_psi(BETA_BENCHMARK, s)
+        assert isinstance(beta_psi(BETA_BENCHMARK, 0.5), float)
+        assert vals == pytest.approx([beta_psi(BETA_BENCHMARK, float(v)) for v in s],
+                                     rel=1e-15, abs=1e-15)
 
     def test_derivative_vs_finite_difference(self):
         h = 1e-7
@@ -125,6 +171,29 @@ class TestRoots:
             assert lo < xi < eta
             lo = eta
 
+    def test_m800_residuals_and_interlacing(self):
+        m = 800
+        zeta, xis = mero_roots(BETA_BENCHMARK, Q, m)
+        assert xis.shape == (m + 1,)
+        # psi(-xi) = q is a cancellation of terms of size sigma^2 xi^2 / 2 (about
+        # 1e4 at xi = 800), and gammaln near -800 is good to about |pi x| eps,
+        # so the residual is bounded relative to those terms
+        p = BETA_BENCHMARK
+        terms = 1.0 + p.mu_hat * xis + 0.5 * p.sigma**2 * xis**2
+        assert np.max(np.abs(beta_psi(p, -xis) - Q) / terms) < 1e-9
+        etas = beta_poles(BETA_BENCHMARK, np.arange(1, m + 2))
+        assert np.all(np.concatenate(([0.0], etas[:-1])) < xis)
+        assert np.all(xis < etas)
+
+    def test_roots_next_to_right_pole(self):
+        # at q = 100 each xi_k sits just left of eta_k; bisection from the
+        # middle of each gap starts at the poles of Gamma(x + y)
+        p = BETA_BENCHMARK
+        zeta, xis = mero_roots(p, 100.0, 30)
+        terms = 1.0 + p.mu_hat * xis + 0.5 * p.sigma**2 * xis**2
+        assert np.max(np.abs(beta_psi(p, -xis) - 100.0) / terms) < 1e-9
+        assert np.all(beta_poles(p, np.arange(1, 32)) - xis < 0.01)
+
     def test_q_and_m_checks(self):
         with pytest.raises(DomainError):
             mero_roots(BETA_BENCHMARK, 0.0, 10)
@@ -145,6 +214,21 @@ class TestTruncation:
     def test_a_monotone_in_m(self, tm10, tm100):
         for i in range(10):
             assert tm10.A_trunc[i] < tm100.A_trunc[i]
+
+    def test_residues_match_mpmath_product(self):
+        # A_i = (1 - xi_i/eta_i) prod_{j != i} (1 - xi_i/eta_j)/(1 - xi_i/xi_j)
+        # at 40 digits, from the computed xi
+        m = 300
+        tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
+        with mpmath.workdps(40):
+            xi = [mpmath.mpf(v) for v in tm.xi[:m]]
+            eta = [mpmath.mpf(v) for v in tm.eta]
+            for i in range(m):
+                ref = 1 - xi[i] / eta[i]
+                for j in range(m):
+                    if j != i:
+                        ref *= (1 - xi[i] / eta[j]) / (1 - xi[i] / xi[j])
+                assert tm.A_trunc[i] == pytest.approx(float(ref), rel=1e-9)
 
     def test_theta_and_epsilon(self, tm100):
         assert tm100.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50
@@ -214,9 +298,31 @@ class TestWBounds:
         assert (tlo, thi) == pytest.approx((lo * damp, hi * damp), rel=1e-14)
 
 
+class TestArrayBounds:
+    def test_grid_matches_scalar_calls_and_reference(self, tm100):
+        grid = np.linspace(0.0, 1.0, 500)
+        pos = grid[1:]
+        arrays = (*w_bounds(tm100, grid), *z_bounds(tm100, grid))
+        scalars = np.array([(*w_bounds(tm100, float(x)), *z_bounds(tm100, float(x)))
+                            for x in grid]).T
+        wp = w_prime_bounds(tm100, pos)
+        wp_scalars = np.array([w_prime_bounds(tm100, float(x)) for x in pos]).T
+        ref = np.array([reference_bounds(tm100, float(x)) for x in pos]).T
+        for got, want in zip((*arrays, *wp), (*scalars, *wp_scalars)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for got, want in zip((*(a[1:] for a in arrays), *wp), ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_scalar_in_float_out(self, tm10):
+        for fn in (w_bounds, z_bounds, w_prime_bounds):
+            assert all(type(v) is float for v in fn(tm10, 0.5))
+
+
 class TestZBounds:
     def test_at_zero(self, tm100):
         assert z_bounds(tm100, 0.0) == (1.0, 1.0)
+        lo, hi = z_bounds(tm100, np.array([0.0, 0.5]))
+        assert (lo[0], hi[0]) == (1.0, 1.0)
 
     def test_gap_formula(self, tm100):
         for x in (0.1, 0.5, 1.0):
@@ -264,6 +370,9 @@ class TestWPrimeBounds:
     def test_domain(self, tm10):
         with pytest.raises(DomainError):
             w_prime_bounds(tm10, 0.0)
+        for bad in ([0.5, 0.0], [-1.0, 0.5]):
+            with pytest.raises(DomainError):
+                w_prime_bounds(tm10, np.array(bad))
 
 
 class TestCgmy:

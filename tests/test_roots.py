@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from phscale.errors import DomainError
+from phscale.errors import BracketingFailure, DomainError
 from phscale.models import (
     CASE1,
     CASE2,
@@ -17,6 +17,7 @@ from phscale.roots import (
     find_negative_roots_ph,
     find_roots,
     find_zeta,
+    interlaced_roots,
 )
 
 Q = 0.05
@@ -90,6 +91,25 @@ class TestHyperexpRoots:
                 slope = abs(m.laplace_exponent_derivative(-x))
                 assert res / max(slope, 1.0) < 1e-10 * (1.0 + x)
             assert abs(m.laplace_exponent(d.zeta) - Q) < 1e-8
+
+
+class TestInterlacedRoots:
+    def test_roots_between_poles(self):
+        # tan(s) = s has one root in each ((k - 1/2) pi, (k + 1/2) pi), k >= 1,
+        # whose ends are poles of tan
+        k = np.arange(1, 40)
+        roots = interlaced_roots(lambda s: np.tan(s) - s, (k - 0.5) * np.pi, (k + 0.5) * np.pi)
+        assert np.all(((k - 0.5) * np.pi < roots) & (roots < (k + 0.5) * np.pi))
+        assert np.all(np.abs(np.tan(roots) - roots) <= 1e-12 * roots**2)
+
+    def test_no_sign_change_names_first_bracket(self):
+        with pytest.raises(BracketingFailure, match=r"no sign change in \(0.0, 2.0\)"):
+            interlaced_roots(lambda s: s - 3.0, np.array([0.0, 2.0]), np.array([2.0, 4.0]))
+
+    def test_nan_inside_bracket_raises(self):
+        f = lambda s: np.where(s > 0.5, np.nan, s - 0.75)
+        with pytest.raises(BracketingFailure, match="NaN"):
+            interlaced_roots(f, np.array([0.0]), np.array([1.0]))
 
 
 class TestPolynomial:
