@@ -37,7 +37,6 @@ from .meromorphic import (
 )
 from .mc import simulate_overshoot_undershoot, simulate_two_sided_exit
 from .models import BUILTIN_JUMPS, SnLevyModel, builtin_model, load_model_file
-from .roots import find_roots
 from .scale import boundary_identities, build_scale
 from .wiener_hopf import wh_factor_minus
 
@@ -295,7 +294,6 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
 
     The residue-sum conjecture is reported but never gated.
     """
-    decomp = find_roots(model, q)
     sf = build_scale(model, q)
     out = {}
     res = abs(model.laplace_exponent(sf.zeta) - q)
@@ -303,7 +301,7 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     b = boundary_identities(sf)
     out["sum_c"] = (b["sum_c_rel_err"], b["sum_c_rel_err"] < 1e-8)
     out["zeta_over_q"] = (b["zeta_identity_rel_err"], b["zeta_identity_rel_err"] < 1e-8)
-    phi0 = abs(wh_factor_minus(decomp, 0.0) - 1.0)
+    phi0 = abs(wh_factor_minus(sf.decomp, 0.0) - 1.0)
     out["wh_factor_at_zero"] = (phi0, phi0 < 1e-10)
     lt_err = 0.0
     for s in np.linspace(sf.zeta + 0.5, sf.zeta + 10.0, 20):

@@ -41,21 +41,6 @@ def _edecay(c: float, x: float) -> float:
     return math.exp(-c * x)
 
 
-def _window(d: float, lo: float, hi: float) -> float:
-    """(e^{-d*lo} - e^{-d*hi}) / d with the removable singularity at d = 0
-    handled via expm1; ``hi`` may be infinite when d > 0."""
-    if math.isinf(hi):
-        if d > 0:
-            return math.exp(-d * lo) / d
-        raise ExponentAtPole("divergent window integral: d <= 0 with hi = inf")
-    delta = hi - lo
-    if d == 0.0:
-        return delta
-    if abs(d * delta) < 0.5:
-        return math.exp(-d * lo) * (-math.expm1(-d * delta)) / d
-    return (math.exp(-d * lo) - math.exp(-d * hi)) / d
-
-
 def up_exit(sf: ScaleFunction, x: float, b: float) -> float:
     """Discounted probability of reaching b before passing below 0: W(x)/W(b)."""
     if b <= 0 or not (0 <= x <= b):
@@ -113,30 +98,17 @@ def _require_hyperexp(sf: ScaleFunction) -> HyperExpDist:
     return model.jumps
 
 
-def rho(K: float, pair: IntervalPair, jumps: HyperExpDist, lam: float) -> float:
-    """Closed form of the tail-measure double integral over the window pair."""
-    total = 0.0
-    for pj, ej in zip(jumps.p, jumps.eta):
-        total += (
-            lam
-            * pj
-            * (_edecay(ej, pair.a_lo) - _edecay(ej, pair.a_hi))
-            * _window(ej - K, pair.b_lo, pair.b_hi)
-        )
-    return total
-
-
 def _kappa(sf: ScaleFunction, j: int, x: float, b_lo: float, b_hi: float) -> float:
     """kappa_{j,q}(x; B) for one mixture component."""
     jumps = _require_hyperexp(sf)
     eta_j = jumps.eta[j]
     zeta = sf.zeta
-    ppz = sf.psi_prime_zeta
+    c = eta_j + zeta
+    # e^{zeta x} folded into the decays: each exponent is <= -eta_j x, and
+    # exp(-inf) = 0 covers an infinite window end
     out = (
-        math.exp(zeta * x)
-        / (ppz * (eta_j + zeta))
-        * (_edecay(eta_j + zeta, max(b_lo, x)) - _edecay(eta_j + zeta, max(b_hi, x)))
-    )
+        math.exp(zeta * x - c * max(b_lo, x)) - math.exp(zeta * x - c * max(b_hi, x))
+    ) / (sf.psi_prime_zeta * c)
     for (xi, _, _), C in zip(sf.terms, sf.C):
         xi = float(np.real(xi))
         d = eta_j - xi
@@ -151,11 +123,7 @@ def _kappa(sf: ScaleFunction, j: int, x: float, b_lo: float, b_hi: float) -> flo
                 math.exp(-xi * (x - bl) - eta_j * bl)
                 - math.exp(-xi * (x - bh) - eta_j * bh)
             ) / d
-        second = (
-            math.exp(-xi * x)
-            * (_edecay(eta_j + zeta, b_lo) - _edecay(eta_j + zeta, b_hi))
-            / (eta_j + zeta)
-        )
+        second = math.exp(-xi * x) * (_edecay(c, b_lo) - _edecay(c, b_hi)) / c
         out += C * (first - second)
     return out
 

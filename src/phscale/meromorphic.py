@@ -18,23 +18,15 @@ import numpy as np
 from scipy.special import digamma, gammaln, gammasgn
 
 from .errors import (
-    BracketingFailure,
     DomainError,
     NegativeSubordinator,
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .roots import interlaced_roots
+from .roots import interlaced_solve
+from .wiener_hopf import _row_blocks, product_residues
 
 _POLE_TOL = 1e-12
-# Elements per temporary in the tiled m x m and grid x m products (bounds peak memory)
-_TILE = 2**14
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of consecutive rows covering at most ``_TILE`` elements each."""
-    step = max(1, _TILE // n_cols)
-    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
 
 
 def _beta_fn(x, y):
@@ -120,24 +112,10 @@ def beta_poles(params: BetaFamilyParams, k):
 
 def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.ndarray]:
     """(zeta_q, xi_{1..m+1}) with xi_k bracketed in (eta_{k-1}, eta_k)."""
-    if q <= 0:
-        raise DomainError("q must be > 0")
     if m < 1:
         raise DomainError("m must be >= 1")
-    top = 1.0
-    for _ in range(200):
-        if beta_psi(params, top) > q:
-            break
-        top *= 2.0
-    else:
-        raise BracketingFailure("could not bracket the positive root")
-    # one solve for all roots of psi(-s) = q: -zeta in (-top, 0), xi_k in each pole gap
-    hi = np.concatenate(([0.0], beta_poles(params, np.arange(1, m + 2))))
-    lo = np.concatenate(([-top], hi[:-1]))
-    roots = interlaced_roots(lambda s: beta_psi(params, -s) - q, lo, hi)
-    if not np.all((lo < roots) & (roots < hi)):
-        raise BracketingFailure("interlacing violated")
-    return float(-roots[0]), roots[1:]
+    return interlaced_solve(lambda s: beta_psi(params, s), q,
+                            beta_poles(params, np.arange(1, m + 2)), False)
 
 
 @dataclass(frozen=True)
@@ -180,16 +158,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
     etas = beta_poles(params, np.arange(1, m + 1))
-    # A_i = (1 - xi_i/eta_i) prod_{j != i} (1 - xi_i/eta_j) / (1 - xi_i/xi_j): the
-    # product over all j with the j = i denominator set to 1
-    A = np.empty(m)
-    for rows in _row_blocks(m, m):
-        xi = xis[rows, None]
-        den = 1.0 - xi / xis[:m]
-        den[np.arange(den.shape[0]), np.arange(rows.start, rows.stop)] = 1.0
-        ratio = 1.0 - xi / etas
-        ratio /= den
-        A[rows] = ratio.prod(axis=1)
+    A = product_residues(xis[:m], etas)
     C = (zeta / q) * xis[:m] * A / (zeta + xis[:m])
     ppz = beta_psi_derivative(params, zeta)
     gamma = 1.0 / ppz - w0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -177,59 +178,69 @@ class SnLevyModel:
             return np.asarray(self.jumps.eta, dtype=float)
         return -self.jumps.eigenvalues()
 
-    def _check_pole(self, s: complex) -> None:
+    @cached_property
+    def _pole_guard(self) -> tuple:
+        """The poles of psi and _POLE_REL_TOL times their magnitudes."""
+        poles = np.atleast_1d(self.poles())
+        return poles, _POLE_REL_TOL * np.abs(poles)
+
+    @cached_property
+    def _jump_arrays(self) -> tuple:
+        """(p, eta) for hyperexponential jumps, (alpha, T, t) for phase-type ones."""
+        if self.is_hyperexp:
+            return np.asarray(self.jumps.p), np.asarray(self.jumps.eta)
+        return np.asarray(self.jumps.alpha), np.asarray(self.jumps.T), self.jumps.exit_rates
+
+    def _pole_offsets(self, s: np.ndarray) -> np.ndarray:
+        """s + pole for each pole of psi along a new last axis; raises
+        PoleEvaluation where s is within tolerance of a pole."""
         # scale-free: tolerance follows the pole magnitude so that fitted
         # parameter sets with rates spanning many decades stay evaluable
-        for pole in np.atleast_1d(self.poles()):
-            if abs(s + pole) < _POLE_REL_TOL * max(abs(s), abs(pole)):
-                raise PoleEvaluation(f"s={s} within tolerance of pole -{pole}")
+        poles, pole_tol = self._pole_guard
+        sj = s[..., None]
+        off = sj + poles
+        near = np.abs(off) < np.maximum(_POLE_REL_TOL * np.abs(sj), pole_tol)
+        if near.any():
+            k, j = divmod(int(np.flatnonzero(near)[0]), poles.size)
+            raise PoleEvaluation(f"s={s.flat[k]} within tolerance of pole -{poles[j]}")
+        return off
 
-    def laplace_exponent(self, s: complex) -> complex:
-        """psi(s); real input on the domain of analyticity gives real output."""
-        self._check_pole(s)
-        base = self.mu * s + 0.5 * self.sigma**2 * s**2
-        if self.lam == 0:
-            out = base
-        elif self.is_hyperexp:
-            p = np.asarray(self.jumps.p)
-            eta = np.asarray(self.jumps.eta)
-            out = base - self.lam * np.sum(p * s / (eta + s))
-        else:
-            T = np.asarray(self.jumps.T)
-            m = T.shape[0]
-            rhs = self.jumps.exit_rates.astype(complex)
-            y = np.linalg.solve(s * np.eye(m) - T, rhs)
-            out = base + self.lam * (np.asarray(self.jumps.alpha) @ y - 1.0)
-        if np.isrealobj(s) or (isinstance(s, (int, float))):
-            return float(np.real(out))
-        return complex(out)
+    def laplace_exponent(self, s):
+        """psi(s) at a scalar or elementwise on an array; real input on the
+        domain of analyticity gives real output, a scalar gives a scalar."""
+        s = np.asarray(s)
+        off = self._pole_offsets(s)
+        out = s * (self.mu + 0.5 * self.sigma**2 * s)
+        if self.lam != 0 and self.is_hyperexp:
+            p, _ = self._jump_arrays
+            out = out - self.lam * ((s[..., None] / off) @ p)  # off = eta + s
+        elif self.lam != 0:
+            alpha, T, t = self._jump_arrays
+            A = s[..., None, None] * np.eye(T.shape[0]) - T
+            y = np.linalg.solve(A, np.broadcast_to(t[:, None], A.shape[:-1] + (1,)))
+            out = out + self.lam * (y[..., 0] @ alpha - 1.0)
+        if out.ndim:
+            return out
+        return complex(out) if np.iscomplexobj(s) else float(out)
 
     def laplace_exponent_derivative(self, s: float) -> float:
         """psi'(s), analytic form."""
-        self._check_pole(s)
+        self._pole_offsets(np.asarray(s))
         base = self.mu + self.sigma**2 * s
         if self.lam == 0:
             return float(base)
         if self.is_hyperexp:
-            p = np.asarray(self.jumps.p)
-            eta = np.asarray(self.jumps.eta)
+            p, eta = self._jump_arrays
             return float(base - self.lam * np.sum(p * eta / (eta + s) ** 2))
-        T = np.asarray(self.jumps.T)
-        m = T.shape[0]
-        A = s * np.eye(m) - T
-        y = np.linalg.solve(A, self.jumps.exit_rates)
-        y2 = np.linalg.solve(A, y)
-        return float(base - self.lam * (np.asarray(self.jumps.alpha) @ y2))
+        alpha, T, t = self._jump_arrays
+        A = s * np.eye(T.shape[0]) - T
+        y2 = np.linalg.solve(A, np.linalg.solve(A, t))
+        return float(base - self.lam * (alpha @ y2))
 
     def jump_density(self, z: float) -> float:
         if self.lam == 0:
             raise DomainError("model has no jump component")
         return self.jumps.density(z)
-
-
-def jump_density(jumps: JumpDist, z: float) -> float:
-    """Density of the jump distribution at level z (0 for z < 0)."""
-    return jumps.density(z)
 
 
 def validate_model(raw: dict) -> SnLevyModel:

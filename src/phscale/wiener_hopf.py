@@ -20,9 +20,11 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleEvaluation, RepeatedRootsDetected
 from .models import CASE2
-from .roots import RootDecomposition
+from .roots import RootDecomposition, check_clusters
 
 _IMAG_TOL = 1e-10
+# Elements per temporary in the tiled m x m and grid x m products (bounds peak memory)
+_TILE = 2**14
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,28 @@ def _atom_mass(decomp: RootDecomposition) -> float:
     return float((num / den).real)
 
 
-def _simple_residues(decomp: RootDecomposition) -> List[Tuple[complex, complex]]:
-    xis = decomp.xis
-    out = []
-    for i, xi in enumerate(xis):
-        # A_i = lim_{s->-xi_i} (s+xi_i) phi(s) / xi_i, as exact products
-        val = 1.0 + 0.0j
-        for eta in decomp.poles:
-            val *= (eta - xi) / eta
-        for l, other in enumerate(xis):
-            if l == i:
-                continue
-            val *= other / (other - xi)
-        out.append((xi, val))
-    return out
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows covering at most ``_TILE`` elements each."""
+    step = max(1, _TILE // max(1, n_cols))
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def product_residues(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """A_i = prod_j (eta_j - xi_i)/eta_j * prod_{l != i} xi_l/(xi_l - xi_i), the
+    residues of phi_q_minus at simple roots xi (real or complex; as many as the
+    poles eta, or one more).  Each pole factor is multiplied with the root
+    factor of the same index, so that interlacing keeps the running product
+    from overflowing or underflowing; rows go in tiles to bound memory."""
+    xi, eta = np.asarray(xi), np.asarray(eta)
+    A = np.empty(xi.size, dtype=np.result_type(xi, eta))
+    for rows in _row_blocks(xi.size, xi.size):
+        x = xi[rows, None]
+        ratio = xi - x
+        ratio[np.arange(x.size), np.arange(rows.start, rows.stop)] = x[:, 0]  # l = i: 1
+        np.divide(xi, ratio, out=ratio)
+        ratio[:, : eta.size] *= (eta - x) / eta
+        A[rows] = ratio.prod(axis=1)
+    return A
 
 
 def _poly_from_roots(roots_mults) -> np.ndarray:
@@ -126,13 +136,10 @@ def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
     caller-built decomposition) use the quotient-differentiation path.
     """
     if decomp.all_simple:
-        # guard against clustered roots masquerading as simple
         xis = decomp.xis
-        for i in range(len(xis)):
-            for j in range(i + 1, len(xis)):
-                if abs(xis[i] - xis[j]) < 1e-8 * (1.0 + abs(xis[i])):
-                    raise RepeatedRootsDetected("clustered roots in simple-root path")
-        entries = [(xi, 1, A) for xi, A in _simple_residues(decomp)]
+        check_clusters(xis)  # clustered roots masquerading as simple
+        A = product_residues(xis, decomp.poles)
+        entries = [(xi, 1, complex(a)) for xi, a in zip(xis, A)]
     else:
         entries = _multiplicity_coefficients(decomp)
     varrho = sum(A * xi for xi, k, A in entries if k == 1)
@@ -146,23 +153,3 @@ def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
         q=decomp.q,
         case=decomp.case,
     )
-
-
-def running_min_density(coeffs: WhCoefficients, x: float) -> float:
-    """Density of -(running minimum at an exponential q-time) at x > 0."""
-    total = 0.0 + 0.0j
-    for xi, k, A in coeffs.entries:
-        total += A * xi * (xi * x) ** (k - 1) / math.factorial(k - 1) * np.exp(-xi * x)
-    if abs(total.imag) > _IMAG_TOL * (1.0 + abs(total.real)):
-        raise RepeatedRootsDetected(f"density imaginary part {total.imag} at x={x}")
-    return float(total.real)
-
-
-def reconstruct_factor(coeffs: WhCoefficients, s: complex) -> complex:
-    """phi_q_minus(s) rebuilt from atom + partial fractions (Laplace form)."""
-    out: complex = coeffs.atom_mass
-    for xi, k, A in coeffs.entries:
-        out += A * (xi / (s + xi)) ** k
-    if isinstance(out, complex) and abs(out.imag) < _IMAG_TOL * (1 + abs(out.real)):
-        return float(out.real)
-    return out

@@ -2,9 +2,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phscale
 from phscale.cli import main
 
 
@@ -235,3 +239,14 @@ class TestIdentities:
         _, rows = parse_csv(out)
         assert rows, "report should not be empty"
         assert all(r["status"] in ("pass", "info") for r in rows)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the roots are bracketed and bisected in-package; no SciPy solver is loaded
+    src = os.path.dirname(os.path.dirname(phscale.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, phscale.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

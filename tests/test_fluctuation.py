@@ -13,12 +13,13 @@ from phscale.fluctuation import (
     down_exit_unbounded,
     joint_overshoot_undershoot,
     overshoot_density,
-    rho,
     undershoot_density,
     up_exit,
 )
 from phscale.models import PhaseTypeRepr, SnLevyModel, WEIBULL_FIT, builtin_model
 from phscale.scale import build_scale
+
+from closed_forms import rho
 
 Q = 0.05
 INF = math.inf
@@ -250,6 +251,52 @@ class TestDensities:
             overshoot_density(sf, 5.0, 0.0)
         with pytest.raises(DomainError):
             undershoot_density(sf, 0.0, 1.0)
+
+
+class TestLargeQ:
+    """sigma = 0 and q near 1e3: zeta x exceeds 709, so e^{zeta x} alone
+    overflows; the overshoot laws fold it into their decay exponents."""
+
+    # x -> overshoot_density at a = 0.5 and a = 2, then the joint law on
+    # A = (0, inf), B = (0, inf) and on A = (0.5, 2), B = (1, 4.5), as the
+    # unfolded product e^{zeta x} * (decays) gives them at q = 300, where
+    # that product is still finite
+    Q300 = {
+        "exp1": {
+            4.0: (0.00019117119615345444, 4.265605961348719e-05,
+                  0.0003151880174433869, 0.00014617637890570676),
+            5.0: (7.14717718093309e-05, 1.594750788990804e-05,
+                  0.00011783703043666965, 3.000370327384534e-06),
+        },
+        "weibull-fit": {
+            4.0: (0.0002907990757682052, 0.00012697320372901595,
+                  0.0008033746192090394, 0.0002914881778906381),
+            5.0: (0.00016569885098558512, 7.957782880247351e-05,
+                  0.0005093929723691703, 2.8829191436491365e-06),
+        },
+    }
+
+    @pytest.mark.parametrize("name", ["exp1", "weibull-fit"])
+    def test_q300_values_unchanged(self, name):
+        sf = build_scale(builtin_model(name, sigma=0.0), 300.0)
+        for x, ref in self.Q300[name].items():
+            got = (overshoot_density(sf, x, 0.5), overshoot_density(sf, x, 2.0),
+                   joint_overshoot_undershoot(sf, x, IntervalPair(0.0, INF, 0.0, INF)),
+                   joint_overshoot_undershoot(sf, x, IntervalPair(0.5, 2.0, 1.0, 4.5)))
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["exp1", "weibull-fit"])
+    @pytest.mark.parametrize("x", [4.0, 5.0])
+    def test_q1000_finite_and_integrates_to_joint(self, name, x):
+        sf = build_scale(builtin_model(name, sigma=0.0), 1000.0)
+        assert sf.zeta * x > 709.0  # e^{zeta x} is not a float
+        for a in np.geomspace(1e-3, 20.0, 30):
+            v = overshoot_density(sf, x, float(a))
+            assert math.isfinite(v) and v >= 0.0
+        ref = joint_overshoot_undershoot(sf, x, IntervalPair(0.0, INF, 0.0, INF))
+        assert math.isfinite(ref) and ref >= 0.0
+        val, _ = quad(lambda a: overshoot_density(sf, x, a), 0.0, np.inf, limit=400)
+        assert val == pytest.approx(ref, rel=1e-8)
 
 
 class TestConjecture:

@@ -28,6 +28,9 @@ from phscale.meromorphic import (
     w_prime_bounds,
     z_bounds,
 )
+from phscale.models import builtin_model
+from phscale.roots import find_roots
+from phscale.wiener_hopf import partial_fraction_coefficients
 
 # The array paths must not hide a stray divide-by-zero or overflow.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -216,19 +219,24 @@ class TestTruncation:
             assert tm10.A_trunc[i] < tm100.A_trunc[i]
 
     def test_residues_match_mpmath_product(self):
-        # A_i = (1 - xi_i/eta_i) prod_{j != i} (1 - xi_i/eta_j)/(1 - xi_i/xi_j)
-        # at 40 digits, from the computed xi
-        m = 300
-        tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
-        with mpmath.workdps(40):
-            xi = [mpmath.mpf(v) for v in tm.xi[:m]]
-            eta = [mpmath.mpf(v) for v in tm.eta]
-            for i in range(m):
-                ref = 1 - xi[i] / eta[i]
-                for j in range(m):
-                    if j != i:
-                        ref *= (1 - xi[i] / eta[j]) / (1 - xi[i] / xi[j])
-                assert tm.A_trunc[i] == pytest.approx(float(ref), rel=1e-9)
+        # A_i = prod_j (eta_j - xi_i)/eta_j * prod_{l != i} xi_l/(xi_l - xi_i) at
+        # 50 digits, from the computed xi: the beta-family at m = 300, and the
+        # pareto-fit hyperexponential, whose rates span ten decades
+        tm = truncated_coefficients(BETA_BENCHMARK, Q, 300)
+        cases = [(tm.xi[:300], tm.eta, tm.A_trunc)]
+        for sigma in (0.0, 1.0):
+            for q in (1e-3, 0.05, 100.0):
+                d = find_roots(builtin_model("pareto-fit", sigma=sigma), q)
+                entries = partial_fraction_coefficients(d).entries
+                cases.append((d.xis, d.poles, [A.real for _, _, A in entries]))
+        with mpmath.workdps(50):
+            for xis, etas, A in cases:
+                xi = [mpmath.mpf(float(v)) for v in xis]
+                eta = [mpmath.mpf(float(v)) for v in etas]
+                for i, x in enumerate(xi):
+                    ref = mpmath.fprod((e - x) / e for e in eta) * mpmath.fprod(
+                        y / (y - x) for l, y in enumerate(xi) if l != i)
+                    assert A[i] == pytest.approx(float(ref), rel=1e-13, abs=0)
 
     def test_theta_and_epsilon(self, tm100):
         assert tm100.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50

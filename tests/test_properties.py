@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from phscale.fluctuation import IntervalPair, rho, up_exit
+from phscale.fluctuation import IntervalPair, up_exit
 from phscale.models import HyperExpDist, SnLevyModel
 from phscale.roots import find_roots
 from phscale.scale import ExpPolySum, build_scale
-from phscale.wiener_hopf import (
-    partial_fraction_coefficients,
-    reconstruct_factor,
-    wh_factor_minus,
-)
+from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
+
+from closed_forms import reconstruct_factor, rho
 
 SETTINGS = dict(max_examples=25, deadline=None)
 

@@ -5,12 +5,9 @@ import pytest
 from phscale.errors import PoleEvaluation
 from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
 from phscale.roots import RootDecomposition, find_roots
-from phscale.wiener_hopf import (
-    partial_fraction_coefficients,
-    reconstruct_factor,
-    running_min_density,
-    wh_factor_minus,
-)
+from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
+
+from closed_forms import reconstruct_factor, running_min_density
 
 Q = 0.05
 
