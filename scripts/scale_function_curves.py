@@ -5,7 +5,6 @@ Evaluates W, W' and Z on a grid for each built-in jump model and
 sigma in {1, 0}, writing one CSV per (model, sigma) pair.
 """
 import argparse
-import csv
 import pathlib
 
 import numpy as np
@@ -29,16 +28,12 @@ def main() -> None:
         for sigma in (1.0, 0.0):
             sf = build_scale(builtin_model(name, sigma=sigma), args.q)
             dest = out_dir / f"scale_{name}_sigma{sigma:g}.csv"
-            with dest.open("w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "w", "w_prime", "z"])
-                for x in grid:
-                    x = float(x)
-                    wp = sf.w_prime(x) if x > 0 else sf.wp0
-                    w.writerow(
-                        [f"{x:.6f}", f"{sf.w(x):.10g}", f"{wp:.10g}",
-                         f"{sf.z(x):.10g}"]
-                    )
+            wp = np.full(grid.size, sf.wp0)  # the x -> 0+ limit at x = 0
+            wp[grid > 0] = sf.w_prime(grid[grid > 0])
+            # csv-module layout: a header row and CRLF line ends
+            np.savetxt(dest, np.column_stack([grid, sf.w(grid), wp, sf.z(grid)]),
+                       fmt=["%.6f", "%.10g", "%.10g", "%.10g"], delimiter=",",
+                       newline="\r\n", header="x,w,w_prime,z", comments="")
             print(f"wrote {dest}")
 
 

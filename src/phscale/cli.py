@@ -185,11 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_scale_eval(args) -> None:
     model = _resolve_model(args)
     sf = build_scale(model, args.q)
-    rows = [(x, sf.w(x), sf.w_prime(x) if x > 0 else sf.wp0, sf.z(x))
-            for x in _parse_grid(args.grid)]
-    _emit(args, ("x", "w", "w_prime", "z"),
-          rows, {"command": "scale-eval", "model": args.model, "q": args.q,
-                 "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+    grid = _parse_grid(args.grid)
+    wp = np.full(grid.size, sf.wp0)  # the x -> 0+ limit at x <= 0
+    wp[grid > 0] = sf.w_prime(grid[grid > 0])
+    _emit(args, ("x", "w", "w_prime", "z"), list(zip(grid, sf.w(grid), wp, sf.z(grid))),
+          {"command": "scale-eval", "model": args.model, "q": args.q,
+           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
 
 def _cmd_exit_prob(args) -> None:
@@ -206,8 +207,9 @@ def _cmd_density(args, kind: str) -> None:
     model = _resolve_model(args)
     sf = build_scale(model, args.q)
     fn = overshoot_density if kind == "overshoot" else undershoot_density
-    rows = [(v, fn(sf, args.x, float(v))) for v in _parse_grid(args.grid) if v > 0]
-    _emit(args, ("level", "density"), rows,
+    grid = _parse_grid(args.grid)
+    grid = grid[grid > 0]
+    _emit(args, ("level", "density"), list(zip(grid, fn(sf, args.x, grid))),
           {"command": kind, "model": args.model, "q": args.q, "x": args.x,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -303,12 +305,11 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     out["zeta_over_q"] = (b["zeta_identity_rel_err"], b["zeta_identity_rel_err"] < 1e-8)
     phi0 = abs(wh_factor_minus(sf.decomp, 0.0) - 1.0)
     out["wh_factor_at_zero"] = (phi0, phi0 < 1e-10)
-    lt_err = 0.0
-    for s in np.linspace(sf.zeta + 0.5, sf.zeta + 10.0, 20):
-        target = 1.0 / (model.laplace_exponent(float(s)) - q)
-        lt_err = max(lt_err, abs(sf.laplace_transform_w(float(s)) - target) / abs(target))
+    s = np.linspace(sf.zeta + 0.5, sf.zeta + 10.0, 20)
+    target = 1.0 / (model.laplace_exponent(s) - q)
+    lt_err = float(np.max(np.abs(sf.laplace_transform_w(s) - target) / np.abs(target)))
     out["laplace_transform"] = (lt_err, lt_err < 1e-8)
-    if sf.C is not None and model.is_hyperexp:
+    if model.is_hyperexp:
         out["conjecture_max_residual"] = (max(conjecture_residuals(sf)), None)
     return out
 

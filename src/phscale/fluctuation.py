@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DomainError, ExponentAtPole, UnsupportedRegime
 from .models import HyperExpDist
 from .scale import ScaleFunction
+from .wiener_hopf import exp_sum, like, points
+
 
 @dataclass(frozen=True)
 class IntervalPair:
@@ -50,82 +52,73 @@ def up_exit(sf: ScaleFunction, x: float, b: float) -> float:
 
 
 def down_exit(sf: ScaleFunction, x: float, b: float) -> float:
-    """Discounted probability of passing below 0 before reaching b."""
+    """Discounted probability of passing below 0 before reaching b,
+    Z(x) - Z(b) W(x)/W(b).
+
+    It is computed as the exact rearrangement D(x) - (W(x)/W(b)) D(b) with
+    D = ``down_exit_unbounded``: the e^{zeta x} growth of Z(x) and of
+    Z(b) W(x)/W(b) cancels inside D, not in floating point.
+    """
     if b <= 0 or not (0 <= x <= b):
         raise DomainError("need 0 <= x <= b, b > 0")
-    return sf.z(x) - sf.z(b) * up_exit(sf, x, b)
+    return down_exit_unbounded(sf, x) - up_exit(sf, x, b) * down_exit_unbounded(sf, b)
 
 
-def down_exit_unbounded(sf: ScaleFunction, x: float) -> float:
-    """b -> infinity limit: Z(x) - (q/zeta) W(x).
+def down_exit_unbounded(sf: ScaleFunction, x):
+    """b -> infinity limit: Z(x) - (q/zeta) W(x), at a float or a 1-d array.
 
     The e^{zeta x} parts of Z and (q/zeta) W cancel exactly, so the value is
-    computed from the decaying remainder R(x) = W(x) - e^{zeta x}/psi'(zeta):
+    computed from the decaying remainder R(x) = -sum_i C_i e^{-xi_i x} of W:
 
-        1 - (q/zeta)/psi'(zeta) + q * int_0^x R - (q/zeta) R(x),
+        1 - (q/zeta) lead + q * int_0^x R - (q/zeta) R(x),
 
     which stays accurate when zeta*x is large (the naive difference loses all
     precision there).
     """
-    if x < 0:
+    xs = points(x)
+    if np.any(xs < 0):
         raise DomainError("x must be >= 0")
     q, zeta = sf.q, sf.zeta
-    rest = _decaying_part(sf)
-    val = (
+    vals = (
         1.0
         - (q / zeta) * sf.lead
-        + q * complex(rest.integral0(x)).real
-        - (q / zeta) * rest.eval_real(x)
+        + q * sf.decay_sum(xs, sf.C / sf.xi, expfn=np.expm1)
+        + (q / zeta) * sf.decay_sum(xs, sf.C)
     )
-    return val
-
-
-def _decaying_part(sf: ScaleFunction):
-    """ExpPolySum of W minus its leading e^{zeta x} term."""
-    from .scale import ExpPolySum
-
-    return ExpPolySum(
-        [(r, c) for r, c in sf._untilted.terms if r != -sf.zeta]
-    )
+    return like(x, vals)
 
 
 def _require_hyperexp(sf: ScaleFunction) -> HyperExpDist:
+    """The jump law; hyperexponential jumps give interlaced, hence real, roots."""
     model = sf.model
     if model is None or not isinstance(model.jumps, HyperExpDist):
         raise UnsupportedRegime("closed-form overshoot laws need hyperexponential jumps")
-    if sf.C is None:
-        raise UnsupportedRegime("distinct real roots required")
     return model.jumps
 
 
-def _kappa(sf: ScaleFunction, j: int, x: float, b_lo: float, b_hi: float) -> float:
-    """kappa_{j,q}(x; B) for one mixture component."""
-    jumps = _require_hyperexp(sf)
-    eta_j = jumps.eta[j]
-    zeta = sf.zeta
+def _kappa(sf: ScaleFunction, eta_j: float, x: float, b_lo: float, b_hi: float) -> float:
+    """kappa_{j,q}(x; B) for the mixture component of rate eta_j, summed over
+    the roots as arrays."""
+    zeta, xi = sf.zeta, sf.xi
     c = eta_j + zeta
     # e^{zeta x} folded into the decays: each exponent is <= -eta_j x, and
     # exp(-inf) = 0 covers an infinite window end
     out = (
         math.exp(zeta * x - c * max(b_lo, x)) - math.exp(zeta * x - c * max(b_hi, x))
     ) / (sf.psi_prime_zeta * c)
-    for (xi, _, _), C in zip(sf.terms, sf.C):
-        xi = float(np.real(xi))
-        d = eta_j - xi
-        bl, bh = min(b_lo, x), min(b_hi, x)
-        # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
-        if d == 0.0 or abs(d * (bh - bl)) < 0.5:
-            first = math.exp(-xi * (x - bl) - eta_j * bl) * (
-                bh - bl if d == 0.0 else -math.expm1(-d * (bh - bl)) / d
-            )
-        else:
-            first = (
-                math.exp(-xi * (x - bl) - eta_j * bl)
-                - math.exp(-xi * (x - bh) - eta_j * bh)
-            ) / d
-        second = math.exp(-xi * x) * (_edecay(c, b_lo) - _edecay(c, b_hi)) / c
-        out += C * (first - second)
-    return out
+    d = eta_j - xi
+    bl, bh = min(b_lo, x), min(b_hi, x)
+    # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
+    start = np.exp(-xi * (x - bl) - eta_j * bl)
+    end = np.exp(-xi * (x - bh) - eta_j * bh)
+    # (start - end) / d, through expm1 where d (bh - bl) is small (or d = 0)
+    dw = d * (bh - bl)
+    small = np.abs(dw) < 0.5
+    d1 = np.where(d == 0.0, 1.0, d)
+    ratio = np.where(d == 0.0, bh - bl, -np.expm1(-np.where(small, dw, 0.0)) / d1)
+    first = np.where(small, start * ratio, (start - end) / d1)
+    second = np.exp(-xi * x) * (_edecay(c, b_lo) - _edecay(c, b_hi)) / c
+    return out + float(sf.C @ (first - second))
 
 
 def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) -> float:
@@ -135,64 +128,54 @@ def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) 
     jumps = _require_hyperexp(sf)
     lam = sf.model.lam
     total = 0.0
-    for j, (pj, ej) in enumerate(zip(jumps.p, jumps.eta)):
+    for pj, ej in zip(jumps.p, jumps.eta):
         window = _edecay(ej, pair.a_lo) - _edecay(ej, pair.a_hi)
         if window != 0.0:
-            total += lam * pj * window * _kappa(sf, j, x, pair.b_lo, pair.b_hi)
+            total += lam * pj * window * _kappa(sf, ej, x, pair.b_lo, pair.b_hi)
     return total
 
 
-def overshoot_density(sf: ScaleFunction, x: float, a: float) -> float:
-    """Density in the overshoot magnitude a > 0 (undershoot unrestricted)."""
-    if a <= 0 or x <= 0:
+def overshoot_density(sf: ScaleFunction, x: float, a):
+    """Density in the overshoot magnitude a > 0 (undershoot unrestricted), at
+    a float or a 1-d array of magnitudes."""
+    a_s = points(a)
+    if x <= 0 or np.any(a_s <= 0):
         raise DomainError("need a > 0 and x > 0")
     jumps = _require_hyperexp(sf)
-    lam = sf.model.lam
-    total = 0.0
-    for j, (pj, ej) in enumerate(zip(jumps.p, jumps.eta)):
-        total += lam * pj * ej * math.exp(-ej * a) * _kappa(sf, j, x, 0.0, math.inf)
-    return total
+    eta = np.asarray(jumps.eta)
+    kappa = np.array([_kappa(sf, ej, x, 0.0, math.inf) for ej in jumps.eta])
+    return like(a, exp_sum(eta, sf.model.lam * np.asarray(jumps.p) * eta * kappa, a_s))
 
 
-def undershoot_density(sf: ScaleFunction, x: float, b: float) -> float:
-    """Density in the undershoot position b > 0 (overshoot unrestricted).
+def undershoot_density(sf: ScaleFunction, x: float, b):
+    """Density in the undershoot position b > 0 (overshoot unrestricted), at a
+    float or a 1-d array of positions.
 
     Two-branch closed form; discontinuous at b = x for the compound Poisson
     case, continuous when sigma > 0.
     """
-    if b <= 0 or x <= 0:
+    bs = points(b)
+    if x <= 0 or np.any(bs <= 0):
         raise DomainError("need b > 0 and x > 0")
     jumps = _require_hyperexp(sf)
-    lam = sf.model.lam
-    zeta = sf.zeta
-    ppz = sf.psi_prime_zeta
-    xis = [float(np.real(xi)) for xi, _, _ in sf.terms]
-    total = 0.0
-    for pj, ej in zip(jumps.p, jumps.eta):
-        if b < x:
-            acc = 0.0
-            for xi, C in zip(xis, sf.C):
-                acc += C * (
-                    math.exp(-xi * (x - b) - ej * b)
-                    - math.exp(-xi * x - (ej + zeta) * b)
-                )
-        else:
-            acc = math.exp(zeta * x - (ej + zeta) * b) / ppz
-            for xi, C in zip(xis, sf.C):
-                acc -= C * math.exp(-(xi * x + (ej + zeta) * b))
-        total += lam * pj * acc
-    return total
+    zeta, xi, C = sf.zeta, sf.xi, sf.C
+    eta = np.asarray(jumps.eta)[:, None]  # (rates, 1) against the roots
+    c = eta + zeta
+    # each branch at its own side of x, so that neither overflows:
+    # positions x (rates) x roots for b < x, positions x rates for b >= x
+    lo = np.minimum(bs, x)[:, None, None]
+    hi = np.maximum(bs, x)[:, None]
+    below = (np.exp(-xi * (x - lo) - eta * lo) - np.exp(-xi * x - c * lo)) @ C
+    above = (np.exp(zeta * x - c[:, 0] * hi) / sf.psi_prime_zeta
+             - np.exp(-(xi * x + c * hi[..., None])) @ C)
+    lam_p = sf.model.lam * np.asarray(jumps.p)
+    return like(b, np.where(bs < x, below @ lam_p, above @ lam_p))
 
 
 def conjecture_residuals(sf: ScaleFunction) -> list:
     """Per-rate residual of the conjectured identity
     1/(psi'(zeta)(eta_j+zeta)) = sum_i C_i/(eta_j - xi_i); informational only."""
-    jumps = _require_hyperexp(sf)
-    zeta = sf.zeta
-    out = []
-    xis = [float(np.real(xi)) for xi, _, _ in sf.terms]
-    for ej in jumps.eta:
-        lhs = 1.0 / (sf.psi_prime_zeta * (ej + zeta))
-        rhs = sum(C / (ej - xi) for xi, C in zip(xis, sf.C))
-        out.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    return out
+    eta = np.asarray(_require_hyperexp(sf).eta)
+    lhs = 1.0 / (sf.psi_prime_zeta * (eta + sf.zeta))
+    rhs = (1.0 / np.subtract.outer(eta, sf.xi)) @ sf.C
+    return (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).tolist()

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import digamma, gammaln, gammasgn
 
 from .errors import (
     DomainError,
@@ -24,13 +23,15 @@ from .errors import (
     UnsupportedRegime,
 )
 from .roots import interlaced_solve
-from .wiener_hopf import _row_blocks, product_residues
+from .wiener_hopf import exp_sum, like, points, product_residues, scale_weights
 
 _POLE_TOL = 1e-12
 
 
 def _beta_fn(x, y):
     """B(x, y) elementwise for real non-pole arguments."""
+    from scipy.special import gammaln, gammasgn  # SciPy loads on first use only
+
     for arg in (np.asarray(x), np.asarray(y)):
         on_pole = (arg <= 0) & (np.abs(arg - np.rint(arg)) < _POLE_TOL * (1.0 + np.abs(arg)))
         if on_pole.any():
@@ -97,6 +98,8 @@ def beta_psi_derivative(params: BetaFamilyParams, s: float) -> float:
     base = p.mu_hat + p.sigma**2 * s
     if p.c == 0:
         return base
+    from scipy.special import digamma
+
     x = p.alpha_b + s / p.beta_b
     y = 1.0 - p.lam
     b1 = _beta_fn(x, y)
@@ -159,7 +162,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     zeta, xis = mero_roots(params, q, m)
     etas = beta_poles(params, np.arange(1, m + 1))
     A = product_residues(xis[:m], etas)
-    C = (zeta / q) * xis[:m] * A / (zeta + xis[:m])
+    C = scale_weights(xis[:m], A, zeta, q)
     ppz = beta_psi_derivative(params, zeta)
     gamma = 1.0 / ppz - w0
     delta = gamma - float(C.sum())
@@ -193,33 +196,21 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
 
 
 def _grid(x, positive: bool = False) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = points(x)
     if np.any(xs <= 0 if positive else xs < 0):
         raise DomainError("x must be > 0" if positive else "x must be >= 0")
     return xs
 
 
-def _exp_sum(tm: TruncatedMero, xs: np.ndarray, weights: np.ndarray, expfn=np.exp) -> np.ndarray:
-    """sum_j weights_j expfn(-xi_j x) at each grid point, in row tiles."""
-    minus_xi = -np.asarray(tm.xi[: tm.m])
-    out = np.empty_like(xs)
-    for rows in _row_blocks(xs.size, minus_xi.size):
-        tile = np.multiply.outer(xs[rows], minus_xi)
-        out[rows] = expfn(tile, out=tile) @ weights
-    return out
-
-
 def _pair(x, lower: np.ndarray, upper: np.ndarray):
     """The bounds at x >= 0 (x > 0 for W'): floats for a float x, arrays for a grid."""
-    if np.ndim(x) == 0:
-        return float(lower[0]), float(upper[0])
-    return lower, upper
+    return like(x, lower), like(x, upper)
 
 
 def w_bounds(tm: TruncatedMero, x):
     """(lower, upper) sandwich of W^{(q)}(x); gap = delta_m (1 + e^{-xi_{m+1} x})."""
     xs = _grid(x)
-    upper = np.exp(tm.zeta * xs) / tm.psi_prime_zeta - _exp_sum(tm, xs, np.asarray(tm.C_trunc))
+    upper = np.exp(tm.zeta * xs) / tm.psi_prime_zeta - exp_sum(tm.xi[: tm.m], tm.C_trunc, xs)
     lower = upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
     return _pair(x, lower, upper)
 
@@ -229,7 +220,7 @@ def z_bounds(tm: TruncatedMero, x):
     xs = _grid(x)
     weights = np.asarray(tm.C_trunc) / np.asarray(tm.xi[: tm.m])
     int_upper = np.expm1(tm.zeta * xs) / (tm.zeta * tm.psi_prime_zeta)
-    upper = 1.0 + tm.q * (int_upper + _exp_sum(tm, xs, weights, np.expm1))
+    upper = 1.0 + tm.q * (int_upper + exp_sum(tm.xi[: tm.m], weights, xs, np.expm1))
     xm1 = tm.xi[tm.m]
     gap = tm.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
     return _pair(x, upper - gap, upper)
@@ -240,7 +231,7 @@ def w_prime_bounds(tm: TruncatedMero, x):
     xs = _grid(x, positive=True)
     xi = np.asarray(tm.xi[: tm.m])
     lower = (tm.zeta * np.exp(tm.zeta * xs) / tm.psi_prime_zeta
-             + _exp_sum(tm, xs, np.asarray(tm.C_trunc) * xi))
+             + exp_sum(xi, np.asarray(tm.C_trunc) * xi, xs))
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     near = xi[np.clip(np.searchsorted(xi, 1.0 / xs) + [[-1], [0]], 0, tm.m - 1)]

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DomainError,
@@ -114,6 +113,8 @@ class PhaseTypeRepr:
         return np.linalg.eigvals(np.asarray(self.T))
 
     def density(self, z: float) -> float:
+        from scipy.linalg import expm  # SciPy loads on first use only
+
         if z < 0:
             return 0.0
         T = np.asarray(self.T)
@@ -169,6 +170,16 @@ class SnLevyModel:
         else:
             w = float(np.sum(self.jumps.alpha))
         return self.lam * w
+
+    def jump_transform(self, s: float) -> float:
+        """lam * E[e^{-s Y}] at s >= 0 for the jump size Y."""
+        if self.lam == 0:
+            return 0.0
+        if self.is_hyperexp:
+            p, eta = self._jump_arrays
+            return float(self.lam * (p @ (eta / (eta + s))))
+        alpha, T, t = self._jump_arrays
+        return float(self.lam * (alpha @ np.linalg.solve(s * np.eye(T.shape[0]) - T, t)))
 
     def poles(self) -> np.ndarray:
         """Absolute values of the poles of psi (eigenvalue magnitudes of -T)."""

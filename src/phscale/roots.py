@@ -145,9 +145,9 @@ def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposit
 
 
 def check_clusters(xis: Sequence[complex]) -> None:
-    """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * (1 + |xi_i|)."""
+    """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * max(|xi_i|, |xi_j|)."""
     x = np.asarray(xis, dtype=complex)
-    close = np.abs(x[:, None] - x) < _CLUSTER_RTOL * (1.0 + np.abs(x[:, None]))
+    close = np.abs(x[:, None] - x) < _CLUSTER_RTOL * np.maximum(np.abs(x[:, None]), np.abs(x))
     if (pairs := np.argwhere(np.triu(close, 1))).size:
         i, j = pairs[0]
         raise RepeatedRootsDetected(f"roots {xis[i]} and {xis[j]} within clustering tolerance")

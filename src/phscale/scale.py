@@ -1,158 +1,131 @@
 """Closed-form scale functions assembled from Wiener-Hopf coefficients.
 
-Everything is represented as a finite sum of polynomial-times-exponential
-terms, so differentiation and integration are exact coefficient transforms:
-no numerical differentiation or quadrature appears in the public path.
+With simple roots the q-scale function is the exponential sum
+
+    W(x) = lead e^{zeta x} - sum_i C_i e^{-xi_i x},   x >= 0,
+
+so W', Z and the Laplace transform of W are closed forms in the same arrays:
+no numerical differentiation or quadrature appears in the public path.  Each
+evaluator takes a float and returns a float, or takes a 1-d array of points
+and returns an array.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, RepeatedRootsDetected
 from .models import CASE1, CASE2, SnLevyModel
 from .roots import RootDecomposition, find_roots
-from .wiener_hopf import WhCoefficients, partial_fraction_coefficients
+from .wiener_hopf import (
+    WhCoefficients,
+    exp_sum,
+    like,
+    partial_fraction_coefficients,
+    points,
+    scale_weights,
+)
 
 _IMAG_TOL = 1e-10
 _EXP_LOG_GUARD = 700.0
 
 
-class ExpPolySum:
-    """f(x) = sum over terms of poly(x) * exp(-rate * x), complex coefficients."""
-
-    def __init__(self, terms: Sequence[Tuple[complex, np.ndarray]]):
-        self.terms = [(complex(r), np.asarray(c, dtype=complex)) for r, c in terms]
-
-    def __call__(self, x: float) -> complex:
-        out = 0.0 + 0.0j
-        for r, c in self.terms:
-            # Horner evaluation of the polynomial factor
-            p = 0.0 + 0.0j
-            for coef in c[::-1]:
-                p = p * x + coef
-            out += p * np.exp(-r * x)
-        return out
-
-    def eval_real(self, x: float) -> float:
-        v = self(x)
-        if abs(v.imag) > _IMAG_TOL * (1.0 + abs(v.real)):
-            raise RepeatedRootsDetected(f"imaginary residue {v.imag} at x={x}")
-        return float(v.real)
-
-    def derivative(self) -> "ExpPolySum":
-        out = []
-        for r, c in self.terms:
-            d = np.zeros(max(len(c), 1), dtype=complex)
-            if len(c) > 1:
-                d[: len(c) - 1] += np.arange(1, len(c)) * c[1:]
-            d[: len(c)] -= r * c
-            out.append((r, d))
-        return ExpPolySum(out)
-
-    def integral0(self, x: float) -> complex:
-        """Exact integral over [0, x]."""
-        out = 0.0 + 0.0j
-        for r, c in self.terms:
-            if r == 0:
-                g = np.zeros(len(c) + 1, dtype=complex)
-                g[1:] = c / np.arange(1, len(c) + 1)
-                p = 0.0 + 0.0j
-                for coef in g[::-1]:
-                    p = p * x + coef
-                out += p
-                continue
-            # solve g' - r g = c so that (g e^{-rx})' = c e^{-rx}
-            g = np.zeros(len(c), dtype=complex)
-            g[-1] = -c[-1] / r
-            for j in range(len(c) - 2, -1, -1):
-                g[j] = ((j + 1) * g[j + 1] - c[j]) / r
-            p = 0.0 + 0.0j
-            for coef in g[::-1]:
-                p = p * x + coef
-            out += p * np.exp(-r * x) - g[0]
-        return out
+def _real(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Real part of a sum over complex-conjugate root pairs; raises if an
+    imaginary residue is more than rounding."""
+    if not np.iscomplexobj(vals):
+        return vals
+    bad = np.abs(vals.imag) > _IMAG_TOL * (1.0 + np.abs(vals.real))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise RepeatedRootsDetected(f"imaginary residue {vals.imag[k]} at x={xs[k]}")
+    return vals.real
 
 
-@dataclass(frozen=True)
+def _envelope(zx: np.ndarray, vals, expfn=np.exp) -> np.ndarray:
+    """expfn(zeta x) * vals, and inf where zeta x exceeds the overflow guard."""
+    big = zx > _EXP_LOG_GUARD
+    return np.where(big, np.inf, expfn(np.where(big, 0.0, zx)) * vals)
+
+
+@dataclass(frozen=True, eq=False)
 class ScaleFunction:
     """Assembled q-scale function of one model.
 
-    ``terms`` holds (xi_i, k, weight) with weight =
-    (zeta/q) A_i^(k) (xi_i/(zeta+xi_i))^k; ``lead`` is the coefficient of
-    e^{zeta x} and coincides with 1/psi'(zeta) up to rounding.
+    ``xi`` and ``C`` are arrays (complex where the roots hold a conjugate
+    pair) with C_i = (zeta/q) A_i xi_i/(zeta + xi_i); ``lead`` = w0 + sum C
+    is the coefficient of e^{zeta x} and coincides with 1/psi'(zeta) up to
+    rounding.
     """
 
     q: float
     zeta: float
-    psi_prime_zeta: Optional[float]
+    psi_prime_zeta: float
     case: str
     w0: float
     wp0: float
     theta: float
     lead: float
-    terms: Tuple[Tuple[complex, int, complex], ...]
-    C: Optional[Tuple[float, ...]]
+    xi: np.ndarray
+    C: np.ndarray
     wh: WhCoefficients
     decomp: Optional[RootDecomposition]
     model: Optional[SnLevyModel]
-    _tilted: ExpPolySum = field(repr=False, compare=False, default=None)
-    _tilted_deriv: ExpPolySum = field(repr=False, compare=False, default=None)
-    _untilted: ExpPolySum = field(repr=False, compare=False, default=None)
+
+    def decay_sum(self, xs: np.ndarray, weights, shift: float = 0.0, expfn=np.exp) -> np.ndarray:
+        """sum_i weights_i expfn(-(xi_i + shift) x) on the grid xs, as reals."""
+        return _real(exp_sum(self.xi + shift, weights, xs, expfn), xs)
+
+    def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
+        return self.lead - self.decay_sum(xs, self.C, self.zeta)
 
     # -- evaluation ---------------------------------------------------------
 
-    def w_tilted(self, x: float) -> float:
+    def w_tilted(self, x):
         """W_{zeta}(x) = e^{-zeta x} W(x); bounded and nondecreasing."""
-        if x < 0:
+        xs = points(x)
+        if np.any(xs < 0):
             raise DomainError("x must be >= 0")
-        return self._tilted.eval_real(x)
+        return like(x, self._w_tilted(xs))
 
-    def w(self, x: float) -> float:
+    def w(self, x):
         """W(x); 0 on (-inf, 0)."""
-        if x < 0:
-            return 0.0
-        if self.zeta * x > _EXP_LOG_GUARD:
-            return math.inf
-        return math.exp(self.zeta * x) * self._tilted.eval_real(x)
+        xs = points(x)
+        pos = np.maximum(xs, 0.0)
+        return like(x, np.where(xs < 0, 0.0, _envelope(self.zeta * pos, self._w_tilted(pos))))
 
-    def log_w(self, x: float) -> float:
+    def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope."""
-        if x < 0:
-            raise DomainError("x must be > 0")
-        return self.zeta * x + math.log(self._tilted.eval_real(x))
+        xs = points(x)
+        if np.any(xs < 0):
+            raise DomainError("x must be >= 0")
+        return like(x, self.zeta * xs + np.log(self._w_tilted(xs)))
 
-    def w_prime(self, x: float) -> float:
+    def w_prime(self, x):
         """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""
-        if x <= 0:
+        xs = points(x)
+        if np.any(xs <= 0):
             raise DomainError("x must be > 0")
-        val = self.zeta * self._tilted.eval_real(x) + self._tilted_deriv.eval_real(x)
-        if self.zeta * x > _EXP_LOG_GUARD:
-            return math.inf
-        return math.exp(self.zeta * x) * val
+        slope = self.zeta * self.lead + self.decay_sum(xs, self.C * self.xi, self.zeta)
+        return like(x, _envelope(self.zeta * xs, slope))
 
-    def z(self, x: float) -> float:
+    def z(self, x):
         """Z(x) = 1 + q * integral of W over [0, x]; 1 on (-inf, 0]."""
-        if x <= 0:
-            return 1.0
-        val = 1.0 + self.q * self._untilted.integral0(x)
-        if abs(val.imag) > _IMAG_TOL * (1.0 + abs(val.real)):
-            raise RepeatedRootsDetected(f"imaginary residue {val.imag} at x={x}")
-        return float(val.real)
+        xs = points(x)
+        pos = np.maximum(xs, 0.0)
+        grow = (self.lead / self.zeta) * _envelope(self.zeta * pos, 1.0, np.expm1)
+        vals = 1.0 + self.q * (grow + self.decay_sum(pos, self.C / self.xi, expfn=np.expm1))
+        return like(x, np.where(xs <= 0, 1.0, vals))
 
-    def laplace_transform_w(self, s: float) -> float:
-        """Analytic Laplace transform of the representation at s > zeta."""
-        if s <= self.zeta:
+    def laplace_transform_w(self, s):
+        """Analytic Laplace transform of W at s > zeta."""
+        ss = points(s)
+        if np.any(ss <= self.zeta):
             raise DomainError("transform converges only for s > zeta")
-        out = 0.0 + 0.0j
-        for r, c in self._untilted.terms:
-            # term poly * e^{-r x}: transform of x^j is j!/(s + r)^{j+1}
-            for j, coef in enumerate(c):
-                out += coef * math.factorial(j) / (s + r) ** (j + 1)
-        return float(out.real)
+        vals = self.lead / (ss - self.zeta) - (1.0 / np.add.outer(ss, self.xi)) @ self.C
+        return like(s, _real(vals, ss))
 
     # -- diagnostics --------------------------------------------------------
 
@@ -161,56 +134,20 @@ class ScaleFunction:
         target = 1.0 / self.psi_prime_zeta
         if self.case == CASE2:
             target -= self.w0  # w0 = 1/mu
-        total = sum(w for _, _, w in self.terms)
-        return abs(total.real - target) / max(abs(target), 1e-300)
+        return abs(self.C.sum().real - target) / max(abs(target), 1e-300)
 
 
-def boundary_identities(sf: ScaleFunction, wh: Optional[WhCoefficients] = None) -> dict:
+def boundary_identities(sf: ScaleFunction) -> dict:
     """Residuals of the positive-root identity zeta/q = theta/varrho and of
     the coefficient-sum identity."""
-    wh = wh or sf.wh
     lhs = sf.zeta / sf.q
-    rhs = sf.theta / wh.varrho
+    rhs = sf.theta / sf.wh.varrho
     return {
         "zeta_over_q": lhs,
         "theta_over_varrho": rhs,
         "zeta_identity_rel_err": abs(lhs - rhs) / max(abs(lhs), 1e-300),
         "sum_c_rel_err": sf.sum_c_residual(),
     }
-
-
-def _weights(wh: WhCoefficients, zeta: float, q: float):
-    terms = []
-    for xi, k, A in wh.entries:
-        w = (zeta / q) * A * (xi / (zeta + xi)) ** k
-        terms.append((xi, k, w))
-    return terms
-
-
-def _build_sums(terms, zeta: float, w0: float):
-    """Tilted and untilted exponential-sum representations from the
-    multiplicity-general closed form."""
-    lead = w0 + sum(w for _, _, w in terms)
-    if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
-        raise RepeatedRootsDetected("leading coefficient not real")
-    lead = float(lead.real)
-    by_root: dict = {}
-    for xi, k, w in terms:
-        # e^{-xi x} carries the truncated exponential polynomial
-        # sum_{j<k} ((zeta+xi) x)^j / j!
-        c = by_root.setdefault(xi, np.zeros(k, dtype=complex))
-        if len(c) < k:
-            c = np.concatenate([c, np.zeros(k - len(c), dtype=complex)])
-            by_root[xi] = c
-        rate = zeta + xi
-        for j in range(k):
-            by_root[xi][j] += -w * rate**j / math.factorial(j)
-    tilted_terms = [(0.0, np.array([lead]))]
-    untilted_terms = [(-zeta, np.array([lead]))]
-    for xi, c in by_root.items():
-        tilted_terms.append((zeta + xi, c))
-        untilted_terms.append((xi, c))
-    return lead, ExpPolySum(tilted_terms), ExpPolySum(untilted_terms)
 
 
 def assemble(
@@ -224,41 +161,29 @@ def assemble(
     decomp: Optional[RootDecomposition] = None,
     model: Optional[SnLevyModel] = None,
 ) -> ScaleFunction:
-    """Build a ScaleFunction from coefficient data (possibly caller-supplied
-    multiplicities)."""
-    case = case or wh.case
-    terms = _weights(wh, wh.zeta, wh.q)
-    lead, tilted, untilted = _build_sums(terms, wh.zeta, w0)
-    C = None
-    if all(k == 1 for _, k, _ in terms):
-        C_vals = []
-        ok = True
-        for xi, _, w in terms:
-            if abs(complex(w).imag) > _IMAG_TOL * (1.0 + abs(complex(w).real)):
-                ok = False
-                break
-            C_vals.append(float(complex(w).real))
-        if ok:
-            C = tuple(C_vals)
-    sf = ScaleFunction(
+    """Build a ScaleFunction from partial-fraction data at simple roots."""
+    if any(k != 1 for _, k, _ in wh.entries):
+        raise RepeatedRootsDetected("the scale function needs simple roots")
+    xi = np.array([e[0] for e in wh.entries])
+    C = scale_weights(xi, np.array([e[2] for e in wh.entries]), wh.zeta, wh.q)
+    lead = complex(w0 + C.sum())
+    if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
+        raise RepeatedRootsDetected("leading coefficient not real")
+    return ScaleFunction(
         q=wh.q,
         zeta=wh.zeta,
-        psi_prime_zeta=psi_prime_zeta if psi_prime_zeta is not None else 1.0 / lead,
-        case=case,
+        psi_prime_zeta=psi_prime_zeta if psi_prime_zeta is not None else 1.0 / lead.real,
+        case=case or wh.case,
         w0=w0,
         wp0=wp0,
         theta=theta,
-        lead=lead,
-        terms=tuple(terms),
+        lead=lead.real,
+        xi=xi,
         C=C,
         wh=wh,
         decomp=decomp,
         model=model,
     )
-    object.__setattr__(sf, "_tilted", tilted)
-    object.__setattr__(sf, "_tilted_deriv", tilted.derivative())
-    object.__setattr__(sf, "_untilted", untilted)
-    return sf
 
 
 def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
@@ -275,7 +200,9 @@ def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
     else:
         w0 = 1.0 / model.mu
         wp0 = (q + model.levy_mass) / model.mu**2
-        theta = -zeta / model.mu + (q + model.levy_mass) / model.mu**2
+        # (q + levy_mass - mu zeta)/mu^2, rewritten through psi(zeta) = q so
+        # that nothing cancels when theta is far below zeta/mu
+        theta = model.jump_transform(zeta) / model.mu**2
     return assemble(
         wh,
         w0=w0,

@@ -5,18 +5,16 @@ The factor is the rational function
     phi_q_minus(s) = prod_j (s + eta_j)/eta_j * prod_i xi_i / (s + xi_i),
 
 whose partial-fraction expansion gives the density of the running minimum.
-Simple-root residues are computed as exact products; repeated roots (only
-reachable with caller-supplied multiplicity data) go through polynomial
-quotient differentiation.
+Residues at the (simple) roots are exact products.  The same roots and
+residues give the exponential sums of the scale functions, evaluated on
+grids by one tiled kernel, ``exp_sum``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleEvaluation, RepeatedRootsDetected
 from .models import CASE2
@@ -31,7 +29,7 @@ _TILE = 2**14
 class WhCoefficients:
     """Partial-fraction data of phi_q_minus.
 
-    ``entries`` holds (xi_i, k, A_i^(k)) for k = 1..multiplicity(i);
+    ``entries`` holds (xi_i, k, A_i^(k)), with k = 1 as the roots are simple;
     ``varrho`` is sum_i A_i^(1) xi_i and ``atom_mass`` the point mass of the
     running minimum at 0 (compound Poisson case only, else 0).
     """
@@ -42,10 +40,6 @@ class WhCoefficients:
     zeta: float
     q: float
     case: str
-
-    def first_order(self) -> List[Tuple[complex, complex]]:
-        """(xi_i, A_i^(1)) pairs."""
-        return [(xi, A) for xi, k, A in self.entries if k == 1]
 
 
 def wh_factor_minus(decomp: RootDecomposition, s: complex) -> complex:
@@ -96,58 +90,47 @@ def product_residues(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return A
 
 
-def _poly_from_roots(roots_mults) -> np.ndarray:
-    p = np.array([1.0 + 0.0j])
-    for r, m in roots_mults:
-        for _ in range(m):
-            p = npoly.polymul(p, np.array([r, 1.0], dtype=complex))
-    return p
+def scale_weights(xi, A, zeta: float, q: float):
+    """C_i = (zeta/q) A_i xi_i/(zeta + xi_i), the weight of -e^{-xi_i x} in
+    the q-scale function W(x) = lead e^{zeta x} - sum_i C_i e^{-xi_i x}."""
+    return (zeta / q) * A * (xi / (zeta + xi))
 
 
-def _rational_derivative(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    dn = npoly.polymul(npoly.polyder(num), den)
-    nd = npoly.polymul(num, npoly.polyder(den))
-    return npoly.polysub(dn, nd), npoly.polymul(den, den)
+def points(x) -> np.ndarray:
+    """x as a 1-d float array; a float is one point."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _multiplicity_coefficients(decomp: RootDecomposition) -> List[Tuple[complex, int, complex]]:
-    """A_i^(k) by differentiating phi(s) (s+xi_i)^{m_i} as a polynomial quotient."""
-    scale = np.prod([complex(xi) ** m for xi, m in decomp.neg_roots]) / np.prod(
-        [complex(eta) for eta in decomp.poles]
-    )
-    base_num = scale * _poly_from_roots([(eta, 1) for eta in decomp.poles])
-    entries: List[Tuple[complex, int, complex]] = []
-    for xi, mi in decomp.neg_roots:
-        den_i = _poly_from_roots([(o, m) for o, m in decomp.neg_roots if o != xi])
-        for k in range(1, mi + 1):
-            num, den = base_num, den_i
-            for _ in range(mi - k):
-                num, den = _rational_derivative(num, den)
-            val = npoly.polyval(-xi, num) / npoly.polyval(-xi, den)
-            val /= math.factorial(mi - k) * complex(xi) ** k
-            entries.append((xi, k, val))
-    return entries
+def like(x, vals: np.ndarray):
+    """vals as a float when x is a scalar, else as the array."""
+    return float(vals[0]) if np.ndim(x) == 0 else vals
+
+
+def exp_sum(rates, weights, xs: np.ndarray, expfn=np.exp) -> np.ndarray:
+    """sum_j weights_j expfn(-rates_j x) at each point of the 1-d grid xs, in
+    row tiles; complex rates or weights give a complex result."""
+    minus, weights = -np.asarray(rates), np.asarray(weights)
+    out = np.empty(xs.shape, dtype=np.result_type(minus, weights, xs))
+    for rows in _row_blocks(xs.size, minus.size):
+        tile = np.multiply.outer(xs[rows], minus)
+        out[rows] = expfn(tile, out=tile) @ weights
+    return out
 
 
 def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
-    """Partial-fraction coefficients of phi_q_minus.
-
-    Simple roots use closed-form residue products; multiplicities (from a
-    caller-built decomposition) use the quotient-differentiation path.
-    """
-    if decomp.all_simple:
-        xis = decomp.xis
-        check_clusters(xis)  # clustered roots masquerading as simple
-        A = product_residues(xis, decomp.poles)
-        entries = [(xi, 1, complex(a)) for xi, a in zip(xis, A)]
-    else:
-        entries = _multiplicity_coefficients(decomp)
-    varrho = sum(A * xi for xi, k, A in entries if k == 1)
+    """Partial-fraction coefficients of phi_q_minus at simple roots, as
+    closed-form residue products; repeated or clustered roots raise."""
+    if not decomp.all_simple:
+        raise RepeatedRootsDetected("partial fractions need simple roots")
+    xi = np.asarray(decomp.xis)
+    check_clusters(xi)  # clustered roots masquerading as simple
+    A = product_residues(xi, np.asarray(decomp.poles))
+    varrho = complex(A @ xi)
     if abs(varrho.imag) > _IMAG_TOL * (1.0 + abs(varrho.real)):
         raise RepeatedRootsDetected(f"varrho has imaginary part {varrho.imag}")
     return WhCoefficients(
-        entries=tuple(entries),
-        varrho=float(varrho.real),
+        entries=tuple(zip(decomp.xis, [1] * A.size, A)),
+        varrho=varrho.real,
         atom_mass=_atom_mass(decomp),
         zeta=decomp.zeta,
         q=decomp.q,

@@ -242,11 +242,14 @@ class TestIdentities:
 
 
 def test_import_leaves_out_scipy_optimize():
-    # the roots are bracketed and bisected in-package; no SciPy solver is loaded
+    # the roots are bracketed and bisected in-package; no SciPy solver is
+    # loaded, and SciPy as a whole loads only when a function that needs it
+    # (the matrix exponential, the gamma family) is first called
     src = os.path.dirname(os.path.dirname(phscale.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, phscale.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, phscale.cli; print('scipy.optimize' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False []"

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from phscale.fluctuation import IntervalPair, up_exit
 from phscale.models import HyperExpDist, SnLevyModel
 from phscale.roots import find_roots
-from phscale.scale import ExpPolySum, build_scale
+from phscale.scale import build_scale
 from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
 
-from closed_forms import reconstruct_factor, rho
+from closed_forms import ExpPolySum, reconstruct_factor, rho
 
 SETTINGS = dict(max_examples=25, deadline=None)
 

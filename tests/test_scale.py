@@ -1,13 +1,18 @@
 """Closed-form scale functions: boundary values, identities, calculus."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phscale.errors import DomainError
-from phscale.models import EXP1, SnLevyModel, builtin_model
-from phscale.scale import ExpPolySum, boundary_identities, build_scale
+from phscale.errors import DomainError, RepeatedRootsDetected
+from phscale.models import EXP1, HyperExpDist, PhaseTypeRepr, SnLevyModel, builtin_model
+from phscale.scale import boundary_identities, build_scale
+
+from closed_forms import ExpPolySum, loop_scale
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 Q = 0.05
 
@@ -189,3 +194,83 @@ class TestIdentities:
 def test_build_scale_rejects_nonpositive_q():
     with pytest.raises(DomainError):
         build_scale(builtin_model("exp1"), 0.0)
+
+
+def test_roots_far_below_one_are_not_clustered():
+    # interlaced roots 1.6e-10 and 1.0e-8 around the pole 1e-8 are distinct
+    # relative to their size; an absolute 1e-8 tolerance flagged them
+    jumps = HyperExpDist(p=(1e-3, 0.999), eta=(1e-8, 2e-8))
+    for sigma in (0.0, 1.0):
+        sf = build_scale(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps), 0.04)
+        assert sf.xi[0] < 1e-9 < sf.xi[1] < 2e-8
+        rep = boundary_identities(sf)
+        assert rep["sum_c_rel_err"] < 1e-8
+        assert rep["zeta_identity_rel_err"] < 1e-8
+
+
+BUILTINS = ("exp1", "weibull-fit", "pareto-fit")
+# a 3-phase Coxian law and an Erlang-2 law; both give a complex root pair
+COXIAN3 = PhaseTypeRepr(alpha=(1.0, 0.0, 0.0),
+                        T=((-2.0, 1.2, 0.0), (0.0, -3.0, 1.5), (0.0, 0.0, -4.0)))
+ERLANG2 = SnLevyModel(mu=1.0, sigma=1.0, lam=2.0,
+                      jumps=PhaseTypeRepr(alpha=(1.0, 0.0), T=((-3.0, 3.0), (0.0, -3.0))))
+ARRAY_CASES = (
+    [pytest.param(builtin_model(n, sigma=s), q, id=f"{n}-s{s:g}-q{q:g}")
+     for n in BUILTINS for s in (0.0, 1.0) for q in (1e-3, 0.05, 100.0)]
+    + [pytest.param(SnLevyModel(mu=5.0, sigma=s, lam=5.0, jumps=COXIAN3), Q,
+                    id=f"coxian3-s{s:g}") for s in (0.0, 1.0)]
+    + [pytest.param(ERLANG2, Q, id="erlang2-complex-pair")]
+)
+GRID = np.linspace(0.0, 5.0, 401)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("model, q", ARRAY_CASES)
+    def test_matches_loop_reference(self, model, q):
+        sf = build_scale(model, q)
+        ref = loop_scale(sf)
+        for name, pts in (("w_tilted", GRID), ("w", GRID), ("w_prime", GRID[1:]),
+                          ("z", GRID), ("laplace_transform_w", sf.zeta + 0.5 + GRID)):
+            got = getattr(sf, name)(pts)
+            want = np.array([ref[name](float(v)) for v in pts])
+            assert got.shape == pts.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_complex_pair_present(self):
+        assert np.iscomplexobj(build_scale(ERLANG2, Q).xi)
+
+    def test_float_in_float_out(self, scales):
+        for sf in scales.values():
+            for name, v in (("w_tilted", 1.5), ("w", 1.5), ("log_w", 1.5), ("w_prime", 1.5),
+                            ("z", 1.5), ("laplace_transform_w", sf.zeta + 1.5)):
+                one = getattr(sf, name)(v)
+                many = getattr(sf, name)(np.array([v, 2 * v]))
+                assert type(one) is float, name
+                assert isinstance(many, np.ndarray) and many.shape == (2,)
+                assert many[0] == pytest.approx(one, rel=1e-15, abs=0)
+
+    def test_conventions_at_and_below_zero(self, scales):
+        xs = np.array([-2.0, -0.5, 0.0, 1.0])
+        for sf in scales.values():
+            assert sf.w(xs)[:2].tolist() == [0.0, 0.0]
+            assert sf.w(xs)[2] == pytest.approx(sf.w0, abs=1e-12)
+            assert sf.z(xs)[:3].tolist() == [1.0, 1.0, 1.0]
+            for name, pts in (("w_prime", xs[2:]), ("w_tilted", xs), ("log_w", xs),
+                              ("laplace_transform_w", sf.zeta + xs)):
+                with pytest.raises(DomainError):
+                    getattr(sf, name)(pts)
+
+    def test_overflow_guard_on_arrays(self, scales):
+        sf = scales[("exp1", 1.0)]
+        xs = np.array([1.0, 1e4])  # e^{zeta x} overflows at the second point
+        for name in ("w", "w_prime", "z"):
+            vals = getattr(sf, name)(xs)
+            assert math.isfinite(vals[0]) and vals[1] == math.inf, name
+
+    def test_imaginary_residue_raises_elementwise(self):
+        sf = build_scale(ERLANG2, Q)
+        # break the conjugate symmetry of one weight: the sum is no longer real
+        bad = dataclasses.replace(sf, C=sf.C + np.array([0.0, 1e-3j, 0.0]))
+        for name, pts in (("w", GRID), ("w_prime", GRID[1:]), ("z", GRID)):
+            with pytest.raises(RepeatedRootsDetected):
+                getattr(bad, name)(pts)

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from phscale.errors import PoleEvaluation
+from phscale.errors import PoleEvaluation, RepeatedRootsDetected
 from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
-from phscale.roots import RootDecomposition, find_roots
+from phscale.roots import RootDecomposition, check_clusters, find_roots
+from phscale.scale import assemble
 from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
 
-from closed_forms import reconstruct_factor, running_min_density
+from closed_forms import multiplicity_coefficients, reconstruct_factor, running_min_density
 
 Q = 0.05
 
@@ -108,11 +109,11 @@ class TestMultiplicityPath:
         )
 
     def test_entry_layout(self, repeated):
-        coeffs = partial_fraction_coefficients(repeated)
+        coeffs = multiplicity_coefficients(repeated)
         assert [(e[0], e[1]) for e in coeffs.entries] == [(1.0, 1), (1.0, 2)]
 
     def test_reconstruction(self, repeated):
-        coeffs = partial_fraction_coefficients(repeated)
+        coeffs = multiplicity_coefficients(repeated)
         for s in np.linspace(0.05, 20.0, 50):
             direct = wh_factor_minus(repeated, float(s))
             rebuilt = reconstruct_factor(coeffs, float(s))
@@ -121,14 +122,20 @@ class TestMultiplicityPath:
             )
 
     def test_total_mass(self, repeated):
-        coeffs = partial_fraction_coefficients(repeated)
+        coeffs = multiplicity_coefficients(repeated)
         mass = sum(A.real for _, _, A in coeffs.entries) + coeffs.atom_mass
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_density_real(self, repeated):
-        coeffs = partial_fraction_coefficients(repeated)
+        coeffs = multiplicity_coefficients(repeated)
         vals = [running_min_density(coeffs, x) for x in (0.1, 1.0, 3.0)]
         assert all(np.isfinite(v) for v in vals)
+
+    def test_package_path_takes_simple_roots_only(self, repeated):
+        with pytest.raises(RepeatedRootsDetected):
+            partial_fraction_coefficients(repeated)
+        with pytest.raises(RepeatedRootsDetected):
+            assemble(multiplicity_coefficients(repeated), w0=0.2, wp0=1.0, theta=1.0)
 
     def test_erlang_complex_pair(self):
         # general PH can give a complex-conjugate root pair; coefficients must
@@ -145,3 +152,19 @@ class TestMultiplicityPath:
             assert complex(reconstruct_factor(coeffs, s)).real == pytest.approx(
                 complex(wh_factor_minus(d, s)).real, rel=1e-8
             )
+
+
+class TestClusters:
+    def test_relative_tolerance(self):
+        # distinct relative to their size, however small
+        check_clusters([1.6e-10, 1.0e-8, 1.5e-8])
+        check_clusters([1.0, 1.0 + 1e-7])
+        for close in ([1.0, 1.0 + 1e-9], [3e-10, 3e-10 * (1 + 1e-9)], [2.0 + 1j, 2.0 + 1j + 1e-9]):
+            with pytest.raises(RepeatedRootsDetected):
+                check_clusters(close)
+
+    def test_clustered_decomposition_raises(self):
+        d = RootDecomposition(q=Q, zeta=0.7, neg_roots=((1.0, 1), (1.0 + 1e-10, 1)),
+                              poles=(1.5, 3.0), case=CASE2)
+        with pytest.raises(RepeatedRootsDetected):
+            partial_fraction_coefficients(d)
