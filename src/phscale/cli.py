@@ -268,7 +268,7 @@ def _cmd_simulate(args) -> None:
         rows = [("up", u.value, u.stderr, u.ci95[0], u.ci95[1]),
                 ("down", d.value, d.stderr, d.ci95[0], d.ci95[1])]
         _emit(args, ("kind", "value", "stderr", "ci_low", "ci_high"), rows,
-              {**meta, "b": args.b})
+              {**meta, "b": args.b, "scheme": u.scheme})
     else:
         oh, uh = simulate_overshoot_undershoot(model, args.q, args.x,
                                                args.bin_width, args.n_paths,
@@ -278,7 +278,7 @@ def _cmd_simulate(args) -> None:
             for c, v, se in zip(h.centers, h.density, h.stderr):
                 rows.append((tag, c, v, se))
         _emit(args, ("kind", "bin_center", "density", "stderr"), rows,
-              {**meta, "bin_width": args.bin_width})
+              {**meta, "bin_width": args.bin_width, "scheme": oh.scheme})
 
 
 def _cmd_identities(args) -> None:

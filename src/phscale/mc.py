@@ -1,12 +1,24 @@
 """Monte Carlo first-passage oracle.
 
-Paths follow the validation protocol used to cross-check the closed forms:
-exponential interarrival times at the jump rate, Brownian segments advanced on
-a 100-point random-walk subgrid of each interarrival (crossings tested at grid
-points only, no bridge correction -- a deliberately simple, slightly biased
-detector), drift-only segments crossed exactly, and a discount horizon at
-e^{-q t} < 1e-8.  Fixed (seed, batch) RNG streams make every estimate
-bit-reproducible.
+The discount e^{-q tau} is read as killing at an independent Exp(q) time, so
+a path runs through epochs of length T ~ Exp(lambda + q), each ending in a
+jump with probability lambda/(lambda + q) and in killing otherwise.  For
+sigma > 0 (the default, ``substeps=None``, scheme ``"bridge"``) an epoch is
+sampled exactly: the Brownian endpoint y' = y + mu T + sigma sqrt(T) N(0, 1),
+then one uniform against the Brownian-bridge probability that the path left
+(0, inf) -- or the strip (0, b), through 0 or through b first -- inside the
+epoch (Kuznetsov, Kyprianou, Pardo & van Schaik 2011; Glasserman 2003, 6.4).
+A crossing of 0 inside an epoch is creeping, with overshoot and undershoot
+exactly 0.  The estimates are then exact up to rounding in the image series.
+
+``substeps=n`` selects the paper's validation protocol instead (scheme
+``"grid-<n>"``, the paper uses n = 100): e^{-q tau} weights up to a horizon
+e^{-q t} < 1e-8, exponential interarrival times at the jump rate, and
+Brownian segments advanced on an n-point random-walk subgrid with crossings
+tested at grid points only, a detector biased towards too few exits.
+Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly under
+the same e^{-q tau} weights.  Fixed (seed, batch) RNG streams make every
+estimate bit-reproducible.
 """
 from __future__ import annotations
 
@@ -20,40 +32,46 @@ from .errors import DomainError
 from .models import HyperExpDist, PhaseTypeRepr, SnLevyModel
 
 _HORIZON_EPS = 1e-8
-_SUBSTEPS = 100
+_TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} are dropped
+_EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
 
 
 @dataclass(frozen=True)
 class SimulationEstimate:
-    """Point estimate with standard error and normal 95% CI."""
+    """Point estimate with standard error and normal 95% CI; ``scheme`` is
+    the sampling scheme: "bridge", "grid-<substeps>" or "drift"."""
 
     value: float
     stderr: float
     ci95: Tuple[float, float]
     n_paths: int
     seed: int
+    scheme: str = "bridge"
 
     @staticmethod
-    def from_sums(s: float, s2: float, n: int, seed: int) -> "SimulationEstimate":
+    def from_sums(s: float, s2: float, n: int, seed: int,
+                  scheme: str = "bridge") -> "SimulationEstimate":
         mean = s / n
         var = max(s2 / n - mean**2, 0.0)
         se = math.sqrt(var / n)
         return SimulationEstimate(
             value=mean, stderr=se, ci95=(mean - 1.96 * se, mean + 1.96 * se),
-            n_paths=n, seed=seed,
+            n_paths=n, seed=seed, scheme=scheme,
         )
 
 
 @dataclass(frozen=True)
 class HistogramEstimate:
-    """Binned discounted-indicator density estimate (per unit level)."""
+    """Binned discounted-indicator density estimate (per unit level); ``scheme``
+    as in ``SimulationEstimate``."""
 
     edges: np.ndarray
     density: np.ndarray
     stderr: np.ndarray
     n_paths: int
     seed: int
+    scheme: str = "bridge"
 
     @property
     def centers(self) -> np.ndarray:
@@ -95,6 +113,100 @@ def _sample_jumps(jumps, rng: np.random.Generator, n: int) -> np.ndarray:
     raise DomainError("unknown jump distribution type")
 
 
+def _scheme(model: SnLevyModel, substeps: Optional[int]) -> str:
+    """Name of the sampling scheme; rejects a grid of fewer than 1 substep."""
+    if substeps is not None and substeps < 1:
+        raise DomainError("substeps must be >= 1")
+    if model.sigma == 0:
+        return "drift"
+    return "bridge" if substeps is None else f"grid-{substeps}"
+
+
+def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
+    """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
+    with variance s = sigma^2 T leaves (0, b) first through 0, first through
+    b, within the epoch; b = None is the half-line (0, inf) and p_up = 0.
+
+    For 0 <= y <= b the image series are
+
+        p_down = sum_{k>=0} e^{-2(kb+y')(kb+y)/s} - sum_{k>=1} e^{-2kb(kb+y'-y)/s}
+        p_up   = sum_{k>=1} e^{-2(kb-y')(kb-y)/s} - e^{-2kb(kb-y'+y)/s}
+
+    the first for y' >= 0, the second for y' <= b; an endpoint beyond a
+    barrier has left for sure, so there the other side's complement is used.
+    Terms of index k are at most e^{-2(k-1)^2 b^2/s}, so the sums stop once
+    that falls below machine epsilon.  As b -> inf, p_down -> e^{-2yy'/s}.
+    """
+    y, y_end, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, y_end, s)))
+    c = -2.0 / s
+
+    def image(a, d):  # e^{-2ad/s}, floored at e^{_EXP_FLOOR}
+        return np.exp(np.maximum(c * a * d, _EXP_FLOOR))
+
+    if b is None:
+        return image(np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
+    lo = np.maximum(y_end, 0.0)  # p_down series holds for y' >= 0
+    hi = np.minimum(y_end, b)    # p_up series holds for y' <= b
+    p_dn = image(lo, y)
+    p_up = np.zeros(y.shape)
+    for k in range(1, math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b) + 1):
+        kb = k * b
+        p_dn += image(kb + lo, kb + y) - image(kb, kb + lo - y)
+        p_up += image(kb - hi, kb - y) - image(kb, kb - hi + y)
+    p_dn = np.where(y_end < 0.0, 1.0 - p_up, p_dn)
+    p_up = np.where(y_end > b, 1.0 - p_dn, p_up)
+    return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
+
+
+def _bridge_batch(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    b: Optional[float],
+    n: int,
+    rng: np.random.Generator,
+    collect_crossing: bool,
+):
+    """Exact epochs with killing at rate q (sigma > 0); same returns as
+    ``_run_batch``, with 0/1 indicators in place of discounts."""
+    mu, var, lam = model.mu, model.sigma**2, model.lam
+    rate = lam + q
+    up = np.zeros(n)
+    down = np.zeros(n)
+    over = np.full(n, np.nan)
+    under = np.full(n, np.nan)
+    if b is not None and x >= b:
+        up[:] = 1.0
+        return up, down, over, under
+    idx = np.arange(n)
+    pos = np.full(n, float(x))
+    while idx.size:
+        k = idx.size
+        T = rng.exponential(1.0 / rate, size=k)
+        s = var * T
+        end = pos + mu * T + np.sqrt(s) * rng.standard_normal(k)
+        p_dn, p_up = bridge_exit_probabilities(pos, end, s, b)
+        u = rng.random(k)
+        dn = u < p_dn
+        hit_up = ~dn & (u < p_dn + p_up)
+        down[idx[dn]] = 1.0
+        up[idx[hit_up]] = 1.0
+        if collect_crossing:  # creeping
+            over[idx[dn]] = 0.0
+            under[idx[dn]] = 0.0
+        jumped = ~(dn | hit_up) & (rng.random(k) * rate < lam)
+        idx, pos = idx[jumped], end[jumped]
+        if idx.size:
+            after = pos - _sample_jumps(model.jumps, rng, idx.size)
+            crossed = after < 0.0
+            down[idx[crossed]] = 1.0
+            if collect_crossing:
+                over[idx[crossed]] = -after[crossed]
+                under[idx[crossed]] = pos[crossed]
+            idx, pos = idx[~crossed], after[~crossed]
+    return up, down, over, under
+
+
 def _run_batch(
     model: SnLevyModel,
     q: float,
@@ -103,13 +215,16 @@ def _run_batch(
     n: int,
     rng: np.random.Generator,
     collect_crossing: bool,
-    substeps: int = _SUBSTEPS,
+    substeps: Optional[int] = None,
 ):
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
-    length n; non-exiting entries are 0 discounts / NaN levels.
+    length n; non-exiting entries are 0 discounts / NaN levels.  For sigma > 0
+    and ``substeps=None`` the exact bridge epochs of ``_bridge_batch`` run.
     """
+    if model.sigma > 0 and substeps is None:
+        return _bridge_batch(model, q, x, b, n, rng, collect_crossing)
     t_max = math.log(1.0 / _HORIZON_EPS) / q
     pos = np.full(n, float(x))
     t = np.zeros(n)
@@ -212,9 +327,14 @@ def simulate_two_sided_exit(
     b: float,
     n_paths: int,
     seed: int,
-    substeps: int = _SUBSTEPS,
+    substeps: Optional[int] = None,
 ) -> Tuple[SimulationEstimate, SimulationEstimate]:
-    """(up, down) estimates of the discounted two-sided exit probabilities."""
+    """(up, down) estimates of the discounted two-sided exit probabilities.
+
+    ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
+    ``substeps=100`` is the paper's random-walk grid.
+    """
+    scheme = _scheme(model, substeps)
     if not (0 <= x <= b) or b <= 0:
         raise DomainError("need 0 <= x <= b, b > 0")
     if n_paths < 1:
@@ -236,8 +356,8 @@ def simulate_two_sided_exit(
         done += n
         batch_idx += 1
     return (
-        SimulationEstimate.from_sums(su, su2, n_paths, seed),
-        SimulationEstimate.from_sums(sd, sd2, n_paths, seed),
+        SimulationEstimate.from_sums(su, su2, n_paths, seed, scheme),
+        SimulationEstimate.from_sums(sd, sd2, n_paths, seed, scheme),
     )
 
 
@@ -250,12 +370,17 @@ def simulate_overshoot_undershoot(
     seed: int,
     a_max: float = 10.0,
     b_max: Optional[float] = None,
+    substeps: Optional[int] = None,
 ) -> Tuple[HistogramEstimate, HistogramEstimate]:
     """Binned discounted overshoot/undershoot laws at the first down-crossing.
 
     Returns (overshoot_hist, undershoot_hist); densities are per unit level so
     they compare directly against the closed-form densities at bin centers.
+    Creeping paths (sigma > 0) land at overshoot 0 and undershoot 0, in the
+    first bin of each histogram.  ``substeps`` selects the scheme as in
+    ``simulate_two_sided_exit``.
     """
+    scheme = _scheme(model, substeps)
     if x <= 0:
         raise DomainError("x must be > 0")
     if window_width <= 0:
@@ -273,7 +398,8 @@ def simulate_overshoot_undershoot(
     while done < n_paths:
         n = min(_BATCH, n_paths - done)
         rng = np.random.default_rng([seed, batch_idx])
-        _, d, over, under = _run_batch(model, q, x, None, n, rng, collect_crossing=True)
+        _, d, over, under = _run_batch(model, q, x, None, n, rng, collect_crossing=True,
+                                       substeps=substeps)
         mask = d > 0
         sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
         sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]
@@ -292,6 +418,7 @@ def simulate_overshoot_undershoot(
             stderr=se / window_width,
             n_paths=n_paths,
             seed=seed,
+            scheme=scheme,
         )
 
     return finish(sums_a, sq_a, edges_a), finish(sums_b, sq_b, edges_b)

@@ -236,17 +236,20 @@ class SnLevyModel:
 
     def laplace_exponent_derivative(self, s: float) -> float:
         """psi'(s), analytic form."""
+        return float(self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
+
+    def jump_tilted_mean(self, s: float) -> float:
+        """lam * E[Y e^{-s Y}] = mu + sigma^2 s - psi'(s), without cancellation."""
         self._pole_offsets(np.asarray(s))
-        base = self.mu + self.sigma**2 * s
         if self.lam == 0:
-            return float(base)
+            return 0.0
         if self.is_hyperexp:
             p, eta = self._jump_arrays
-            return float(base - self.lam * np.sum(p * eta / (eta + s) ** 2))
+            return float(self.lam * np.sum(p * eta / (eta + s) ** 2))
         alpha, T, t = self._jump_arrays
         A = s * np.eye(T.shape[0]) - T
         y2 = np.linalg.solve(A, np.linalg.solve(A, t))
-        return float(base - self.lam * (alpha @ y2))
+        return float(self.lam * (alpha @ y2))
 
     def jump_density(self, z: float) -> float:
         if self.lam == 0:

@@ -11,6 +11,7 @@ and returns an array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,11 +98,15 @@ class ScaleFunction:
         return like(x, np.where(xs < 0, 0.0, _envelope(self.zeta * pos, self._w_tilted(pos))))
 
     def log_w(self, x):
-        """log W(x), safe against overflow of the exponential envelope."""
+        """log W(x), safe against overflow of the exponential envelope; at
+        x = 0 it is log w0 exactly (-inf for sigma > 0)."""
         xs = points(x)
         if np.any(xs < 0):
             raise DomainError("x must be >= 0")
-        return like(x, self.zeta * xs + np.log(self._w_tilted(xs)))
+        at0 = xs == 0
+        log_w0 = math.log(self.w0) if self.w0 > 0 else -math.inf
+        tilted = np.where(at0, 1.0, self._w_tilted(xs))
+        return like(x, np.where(at0, log_w0, self.zeta * xs + np.log(tilted)))
 
     def w_prime(self, x):
         """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""
@@ -133,7 +138,12 @@ class ScaleFunction:
         """Relative residual of sum(C) against 1/psi'(zeta) (case 2: minus 1/mu)."""
         target = 1.0 / self.psi_prime_zeta
         if self.case == CASE2:
-            target -= self.w0  # w0 = 1/mu
+            # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with
+            # w0 = 1/mu; the subtraction cancels when psi'(zeta) is near mu
+            if self.model is None:
+                target -= self.w0
+            else:
+                target *= self.model.jump_tilted_mean(self.zeta) * self.w0
         return abs(self.C.sum().real - target) / max(abs(target), 1e-300)
 
 

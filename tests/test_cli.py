@@ -212,6 +212,15 @@ class TestSimulate:
         for r in rows:
             assert float(r["ci_low"]) <= float(r["value"]) <= float(r["ci_high"])
 
+    def test_scheme_in_metadata(self, capsys):
+        base = ("simulate", "--model", "exp1", "--x", "2", "--n-paths", "1000")
+        _, out, _ = run(capsys, *base, "--b", "5")
+        assert parse_csv(out)[0]["scheme"] == "bridge"
+        _, out, _ = run(capsys, *base, "--b", "5", "--sigma", "0", "--format", "json")
+        assert json.loads(out)["config"]["scheme"] == "drift"
+        _, out, _ = run(capsys, *base, "--mode", "histogram")
+        assert parse_csv(out)[0]["scheme"] == "bridge"
+
     def test_exit_requires_barrier(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--model", "exp1", "--x", "2",

@@ -134,6 +134,16 @@ class TestEvaluation:
         )
         assert sf.w(x) == math.inf
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_log_w_at_zero(self, scales, sigma):
+        # log w0 exactly, also inside a grid: -inf for sigma > 0, -log mu else
+        sf = scales[("exp1", sigma)]
+        expected = -math.inf if sigma > 0 else math.log(sf.w0)
+        assert sf.log_w(0.0) == expected
+        grid = sf.log_w(np.array([0.0, 1.0]))
+        assert grid[0] == expected
+        assert grid[1] == pytest.approx(math.log(sf.w(1.0)), rel=1e-12)
+
     def test_domain_errors(self, scales):
         sf = scales[("exp1", 1.0)]
         with pytest.raises(DomainError):
@@ -160,6 +170,13 @@ class TestIdentities:
     def test_sum_c(self, scales):
         for sf in scales.values():
             assert sf.sum_c_residual() < 1e-8
+
+    def test_sum_c_case2_without_cancellation(self):
+        # psi'(zeta) within 1e-8 of mu: the case-2 target 1/psi'(zeta) - 1/mu
+        # is formed as lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), not by subtraction
+        jumps = HyperExpDist(p=(1e-3, 0.999), eta=(1e-8, 2e-8))
+        sf = build_scale(SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=jumps), 0.04)
+        assert sf.sum_c_residual() < 1e-14
 
     def test_zeta_identity(self, scales):
         for sf in scales.values():
