@@ -8,6 +8,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -118,7 +119,10 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``phscale`` parser, built on the first call and shared by every
+    later call in the process: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="phscale",
         description="Scale functions and fluctuation identities for spectrally "

@@ -78,38 +78,51 @@ class HistogramEstimate:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def _sample_jumps(jumps, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n i.i.d. jump sizes."""
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative weights normalised as ``Generator.choice(p=p)`` normalises
+    them, so ``cdf.searchsorted(rng.random(n), side="right")`` draws the
+    components that ``rng.choice(len(p), n, p=p)`` would, without its checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _jump_sampler(jumps):
+    """sample(rng, n) -> n i.i.d. jump sizes; its tables are built once, here."""
     if isinstance(jumps, HyperExpDist):
         p = np.asarray(jumps.p)
-        comp = rng.choice(len(p), size=n, p=p / p.sum())
-        return rng.exponential(1.0 / np.asarray(jumps.eta)[comp])
+        cdf, scale = _choice_cdf(p / p.sum()), 1.0 / np.asarray(jumps.eta)
+        return lambda rng, n: rng.exponential(scale[cdf.searchsorted(rng.random(n), side="right")])
     if isinstance(jumps, PhaseTypeRepr):
-        # CTMC absorption time, vectorized over the surviving samples
         T = np.asarray(jumps.T)
         m = T.shape[0]
-        exit_rates = jumps.exit_rates
-        total = -np.diag(T)
-        # transition probabilities out of each state (to states, then absorb)
+        total, t = -np.diag(T), jumps.exit_rates
+        # cumulative transition probabilities out of each state (to states, then absorb)
         probs = np.zeros((m, m + 1))
         for i in range(m):
             probs[i, :m] = T[i] / total[i]
             probs[i, i] = 0.0
-            probs[i, m] = exit_rates[i] / total[i]
-        state = rng.choice(m, size=n, p=np.asarray(jumps.alpha))
-        time = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        while alive.any():
-            idx = np.flatnonzero(alive)
-            s = state[idx]
-            time[idx] += rng.exponential(1.0 / total[s])
-            u = rng.random(len(idx))
-            cum = np.cumsum(probs[s], axis=1)
-            nxt = (u[:, None] > cum).sum(axis=1)
-            absorbed = nxt == m
-            alive[idx[absorbed]] = False
-            state[idx[~absorbed]] = nxt[~absorbed]
-        return time
+            probs[i, m] = t[i] / total[i]
+        cum = np.cumsum(probs, axis=1)
+        start = _choice_cdf(np.asarray(jumps.alpha))
+
+        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+            # CTMC absorption time, vectorized over the surviving samples
+            state = start.searchsorted(rng.random(n), side="right")
+            time = np.zeros(n)
+            alive = np.ones(n, dtype=bool)
+            while alive.any():
+                idx = np.flatnonzero(alive)
+                s = state[idx]
+                time[idx] += rng.exponential(1.0 / total[s])
+                u = rng.random(len(idx))
+                nxt = (u[:, None] > cum[s]).sum(axis=1)
+                absorbed = nxt == m
+                alive[idx[absorbed]] = False
+                state[idx[~absorbed]] = nxt[~absorbed]
+            return time
+
+        return sample
     raise DomainError("unknown jump distribution type")
 
 
@@ -180,6 +193,7 @@ def _bridge_batch(
         return up, down, over, under
     idx = np.arange(n)
     pos = np.full(n, float(x))
+    sample_jumps = _jump_sampler(model.jumps)
     while idx.size:
         k = idx.size
         T = rng.exponential(1.0 / rate, size=k)
@@ -197,7 +211,7 @@ def _bridge_batch(
         jumped = ~(dn | hit_up) & (rng.random(k) * rate < lam)
         idx, pos = idx[jumped], end[jumped]
         if idx.size:
-            after = pos - _sample_jumps(model.jumps, rng, idx.size)
+            after = pos - sample_jumps(rng, idx.size)
             crossed = after < 0.0
             down[idx[crossed]] = 1.0
             if collect_crossing:
@@ -234,6 +248,7 @@ def _run_batch(
     over = np.full(n, np.nan)
     under = np.full(n, np.nan)
     mu, sigma, lam = model.mu, model.sigma, model.lam
+    sample_jumps = _jump_sampler(model.jumps)
 
     # immediate exits at the start position
     if b is not None:
@@ -300,7 +315,7 @@ def _run_batch(
             live = idx[survivors]
             t[live] += T[survivors]
             if len(live):
-                z = _sample_jumps(model.jumps, rng, len(live))
+                z = sample_jumps(rng, len(live))
                 before = pos[live]
                 after = before - z
                 crossed = after < 0.0

@@ -118,7 +118,7 @@ def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.nd
     if m < 1:
         raise DomainError("m must be >= 1")
     return interlaced_solve(lambda s: beta_psi(params, s), q,
-                            beta_poles(params, np.arange(1, m + 2)), False)
+                            beta_poles(params, np.arange(1, m + 2)), None)
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,10 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     if params.sigma > 0:
         theta: Optional[float] = 2.0 / params.sigma**2
     elif params.lam < 1:
-        # finite total jump mass: (c/beta) B(alpha, 1-lam)
-        mass = (params.c / params.beta_b) * params._beta0
-        theta = -zeta / params.mu_hat + (q + mass) / params.mu_hat**2
+        # -zeta/mu + (q + jump mass)/mu^2 with the mass (c/beta) B(alpha, 1-lam),
+        # rewritten through psi(zeta) = q so that nothing cancels
+        b1 = float(_beta_fn(params.alpha_b + zeta / params.beta_b, 1.0 - params.lam))
+        theta = (params.c / params.beta_b) * b1 / params.mu_hat**2
     else:
         theta = None  # infinite jump measure, sum A_i xi_i diverges
     epsilon = None

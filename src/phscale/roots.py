@@ -4,16 +4,18 @@
 real (hyperexponential jumps, the beta-family) the negative roots ``-xi_i``
 interlace them: one in each gap (eta_{j-1}, eta_j) with eta_0 = 0, plus one
 beyond the largest pole when sigma > 0.  ``interlaced_solve`` brackets zeta
-and every xi and bisects all brackets together as one array.  For general
-phase-type jumps the negative roots can be complex and need not interlace, so
-the equation is cleared to a polynomial and solved via companion-matrix
-eigenvalues; zeta still comes from the bracket solve.
+and every xi and narrows all brackets together as one array by
+Anderson-Bjorck (Illinois-type) secant steps on psi with its poles cleared.
+For general phase-type jumps the negative roots can be complex and need not
+interlace, so the equation is cleared to a polynomial and solved via
+companion-matrix eigenvalues; zeta still comes from the bracket solve.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,16 +58,22 @@ class RootDecomposition:
         return all(m == 1 for _, m in self.neg_roots)
 
 
-def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]), whose ends
-    may be poles.  Roots can sit extremely close to a pole when a mixture weight
-    is tiny, so each bracket creeps in from a quarter width (shrinking by 8)
-    until ``f`` changes sign; then all are bisected together to adjacent floats,
+def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=True) -> np.ndarray:
+    """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]); the ends
+    flagged by ``pole_lo``/``pole_hi`` (a bool or an array) are poles of f.
+    Roots can sit extremely close to a pole when a mixture weight is tiny, so
+    each bracket creeps in from a quarter width (shrinking by 8) until ``f``
+    changes sign.  Then all brackets take Anderson-Bjorck steps together on
+    g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so g has the
+    sign and root of f but no pole.  A secant point on or beyond an end moves
+    2 ulps inside (Brent's minimum step); a bracket that three steps did not
+    halve is bisected once.  A bracket stops at 4 ulps wide or where f = 0,
     returning the end with the smaller |f|."""
-    d = 0.25 * (hi - lo)
+    n, d = lo.size, 0.25 * (hi - lo)
     for _ in range(60):
         a, b = lo + d, hi - d
-        fa, fb = np.split(f(np.concatenate((a, b))), 2)
+        fab = f(np.concatenate((a, b)))
+        fa, fb = fab[:n], fab[n:]
         todo = ~((a < b) & (np.sign(fa) != np.sign(fb)))
         creep = todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi)
         if not creep.any():
@@ -74,26 +82,52 @@ def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     if todo.any():
         k = np.flatnonzero(todo)[0]
         raise BracketingFailure(f"no sign change in ({float(lo[k])}, {float(hi[k])})")
-    # f keeps the sign of fa at a; a bracket at adjacent floats has mid == a
-    # or b, so it stays as it is while the others finish
-    sa = np.sign(fa)
-    mid = 0.5 * (a + b)
-    while np.count_nonzero((a < mid) & (mid < b)):
-        left = np.sign(f(mid)) == sa
-        a, b = np.where(left, mid, a), np.where(left, b, mid)
-        mid = 0.5 * (a + b)
-    fa, fb = np.split(f(np.concatenate((a, b))), 2)
-    if np.isnan(fa).any() or np.isnan(fb).any():
+    pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
+
+    def clear(s, k):
+        return np.where(pole_lo[k], s - lo[k], 1.0) * np.where(pole_hi[k], hi[k] - s, 1.0)
+
+    # (x1, f1, g1) is the newest end of each bracket and (x0, f0, g0) the
+    # other one, with g0 scaled down by the Anderson-Bjorck factor while x0 is kept
+    x0, x1, f0, f1 = a, b, fa, fb
+    g0, g1 = fa * clear(a, slice(None)), fb * clear(b, slice(None))
+    width = last = np.abs(x1 - x0)
+    bisect = np.zeros(n, dtype=bool)
+    for step in itertools.count(1):
+        ulp = np.spacing(np.maximum(np.abs(x0), np.abs(x1)))
+        k = np.flatnonzero((width > 4 * ulp) & (f1 != 0))
+        if not k.size:
+            break
+        a0, a1, h0, h1 = x0[k], x1[k], g0[k], g1[k]
+        c = np.where(bisect[k], 0.5 * (a0 + a1), a1 - h1 * (a1 - a0) / (h1 - h0))
+        c = np.clip(c, np.minimum(a0, a1) + 2 * ulp[k], np.maximum(a0, a1) - 2 * ulp[k])
+        fc = f(c)
+        gc = fc * clear(c, k)
+        flip = np.sign(gc) != np.sign(h1)
+        shrink = 1.0 - gc / h1
+        x0[k], f0[k] = np.where(flip, a1, a0), np.where(flip, f1[k], f0[k])
+        g0[k] = np.where(flip, h1, h0 * np.where(shrink > 0, shrink, 0.5))
+        x1[k], f1[k], g1[k] = c, fc, gc
+        width = np.abs(x1 - x0)
+        if step % 3 == 0:
+            bisect, last = width > 0.5 * last, width
+        else:
+            bisect[:] = False
+    if np.isnan(f0).any() or np.isnan(f1).any():
         raise BracketingFailure("f is NaN inside a bracket")
-    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+    return np.where(np.abs(f0) <= np.abs(f1), x0, x1)
 
 
-def interlaced_solve(psi, q: float, eta: np.ndarray, outer: bool) -> Tuple[float, np.ndarray]:
+def interlaced_solve(
+    psi, q: float, eta: np.ndarray, outer: Optional[float]
+) -> Tuple[float, np.ndarray]:
     """(zeta, xi) for psi(zeta) = q = psi(-xi_k), with psi vectorised and its
     poles at -eta (ascending, positive): xi_k in (eta_{k-1}, eta_k) with
-    eta_0 = 0 and, if ``outer``, one more xi beyond the largest pole.  The
-    zeta bracket (-top, 0) of psi(-s) = q and all xi brackets go to one
-    ``interlaced_roots`` call."""
+    eta_0 = 0 and, unless ``outer`` is None, one more xi beyond the largest
+    pole, near eta_n + ``outer`` (2 mu / sigma^2, where sigma^2 s^2 / 2 takes
+    over from the drift).  The zeta bracket (-top, 0) of psi(-s) = q and all
+    xi brackets go to one ``interlaced_roots`` call, which clears the ends
+    that are poles: eta_k, but not -top, 0 or the outer bracket's far end."""
     if q <= 0:
         raise DomainError("q must be > 0")
     top = 1.0
@@ -105,17 +139,15 @@ def interlaced_solve(psi, q: float, eta: np.ndarray, outer: bool) -> Tuple[float
         raise BracketingFailure("could not bracket zeta by doubling")
     hi = np.concatenate(([0.0], eta))
     lo = np.concatenate(([-top], hi[:-1]))
-    if outer:
+    if outer is not None:
         # psi(-s) - q < 0 just beyond the largest pole (or at s = 0 without
-        # poles) and grows like sigma^2 s^2 / 2
+        # poles); past eta_n + 2 outer, sigma^2 s^2 / 2 has overtaken the drift
         start = hi[-1]
-        end = start + max(1.0, start)
+        end = start + max(2.0 * outer, 1.0)
         while psi(-end) <= q:
             end = start + 2 * (end - start)
-            if end > 1e12:
-                raise BracketingFailure("no bracket for the outer root")
         lo, hi = np.append(lo, start), np.append(hi, end)
-    roots = interlaced_roots(lambda s: psi(-s) - q, lo, hi)
+    roots = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, np.isin(hi, eta))
     if not np.all((lo < roots) & (roots < hi)):
         raise BracketingFailure("interlacing violated")
     zeta = float(-roots[0])
@@ -125,8 +157,8 @@ def interlaced_solve(psi, q: float, eta: np.ndarray, outer: bool) -> Tuple[float
 
 
 def find_zeta(model: SnLevyModel, q: float) -> float:
-    """Positive root of psi(s) = q: doubling bracket, then bisection to adjacent floats."""
-    return interlaced_solve(model.laplace_exponent, q, np.array([]), False)[0]
+    """Positive root of psi(s) = q: doubling bracket, then Anderson-Bjorck steps."""
+    return interlaced_solve(model.laplace_exponent, q, np.array([]), None)[0]
 
 
 def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposition:
@@ -134,7 +166,8 @@ def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposit
     if not model.is_hyperexp:
         raise DomainError("model jumps are not hyperexponential")
     eta = model.poles()  # empty without jumps: psi has no poles
-    zeta, xis = interlaced_solve(model.laplace_exponent, q, eta, model.case == CASE1)
+    outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
+    zeta, xis = interlaced_solve(model.laplace_exponent, q, eta, outer)
     return RootDecomposition(
         q=q,
         zeta=zeta,
@@ -273,8 +306,8 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
 
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
-    """Dispatch: interlaced bisection for hyperexponential jumps, polynomial
-    companion solve otherwise."""
+    """Dispatch: the interlaced bracket solve (Anderson-Bjorck steps) for
+    hyperexponential jumps, polynomial companion solve otherwise."""
     if model.is_hyperexp:
         return find_negative_roots_hyperexp(model, q)
     return find_negative_roots_ph(model, q)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import phscale
-from phscale.cli import main
+from phscale.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -29,6 +29,20 @@ def parse_csv(text):
             lines.append(line)
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     return meta, rows
+
+
+def test_one_parser_per_process(tmp_path):
+    # every call reuses the parser; the default q = 0.03 of mero-bounds must
+    # not carry over into a later exit-prob call
+    argv = ["exit-prob", "--model", "exp1", "--x", "1", "--b", "5", "--output"]
+    build_parser.cache_clear()
+    assert main(argv + [str(tmp_path / "first.csv")]) == 0
+    assert main(["mero-bounds", "--grid", "0:1:3", "--output", str(tmp_path / "mero.csv")]) == 0
+    assert main(argv + [str(tmp_path / "second.csv")]) == 0
+    second = (tmp_path / "second.csv").read_bytes()
+    assert b"# q=0.05\n" in second
+    assert second == (tmp_path / "first.csv").read_bytes()
+    assert build_parser() is build_parser()
 
 
 class TestExitProb:

@@ -15,12 +15,20 @@ from phscale.fluctuation import (
 from phscale.mc import (
     HistogramEstimate,
     SimulationEstimate,
+    _jump_sampler,
     _run_batch,
     bridge_exit_probabilities,
     simulate_overshoot_undershoot,
     simulate_two_sided_exit,
 )
-from phscale.models import EXP1, SnLevyModel, WEIBULL_FIT, builtin_model
+from phscale.models import (
+    BUILTIN_JUMPS,
+    EXP1,
+    PhaseTypeRepr,
+    SnLevyModel,
+    WEIBULL_FIT,
+    builtin_model,
+)
 from phscale.scale import build_scale
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -274,6 +282,45 @@ class TestHistograms:
         a, _ = simulate_two_sided_exit(m_he, Q, 2.0, 5.0, 50_000, seed=9)
         b, _ = simulate_two_sided_exit(m_ph, Q, 2.0, 5.0, 50_000, seed=9)
         assert abs(a.value - b.value) < 3 * math.hypot(a.stderr, b.stderr)
+
+
+def choice_sample_jumps(jumps, rng, n):
+    """Jump sizes with the components drawn by ``rng.choice``: the reference
+    for the sampler, which draws them by ``searchsorted`` on a cached cdf."""
+    if isinstance(jumps, PhaseTypeRepr):
+        T = np.asarray(jumps.T)
+        m, total = T.shape[0], -np.diag(T)
+        probs = np.column_stack((T / total[:, None], jumps.exit_rates / total))
+        probs[np.arange(m), np.arange(m)] = 0.0
+        state = rng.choice(m, size=n, p=np.asarray(jumps.alpha))
+        time = np.zeros(n)
+        alive = np.ones(n, dtype=bool)
+        while alive.any():
+            idx = np.flatnonzero(alive)
+            s = state[idx]
+            time[idx] += rng.exponential(1.0 / total[s])
+            nxt = (rng.random(len(idx))[:, None] > np.cumsum(probs[s], axis=1)).sum(axis=1)
+            alive[idx[nxt == m]] = False
+            state[idx[nxt < m]] = nxt[nxt < m]
+        return time
+    p = np.asarray(jumps.p)
+    return rng.exponential(1.0 / np.asarray(jumps.eta)[rng.choice(len(p), size=n, p=p / p.sum())])
+
+
+COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
+                       T=((-3.0, 1.0, 0.5), (0.0, -2.0, 1.5), (0.0, 0.0, -1.0)))
+
+
+@pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), WEIBULL_FIT.as_phase_type(), COXIAN],
+                         ids=[*BUILTIN_JUMPS, "weibull-fit-ph", "coxian"])
+@pytest.mark.parametrize("seed", (0, 7, 2024))
+def test_sampler_matches_rng_choice(jumps, seed):
+    # the same draws bit for bit, so the random stream is as with rng.choice
+    sample = _jump_sampler(jumps)
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 17, 5000):
+        assert np.array_equal(sample(new, n), choice_sample_jumps(jumps, ref, n))
+    assert new.random() == ref.random()
 
 
 class TestDomainChecks:

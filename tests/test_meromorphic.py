@@ -271,6 +271,34 @@ class TestTruncation:
         tm = truncated_coefficients(p, Q, 20)
         assert tm.theta is not None and tm.epsilon is not None
 
+    def test_finite_mass_theta_against_mpmath(self):
+        # theta = -zeta/mu + (q + mass)/mu^2 loses about six digits to
+        # cancellation at q = 1e3; (c/beta) B(alpha + zeta/beta, 1-lam)/mu^2
+        # is the same number without it, since psi(zeta) = q
+        p = BetaFamilyParams(1.0, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.1)
+        q = 1e3
+        tm = truncated_coefficients(p, q, 25)
+        with mpmath.workdps(50):
+            mu, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.alpha_b, p.beta_b, p.c, 1 - p.lam))
+            psi = lambda z: mu * z + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y))
+            zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.zeta))
+            theta = float((c / b) * mpmath.beta(a + zeta / b, y) / mu**2)
+        assert tm.theta == pytest.approx(theta, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("m", (25, 100, 800))
+    def test_beta_psi_calls_per_solve(self, monkeypatch, m):
+        import phscale.meromorphic as mero
+
+        calls = []
+
+        def counting(params, s):
+            calls.append(1)
+            return beta_psi(params, s)
+
+        monkeypatch.setattr(mero, "beta_psi", counting)
+        truncated_coefficients(BETA_BENCHMARK, Q, m)
+        assert len(calls) <= 25
+
     def test_partial_sum_identity_converges(self):
         # |zeta/q - theta / sum_{i<=M} A_i xi_i| decreases in M for sigma > 0
         errs = []

@@ -106,10 +106,41 @@ class TestInterlacedRoots:
         with pytest.raises(BracketingFailure, match=r"no sign change in \(0.0, 2.0\)"):
             interlaced_roots(lambda s: s - 3.0, np.array([0.0, 2.0]), np.array([2.0, 4.0]))
 
+    def test_secant_onto_an_end_takes_the_minimum_step(self):
+        # the root 1 + 1e-17 sits within one ulp of the end 1.0 that the creep
+        # phase finds, so the first secant point rounds onto that end; it moves
+        # 2 ulps inside, which closes the bracket without bisecting
+        calls = []
+
+        def f(s):
+            calls.append(1)
+            return (s - 1.0) - 1e-17
+
+        root = interlaced_roots(f, np.array([0.0]), np.array([4.0]), False, False)
+        assert root[0] == 1.0
+        assert len(calls) == 2  # the creep phase and one step
+
     def test_nan_inside_bracket_raises(self):
         f = lambda s: np.where(s > 0.5, np.nan, s - 0.75)
         with pytest.raises(BracketingFailure, match="NaN"):
             interlaced_roots(f, np.array([0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+@pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+def test_psi_calls_per_solve(monkeypatch, name, sigma, q):
+    model = builtin_model(name, sigma=sigma)
+    calls = []
+    psi = SnLevyModel.laplace_exponent
+
+    def counting(self, s):
+        calls.append(1)
+        return psi(self, s)
+
+    monkeypatch.setattr(SnLevyModel, "laplace_exponent", counting)
+    find_roots(model, q)
+    assert len(calls) <= 35
 
 
 class TestPolynomial:

@@ -208,6 +208,19 @@ class TestIdentities:
             )
 
 
+@pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
+@pytest.mark.parametrize("sigma", (1e-6, 1e-8))
+@pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+def test_small_sigma_matches_sigma_zero(name, sigma, q):
+    # the outer root lies near eta_n + 2 mu / sigma^2 (1e13 and 1e17 here),
+    # where its term in W and Z has vanished
+    x = np.array([0.5, 1.0, 3.0])
+    limit = build_scale(builtin_model(name, sigma=0.0), q)
+    sf = build_scale(builtin_model(name, sigma=sigma), q)
+    assert sf.w(x) == pytest.approx(limit.w(x), rel=1e-9)
+    assert sf.z(x) == pytest.approx(limit.z(x), rel=1e-9)
+
+
 def test_build_scale_rejects_nonpositive_q():
     with pytest.raises(DomainError):
         build_scale(builtin_model("exp1"), 0.0)
