@@ -121,7 +121,7 @@ def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.nd
                             beta_poles(params, np.arange(1, m + 2)), None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedMero:
     """m-truncated root/coefficient system with the truncation gaps that
     control every bound: delta for W/Z, epsilon for the derivative refinement."""
@@ -130,10 +130,10 @@ class TruncatedMero:
     q: float
     m: int
     zeta: float
-    xi: Tuple[float, ...]  # xi_1 .. xi_{m+1}
-    eta: Tuple[float, ...]  # eta_1 .. eta_m
-    A_trunc: Tuple[float, ...]
-    C_trunc: Tuple[float, ...]
+    xi: np.ndarray  # xi_1 .. xi_{m+1}
+    eta: np.ndarray  # eta_1 .. eta_m
+    A_trunc: np.ndarray
+    C_trunc: np.ndarray
     psi_prime_zeta: float
     w0: float
     gamma: float
@@ -183,10 +183,10 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
         q=q,
         m=m,
         zeta=zeta,
-        xi=tuple(xis),
-        eta=tuple(etas),
-        A_trunc=tuple(A),
-        C_trunc=tuple(C),
+        xi=xis,
+        eta=etas,
+        A_trunc=A,
+        C_trunc=C,
         psi_prime_zeta=ppz,
         w0=w0,
         gamma=gamma,
@@ -219,7 +219,7 @@ def w_bounds(tm: TruncatedMero, x):
 def z_bounds(tm: TruncatedMero, x):
     """(lower, upper) for Z^{(q)}(x) by exact integration of the W bounds."""
     xs = _grid(x)
-    weights = np.asarray(tm.C_trunc) / np.asarray(tm.xi[: tm.m])
+    weights = tm.C_trunc / tm.xi[: tm.m]
     int_upper = np.expm1(tm.zeta * xs) / (tm.zeta * tm.psi_prime_zeta)
     upper = 1.0 + tm.q * (int_upper + exp_sum(tm.xi[: tm.m], weights, xs, np.expm1))
     xm1 = tm.xi[tm.m]
@@ -230,9 +230,9 @@ def z_bounds(tm: TruncatedMero, x):
 def w_prime_bounds(tm: TruncatedMero, x):
     """(lower, upper) for the derivative of the scale function at x > 0."""
     xs = _grid(x, positive=True)
-    xi = np.asarray(tm.xi[: tm.m])
+    xi = tm.xi[: tm.m]
     lower = (tm.zeta * np.exp(tm.zeta * xs) / tm.psi_prime_zeta
-             + exp_sum(xi, np.asarray(tm.C_trunc) * xi, xs))
+             + exp_sum(xi, tm.C_trunc * xi, xs))
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     near = xi[np.clip(np.searchsorted(xi, 1.0 / xs) + [[-1], [0]], 0, tm.m - 1)]

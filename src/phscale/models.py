@@ -129,6 +129,13 @@ class PhaseTypeRepr:
 JumpDist = Union[HyperExpDist, PhaseTypeRepr]
 
 
+def _like(s: np.ndarray, out: np.ndarray):
+    """out as an array for an array s, else as a float (a complex for complex s)."""
+    if out.ndim:
+        return out
+    return complex(out) if np.iscomplexobj(s) else float(out)
+
+
 @dataclass(frozen=True)
 class SnLevyModel:
     """Validated spectrally negative Levy model with PH/hyperexponential jumps."""
@@ -216,6 +223,12 @@ class SnLevyModel:
             raise PoleEvaluation(f"s={s.flat[k]} within tolerance of pole -{poles[j]}")
         return off
 
+    def _resolvent(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(sI - T)^{-1} b elementwise in s, for b of shape (m,) or s.shape + (m,)."""
+        _, T, _ = self._jump_arrays
+        A = s[..., None, None] * np.eye(T.shape[0]) - T
+        return np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1])[..., None])[..., 0]
+
     def laplace_exponent(self, s):
         """psi(s) at a scalar or elementwise on an array; real input on the
         domain of analyticity gives real output, a scalar gives a scalar."""
@@ -226,30 +239,32 @@ class SnLevyModel:
             p, _ = self._jump_arrays
             out = out - self.lam * ((s[..., None] / off) @ p)  # off = eta + s
         elif self.lam != 0:
-            alpha, T, t = self._jump_arrays
-            A = s[..., None, None] * np.eye(T.shape[0]) - T
-            y = np.linalg.solve(A, np.broadcast_to(t[:, None], A.shape[:-1] + (1,)))
-            out = out + self.lam * (y[..., 0] @ alpha - 1.0)
-        if out.ndim:
-            return out
-        return complex(out) if np.iscomplexobj(s) else float(out)
+            # lam (alpha (sI-T)^{-1} t - 1) through (sI-T)^{-1} t = 1 - s (sI-T)^{-1} 1,
+            # which does not cancel near s = 0; a deficient alpha leaves -lam (1 - sum alpha)
+            alpha, _, _ = self._jump_arrays
+            y = self._resolvent(s, np.ones(alpha.size))
+            out = out - self.lam * (s * (y @ alpha) + (1.0 - alpha.sum()))
+        return _like(s, out)
 
-    def laplace_exponent_derivative(self, s: float) -> float:
-        """psi'(s), analytic form."""
-        return float(self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
+    def laplace_exponent_derivative(self, s):
+        """psi'(s), analytic form, at a scalar or elementwise on an array (real or complex)."""
+        s = np.asarray(s)
+        return _like(s, self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
 
-    def jump_tilted_mean(self, s: float) -> float:
-        """lam * E[Y e^{-s Y}] = mu + sigma^2 s - psi'(s), without cancellation."""
-        self._pole_offsets(np.asarray(s))
+    def jump_tilted_mean(self, s):
+        """lam * E[Y e^{-s Y}] = mu + sigma^2 s - psi'(s), without cancellation;
+        at a scalar or elementwise on an array (real or complex)."""
+        s = np.asarray(s)
+        off = self._pole_offsets(s)
         if self.lam == 0:
-            return 0.0
-        if self.is_hyperexp:
+            out = 0.0 * s
+        elif self.is_hyperexp:
             p, eta = self._jump_arrays
-            return float(self.lam * np.sum(p * eta / (eta + s) ** 2))
-        alpha, T, t = self._jump_arrays
-        A = s * np.eye(T.shape[0]) - T
-        y2 = np.linalg.solve(A, np.linalg.solve(A, t))
-        return float(self.lam * (alpha @ y2))
+            out = self.lam * np.sum(p * eta / off**2, axis=-1)
+        else:
+            alpha, _, t = self._jump_arrays
+            out = self.lam * (self._resolvent(s, self._resolvent(s, t)) @ alpha)
+        return _like(s, out)
 
     def jump_density(self, z: float) -> float:
         if self.lam == 0:

@@ -7,55 +7,44 @@ beyond the largest pole when sigma > 0.  ``interlaced_solve`` brackets zeta
 and every xi and narrows all brackets together as one array by
 Anderson-Bjorck (Illinois-type) secant steps on psi with its poles cleared.
 For general phase-type jumps the negative roots can be complex and need not
-interlace, so the equation is cleared to a polynomial and solved via
-companion-matrix eigenvalues; zeta still comes from the bracket solve.
+interlace; zeta and every xi are then the eigenvalues of one linearisation of
+psi(s) = q, each followed by one complex Newton step.
 """
 from __future__ import annotations
 
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import BracketingFailure, DomainError, RepeatedRootsDetected
-from .models import CASE1, PhaseTypeRepr, SnLevyModel
+from .models import _POLE_REL_TOL, CASE1, SnLevyModel
 
 _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
 _IMAG_SNAP_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootDecomposition:
     """Root/pole data of psi(s) = q for one model and discount rate.
 
-    ``neg_roots`` holds (xi, multiplicity) with xi the absolute value of a
-    negative root (possibly complex with positive real part).
+    ``xi`` holds the simple negative roots as absolute values, ascending
+    (complex, with positive real part, where phase-type jumps give a
+    conjugate pair); ``poles`` holds the pole magnitudes eta_j likewise.
     """
 
     q: float
     zeta: float
-    neg_roots: Tuple[Tuple[complex, int], ...]
-    poles: Tuple[float, ...]
+    xi: np.ndarray
+    poles: np.ndarray
     case: str
 
     @property
-    def xis(self) -> List[complex]:
-        """Roots repeated according to multiplicity."""
-        out: List[complex] = []
-        for xi, mult in self.neg_roots:
-            out.extend([xi] * mult)
-        return out
-
-    @property
     def n_roots(self) -> int:
-        return sum(m for _, m in self.neg_roots)
-
-    @property
-    def all_simple(self) -> bool:
-        return all(m == 1 for _, m in self.neg_roots)
+        return self.xi.size
 
 
 def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=True) -> np.ndarray:
@@ -167,147 +156,81 @@ def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposit
         raise DomainError("model jumps are not hyperexponential")
     eta = model.poles()  # empty without jumps: psi has no poles
     outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
-    zeta, xis = interlaced_solve(model.laplace_exponent, q, eta, outer)
-    return RootDecomposition(
-        q=q,
-        zeta=zeta,
-        neg_roots=tuple((float(xi), 1) for xi in xis),
-        poles=tuple(eta),
-        case=model.case,
-    )
+    zeta, xi = interlaced_solve(model.laplace_exponent, q, eta, outer)
+    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)
 
 
-def check_clusters(xis: Sequence[complex]) -> None:
+def check_clusters(xi) -> None:
     """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * max(|xi_i|, |xi_j|)."""
-    x = np.asarray(xis, dtype=complex)
+    x = np.asarray(xi)
     close = np.abs(x[:, None] - x) < _CLUSTER_RTOL * np.maximum(np.abs(x[:, None]), np.abs(x))
     if (pairs := np.argwhere(np.triu(close, 1))).size:
         i, j = pairs[0]
-        raise RepeatedRootsDetected(f"roots {xis[i]} and {xis[j]} within clustering tolerance")
+        raise RepeatedRootsDetected(f"roots {x[i]} and {x[j]} within clustering tolerance")
 
 
-def _charpoly_and_adjugate_form(T: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Faddeev-LeVerrier: char poly of T (monic, ascending) and the matrices
-    N_k with adj(sI - T) = sum_k N_k s^{m-k}."""
-    m = T.shape[0]
-    coeffs = np.zeros(m + 1)
-    coeffs[m] = 1.0  # s^m
-    N = np.eye(m)
-    mats = [N]
-    c = -np.trace(T @ N)
-    coeffs[m - 1] = c
-    for k in range(2, m + 1):
-        N = T @ mats[-1] + coeffs[m - k + 1] * np.eye(m)
-        if k < m + 1:
-            mats.append(N)
-        c = -np.trace(T @ N) / k
-        if m - k >= 0:
-            coeffs[m - k] = c
-    return coeffs, mats[:m]
-
-
-def _cl_polynomials(model: SnLevyModel, q: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, num), ascending coefficients: num(s) = alpha adj(sI-T) t and
-    P(s) = (mu*s + sigma^2 s^2/2 - lam - q) det(sI-T) + lam * num(s)."""
-    if model.is_hyperexp:
-        jumps = model.jumps.as_phase_type()
-    elif isinstance(model.jumps, PhaseTypeRepr):
-        jumps = model.jumps
-    else:
-        raise DomainError("PH jumps required")
-    T = np.asarray(jumps.T, dtype=float)
-    t = jumps.exit_rates
-    alpha = np.asarray(jumps.alpha, dtype=float)
-    m = T.shape[0]
-    poly = np.polynomial.polynomial
-    if not np.any(T - np.diag(np.diag(T))):
-        # Diagonal generator (hyperexponential): assemble from exact products
-        # of (s + eta_k).  The trace-based recursion below suffers severe
-        # cancellation when the rates span several decades (published fitted rate sets).
-        eta = -np.diag(T)
-        det = poly.polyfromroots(-eta)  # prod (s + eta_k), positive coeffs
-        # a deficient mixture (sum alpha < 1) leaves a constant -lam*(1-sum)
-        drift = np.array(
-            [-(q + model.lam * (1.0 - alpha.sum())), model.mu, 0.5 * model.sigma**2]
-        )
-        P = poly.polymul(drift, det)
-        num = np.zeros(m)
-        for j in range(m):
-            rest = poly.polyfromroots(-np.delete(eta, j))
-            P = poly.polyadd(P, -model.lam * alpha[j] * poly.polymul([0.0, 1.0], rest))
-            num = num + alpha[j] * eta[j] * rest
-        return np.trim_zeros(P, "b"), num
-    charpoly, mats = _charpoly_and_adjugate_form(T)
-    num = np.zeros(m)
-    for k, N in enumerate(mats, start=1):
-        num[m - k] += alpha @ N @ t
-    drift_poly = np.array([-(model.lam + q), model.mu, 0.5 * model.sigma**2])
-    P = poly.polyadd(poly.polymul(drift_poly, charpoly), model.lam * num)
-    return np.trim_zeros(P, "b"), num
-
-
-def cramer_lundberg_polynomial(model: SnLevyModel, q: float) -> np.ndarray:
-    """Coefficients (ascending) of P(s) = (mu*s + sigma^2 s^2/2 - lam - q) det(sI-T)
-    + lam * alpha adj(sI-T) t, which vanishes exactly at zeta and at -xi_i."""
-    return _cl_polynomials(model, q)[0]
+def _snap_real(z: np.ndarray) -> np.ndarray:
+    """z without imaginary parts below _IMAG_SNAP_RTOL * (1 + |Re z|); real if none is left."""
+    z = np.where(np.abs(z.imag) < _IMAG_SNAP_RTOL * (1.0 + np.abs(z.real)), z.real, z)
+    return z if z.imag.any() else z.real
 
 
 def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
-    """Negative roots for PH jumps via companion-matrix eigenvalues of the
-    cleared-denominator polynomial; raises on clustered roots."""
+    """zeta and all negative roots for phase-type jumps, as the eigenvalues of
+    one linearisation of psi(s) = q (Asmussen, Avram and Pistorius 2004).
+
+    With u = (sI - T)^{-1} t w, the equation reads s u = T u + t w and
+    lam alpha u + (mu s + sigma^2 s^2/2 - lam - q) w = 0: state (u, w, s w)
+    for sigma > 0 and (u, w) for sigma = 0 give a matrix of size m + 2 or
+    m + 1 whose eigenvalues are the roots.  Each takes one complex Newton step
+    on psi, except a root on an eigenvalue of T: a pole that the jump
+    transform cancels, which warns of a non-minimal representation."""
     if q <= 0:
         raise DomainError("q must be > 0")
-    if model.is_hyperexp:
-        jumps = model.jumps.as_phase_type()
+    jumps = model.jumps.as_phase_type() if model.is_hyperexp else model.jumps
+    T, alpha, m = np.asarray(jumps.T), np.asarray(jumps.alpha), jumps.m
+    n = m + 2 if model.case == CASE1 else m + 1
+    M = np.zeros((n, n))
+    M[:m, :m], M[:m, m] = T, jumps.exit_rates
+    M[-1, : m + 1] = np.append(-model.lam * alpha, model.lam + q)
+    if model.case == CASE1:
+        M[m, m + 1], M[-1, -1] = 1.0, -model.mu
+        M[-1] /= 0.5 * model.sigma**2
     else:
-        jumps = model.jumps
-    zeta = find_zeta(model, q)
-    P, num = _cl_polynomials(model, q)
-    rts = np.polynomial.polynomial.polyroots(P)
-    neg = [r for r in rts if r.real < 0]
-    # snap near-real roots
-    xis = []
-    for r in neg:
-        xi = -r
-        if abs(xi.imag) < _IMAG_SNAP_RTOL * (1.0 + abs(xi.real)):
-            xi = complex(xi.real, 0.0)
-        xis.append(xi)
-    check_clusters(xis)
+        M[-1] /= model.mu
+    roots = np.linalg.eigvals(M)
     ev = jumps.eigenvalues()
-    poles = -ev
-    n_poles = len(poles)
-    # warn on a (numerically) non-minimal representation: shared root of the
-    # generator characteristic polynomial and the jump-transform numerator
-    shared = np.abs(np.polynomial.polynomial.polyval(ev, num)) < 1e-10 * (1 + np.abs(ev)) ** jumps.m
-    if shared.any():
+    on_pole = np.any(
+        np.abs(roots[:, None] - ev) < _POLE_REL_TOL * np.maximum(np.abs(roots[:, None]), np.abs(ev)),
+        axis=1,
+    )
+    if on_pole.any() and model.lam != 0:  # without jumps no eigenvalue of T is a pole
         warnings.warn(
             "PH representation appears non-minimal: root counts may be off",
             stacklevel=2,
         )
-    expected = n_poles + 1 if model.case == CASE1 else n_poles
-    if len(xis) != expected:
+    s = roots[~on_pole]
+    roots[~on_pole] = s - (model.laplace_exponent(s) - q) / model.laplace_exponent_derivative(s)
+    roots = _snap_real(roots)
+    neg = roots.real < 0
+    xi = np.sort(-roots[neg])
+    expected = n - 1  # every root but zeta
+    if xi.size != expected:
         raise BracketingFailure(
-            f"expected {expected} negative roots for {model.case}, found {len(xis)}"
+            f"expected {expected} negative roots for {model.case}, found {xi.size}"
         )
-    xis.sort(key=lambda z: (z.real, z.imag))
-    pole_list = []
-    for p in sorted(poles, key=lambda z: (z.real, z.imag)):
-        if abs(p.imag) < _IMAG_SNAP_RTOL * (1.0 + abs(p.real)):
-            pole_list.append(float(p.real))
-        else:
-            pole_list.append(complex(p))
     return RootDecomposition(
         q=q,
-        zeta=zeta,
-        neg_roots=tuple((xi if xi.imag != 0 else float(xi.real), 1) for xi in xis),
-        poles=tuple(pole_list),
+        zeta=float(roots[~neg].real[0]),
+        xi=xi,
+        poles=np.sort(_snap_real(-ev)),
         case=model.case,
     )
 
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     """Dispatch: the interlaced bracket solve (Anderson-Bjorck steps) for
-    hyperexponential jumps, polynomial companion solve otherwise."""
+    hyperexponential jumps, the eigenvalue linearisation otherwise."""
     if model.is_hyperexp:
         return find_negative_roots_hyperexp(model, q)
     return find_negative_roots_ph(model, q)

@@ -172,10 +172,7 @@ def assemble(
     model: Optional[SnLevyModel] = None,
 ) -> ScaleFunction:
     """Build a ScaleFunction from partial-fraction data at simple roots."""
-    if any(k != 1 for _, k, _ in wh.entries):
-        raise RepeatedRootsDetected("the scale function needs simple roots")
-    xi = np.array([e[0] for e in wh.entries])
-    C = scale_weights(xi, np.array([e[2] for e in wh.entries]), wh.zeta, wh.q)
+    C = scale_weights(wh.xi, wh.A, wh.zeta, wh.q)
     lead = complex(w0 + C.sum())
     if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
         raise RepeatedRootsDetected("leading coefficient not real")
@@ -188,7 +185,7 @@ def assemble(
         wp0=wp0,
         theta=theta,
         lead=lead.real,
-        xi=xi,
+        xi=wh.xi,
         C=C,
         wh=wh,
         decomp=decomp,

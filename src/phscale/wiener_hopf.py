@@ -12,7 +12,6 @@ grids by one tiled kernel, ``exp_sum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -25,16 +24,17 @@ _IMAG_TOL = 1e-10
 _TILE = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhCoefficients:
-    """Partial-fraction data of phi_q_minus.
+    """Partial-fraction data of phi_q_minus at simple roots.
 
-    ``entries`` holds (xi_i, k, A_i^(k)), with k = 1 as the roots are simple;
-    ``varrho`` is sum_i A_i^(1) xi_i and ``atom_mass`` the point mass of the
-    running minimum at 0 (compound Poisson case only, else 0).
+    ``xi`` holds the roots and ``A`` the residue A_i at each; ``varrho`` is
+    sum_i A_i xi_i and ``atom_mass`` the point mass of the running minimum at
+    0 (compound Poisson case only, else 0).
     """
 
-    entries: Tuple[Tuple[complex, int, complex], ...]
+    xi: np.ndarray
+    A: np.ndarray
     varrho: float
     atom_mass: float
     zeta: float
@@ -44,13 +44,10 @@ class WhCoefficients:
 
 def wh_factor_minus(decomp: RootDecomposition, s: complex) -> complex:
     """phi_q_minus(s) for Re(s) > 0 (and by continuation off the root set)."""
-    out = 1.0 + 0.0j
-    for eta in decomp.poles:
-        out *= (s + eta) / eta
-    for xi, mult in decomp.neg_roots:
-        if abs(s + xi) < 1e-12 * (1.0 + abs(s)):
-            raise PoleEvaluation(f"s={s} at a pole of phi_q_minus")
-        out *= (xi / (s + xi)) ** mult
+    xi, eta = decomp.xi, decomp.poles
+    if np.any(np.abs(s + xi) < 1e-12 * (1.0 + abs(s))):
+        raise PoleEvaluation(f"s={s} at a pole of phi_q_minus")
+    out = complex(np.prod((s + eta) / eta) * np.prod(xi / (s + xi)))
     if abs(out.imag) < _IMAG_TOL * (1.0 + abs(out.real)) and (
         not isinstance(s, complex) or s.imag == 0
     ):
@@ -61,9 +58,7 @@ def wh_factor_minus(decomp: RootDecomposition, s: complex) -> complex:
 def _atom_mass(decomp: RootDecomposition) -> float:
     if decomp.case != CASE2:
         return 0.0
-    num = np.prod([complex(xi) ** m for xi, m in decomp.neg_roots])
-    den = np.prod([complex(eta) for eta in decomp.poles])
-    return float((num / den).real)
+    return float(np.real(np.prod(decomp.xi) / np.prod(decomp.poles)))
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -120,16 +115,15 @@ def exp_sum(rates, weights, xs: np.ndarray, expfn=np.exp) -> np.ndarray:
 def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
     """Partial-fraction coefficients of phi_q_minus at simple roots, as
     closed-form residue products; repeated or clustered roots raise."""
-    if not decomp.all_simple:
-        raise RepeatedRootsDetected("partial fractions need simple roots")
-    xi = np.asarray(decomp.xis)
-    check_clusters(xi)  # clustered roots masquerading as simple
-    A = product_residues(xi, np.asarray(decomp.poles))
+    xi = decomp.xi
+    check_clusters(xi)
+    A = product_residues(xi, decomp.poles)
     varrho = complex(A @ xi)
     if abs(varrho.imag) > _IMAG_TOL * (1.0 + abs(varrho.real)):
         raise RepeatedRootsDetected(f"varrho has imaginary part {varrho.imag}")
     return WhCoefficients(
-        entries=tuple(zip(decomp.xis, [1] * A.size, A)),
+        xi=xi,
+        A=A,
         varrho=varrho.real,
         atom_mass=_atom_mass(decomp),
         zeta=decomp.zeta,

@@ -1,17 +1,22 @@
 """Closed forms that only the tests use as references: the tail-measure
 double integral rho; the running-minimum density and Laplace form rebuilt
 from Wiener-Hopf partial fractions; partial fractions at repeated roots by
-quotient differentiation; and a scalar polynomial-times-exponential sum with
+quotient differentiation; the cleared Cramer-Lundberg polynomial of
+hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
+Coxian laws to try it on; and a scalar polynomial-times-exponential sum with
 loop evaluators of a scale function built on it."""
 import math
+import random
+from types import SimpleNamespace
 from typing import List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from phscale.errors import ExponentAtPole, RepeatedRootsDetected
 from phscale.fluctuation import IntervalPair, _edecay
-from phscale.models import HyperExpDist
+from phscale.models import HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition
 from phscale.wiener_hopf import WhCoefficients, _atom_mass
 
@@ -46,20 +51,29 @@ def rho(K: float, pair: IntervalPair, jumps: HyperExpDist, lam: float) -> float:
     return total
 
 
-def running_min_density(coeffs: WhCoefficients, x: float) -> float:
+def triples(coeffs) -> List[Tuple[complex, int, complex]]:
+    """(xi_i, k, A_i^(k)) of partial-fraction data: the ``entries`` of
+    ``multiplicity_coefficients``, or k = 1 for the simple roots of a
+    package ``WhCoefficients``."""
+    if isinstance(coeffs, WhCoefficients):
+        return [(xi, 1, A) for xi, A in zip(coeffs.xi, coeffs.A)]
+    return list(coeffs.entries)
+
+
+def running_min_density(coeffs, x: float) -> float:
     """Density of -(running minimum at an exponential q-time) at x > 0."""
     total = 0.0 + 0.0j
-    for xi, k, A in coeffs.entries:
+    for xi, k, A in triples(coeffs):
         total += A * xi * (xi * x) ** (k - 1) / math.factorial(k - 1) * np.exp(-xi * x)
     if abs(total.imag) > _IMAG_TOL * (1.0 + abs(total.real)):
         raise RepeatedRootsDetected(f"density imaginary part {total.imag} at x={x}")
     return float(total.real)
 
 
-def reconstruct_factor(coeffs: WhCoefficients, s: complex) -> complex:
+def reconstruct_factor(coeffs, s: complex) -> complex:
     """phi_q_minus(s) rebuilt from atom + partial fractions (Laplace form)."""
     out: complex = coeffs.atom_mass
-    for xi, k, A in coeffs.entries:
+    for xi, k, A in triples(coeffs):
         out += A * (xi / (s + xi)) ** k
     if isinstance(out, complex) and abs(out.imag) < _IMAG_TOL * (1 + abs(out.real)):
         return float(out.real)
@@ -81,14 +95,16 @@ def _rational_derivative(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, 
 
 
 def _multiplicity_coefficients(decomp: RootDecomposition) -> List[Tuple[complex, int, complex]]:
-    """A_i^(k) by differentiating phi(s) (s+xi_i)^{m_i} as a polynomial quotient."""
-    scale = np.prod([complex(xi) ** m for xi, m in decomp.neg_roots]) / np.prod(
+    """A_i^(k) by differentiating phi(s) (s+xi_i)^{m_i} as a polynomial quotient,
+    with m_i the number of times xi_i repeats in ``decomp.xi``."""
+    neg_roots = list(zip(*np.unique(decomp.xi, return_counts=True)))
+    scale = np.prod([complex(xi) ** m for xi, m in neg_roots]) / np.prod(
         [complex(eta) for eta in decomp.poles]
     )
     base_num = scale * _poly_from_roots([(eta, 1) for eta in decomp.poles])
     entries: List[Tuple[complex, int, complex]] = []
-    for xi, mi in decomp.neg_roots:
-        den_i = _poly_from_roots([(o, m) for o, m in decomp.neg_roots if o != xi])
+    for xi, mi in neg_roots:
+        den_i = _poly_from_roots([(o, m) for o, m in neg_roots if o != xi])
         for k in range(1, mi + 1):
             num, den = base_num, den_i
             for _ in range(mi - k):
@@ -99,12 +115,13 @@ def _multiplicity_coefficients(decomp: RootDecomposition) -> List[Tuple[complex,
     return entries
 
 
-def multiplicity_coefficients(decomp: RootDecomposition) -> WhCoefficients:
+def multiplicity_coefficients(decomp: RootDecomposition) -> SimpleNamespace:
     """Partial-fraction coefficients of phi_q_minus for a decomposition with
-    caller-supplied multiplicities (the package accepts simple roots only)."""
+    repeated roots (the package accepts simple roots only), laid out as
+    WhCoefficients with ``entries`` (xi, k, A^(k)) in place of ``xi`` and ``A``."""
     entries = _multiplicity_coefficients(decomp)
     varrho = complex(sum(A * xi for xi, k, A in entries if k == 1))
-    return WhCoefficients(
+    return SimpleNamespace(
         entries=tuple(entries),
         varrho=varrho.real,
         atom_mass=_atom_mass(decomp),
@@ -112,6 +129,51 @@ def multiplicity_coefficients(decomp: RootDecomposition) -> WhCoefficients:
         q=decomp.q,
         case=decomp.case,
     )
+
+
+def cramer_lundberg_polynomial(model: SnLevyModel, q: float) -> np.ndarray:
+    """Ascending coefficients of P(s) = (mu s + sigma^2 s^2/2 - q - lam (1 - sum p))
+    prod_k (s + eta_k) - lam s sum_j p_j prod_{k != j} (s + eta_k) for
+    hyperexponential jumps, from exact products; P vanishes at zeta and at -xi_i."""
+    p, eta, lam = np.asarray(model.jumps.p), np.asarray(model.jumps.eta), model.lam
+    drift = [-(q + lam * (1.0 - p.sum())), model.mu, 0.5 * model.sigma**2]
+    P = npoly.polymul(drift, npoly.polyfromroots(-eta))
+    for j in range(eta.size):
+        rest = npoly.polyfromroots(-np.delete(eta, j))
+        P = npoly.polysub(P, lam * p[j] * npoly.polymul([0.0, 1.0], rest))
+    return np.trim_zeros(P, "b")
+
+
+def coxian_laws(n: int, seed: int) -> List[PhaseTypeRepr]:
+    """n three-phase Coxian laws with random rates in [0.5, 6] and onward
+    probabilities in [0.3, 0.9], drawn as the benchmark draws its models."""
+    rng, laws = random.Random(seed), []
+    for _ in range(n):
+        r = sorted((rng.uniform(0.5, 6.0) for _ in range(3)), reverse=True)
+        go1, go2 = rng.uniform(0.3, 0.9), rng.uniform(0.3, 0.9)
+        T = ((-r[0], go1 * r[0], 0.0), (0.0, -r[1], go2 * r[1]), (0.0, 0.0, -r[2]))
+        laws.append(PhaseTypeRepr(alpha=(1.0, 0.0, 0.0), T=T))
+    return laws
+
+
+def mp_ph_psi(model: SnLevyModel):
+    """(psi, psi') of a phase-type model in mpmath at the working precision,
+    in the textbook form psi(s) = mu s + sigma^2 s^2/2 + lam (alpha (sI-T)^{-1} t - 1)."""
+    mu, sigma, lam = (mpmath.mpf(v) for v in (model.mu, model.sigma, model.lam))
+    T = mpmath.matrix([[mpmath.mpf(v) for v in row] for row in model.jumps.T])
+    m = T.rows
+    t = -T * mpmath.matrix([1] * m)
+    alpha = mpmath.matrix([[mpmath.mpf(v) for v in model.jumps.alpha]])
+
+    def psi(s):
+        y = mpmath.lu_solve(s * mpmath.eye(m) - T, t)
+        return mu * s + sigma**2 * s**2 / 2 + lam * ((alpha * y)[0] - 1)
+
+    def dpsi(s):
+        A = s * mpmath.eye(m) - T
+        return mu + sigma**2 * s - lam * (alpha * mpmath.lu_solve(A, mpmath.lu_solve(A, t)))[0]
+
+    return psi, dpsi
 
 
 class ExpPolySum:

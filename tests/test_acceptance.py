@@ -370,7 +370,7 @@ class TestCriterion8OracleEquivalence:
         d_he, d_ph = find_roots(m_he, Q), find_roots(m_ph, Q)
         err = abs(d_he.zeta - d_ph.zeta)
         for a, b in zip(
-            sorted(np.real(d_he.xis)), sorted(np.real(d_ph.xis))
+            sorted(np.real(d_he.xi)), sorted(np.real(d_ph.xi))
         ):
             err = max(err, abs(a - b))
         sf_he, sf_ph = build_scale(m_he, Q), build_scale(m_ph, Q)

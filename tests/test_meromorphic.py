@@ -227,8 +227,7 @@ class TestTruncation:
         for sigma in (0.0, 1.0):
             for q in (1e-3, 0.05, 100.0):
                 d = find_roots(builtin_model("pareto-fit", sigma=sigma), q)
-                entries = partial_fraction_coefficients(d).entries
-                cases.append((d.xis, d.poles, [A.real for _, _, A in entries]))
+                cases.append((d.xi, d.poles, partial_fraction_coefficients(d).A.real))
         with mpmath.workdps(50):
             for xis, etas, A in cases:
                 xi = [mpmath.mpf(float(v)) for v in xis]

@@ -1,6 +1,7 @@
 """Model validation, Laplace exponents, and jump densities."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,6 +27,8 @@ from phscale.models import (
     load_model_file,
     validate_model,
 )
+
+from closed_forms import coxian_laws, mp_ph_psi
 
 
 # The single-rate benchmark: mu=5, sigma=0, lambda=5, Exp(1) jumps gives
@@ -152,6 +155,18 @@ class TestLaplaceExponent:
             b = ph.laplace_exponent(float(s))
             assert b == pytest.approx(a, rel=1e-12)
 
+    def test_ph_near_zero_against_mpmath(self):
+        # lam (alpha (sI-T)^{-1} t - 1) cancels as s -> 0; the form
+        # -lam s alpha (sI-T)^{-1} 1 does not
+        law = PhaseTypeRepr(alpha=(1.0, 0.0, 0.0),
+                            T=((-4.0, 2.4, 0.0), (0.0, -2.5, 1.5), (0.0, 0.0, -1.2)))
+        m = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=law)
+        psi, _ = mp_ph_psi(m)
+        with mpmath.workdps(50):
+            for s in (1e-3, 1e-6, 1e-9):
+                ref = psi(mpmath.mpf(s))
+                assert float(abs((m.laplace_exponent(s) - ref) / ref)) < 1e-14
+
     def test_no_jumps(self):
         m = SnLevyModel(mu=2.0, sigma=1.0, lam=0.0, jumps=EXP1)
         assert m.laplace_exponent(3.0) == pytest.approx(2 * 3 + 0.5 * 9)
@@ -184,6 +199,21 @@ class TestDerivative:
             assert ph.laplace_exponent_derivative(s) == pytest.approx(
                 he.laplace_exponent_derivative(s), rel=1e-12
             )
+
+    @pytest.mark.parametrize("name", ("exp1", "pareto-fit", "coxian"))
+    def test_arrays_and_complex_against_scalar_loop(self, name):
+        if name == "coxian":
+            m = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=coxian_laws(1, 3)[0])
+        else:
+            m = builtin_model(name, sigma=1.0)
+        real = np.array([0.0, 0.3, 2.0, 40.0])
+        cplx = np.array([0.3 + 0.0j, -0.2 + 1.0j, 0.5 - 0.5j, -3.0 + 0.1j])
+        for fn in (m.laplace_exponent_derivative, m.jump_tilted_mean):
+            assert isinstance(fn(0.3), float) and isinstance(fn(0.3 + 1j), complex)
+            for s, cast in ((real, float), (cplx, complex)):
+                loop = np.array([fn(cast(v)) for v in s])
+                assert fn(s) == pytest.approx(loop, rel=1e-14, abs=0)
+                assert fn(s.reshape(2, 2)) == pytest.approx(loop.reshape(2, 2), rel=1e-14, abs=0)
 
 
 def test_builtin_unknown_name():

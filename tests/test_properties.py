@@ -55,7 +55,7 @@ class TestRootStructure:
     def test_interlacing_and_count(self, model, q):
         d = find_roots(model, q)
         eta = sorted(model.jumps.eta)
-        xis = sorted(float(np.real(x)) for x in d.xis)
+        xis = sorted(float(np.real(x)) for x in d.xi)
         m = len(eta)
         expected = m + 1 if model.sigma > 0 else m
         assert len(xis) == expected
@@ -71,7 +71,7 @@ class TestRootStructure:
         d = find_roots(model, q)
         coeffs = partial_fraction_coefficients(d)
         assert wh_factor_minus(d, 0.0) == pytest.approx(1.0, abs=1e-9)
-        total = sum(A.real for _, _, A in coeffs.entries) + coeffs.atom_mass
+        total = sum(A.real for A in coeffs.A) + coeffs.atom_mass
         assert total == pytest.approx(1.0, abs=1e-7)
         for s in (0.1, 1.0, 10.0):
             assert complex(reconstruct_factor(coeffs, s)).real == pytest.approx(

@@ -1,4 +1,5 @@
 """Cramer-Lundberg roots: positive root, negative roots, interlacing."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,13 +13,15 @@ from phscale.models import (
     builtin_model,
 )
 from phscale.roots import (
-    cramer_lundberg_polynomial,
     find_negative_roots_hyperexp,
     find_negative_roots_ph,
     find_roots,
     find_zeta,
     interlaced_roots,
 )
+from phscale.scale import build_scale
+
+from closed_forms import coxian_laws, cramer_lundberg_polynomial, mp_ph_psi
 
 Q = 0.05
 M1 = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1)
@@ -53,14 +56,14 @@ class TestHyperexpRoots:
         d = find_negative_roots_hyperexp(M1, Q)
         assert d.case == CASE2
         assert d.n_roots == 1
-        assert 0 < d.xis[0] < 1.0
+        assert 0 < d.xi[0] < 1.0
 
     def test_case1_single_rate_count(self):
         m = builtin_model("exp1", sigma=1.0)
         d = find_negative_roots_hyperexp(m, Q)
         assert d.case == CASE1
         assert d.n_roots == 2
-        x1, x2 = d.xis
+        x1, x2 = d.xi
         assert 0 < x1 < 1.0 < x2
 
     @pytest.mark.parametrize("name,sigma,n", [
@@ -70,7 +73,7 @@ class TestHyperexpRoots:
     def test_builtin_counts_and_interlacing(self, name, sigma, n):
         m = builtin_model(name, sigma=sigma)
         d = find_negative_roots_hyperexp(m, Q)
-        xis = [x.real for x in d.xis]
+        xis = [x.real for x in d.xi]
         assert len(xis) == n
         eta = list(d.poles)
         for k, e in enumerate(eta):
@@ -85,7 +88,7 @@ class TestHyperexpRoots:
         # i.e. the backward error in the root itself.
         for m in models.values():
             d = find_negative_roots_hyperexp(m, Q)
-            for xi in d.xis:
+            for xi in d.xi:
                 x = xi.real
                 res = abs(m.laplace_exponent(-x) - Q)
                 slope = abs(m.laplace_exponent_derivative(-x))
@@ -143,13 +146,30 @@ def test_psi_calls_per_solve(monkeypatch, name, sigma, q):
     assert len(calls) <= 35
 
 
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+@pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+def test_ph_psi_calls_per_solve(monkeypatch, sigma, q):
+    # the eigenvalues need no psi; the Newton step takes one array call
+    model = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=coxian_laws(1, 5)[0])
+    calls = []
+    psi = SnLevyModel.laplace_exponent
+
+    def counting(self, s):
+        calls.append(1)
+        return psi(self, s)
+
+    monkeypatch.setattr(SnLevyModel, "laplace_exponent", counting)
+    find_roots(model, q)
+    assert len(calls) <= 3
+
+
 class TestPolynomial:
     def test_vanishes_at_all_roots(self, models):
         for m in models.values():
             d = find_negative_roots_hyperexp(m, Q)
             P = cramer_lundberg_polynomial(m, Q)
             scale = np.max(np.abs(P))
-            for r in [d.zeta] + [-x for x in d.xis]:
+            for r in [d.zeta] + [-x for x in d.xi]:
                 val = np.polynomial.polynomial.polyval(r, P)
                 assert abs(val) < 1e-6 * scale * (1 + abs(r)) ** (len(P) - 1)
 
@@ -181,7 +201,7 @@ class TestPhRoots:
                              jumps=m.jumps.as_phase_type())
             d_ph = find_negative_roots_ph(ph, Q)
             assert d_ph.zeta == pytest.approx(d_he.zeta, rel=1e-8)
-            for a, b in zip(d_he.xis, d_ph.xis):
+            for a, b in zip(d_he.xi, d_ph.xi):
                 assert complex(b).real == pytest.approx(complex(a).real, rel=1e-8)
 
     def test_erlang_case1(self):
@@ -191,7 +211,7 @@ class TestPhRoots:
         # pole, so the Case1 count |roots| = |poles| + 1 = 3 still holds
         d = find_negative_roots_ph(m, Q)
         assert d.n_roots == 3
-        for xi in d.xis:
+        for xi in d.xi:
             assert abs(m.laplace_exponent(-complex(xi)) - Q) < 1e-8
 
     def test_nonminimal_representation_warns(self):
@@ -203,19 +223,56 @@ class TestPhRoots:
         with pytest.warns(UserWarning, match="non-minimal"):
             find_negative_roots_ph(m, Q)
 
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 100.0, 1e3))
+    def test_roots_against_mpmath(self, sigma, q):
+        # zeta and every xi against 50-digit roots, each refined by Newton
+        # steps on the textbook psi from the computed root: 12 random
+        # Coxians and an Erlang-2 law, whose roots hold a complex pair at
+        # sigma = 1, q <= 0.05
+        erlang = SnLevyModel(mu=1.0, sigma=sigma, lam=2.0,
+                             jumps=PhaseTypeRepr(alpha=(1.0, 0.0), T=((-3.0, 3.0), (0.0, -3.0))))
+        models = [SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=law)
+                  for law in coxian_laws(12, 2)] + [erlang]
+        for m in models:
+            d = find_roots(m, q)
+            assert d.n_roots == m.jumps.m + (sigma > 0)
+            psi, dpsi = mp_ph_psi(m)
+            with mpmath.workdps(50):
+                for r in [d.zeta, *(-d.xi)]:
+                    ref = mpmath.mpmathify(complex(r) if np.iscomplexobj(r) else float(r))
+                    for _ in range(60):
+                        step = (psi(ref) - q) / dpsi(ref)
+                        ref -= step
+                        if abs(step) < mpmath.mpf(10) ** -45 * abs(ref):
+                            break
+                    else:
+                        raise AssertionError(f"no 50-digit root near {r}")
+                    assert float(abs(r - ref) / abs(ref)) < 5e-13
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    def test_without_jumps_matches_hyperexp_path(self, sigma):
+        # with lam = 0 the eigenvalues of T are roots of the linearisation but
+        # not poles of psi: no Newton step there, and no non-minimal warning
+        ph = SnLevyModel(mu=5.0, sigma=sigma, lam=0.0, jumps=coxian_laws(1, 5)[0])
+        he = SnLevyModel(mu=5.0, sigma=sigma, lam=0.0, jumps=EXP1)
+        x = np.array([0.5, 1.0, 2.0])
+        assert build_scale(ph, Q).w(x) == pytest.approx(build_scale(he, Q).w(x), rel=1e-12)
+
     def test_single_rate_closed_form(self):
         d = find_negative_roots_ph(
             SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1.as_phase_type()), Q
         )
         # root of 5s^2 - qs - q = 0 with negative sign
         xi = (-(-Q) - np.sqrt(Q**2 + 4 * 5 * Q)) / (2 * 5.0)
-        assert complex(d.xis[0]).real == pytest.approx(-xi, rel=1e-10)
+        assert complex(d.xi[0]).real == pytest.approx(-xi, rel=1e-10)
 
 
 def test_dispatch(models):
     m = models[("exp1", 1.0)]
     d = find_roots(m, Q)
-    assert d.all_simple
+    assert np.unique(d.xi).size == d.n_roots
     ph = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=EXP1.as_phase_type())
     d2 = find_roots(ph, Q)
     assert d2.zeta == pytest.approx(d.zeta, rel=1e-10)
