@@ -245,7 +245,10 @@ def _cmd_mero_bounds(args) -> None:
 
 
 def _cmd_cgmy(args) -> None:
-    betas = [float(v) for v in args.betas.split(",")]
+    try:
+        betas = [float(v) for v in args.betas.split(",")]
+    except ValueError:
+        raise DomainError(f"betas must be comma-separated numbers, got {args.betas!r}")
     grid = _parse_grid(args.grid)
     study = cgmy_limit_study(BETA_BENCHMARK, args.tilde_alpha, args.tilde_c,
                              betas, args.q, args.m, grid)

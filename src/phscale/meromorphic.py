@@ -10,7 +10,7 @@ truncation gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -22,8 +22,10 @@ from .errors import (
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .roots import interlaced_solve
-from .wiener_hopf import exp_sum, like, points, product_residues, scale_weights
+from .models import CASE1, CASE2
+from .roots import RootDecomposition, interlaced_solve
+from .scale import ScaleFunction, assemble
+from .wiener_hopf import like, partial_fraction_coefficients, points
 
 _POLE_TOL = 1e-12
 
@@ -123,23 +125,22 @@ def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.nd
 
 @dataclass(frozen=True, eq=False)
 class TruncatedMero:
-    """m-truncated root/coefficient system with the truncation gaps that
-    control every bound: delta for W/Z, epsilon for the derivative refinement."""
+    """m-truncated system with the truncation gaps delta (W/Z) and epsilon
+    (W' refinement).  ``sf`` is the m-term scale function with lead
+    1/psi'(zeta) and value w0 + delta at 0: the upper bound for W and Z and the
+    lower bound for W'.  Its ``wp0`` and ``theta`` are those of the process
+    (inf for sigma = 0 with infinite jump activity, where ``theta`` is None)."""
 
     params: BetaFamilyParams
-    q: float
     m: int
-    zeta: float
     xi: np.ndarray  # xi_1 .. xi_{m+1}
     eta: np.ndarray  # eta_1 .. eta_m
-    A_trunc: np.ndarray
-    C_trunc: np.ndarray
-    psi_prime_zeta: float
     w0: float
     gamma: float
     delta: float
     theta: Optional[float]
     epsilon: Optional[float]
+    sf: ScaleFunction
 
 
 def _w_zero(params: BetaFamilyParams) -> float:
@@ -156,50 +157,49 @@ def _w_zero(params: BetaFamilyParams) -> float:
 
 
 def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> TruncatedMero:
-    """Finite-product coefficients A^{(m)}, C^{(m)} and the gaps delta_m,
-    epsilon_m."""
+    """The m-term scale function from the first m roots and poles, through the
+    closed-form pipeline, and the gaps delta_m, epsilon_m."""
     w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
     etas = beta_poles(params, np.arange(1, m + 1))
-    A = product_residues(xis[:m], etas)
-    C = scale_weights(xis[:m], A, zeta, q)
-    ppz = beta_psi_derivative(params, zeta)
-    gamma = 1.0 / ppz - w0
-    delta = gamma - float(C.sum())
     if params.sigma > 0:
         theta: Optional[float] = 2.0 / params.sigma**2
+        wp0 = theta
     elif params.lam < 1:
         # -zeta/mu + (q + jump mass)/mu^2 with the mass (c/beta) B(alpha, 1-lam),
         # rewritten through psi(zeta) = q so that nothing cancels
         b1 = float(_beta_fn(params.alpha_b + zeta / params.beta_b, 1.0 - params.lam))
         theta = (params.c / params.beta_b) * b1 / params.mu_hat**2
+        wp0 = theta + zeta / params.mu_hat
     else:
-        theta = None  # infinite jump measure, sum A_i xi_i diverges
-    epsilon = None
-    if theta is not None:
-        epsilon = theta - (zeta / q) * float(np.sum(xis[:m] * A))
+        theta, wp0 = None, math.inf  # infinite jump measure, sum A_i xi_i diverges
+    decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m], poles=etas,
+                               case=CASE1 if params.sigma > 0 else CASE2)
+    ppz = beta_psi_derivative(params, zeta)
+    sf = assemble(partial_fraction_coefficients(decomp), w0=w0, wp0=wp0,
+                  theta=math.inf if theta is None else theta, psi_prime_zeta=ppz,
+                  decomp=decomp, model=None)
+    gamma = 1.0 / ppz - w0
+    delta = gamma - float(sf.C.sum())
     return TruncatedMero(
         params=params,
-        q=q,
         m=m,
-        zeta=zeta,
         xi=xis,
         eta=etas,
-        A_trunc=A,
-        C_trunc=C,
-        psi_prime_zeta=ppz,
         w0=w0,
         gamma=gamma,
         delta=delta,
         theta=theta,
-        epsilon=epsilon,
+        epsilon=None if theta is None else theta - (zeta / q) * sf.wh.varrho,
+        # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
+        sf=replace(sf, w0=w0 + delta, lead=1.0 / ppz),
     )
 
 
-def _grid(x, positive: bool = False) -> np.ndarray:
+def _grid(x) -> np.ndarray:
     xs = points(x)
-    if np.any(xs <= 0 if positive else xs < 0):
-        raise DomainError("x must be > 0" if positive else "x must be >= 0")
+    if np.any(xs < 0):
+        raise DomainError("x must be >= 0")
     return xs
 
 
@@ -211,30 +211,26 @@ def _pair(x, lower: np.ndarray, upper: np.ndarray):
 def w_bounds(tm: TruncatedMero, x):
     """(lower, upper) sandwich of W^{(q)}(x); gap = delta_m (1 + e^{-xi_{m+1} x})."""
     xs = _grid(x)
-    upper = np.exp(tm.zeta * xs) / tm.psi_prime_zeta - exp_sum(tm.xi[: tm.m], tm.C_trunc, xs)
-    lower = upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
-    return _pair(x, lower, upper)
+    upper = tm.sf.w(xs)
+    return _pair(x, upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs)), upper)
 
 
 def z_bounds(tm: TruncatedMero, x):
     """(lower, upper) for Z^{(q)}(x) by exact integration of the W bounds."""
     xs = _grid(x)
-    weights = tm.C_trunc / tm.xi[: tm.m]
-    int_upper = np.expm1(tm.zeta * xs) / (tm.zeta * tm.psi_prime_zeta)
-    upper = 1.0 + tm.q * (int_upper + exp_sum(tm.xi[: tm.m], weights, xs, np.expm1))
+    upper = tm.sf.z(xs)
     xm1 = tm.xi[tm.m]
-    gap = tm.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
+    gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
     return _pair(x, upper - gap, upper)
 
 
 def w_prime_bounds(tm: TruncatedMero, x):
     """(lower, upper) for the derivative of the scale function at x > 0."""
-    xs = _grid(x, positive=True)
-    xi = tm.xi[: tm.m]
-    lower = (tm.zeta * np.exp(tm.zeta * xs) / tm.psi_prime_zeta
-             + exp_sum(xi, tm.C_trunc * xi, xs))
+    xs = points(x)
+    lower = tm.sf.w_prime(xs)  # raises unless every x > 0
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
+    xi = tm.sf.xi
     near = xi[np.clip(np.searchsorted(xi, 1.0 / xs) + [[-1], [0]], 0, tm.m - 1)]
     head_sup = np.max(near * np.exp(-near * xs), axis=0)
     xm1 = tm.xi[tm.m]

@@ -161,10 +161,17 @@ def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposit
 
 
 def check_clusters(xi) -> None:
-    """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * max(|xi_i|, |xi_j|)."""
+    """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * max(|xi_i|, |xi_j|);
+    positive real roots need only their sorted neighbours (x_i < x_j that close
+    make x_j and its predecessor so)."""
     x = np.asarray(xi)
-    close = np.abs(x[:, None] - x) < _CLUSTER_RTOL * np.maximum(np.abs(x[:, None]), np.abs(x))
-    if (pairs := np.argwhere(np.triu(close, 1))).size:
+    if not np.iscomplexobj(x) and np.all(x > 0):
+        x = np.sort(x)
+        pairs = np.flatnonzero(np.diff(x) < _CLUSTER_RTOL * x[1:])[:, None] + [0, 1]
+    else:
+        close = np.abs(x[:, None] - x) < _CLUSTER_RTOL * np.maximum(np.abs(x[:, None]), np.abs(x))
+        pairs = np.argwhere(np.triu(close, 1))
+    if pairs.size:
         i, j = pairs[0]
         raise RepeatedRootsDetected(f"roots {x[i]} and {x[j]} within clustering tolerance")
 

@@ -26,7 +26,6 @@ from .wiener_hopf import (
     like,
     partial_fraction_coefficients,
     points,
-    scale_weights,
 )
 
 _IMAG_TOL = 1e-10
@@ -46,9 +45,11 @@ def _real(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _envelope(zx: np.ndarray, vals, expfn=np.exp) -> np.ndarray:
-    """expfn(zeta x) * vals, and inf where zeta x exceeds the overflow guard."""
-    big = zx > _EXP_LOG_GUARD
-    return np.where(big, np.inf, expfn(np.where(big, 0.0, zx)) * vals)
+    """expfn(zeta x) * vals, inf only where the product itself exceeds the
+    float range: the growth past the guard multiplies the guarded value."""
+    head = np.minimum(zx, _EXP_LOG_GUARD)
+    with np.errstate(over="ignore"):
+        return expfn(head) * vals * np.exp(zx - head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +65,6 @@ class ScaleFunction:
     q: float
     zeta: float
     psi_prime_zeta: float
-    case: str
     w0: float
     wp0: float
     theta: float
@@ -72,7 +72,7 @@ class ScaleFunction:
     xi: np.ndarray
     C: np.ndarray
     wh: WhCoefficients
-    decomp: Optional[RootDecomposition]
+    decomp: RootDecomposition
     model: Optional[SnLevyModel]
 
     def decay_sum(self, xs: np.ndarray, weights, shift: float = 0.0, expfn=np.exp) -> np.ndarray:
@@ -137,7 +137,7 @@ class ScaleFunction:
     def sum_c_residual(self) -> float:
         """Relative residual of sum(C) against 1/psi'(zeta) (case 2: minus 1/mu)."""
         target = 1.0 / self.psi_prime_zeta
-        if self.case == CASE2:
+        if self.wh.case == CASE2:
             # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with
             # w0 = 1/mu; the subtraction cancels when psi'(zeta) is near mu
             if self.model is None:
@@ -166,21 +166,19 @@ def assemble(
     w0: float,
     wp0: float,
     theta: float,
-    psi_prime_zeta: Optional[float] = None,
-    case: Optional[str] = None,
-    decomp: Optional[RootDecomposition] = None,
-    model: Optional[SnLevyModel] = None,
+    psi_prime_zeta: float,
+    decomp: RootDecomposition,
+    model: Optional[SnLevyModel],
 ) -> ScaleFunction:
     """Build a ScaleFunction from partial-fraction data at simple roots."""
-    C = scale_weights(wh.xi, wh.A, wh.zeta, wh.q)
+    C = (wh.zeta / wh.q) * wh.A * (wh.xi / (wh.zeta + wh.xi))
     lead = complex(w0 + C.sum())
     if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
         raise RepeatedRootsDetected("leading coefficient not real")
     return ScaleFunction(
         q=wh.q,
         zeta=wh.zeta,
-        psi_prime_zeta=psi_prime_zeta if psi_prime_zeta is not None else 1.0 / lead.real,
-        case=case or wh.case,
+        psi_prime_zeta=psi_prime_zeta,
         w0=w0,
         wp0=wp0,
         theta=theta,
@@ -216,7 +214,6 @@ def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
         wp0=wp0,
         theta=theta,
         psi_prime_zeta=model.laplace_exponent_derivative(zeta),
-        case=model.case,
         decomp=decomp,
         model=model,
     )

@@ -58,7 +58,8 @@ def wh_factor_minus(decomp: RootDecomposition, s: complex) -> complex:
 def _atom_mass(decomp: RootDecomposition) -> float:
     if decomp.case != CASE2:
         return 0.0
-    return float(np.real(np.prod(decomp.xi) / np.prod(decomp.poles)))
+    # one ratio per root-pole pair: the separate products overflow at m ~ 170
+    return float(np.real(np.prod(decomp.xi / decomp.poles)))
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -83,12 +84,6 @@ def product_residues(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         ratio[:, : eta.size] *= (eta - x) / eta
         A[rows] = ratio.prod(axis=1)
     return A
-
-
-def scale_weights(xi, A, zeta: float, q: float):
-    """C_i = (zeta/q) A_i xi_i/(zeta + xi_i), the weight of -e^{-xi_i x} in
-    the q-scale function W(x) = lead e^{zeta x} - sum_i C_i e^{-xi_i x}."""
-    return (zeta / q) * A * (xi / (zeta + xi))
 
 
 def points(x) -> np.ndarray:

@@ -211,6 +211,13 @@ class TestCgmyLimit:
         assert float(meta[sup_keys[0]]) >= 0.0
         assert len(rows) == 12  # 2 betas x 6 grid points
 
+    @pytest.mark.parametrize("betas", ("1,x", ""))
+    def test_malformed_betas_is_validation_error(self, capsys, betas):
+        code, _, err = run(capsys, "cgmy-limit", "--betas", betas, "--m", "5",
+                           "--grid", "0:1:3")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestSimulate:
     def test_exit_deterministic(self, capsys):

@@ -41,20 +41,20 @@ Q = BETA_BENCHMARK_Q
 def w_tilted_bounds(tm, x):
     """Bounds on the tilted scale function e^{-zeta x} W^{(q)}(x)."""
     lo, hi = w_bounds(tm, x)
-    damp = math.exp(-tm.zeta * x)
+    damp = math.exp(-tm.sf.zeta * x)
     return lo * damp, hi * damp
 
 
 def reference_bounds(tm, x):
     """W, Z and W' bounds at one x > 0, term by term over xi_1..xi_m."""
-    xi, C = np.asarray(tm.xi[: tm.m]), np.asarray(tm.C_trunc)
+    xi, C = np.asarray(tm.xi[: tm.m]), np.asarray(tm.sf.C)
     xm1, e = tm.xi[tm.m], np.exp(-xi * x)
-    wu = math.exp(tm.zeta * x) / tm.psi_prime_zeta - float(np.sum(C * e))
+    wu = math.exp(tm.sf.zeta * x) / tm.sf.psi_prime_zeta - float(np.sum(C * e))
     wl = wu - tm.delta * (1.0 + math.exp(-xm1 * x))
-    zu = 1.0 + tm.q * (math.expm1(tm.zeta * x) / (tm.zeta * tm.psi_prime_zeta)
+    zu = 1.0 + tm.sf.q * (math.expm1(tm.sf.zeta * x) / (tm.sf.zeta * tm.sf.psi_prime_zeta)
                        - float(np.sum(C * (1.0 - e) / xi)))
-    zl = zu - tm.q * tm.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
-    pl = tm.zeta * math.exp(tm.zeta * x) / tm.psi_prime_zeta + float(np.sum(C * xi * e))
+    zl = zu - tm.sf.q * tm.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
+    pl = tm.sf.zeta * math.exp(tm.sf.zeta * x) / tm.sf.psi_prime_zeta + float(np.sum(C * xi * e))
     head = float(np.max(xi * e))
     tail = 1.0 / (math.e * x) if xm1 <= 1.0 / x else xm1 * math.exp(-xm1 * x)
     pu = pl + (head + tail) * tm.delta
@@ -207,8 +207,8 @@ class TestRoots:
 class TestTruncation:
     def test_positivity(self, tm10, tm100):
         for tm in (tm10, tm100):
-            assert all(a > 0 for a in tm.A_trunc)
-            assert all(c > 0 for c in tm.C_trunc)
+            assert all(a > 0 for a in tm.sf.wh.A)
+            assert all(c > 0 for c in tm.sf.C)
             assert tm.delta > 0
 
     def test_delta_decreasing(self, tm10, tm100):
@@ -216,14 +216,14 @@ class TestTruncation:
 
     def test_a_monotone_in_m(self, tm10, tm100):
         for i in range(10):
-            assert tm10.A_trunc[i] < tm100.A_trunc[i]
+            assert tm10.sf.wh.A[i] < tm100.sf.wh.A[i]
 
     def test_residues_match_mpmath_product(self):
         # A_i = prod_j (eta_j - xi_i)/eta_j * prod_{l != i} xi_l/(xi_l - xi_i) at
         # 50 digits, from the computed xi: the beta-family at m = 300, and the
         # pareto-fit hyperexponential, whose rates span ten decades
         tm = truncated_coefficients(BETA_BENCHMARK, Q, 300)
-        cases = [(tm.xi[:300], tm.eta, tm.A_trunc)]
+        cases = [(tm.xi[:300], tm.eta, tm.sf.wh.A)]
         for sigma in (0.0, 1.0):
             for q in (1e-3, 0.05, 100.0):
                 d = find_roots(builtin_model("pareto-fit", sigma=sigma), q)
@@ -259,8 +259,8 @@ class TestTruncation:
             tm = truncated_coefficients(p, Q, m)
             assert tm.theta is None and tm.epsilon is None
             partial.append(
-                (tm.zeta / tm.q)
-                * float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.A_trunc)))
+                (tm.sf.zeta / tm.sf.q)
+                * float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.wh.A)))
             )
         assert partial[0] < partial[1] < partial[2]
 
@@ -280,7 +280,7 @@ class TestTruncation:
         with mpmath.workdps(50):
             mu, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.alpha_b, p.beta_b, p.c, 1 - p.lam))
             psi = lambda z: mu * z + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y))
-            zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.zeta))
+            zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.sf.zeta))
             theta = float((c / b) * mpmath.beta(a + zeta / b, y) / mu**2)
         assert tm.theta == pytest.approx(theta, rel=1e-11, abs=0.0)
 
@@ -303,8 +303,8 @@ class TestTruncation:
         errs = []
         for m in (10, 100, 400):
             tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
-            s = float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.A_trunc)))
-            errs.append(abs(tm.zeta / tm.q - tm.theta / s))
+            s = float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.wh.A)))
+            errs.append(abs(tm.sf.zeta / tm.sf.q - tm.theta / s))
         assert errs[0] > errs[1] > errs[2]
 
 
@@ -329,7 +329,7 @@ class TestWBounds:
     def test_tilted(self, tm100):
         lo, hi = w_bounds(tm100, 0.5)
         tlo, thi = w_tilted_bounds(tm100, 0.5)
-        damp = math.exp(-tm100.zeta * 0.5)
+        damp = math.exp(-tm100.sf.zeta * 0.5)
         assert (tlo, thi) == pytest.approx((lo * damp, hi * damp), rel=1e-14)
 
 
@@ -363,7 +363,7 @@ class TestZBounds:
         for x in (0.1, 0.5, 1.0):
             lo, hi = z_bounds(tm100, x)
             xm1 = tm100.xi[tm100.m]
-            gap = tm100.q * tm100.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
+            gap = tm100.sf.q * tm100.delta * (x + (1.0 - math.exp(-xm1 * x)) / xm1)
             assert hi - lo == pytest.approx(gap, rel=1e-10)
 
     def test_lower_nondecreasing_where_w_lower_positive(self, tm100):

@@ -297,6 +297,18 @@ class TestArrayEvaluation:
             vals = getattr(sf, name)(xs)
             assert math.isfinite(vals[0]) and vals[1] == math.inf, name
 
+    def test_finite_past_the_guard(self):
+        # zeta = 184.39 and lead = 0.2: W, W' and Z stay below the float range
+        # a little past zeta x = 700, and only W' at zeta x = 709 exceeds it
+        sf = build_scale(builtin_model("exp1", sigma=0.0), 917.0)
+        xs = np.array([701.0, 705.0, 709.0]) / sf.zeta
+        w, wp, z = sf.w(xs), sf.w_prime(xs), sf.z(xs)
+        np.testing.assert_allclose(w, np.exp(sf.log_w(xs)), rtol=1e-12)
+        np.testing.assert_allclose(z, (sf.q / sf.zeta) * w, rtol=1e-12)
+        np.testing.assert_allclose(wp[:2], sf.zeta * w[:2], rtol=1e-12)
+        assert wp[2] == math.inf
+        assert sf.w(float(xs[0])) == w[0]
+
     def test_imaginary_residue_raises_elementwise(self):
         sf = build_scale(ERLANG2, Q)
         # break the conjugate symmetry of one weight: the sum is no longer real

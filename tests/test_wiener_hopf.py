@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from phscale.errors import PoleEvaluation, RepeatedRootsDetected
+from phscale.meromorphic import BetaFamilyParams, beta_poles, mero_roots
 from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
 from phscale.roots import RootDecomposition, check_clusters, find_roots
 from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
@@ -151,6 +152,17 @@ class TestMultiplicityPath:
             )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_atom_mass_at_many_roots():
+    # sigma = 0, lam = 1.5 beta-family: the products of 400 roots and of 400
+    # poles each overflow, their ratio does not
+    p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
+    zeta, xi = mero_roots(p, Q, 400)
+    d = RootDecomposition(q=Q, zeta=zeta, xi=xi[:400],
+                          poles=beta_poles(p, np.arange(1, 401)), case=CASE2)
+    assert 0.0 < partial_fraction_coefficients(d).atom_mass < 1.0
+
+
 class TestClusters:
     def test_relative_tolerance(self):
         # distinct relative to their size, however small
@@ -159,6 +171,31 @@ class TestClusters:
         for close in ([1.0, 1.0 + 1e-9], [3e-10, 3e-10 * (1 + 1e-9)], [2.0 + 1j, 2.0 + 1j + 1e-9]):
             with pytest.raises(RepeatedRootsDetected):
                 check_clusters(close)
+
+    def test_neighbour_rule_matches_pairwise_rule(self):
+        # positive real roots are checked against their sorted neighbours only;
+        # the verdict must be that of the rule over all pairs
+        def pairwise(x):
+            close = np.abs(x[:, None] - x) < 1e-8 * np.maximum(np.abs(x[:, None]), np.abs(x))
+            return bool(np.triu(close, 1).any())
+
+        rng = np.random.default_rng(0)
+        verdicts = []
+        for _ in range(400):
+            gaps = 10.0 ** rng.uniform(-7.99, 0.0, rng.integers(1, 40))
+            if rng.random() < 0.5:  # one gap at the tolerance, either side of it
+                gaps[rng.integers(gaps.size)] = 1e-8 * (1.0 + rng.uniform(-1e-3, 1e-3))
+            x = 10.0 ** rng.uniform(-10, 3) * np.cumprod(np.append(1.0, 1.0 + gaps))
+            expected = pairwise(x)
+            for order in (x, rng.permutation(x)):
+                try:
+                    check_clusters(order)
+                    raised = False
+                except RepeatedRootsDetected:
+                    raised = True
+                assert raised == expected
+            verdicts.append(expected)
+        assert 0.1 < np.mean(verdicts) < 0.5
 
     def test_clustered_decomposition_raises(self):
         d = RootDecomposition(q=Q, zeta=0.7, xi=np.array([1.0, 1.0 + 1e-10]),
