@@ -48,8 +48,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise DomainError(f"grid spec must be start:stop:count, got {spec!r}")
-    if stop < start or count < 2:
-        raise DomainError("grid requires start <= stop and count >= 2")
+    if not -math.inf < start <= stop < math.inf or count < 2:
+        raise DomainError("grid requires finite start <= stop and count >= 2")
     return np.linspace(start, stop, count)
 
 

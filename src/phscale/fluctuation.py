@@ -45,8 +45,8 @@ def _edecay(c: float, x: float) -> float:
 
 def up_exit(sf: ScaleFunction, x: float, b: float) -> float:
     """Discounted probability of reaching b before passing below 0: W(x)/W(b)."""
-    if b <= 0 or not (0 <= x <= b):
-        raise DomainError("need 0 <= x <= b, b > 0")
+    if b <= 0 or not (0 <= x <= b and x < math.inf):
+        raise DomainError("need 0 <= x <= b, b > 0, x finite")
     # ratio via the tilted representation; never overflows
     return math.exp(sf.zeta * (x - b)) * sf.w_tilted(x) / sf.w_tilted(b)
 
@@ -59,8 +59,8 @@ def down_exit(sf: ScaleFunction, x: float, b: float) -> float:
     D = ``down_exit_unbounded``: the e^{zeta x} growth of Z(x) and of
     Z(b) W(x)/W(b) cancels inside D, not in floating point.
     """
-    if b <= 0 or not (0 <= x <= b):
-        raise DomainError("need 0 <= x <= b, b > 0")
+    if b <= 0 or not (0 <= x <= b and x < math.inf):
+        raise DomainError("need 0 <= x <= b, b > 0, x finite")
     return down_exit_unbounded(sf, x) - up_exit(sf, x, b) * down_exit_unbounded(sf, b)
 
 
@@ -76,7 +76,7 @@ def down_exit_unbounded(sf: ScaleFunction, x):
     precision there).
     """
     xs = points(x)
-    if np.any(xs < 0):
+    if not np.all(xs >= 0):
         raise DomainError("x must be >= 0")
     q, zeta = sf.q, sf.zeta
     vals = (
@@ -123,8 +123,8 @@ def _kappa(sf: ScaleFunction, eta_j: float, x: float, b_lo: float, b_hi: float) 
 
 def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) -> float:
     """Discounted joint law of (undershoot in B, overshoot magnitude window A)."""
-    if x <= 0:
-        raise DomainError("x must be > 0")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be > 0 and finite")
     jumps = _require_hyperexp(sf)
     lam = sf.model.lam
     total = 0.0
@@ -139,8 +139,8 @@ def overshoot_density(sf: ScaleFunction, x: float, a):
     """Density in the overshoot magnitude a > 0 (undershoot unrestricted), at
     a float or a 1-d array of magnitudes."""
     a_s = points(a)
-    if x <= 0 or np.any(a_s <= 0):
-        raise DomainError("need a > 0 and x > 0")
+    if not (0 < x < math.inf and np.all(a_s > 0)):
+        raise DomainError("need a > 0 and 0 < x < inf")
     jumps = _require_hyperexp(sf)
     eta = np.asarray(jumps.eta)
     kappa = np.array([_kappa(sf, ej, x, 0.0, math.inf) for ej in jumps.eta])
@@ -155,8 +155,8 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     case, continuous when sigma > 0.
     """
     bs = points(b)
-    if x <= 0 or np.any(bs <= 0):
-        raise DomainError("need b > 0 and x > 0")
+    if not (0 < x < math.inf and np.all(bs > 0)):
+        raise DomainError("need b > 0 and 0 < x < inf")
     jumps = _require_hyperexp(sf)
     zeta, xi, C = sf.zeta, sf.xi, sf.C
     eta = np.asarray(jumps.eta)[:, None]  # (rates, 1) against the roots

@@ -126,8 +126,13 @@ def _jump_sampler(jumps):
     raise DomainError("unknown jump distribution type")
 
 
-def _scheme(model: SnLevyModel, substeps: Optional[int]) -> str:
-    """Name of the sampling scheme; rejects a grid of fewer than 1 substep."""
+def _scheme(model: SnLevyModel, q: float, n_paths: int, substeps: Optional[int]) -> str:
+    """Name of the sampling scheme; rejects a q that is not positive and
+    finite, fewer than 1 path and a grid of fewer than 1 substep."""
+    if not 0 < q < math.inf:
+        raise DomainError("q must be > 0 and finite")
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
     if substeps is not None and substeps < 1:
         raise DomainError("substeps must be >= 1")
     if model.sigma == 0:
@@ -349,13 +354,9 @@ def simulate_two_sided_exit(
     ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
     ``substeps=100`` is the paper's random-walk grid.
     """
-    scheme = _scheme(model, substeps)
-    if not (0 <= x <= b) or b <= 0:
-        raise DomainError("need 0 <= x <= b, b > 0")
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    if q <= 0:
-        raise DomainError("q must be > 0")
+    scheme = _scheme(model, q, n_paths, substeps)
+    if b <= 0 or not (0 <= x <= b and x < math.inf):
+        raise DomainError("need 0 <= x <= b, b > 0, x finite")
     su = su2 = sd = sd2 = 0.0
     done = 0
     batch_idx = 0
@@ -395,11 +396,9 @@ def simulate_overshoot_undershoot(
     first bin of each histogram.  ``substeps`` selects the scheme as in
     ``simulate_two_sided_exit``.
     """
-    scheme = _scheme(model, substeps)
-    if x <= 0:
-        raise DomainError("x must be > 0")
-    if window_width <= 0:
-        raise DomainError("window_width must be > 0")
+    scheme = _scheme(model, q, n_paths, substeps)
+    if not (0 < x < math.inf and 0 < window_width < math.inf):
+        raise DomainError("x and window_width must be > 0 and finite")
     if b_max is None:
         b_max = 2.0 * x
     edges_a = np.arange(0.0, a_max + window_width / 2, window_width)

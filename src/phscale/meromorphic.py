@@ -10,7 +10,7 @@ truncation gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -56,6 +56,8 @@ class BetaFamilyParams:
     lam: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise DomainError("beta-family parameters must be finite")
         if self.sigma < 0:
             raise NegativeSubordinator("sigma must be >= 0")
         if self.alpha_b <= 0 or self.beta_b <= 0 or self.c < 0:
@@ -269,7 +271,7 @@ def cgmy_limit_study(
     """Bound curves for a decreasing sequence of beta values plus convergence
     diagnostics (sup-norm differences of successive upper/lower curves)."""
     betas = list(betas)
-    if any(b <= 0 for b in betas) or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
+    if not (all(b > 0 for b in betas) and all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))):
         raise DomainError("betas must be positive and strictly decreasing")
     grid = np.asarray(list(grid), dtype=float)
     curves = {}

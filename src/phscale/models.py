@@ -8,9 +8,10 @@ regimes are admitted: ``sigma > 0`` (case 1, unbounded variation) and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence, Union
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class HyperExpDist:
         eta = np.asarray(self.eta, dtype=float)
         if p.ndim != 1 or p.shape != eta.shape or p.size == 0:
             raise SimplexViolation("weights and rates must be equal-length vectors")
-        if np.any(p <= 0) or abs(p.sum() - 1.0) > _SIMPLEX_TOL:
+        if not (np.all(p > 0) and abs(p.sum() - 1.0) <= _SIMPLEX_TOL):
             raise SimplexViolation(f"weights must be positive and sum to 1, got sum={p.sum()!r}")
-        if np.any(eta <= 0) or np.any(np.diff(eta) <= 0):
-            raise NonIncreasingRates("rates must satisfy 0 < eta_1 < ... < eta_m")
+        if not (np.all(np.isfinite(eta)) and eta[0] > 0 and np.all(np.diff(eta) > 0)):
+            raise NonIncreasingRates("rates must satisfy 0 < eta_1 < ... < eta_m < inf")
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "eta", tuple(eta))
 
@@ -67,10 +68,7 @@ class HyperExpDist:
 
     def as_phase_type(self) -> "PhaseTypeRepr":
         """Equivalent PH representation with diagonal generator."""
-        return PhaseTypeRepr(
-            alpha=tuple(self.p),
-            T=tuple(tuple(row) for row in -np.diag(self.eta)),
-        )
+        return PhaseTypeRepr(alpha=self.p, T=tuple(map(tuple, -np.diag(self.eta))))
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,10 @@ class PhaseTypeRepr:
         m = alpha.size
         if T.shape != (m, m) or m == 0:
             raise SingularGenerator("T must be m x m matching alpha")
-        if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > _SIMPLEX_TOL:
+        if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= _SIMPLEX_TOL):
             raise SimplexViolation("alpha must be a probability simplex")
-        if np.any(np.diag(T) >= 0):
-            raise SingularGenerator("diagonal of T must be strictly negative")
+        if not (np.all(np.isfinite(T)) and np.all(np.diag(T) < 0)):
+            raise SingularGenerator("T must be finite with a strictly negative diagonal")
         off = T - np.diag(np.diag(T))
         if np.any(off < -1e-12):
             raise SingularGenerator("off-diagonal entries of T must be nonnegative")
@@ -109,8 +107,8 @@ class PhaseTypeRepr:
     def exit_rates(self) -> np.ndarray:
         return -np.asarray(self.T).sum(axis=1)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(np.asarray(self.T))
+    def as_phase_type(self) -> "PhaseTypeRepr":
+        return self
 
     def density(self, z: float) -> float:
         from scipy.linalg import expm  # SciPy loads on first use only
@@ -129,6 +127,30 @@ class PhaseTypeRepr:
 JumpDist = Union[HyperExpDist, PhaseTypeRepr]
 
 
+class PhaseTypeArrays(NamedTuple):
+    """A jump law as read-only phase-type arrays: alpha, T, the exit rates
+    t = -T 1, the eigenvalue magnitudes of -T (eta, as given, where
+    T = -diag(eta)) and whether T is diagonal."""
+
+    alpha: np.ndarray
+    T: np.ndarray
+    t: np.ndarray
+    poles: np.ndarray
+    diagonal: bool
+
+
+@lru_cache(maxsize=128)
+def _phase_type_arrays(jumps: JumpDist) -> PhaseTypeArrays:
+    """The arrays of a validated jump law, built once per law."""
+    ph = jumps.as_phase_type()
+    alpha, T, t = np.asarray(ph.alpha), np.asarray(ph.T), ph.exit_rates
+    diagonal = np.count_nonzero(T) == alpha.size  # the diagonal of T has no zero
+    poles = -np.diag(T) if diagonal else -np.linalg.eigvals(T)
+    for a in (alpha, T, t, poles):
+        a.flags.writeable = False
+    return PhaseTypeArrays(alpha, T, t, poles, bool(diagonal))
+
+
 def _like(s: np.ndarray, out: np.ndarray):
     """out as an array for an array s, else as a float (a complex for complex s)."""
     if out.ndim:
@@ -138,7 +160,13 @@ def _like(s: np.ndarray, out: np.ndarray):
 
 @dataclass(frozen=True)
 class SnLevyModel:
-    """Validated spectrally negative Levy model with PH/hyperexponential jumps."""
+    """Validated spectrally negative Levy model with PH/hyperexponential jumps.
+
+    The jump formulas are written once, for phase-type jumps (alpha, T, t):
+    hyperexponential jumps are the diagonal case T = -diag(eta).  Weights
+    that sum to 1 only within the validator's tolerance (fitted tables) give
+    Levy mass lam * sum(alpha), so psi(0) = 0.
+    """
 
     mu: float
     sigma: float
@@ -147,6 +175,8 @@ class SnLevyModel:
     case: str = field(init=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.lam)):
+            raise DomainError("mu, sigma and lam must be finite")
         if self.sigma < 0:
             raise NegativeSubordinator("sigma must be >= 0")
         if self.lam < 0:
@@ -163,88 +193,65 @@ class SnLevyModel:
     def is_hyperexp(self) -> bool:
         return isinstance(self.jumps, HyperExpDist)
 
+    @cached_property
+    def phase_type(self) -> PhaseTypeArrays:
+        """The jump law as phase-type arrays; hyperexponential jumps have T = -diag(eta)."""
+        return _phase_type_arrays(self.jumps)
+
     @property
     def levy_mass(self) -> float:
-        """Total mass of the Levy measure, lam * (jump distribution mass).
+        """Total mass of the Levy measure, lam * sum(alpha).
 
         Fitted parameter tables may carry weights summing to 1 only to a few
         decimals; small-time identities are sensitive to the actual mass.
         """
-        if self.lam == 0:
-            return 0.0
-        if self.is_hyperexp:
-            w = float(np.sum(self.jumps.p))
-        else:
-            w = float(np.sum(self.jumps.alpha))
-        return self.lam * w
-
-    def jump_transform(self, s: float) -> float:
-        """lam * E[e^{-s Y}] at s >= 0 for the jump size Y."""
-        if self.lam == 0:
-            return 0.0
-        if self.is_hyperexp:
-            p, eta = self._jump_arrays
-            return float(self.lam * (p @ (eta / (eta + s))))
-        alpha, T, t = self._jump_arrays
-        return float(self.lam * (alpha @ np.linalg.solve(s * np.eye(T.shape[0]) - T, t)))
+        return self.lam * float(self.phase_type.alpha.sum())
 
     def poles(self) -> np.ndarray:
         """Absolute values of the poles of psi (eigenvalue magnitudes of -T)."""
+        return self.phase_type.poles if self.lam != 0 else np.array([])
+
+    def _jump_moment(self, s: np.ndarray, b, power: int) -> np.ndarray:
+        """lam alpha R(s)^power b elementwise in s, with the resolvent
+        R(s) = (sI - T)^{-1}, for b a scalar or of shape (m,); raises
+        PoleEvaluation where s is within tolerance of a pole of psi."""
         if self.lam == 0:
-            return np.array([])
-        if self.is_hyperexp:
-            return np.asarray(self.jumps.eta, dtype=float)
-        return -self.jumps.eigenvalues()
-
-    @cached_property
-    def _pole_guard(self) -> tuple:
-        """The poles of psi and _POLE_REL_TOL times their magnitudes."""
-        poles = np.atleast_1d(self.poles())
-        return poles, _POLE_REL_TOL * np.abs(poles)
-
-    @cached_property
-    def _jump_arrays(self) -> tuple:
-        """(p, eta) for hyperexponential jumps, (alpha, T, t) for phase-type ones."""
-        if self.is_hyperexp:
-            return np.asarray(self.jumps.p), np.asarray(self.jumps.eta)
-        return np.asarray(self.jumps.alpha), np.asarray(self.jumps.T), self.jumps.exit_rates
-
-    def _pole_offsets(self, s: np.ndarray) -> np.ndarray:
-        """s + pole for each pole of psi along a new last axis; raises
-        PoleEvaluation where s is within tolerance of a pole."""
+            return 0.0 * s  # without jumps psi has no poles
+        alpha, T, _, poles, diagonal = self.phase_type
         # scale-free: tolerance follows the pole magnitude so that fitted
         # parameter sets with rates spanning many decades stay evaluable
-        poles, pole_tol = self._pole_guard
         sj = s[..., None]
         off = sj + poles
-        near = np.abs(off) < np.maximum(_POLE_REL_TOL * np.abs(sj), pole_tol)
+        near = np.abs(off) < _POLE_REL_TOL * np.maximum(np.abs(sj), np.abs(poles))
         if near.any():
             k, j = divmod(int(np.flatnonzero(near)[0]), poles.size)
             raise PoleEvaluation(f"s={s.flat[k]} within tolerance of pole -{poles[j]}")
-        return off
+        if diagonal:
+            y = b / off**power  # off = s + eta
+        else:
+            A = sj[..., None] * np.eye(alpha.size) - T
+            y = np.broadcast_to(b, A.shape[:-1])[..., None]
+            for _ in range(power):
+                y = np.linalg.solve(A, y)
+            y = y[..., 0]
+        # a sum along the last axis adds in the same order for every shape of s
+        return self.lam * (y * alpha).sum(-1)
 
-    def _resolvent(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(sI - T)^{-1} b elementwise in s, for b of shape (m,) or s.shape + (m,)."""
-        _, T, _ = self._jump_arrays
-        A = s[..., None, None] * np.eye(T.shape[0]) - T
-        return np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1])[..., None])[..., 0]
+    def jump_transform(self, s):
+        """lam * E[e^{-s Y}] = lam alpha R(s) t for the jump size Y, at a scalar
+        or elementwise on an array."""
+        s = np.asarray(s)
+        return _like(s, self._jump_moment(s, self.phase_type.t, 1))
 
     def laplace_exponent(self, s):
-        """psi(s) at a scalar or elementwise on an array; real input on the
-        domain of analyticity gives real output, a scalar gives a scalar."""
+        """psi(s) = mu s + sigma^2 s^2 / 2 - lam s alpha R(s) 1, at a scalar or
+        elementwise on an array; real input on the domain of analyticity gives
+        real output, a scalar gives a scalar.
+
+        The jump part equals lam (alpha R(s) t - sum(alpha)) through
+        s R(s) 1 = 1 - R(s) t, but does not cancel near s = 0."""
         s = np.asarray(s)
-        off = self._pole_offsets(s)
-        out = s * (self.mu + 0.5 * self.sigma**2 * s)
-        if self.lam != 0 and self.is_hyperexp:
-            p, _ = self._jump_arrays
-            out = out - self.lam * ((s[..., None] / off) @ p)  # off = eta + s
-        elif self.lam != 0:
-            # lam (alpha (sI-T)^{-1} t - 1) through (sI-T)^{-1} t = 1 - s (sI-T)^{-1} 1,
-            # which does not cancel near s = 0; a deficient alpha leaves -lam (1 - sum alpha)
-            alpha, _, _ = self._jump_arrays
-            y = self._resolvent(s, np.ones(alpha.size))
-            out = out - self.lam * (s * (y @ alpha) + (1.0 - alpha.sum()))
-        return _like(s, out)
+        return _like(s, s * (self.mu + 0.5 * self.sigma**2 * s - self._jump_moment(s, 1.0, 1)))
 
     def laplace_exponent_derivative(self, s):
         """psi'(s), analytic form, at a scalar or elementwise on an array (real or complex)."""
@@ -252,19 +259,10 @@ class SnLevyModel:
         return _like(s, self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
 
     def jump_tilted_mean(self, s):
-        """lam * E[Y e^{-s Y}] = mu + sigma^2 s - psi'(s), without cancellation;
-        at a scalar or elementwise on an array (real or complex)."""
+        """lam * E[Y e^{-s Y}] = lam alpha R(s)^2 t = mu + sigma^2 s - psi'(s),
+        without cancellation; at a scalar or elementwise on an array (real or complex)."""
         s = np.asarray(s)
-        off = self._pole_offsets(s)
-        if self.lam == 0:
-            out = 0.0 * s
-        elif self.is_hyperexp:
-            p, eta = self._jump_arrays
-            out = self.lam * np.sum(p * eta / off**2, axis=-1)
-        else:
-            alpha, _, t = self._jump_arrays
-            out = self.lam * (self._resolvent(s, self._resolvent(s, t)) @ alpha)
-        return _like(s, out)
+        return _like(s, self._jump_moment(s, self.phase_type.t, 2))
 
     def jump_density(self, z: float) -> float:
         if self.lam == 0:

@@ -117,8 +117,8 @@ def interlaced_solve(
     over from the drift).  The zeta bracket (-top, 0) of psi(-s) = q and all
     xi brackets go to one ``interlaced_roots`` call, which clears the ends
     that are poles: eta_k, but not -top, 0 or the outer bracket's far end."""
-    if q <= 0:
-        raise DomainError("q must be > 0")
+    if not 0 < q < np.inf:
+        raise DomainError("q must be > 0 and finite")
     top = 1.0
     for _ in range(200):
         if psi(top) > q:
@@ -187,30 +187,28 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     one linearisation of psi(s) = q (Asmussen, Avram and Pistorius 2004).
 
     With u = (sI - T)^{-1} t w, the equation reads s u = T u + t w and
-    lam alpha u + (mu s + sigma^2 s^2/2 - lam - q) w = 0: state (u, w, s w)
-    for sigma > 0 and (u, w) for sigma = 0 give a matrix of size m + 2 or
-    m + 1 whose eigenvalues are the roots.  Each takes one complex Newton step
-    on psi, except a root on an eigenvalue of T: a pole that the jump
-    transform cancels, which warns of a non-minimal representation."""
-    if q <= 0:
-        raise DomainError("q must be > 0")
-    jumps = model.jumps.as_phase_type() if model.is_hyperexp else model.jumps
-    T, alpha, m = np.asarray(jumps.T), np.asarray(jumps.alpha), jumps.m
+    lam alpha u + (mu s + sigma^2 s^2/2 - levy_mass - q) w = 0: state
+    (u, w, s w) for sigma > 0 and (u, w) for sigma = 0 give a matrix of size
+    m + 2 or m + 1 whose eigenvalues are the roots of the model's psi.  Each
+    takes one complex Newton step on psi, except a root on an eigenvalue of
+    T: a pole that the jump transform cancels, which warns of a non-minimal
+    representation."""
+    if not 0 < q < np.inf:
+        raise DomainError("q must be > 0 and finite")
+    alpha, T, t, poles, _ = model.phase_type
+    m = alpha.size
     n = m + 2 if model.case == CASE1 else m + 1
     M = np.zeros((n, n))
-    M[:m, :m], M[:m, m] = T, jumps.exit_rates
-    M[-1, : m + 1] = np.append(-model.lam * alpha, model.lam + q)
+    M[:m, :m], M[:m, m] = T, t
+    M[-1, : m + 1] = np.append(-model.lam * alpha, model.levy_mass + q)
     if model.case == CASE1:
         M[m, m + 1], M[-1, -1] = 1.0, -model.mu
         M[-1] /= 0.5 * model.sigma**2
     else:
         M[-1] /= model.mu
     roots = np.linalg.eigvals(M)
-    ev = jumps.eigenvalues()
-    on_pole = np.any(
-        np.abs(roots[:, None] - ev) < _POLE_REL_TOL * np.maximum(np.abs(roots[:, None]), np.abs(ev)),
-        axis=1,
-    )
+    r = roots[:, None]
+    on_pole = np.any(np.abs(r + poles) < _POLE_REL_TOL * np.maximum(np.abs(r), np.abs(poles)), axis=1)
     if on_pole.any() and model.lam != 0:  # without jumps no eigenvalue of T is a pole
         warnings.warn(
             "PH representation appears non-minimal: root counts may be off",
@@ -230,7 +228,7 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
         q=q,
         zeta=float(roots[~neg].real[0]),
         xi=xi,
-        poles=np.sort(_snap_real(-ev)),
+        poles=np.sort(_snap_real(poles)),
         case=model.case,
     )
 

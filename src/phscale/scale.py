@@ -193,8 +193,8 @@ def assemble(
 
 def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
     """Full pipeline: roots -> partial fractions -> assembled scale function."""
-    if q <= 0:
-        raise DomainError("q must be > 0")
+    if not 0 < q < math.inf:
+        raise DomainError("q must be > 0 and finite")
     decomp = find_roots(model, q)
     wh = partial_fraction_coefficients(decomp)
     zeta = decomp.zeta

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import phscale
-from phscale.cli import build_parser, main
+from phscale.cli import build_parser, identities_report, main
+from phscale.models import PhaseTypeRepr, SnLevyModel
 
 
 def run(capsys, *argv):
@@ -43,6 +44,32 @@ def test_one_parser_per_process(tmp_path):
     assert b"# q=0.05\n" in second
     assert second == (tmp_path / "first.csv").read_bytes()
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    # non-finite model parameters and discount rates
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--sigma", "nan"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--sigma", "inf"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--mu", "nan"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--lam", "nan"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--lam", "inf"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--q", "nan"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:1:3", "--q", "inf"),
+    ("cgmy-limit", "--betas", "1,nan", "--m", "5", "--grid", "0:1:3"),
+    # non-finite positions
+    ("overshoot", "--model", "exp1", "--x", "nan", "--grid", "0.5:2:3"),
+    ("undershoot", "--model", "exp1", "--x", "nan", "--grid", "0.5:2:3"),
+    ("joint", "--model", "exp1", "--x", "nan", "--a-window", "0:1", "--b-window", "0:1"),
+    ("exit-prob", "--model", "exp1", "--x", "inf", "--b", "inf"),
+    ("scale-eval", "--model", "exp1", "--grid", "0:nan:3"),
+    ("mero-bounds", "--m", "5", "--grid", "0:inf:3"),
+    ("simulate", "--model", "exp1", "--mode", "histogram", "--x", "1", "--n-paths", "10",
+     "--bin-width", "nan"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("--model", "exp1")))
+def test_non_finite_input_is_validation_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 class TestExitProb:
@@ -269,6 +296,17 @@ class TestIdentities:
         _, rows = parse_csv(out)
         assert rows, "report should not be empty"
         assert all(r["status"] in ("pass", "info") for r in rows)
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("deficit", (5e-6, -5e-6))
+    def test_weight_deficit_is_levy_mass(self, sigma, deficit):
+        # weights summing to 1 -+ 5e-6, inside the simplex tolerance, are Levy
+        # mass lam * sum(alpha): psi(0) = 0 and every gated identity holds
+        law = PhaseTypeRepr(alpha=(0.7, 0.3 - deficit), T=((-3.0, 1.8), (0.0, -1.5)))
+        model = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=law)
+        assert model.laplace_exponent(0.0) == 0.0
+        report = identities_report(model, 0.05)
+        assert all(ok for _, ok in report.values() if ok is not None), report
 
 
 def test_import_leaves_out_scipy_optimize():

@@ -21,8 +21,6 @@ from phscale.scale import build_scale
 
 from closed_forms import rho
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 Q = 0.05
 INF = math.inf
 

@@ -31,8 +31,6 @@ from phscale.models import (
 )
 from phscale.scale import build_scale
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 Q = 0.05
 
 

@@ -15,6 +15,7 @@ from phscale.errors import (
     SingularGenerator,
 )
 from phscale.models import (
+    BUILTIN_JUMPS,
     CASE1,
     CASE2,
     EXP1,
@@ -79,6 +80,20 @@ class TestValidation:
     def test_missing_field(self):
         with pytest.raises(DomainError):
             validate_model({"drift": 1, "sigma": 1})
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: HyperExpDist(p=(math.nan, 1.0), eta=(1.0, 2.0)), SimplexViolation),
+        (lambda: HyperExpDist(p=(0.5, 0.5), eta=(1.0, math.nan)), NonIncreasingRates),
+        (lambda: HyperExpDist(p=(0.5, 0.5), eta=(1.0, math.inf)), NonIncreasingRates),
+        (lambda: PhaseTypeRepr(alpha=(1.0, 0.0), T=((-1.0, math.nan), (0.0, -2.0))),
+         SingularGenerator),
+        (lambda: SnLevyModel(mu=math.nan, sigma=1.0, lam=5.0, jumps=EXP1), DomainError),
+        (lambda: SnLevyModel(mu=5.0, sigma=math.inf, lam=5.0, jumps=EXP1), DomainError),
+        (lambda: SnLevyModel(mu=5.0, sigma=0.0, lam=math.inf, jumps=EXP1), DomainError),
+    ], ids=("p-nan", "eta-nan", "eta-inf", "T-nan", "mu-nan", "sigma-inf", "lam-inf"))
+    def test_non_finite_parameters_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
 
     def test_fitted_weights_accepted_verbatim(self):
         # the fitted weight vectors sum to 1 only to ~6 decimals
@@ -225,3 +240,16 @@ def test_levy_mass_tracks_weight_deficit():
     m = builtin_model("pareto-fit", sigma=0.0)
     assert m.levy_mass == pytest.approx(5.0 * sum(PARETO_FIT.p), rel=1e-14)
     assert m.levy_mass < 5.0  # the fitted weights sum to slightly less than 1
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_JUMPS))
+def test_hyperexp_is_diagonal_phase_type(name):
+    # one set of jump formulas: a built-in law and its diagonal phase-type
+    # twin give the same psi, psi', transforms and Levy mass, deficit included
+    law = BUILTIN_JUMPS[name]
+    he, ph = (SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=j) for j in (law, law.as_phase_type()))
+    assert ph.levy_mass == pytest.approx(he.levy_mass, rel=1e-14)
+    for s in (-0.5 * law.eta[0], 0.0, 1e-6, 0.3, 2.0, 40.0):
+        for fn in ("laplace_exponent", "laplace_exponent_derivative",
+                   "jump_transform", "jump_tilted_mean"):
+            assert getattr(ph, fn)(s) == pytest.approx(getattr(he, fn)(s), rel=1e-14, abs=0)

@@ -12,8 +12,6 @@ from phscale.scale import boundary_identities, build_scale
 
 from closed_forms import ExpPolySum, loop_scale
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 Q = 0.05
 
 
