@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -70,6 +70,11 @@ class HyperExpDist:
         """Equivalent PH representation with diagonal generator."""
         return PhaseTypeRepr(alpha=self.p, T=tuple(map(tuple, -np.diag(self.eta))))
 
+    def phase_type_arrays(self) -> "PhaseTypeArrays":
+        """alpha = p, T = -diag(eta), t = eta and the poles eta."""
+        p, eta = np.array(self.p), np.array(self.eta)
+        return PhaseTypeArrays(p, -np.diag(eta), eta, eta, True)
+
 
 @dataclass(frozen=True)
 class PhaseTypeRepr:
@@ -107,8 +112,12 @@ class PhaseTypeRepr:
     def exit_rates(self) -> np.ndarray:
         return -np.asarray(self.T).sum(axis=1)
 
-    def as_phase_type(self) -> "PhaseTypeRepr":
-        return self
+    def phase_type_arrays(self) -> "PhaseTypeArrays":
+        """alpha, T, t and the poles: -diag(T) for a diagonal T, else -eig(T)."""
+        alpha, T = np.array(self.alpha), np.array(self.T)
+        diagonal = np.count_nonzero(T) == alpha.size  # the diagonal of T has no zero
+        poles = -np.diag(T) if diagonal else -np.linalg.eigvals(T)
+        return PhaseTypeArrays(alpha, T, -T.sum(axis=1), poles, bool(diagonal))
 
     def density(self, z: float) -> float:
         from scipy.linalg import expm  # SciPy loads on first use only
@@ -128,27 +137,15 @@ JumpDist = Union[HyperExpDist, PhaseTypeRepr]
 
 
 class PhaseTypeArrays(NamedTuple):
-    """A jump law as read-only phase-type arrays: alpha, T, the exit rates
-    t = -T 1, the eigenvalue magnitudes of -T (eta, as given, where
-    T = -diag(eta)) and whether T is diagonal."""
+    """A jump law as phase-type arrays: alpha, T, the exit rates t = -T 1,
+    the eigenvalue magnitudes of -T (eta, as given, where T = -diag(eta))
+    and whether T is diagonal."""
 
     alpha: np.ndarray
     T: np.ndarray
     t: np.ndarray
     poles: np.ndarray
     diagonal: bool
-
-
-@lru_cache(maxsize=128)
-def _phase_type_arrays(jumps: JumpDist) -> PhaseTypeArrays:
-    """The arrays of a validated jump law, built once per law."""
-    ph = jumps.as_phase_type()
-    alpha, T, t = np.asarray(ph.alpha), np.asarray(ph.T), ph.exit_rates
-    diagonal = np.count_nonzero(T) == alpha.size  # the diagonal of T has no zero
-    poles = -np.diag(T) if diagonal else -np.linalg.eigvals(T)
-    for a in (alpha, T, t, poles):
-        a.flags.writeable = False
-    return PhaseTypeArrays(alpha, T, t, poles, bool(diagonal))
 
 
 def _like(s: np.ndarray, out: np.ndarray):
@@ -196,7 +193,7 @@ class SnLevyModel:
     @cached_property
     def phase_type(self) -> PhaseTypeArrays:
         """The jump law as phase-type arrays; hyperexponential jumps have T = -diag(eta)."""
-        return _phase_type_arrays(self.jumps)
+        return self.jumps.phase_type_arrays()
 
     @property
     def levy_mass(self) -> float:
