@@ -316,7 +316,7 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     target = 1.0 / (model.laplace_exponent(s) - q)
     lt_err = float(np.max(np.abs(sf.laplace_transform_w(s) - target) / np.abs(target)))
     out["laplace_transform"] = (lt_err, lt_err < 1e-8)
-    if model.is_hyperexp:
+    if model.phase_type.diagonal:
         out["conjecture_max_residual"] = (max(conjecture_residuals(sf)), None)
     return out
 

@@ -1,9 +1,11 @@
 """Exit identities and overshoot/undershoot laws at the first down-crossing.
 
 Two-sided exit works for any assembled scale function.  The joint
-overshoot/undershoot closed forms require hyperexponential jumps (distinct
-real roots); infinite window endpoints are supported via ``math.inf`` with
-``exp(-c * inf) = 0`` for c > 0.
+overshoot/undershoot closed forms require a diagonal jump generator
+T = -diag(eta), that is hyperexponential jumps (distinct real roots); they
+are evaluated for all phases at once as rates x roots arrays.  Infinite
+window endpoints are supported via ``math.inf`` with ``exp(-c * inf) = 0``
+for c > 0.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExponentAtPole, UnsupportedRegime
-from .models import HyperExpDist
+from .errors import DomainError, UnsupportedRegime
 from .scale import ScaleFunction
 from .wiener_hopf import exp_sum, like, points
 
@@ -32,15 +33,6 @@ class IntervalPair:
             raise DomainError("need 0 <= a_lo <= a_hi")
         if not (0 <= self.b_lo <= self.b_hi):
             raise DomainError("need 0 <= b_lo <= b_hi")
-
-
-def _edecay(c: float, x: float) -> float:
-    """exp(-c * x) with the convention exp(-c * inf) = 0 for c > 0."""
-    if math.isinf(x):
-        if c > 0:
-            return 0.0
-        raise ExponentAtPole("exp(-c*inf) with c <= 0")
-    return math.exp(-c * x)
 
 
 def up_exit(sf: ScaleFunction, x: float, b: float) -> float:
@@ -88,51 +80,48 @@ def down_exit_unbounded(sf: ScaleFunction, x):
     return like(x, vals)
 
 
-def _require_hyperexp(sf: ScaleFunction) -> HyperExpDist:
-    """The jump law; hyperexponential jumps give interlaced, hence real, roots."""
+def _phases(sf: ScaleFunction):
+    """(lam alpha, eta) of a diagonal jump generator T = -diag(eta): the
+    hyperexponential weights and rates, which give interlaced, hence real, roots."""
     model = sf.model
-    if model is None or not isinstance(model.jumps, HyperExpDist):
-        raise UnsupportedRegime("closed-form overshoot laws need hyperexponential jumps")
-    return model.jumps
+    if model is None or not model.phase_type.diagonal:
+        raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")
+    return model.lam * model.phase_type.alpha, model.phase_type.poles
 
 
-def _kappa(sf: ScaleFunction, eta_j: float, x: float, b_lo: float, b_hi: float) -> float:
-    """kappa_{j,q}(x; B) for the mixture component of rate eta_j, summed over
-    the roots as arrays."""
+def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: float) -> np.ndarray:
+    """kappa_{j,q}(x; B) for every mixture rate eta_j at once, as one
+    rates x roots expression summed over the roots."""
     zeta, xi = sf.zeta, sf.xi
-    c = eta_j + zeta
+    c = eta + zeta
     # e^{zeta x} folded into the decays: each exponent is <= -eta_j x, and
     # exp(-inf) = 0 covers an infinite window end
     out = (
-        math.exp(zeta * x - c * max(b_lo, x)) - math.exp(zeta * x - c * max(b_hi, x))
+        np.exp(zeta * x - c * max(b_lo, x)) - np.exp(zeta * x - c * max(b_hi, x))
     ) / (sf.psi_prime_zeta * c)
-    d = eta_j - xi
+    eta, c = eta[:, None], c[:, None]  # rates x roots from here on
+    d = eta - xi
     bl, bh = min(b_lo, x), min(b_hi, x)
     # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
-    start = np.exp(-xi * (x - bl) - eta_j * bl)
-    end = np.exp(-xi * (x - bh) - eta_j * bh)
+    start = np.exp(-xi * (x - bl) - eta * bl)
+    end = np.exp(-xi * (x - bh) - eta * bh)
     # (start - end) / d, through expm1 where d (bh - bl) is small (or d = 0)
     dw = d * (bh - bl)
     small = np.abs(dw) < 0.5
     d1 = np.where(d == 0.0, 1.0, d)
     ratio = np.where(d == 0.0, bh - bl, -np.expm1(-np.where(small, dw, 0.0)) / d1)
     first = np.where(small, start * ratio, (start - end) / d1)
-    second = np.exp(-xi * x) * (_edecay(c, b_lo) - _edecay(c, b_hi)) / c
-    return out + float(sf.C @ (first - second))
+    second = np.exp(-xi * x) * (np.exp(-c * b_lo) - np.exp(-c * b_hi)) / c
+    return out + (first - second) @ sf.C
 
 
 def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) -> float:
     """Discounted joint law of (undershoot in B, overshoot magnitude window A)."""
     if not 0 < x < math.inf:
         raise DomainError("x must be > 0 and finite")
-    jumps = _require_hyperexp(sf)
-    lam = sf.model.lam
-    total = 0.0
-    for pj, ej in zip(jumps.p, jumps.eta):
-        window = _edecay(ej, pair.a_lo) - _edecay(ej, pair.a_hi)
-        if window != 0.0:
-            total += lam * pj * window * _kappa(sf, ej, x, pair.b_lo, pair.b_hi)
-    return total
+    lam_alpha, eta = _phases(sf)
+    window = np.exp(-eta * pair.a_lo) - np.exp(-eta * pair.a_hi)
+    return float(lam_alpha * window @ _kappa(sf, eta, x, pair.b_lo, pair.b_hi))
 
 
 def overshoot_density(sf: ScaleFunction, x: float, a):
@@ -141,10 +130,9 @@ def overshoot_density(sf: ScaleFunction, x: float, a):
     a_s = points(a)
     if not (0 < x < math.inf and np.all(a_s > 0)):
         raise DomainError("need a > 0 and 0 < x < inf")
-    jumps = _require_hyperexp(sf)
-    eta = np.asarray(jumps.eta)
-    kappa = np.array([_kappa(sf, ej, x, 0.0, math.inf) for ej in jumps.eta])
-    return like(a, exp_sum(eta, sf.model.lam * np.asarray(jumps.p) * eta * kappa, a_s))
+    lam_alpha, eta = _phases(sf)
+    kappa = _kappa(sf, eta, x, 0.0, math.inf)
+    return like(a, exp_sum(eta, lam_alpha * eta * kappa, a_s))
 
 
 def undershoot_density(sf: ScaleFunction, x: float, b):
@@ -157,9 +145,9 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     bs = points(b)
     if not (0 < x < math.inf and np.all(bs > 0)):
         raise DomainError("need b > 0 and 0 < x < inf")
-    jumps = _require_hyperexp(sf)
+    lam_alpha, eta = _phases(sf)
     zeta, xi, C = sf.zeta, sf.xi, sf.C
-    eta = np.asarray(jumps.eta)[:, None]  # (rates, 1) against the roots
+    eta = eta[:, None]  # (rates, 1) against the roots
     c = eta + zeta
     # each branch at its own side of x, so that neither overflows:
     # positions x (rates) x roots for b < x, positions x rates for b >= x
@@ -168,14 +156,13 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     below = (np.exp(-xi * (x - lo) - eta * lo) - np.exp(-xi * x - c * lo)) @ C
     above = (np.exp(zeta * x - c[:, 0] * hi) / sf.psi_prime_zeta
              - np.exp(-(xi * x + c * hi[..., None])) @ C)
-    lam_p = sf.model.lam * np.asarray(jumps.p)
-    return like(b, np.where(bs < x, below @ lam_p, above @ lam_p))
+    return like(b, np.where(bs < x, below @ lam_alpha, above @ lam_alpha))
 
 
 def conjecture_residuals(sf: ScaleFunction) -> list:
     """Per-rate residual of the conjectured identity
     1/(psi'(zeta)(eta_j+zeta)) = sum_i C_i/(eta_j - xi_i); informational only."""
-    eta = np.asarray(_require_hyperexp(sf).eta)
+    eta = _phases(sf)[1]
     lhs = 1.0 / (sf.psi_prime_zeta * (eta + sf.zeta))
     rhs = (1.0 / np.subtract.outer(eta, sf.xi)) @ sf.C
     return (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).tolist()

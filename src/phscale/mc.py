@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .models import HyperExpDist, PhaseTypeRepr, SnLevyModel
+from .models import PhaseTypeArrays, SnLevyModel
 
 _HORIZON_EPS = 1e-8
 _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} are dropped
@@ -87,43 +87,38 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _jump_sampler(jumps):
-    """sample(rng, n) -> n i.i.d. jump sizes; its tables are built once, here."""
-    if isinstance(jumps, HyperExpDist):
-        p = np.asarray(jumps.p)
-        cdf, scale = _choice_cdf(p / p.sum()), 1.0 / np.asarray(jumps.eta)
-        return lambda rng, n: rng.exponential(scale[cdf.searchsorted(rng.random(n), side="right")])
-    if isinstance(jumps, PhaseTypeRepr):
-        T = np.asarray(jumps.T)
-        m = T.shape[0]
-        total, t = -np.diag(T), jumps.exit_rates
-        # cumulative transition probabilities out of each state (to states, then absorb)
-        probs = np.zeros((m, m + 1))
-        for i in range(m):
-            probs[i, :m] = T[i] / total[i]
-            probs[i, i] = 0.0
-            probs[i, m] = t[i] / total[i]
-        cum = np.cumsum(probs, axis=1)
-        start = _choice_cdf(np.asarray(jumps.alpha))
+def _jump_sampler(ph: PhaseTypeArrays):
+    """sample(rng, n) -> n i.i.d. jump sizes of the phase-type law (alpha, T, t);
+    its tables are built once, here."""
+    alpha, T, t, _, diagonal = ph
+    start = _choice_cdf(alpha / alpha.sum())
+    if diagonal:  # one exponential of rate t_j = eta_j in the drawn phase
+        scale = 1.0 / t
+        return lambda rng, n: rng.exponential(scale[start.searchsorted(rng.random(n), side="right")])
+    m = alpha.size
+    total = -np.diag(T)
+    # cumulative transition probabilities out of each state (to states, then absorb)
+    probs = np.column_stack((T, t)) / total[:, None]
+    probs[np.arange(m), np.arange(m)] = 0.0
+    cum = np.cumsum(probs, axis=1)
 
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            # CTMC absorption time, vectorized over the surviving samples
-            state = start.searchsorted(rng.random(n), side="right")
-            time = np.zeros(n)
-            alive = np.ones(n, dtype=bool)
-            while alive.any():
-                idx = np.flatnonzero(alive)
-                s = state[idx]
-                time[idx] += rng.exponential(1.0 / total[s])
-                u = rng.random(len(idx))
-                nxt = (u[:, None] > cum[s]).sum(axis=1)
-                absorbed = nxt == m
-                alive[idx[absorbed]] = False
-                state[idx[~absorbed]] = nxt[~absorbed]
-            return time
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        # CTMC absorption time, vectorized over the surviving samples
+        state = start.searchsorted(rng.random(n), side="right")
+        time = np.zeros(n)
+        alive = np.ones(n, dtype=bool)
+        while alive.any():
+            idx = np.flatnonzero(alive)
+            s = state[idx]
+            time[idx] += rng.exponential(1.0 / total[s])
+            u = rng.random(len(idx))
+            nxt = (u[:, None] > cum[s]).sum(axis=1)
+            absorbed = nxt == m
+            alive[idx[absorbed]] = False
+            state[idx[~absorbed]] = nxt[~absorbed]
+        return time
 
-        return sample
-    raise DomainError("unknown jump distribution type")
+    return sample
 
 
 def _scheme(model: SnLevyModel, q: float, n_paths: int, substeps: Optional[int]) -> str:
@@ -198,7 +193,7 @@ def _bridge_batch(
         return up, down, over, under
     idx = np.arange(n)
     pos = np.full(n, float(x))
-    sample_jumps = _jump_sampler(model.jumps)
+    sample_jumps = _jump_sampler(model.phase_type)
     while idx.size:
         k = idx.size
         T = rng.exponential(1.0 / rate, size=k)
@@ -253,7 +248,7 @@ def _run_batch(
     over = np.full(n, np.nan)
     under = np.full(n, np.nan)
     mu, sigma, lam = model.mu, model.sigma, model.lam
-    sample_jumps = _jump_sampler(model.jumps)
+    sample_jumps = _jump_sampler(model.phase_type)
 
     # immediate exits at the start position
     if b is not None:
@@ -316,28 +311,34 @@ def _run_batch(
                 survivors = np.arange(k)
             pos[idx[survivors]] += mu * T[survivors]
 
-        if lam > 0:
-            live = idx[survivors]
-            t[live] += T[survivors]
-            if len(live):
-                z = sample_jumps(rng, len(live))
-                before = pos[live]
-                after = before - z
-                crossed = after < 0.0
-                gdn = live[crossed]
-                down[gdn] = np.exp(-q * t[gdn])
-                if collect_crossing:
-                    over[gdn] = -after[crossed]
-                    under[gdn] = before[crossed]
-                active[gdn] = False
-                pos[live[~crossed]] = after[~crossed]
-        else:
-            live = idx[survivors]
-            t[live] += T[survivors]
+        live = idx[survivors]
+        t[live] += T[survivors]
+        if lam > 0 and len(live):
+            z = sample_jumps(rng, len(live))
+            before = pos[live]
+            after = before - z
+            crossed = after < 0.0
+            gdn = live[crossed]
+            down[gdn] = np.exp(-q * t[gdn])
+            if collect_crossing:
+                over[gdn] = -after[crossed]
+                under[gdn] = before[crossed]
+            active[gdn] = False
+            pos[live[~crossed]] = after[~crossed]
 
         expired = active & (t > t_max)
         active &= ~expired
     return up, down, over, under
+
+
+def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths: int,
+             seed: int, collect_crossing: bool, substeps: Optional[int]):
+    """The ``_run_batch`` results for n_paths paths in batches of ``_BATCH``,
+    batch k on its own stream ``default_rng([seed, k])``."""
+    for k, done in enumerate(range(0, n_paths, _BATCH)):
+        rng = np.random.default_rng([seed, k])
+        yield _run_batch(model, q, x, b, min(_BATCH, n_paths - done), rng,
+                         collect_crossing, substeps)
 
 
 def simulate_two_sided_exit(
@@ -358,19 +359,11 @@ def simulate_two_sided_exit(
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
     su = su2 = sd = sd2 = 0.0
-    done = 0
-    batch_idx = 0
-    while done < n_paths:
-        n = min(_BATCH, n_paths - done)
-        rng = np.random.default_rng([seed, batch_idx])
-        u, d, _, _ = _run_batch(model, q, x, b, n, rng, collect_crossing=False,
-                                substeps=substeps)
+    for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, False, substeps):
         su += u.sum()
         su2 += (u**2).sum()
         sd += d.sum()
         sd2 += (d**2).sum()
-        done += n
-        batch_idx += 1
     return (
         SimulationEstimate.from_sums(su, su2, n_paths, seed, scheme),
         SimulationEstimate.from_sums(sd, sd2, n_paths, seed, scheme),
@@ -407,20 +400,12 @@ def simulate_overshoot_undershoot(
     sq_a = np.zeros_like(sums_a)
     sums_b = np.zeros(len(edges_b) - 1)
     sq_b = np.zeros_like(sums_b)
-    done = 0
-    batch_idx = 0
-    while done < n_paths:
-        n = min(_BATCH, n_paths - done)
-        rng = np.random.default_rng([seed, batch_idx])
-        _, d, over, under = _run_batch(model, q, x, None, n, rng, collect_crossing=True,
-                                       substeps=substeps)
+    for _, d, over, under in _batches(model, q, x, None, n_paths, seed, True, substeps):
         mask = d > 0
         sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
         sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]
         sums_b += np.histogram(under[mask], bins=edges_b, weights=d[mask])[0]
         sq_b += np.histogram(under[mask], bins=edges_b, weights=d[mask] ** 2)[0]
-        done += n
-        batch_idx += 1
 
     def finish(s, s2, edges):
         mean = s / n_paths

@@ -200,7 +200,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
 
 def _grid(x) -> np.ndarray:
     xs = points(x)
-    if np.any(xs < 0):
+    if not np.all(xs >= 0):
         raise DomainError("x must be >= 0")
     return xs
 

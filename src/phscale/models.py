@@ -108,10 +108,6 @@ class PhaseTypeRepr:
     def m(self) -> int:
         return len(self.alpha)
 
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return -np.asarray(self.T).sum(axis=1)
-
     def phase_type_arrays(self) -> "PhaseTypeArrays":
         """alpha, T, t and the poles: -diag(T) for a diagonal T, else -eig(T)."""
         alpha, T = np.array(self.alpha), np.array(self.T)
@@ -125,7 +121,7 @@ class PhaseTypeRepr:
         if z < 0:
             return 0.0
         T = np.asarray(self.T)
-        return float(np.asarray(self.alpha) @ expm(T * z) @ self.exit_rates)
+        return float(np.asarray(self.alpha) @ expm(T * z) @ -T.sum(axis=1))
 
     def mean(self) -> float:
         T = np.asarray(self.T)
@@ -172,6 +168,8 @@ class SnLevyModel:
     case: str = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.jumps, (HyperExpDist, PhaseTypeRepr)):
+            raise DomainError("jumps must be a HyperExpDist or a PhaseTypeRepr")
         if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.lam)):
             raise DomainError("mu, sigma and lam must be finite")
         if self.sigma < 0:

@@ -15,12 +15,21 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from phscale.errors import ExponentAtPole, RepeatedRootsDetected
-from phscale.fluctuation import IntervalPair, _edecay
+from phscale.fluctuation import IntervalPair
 from phscale.models import HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition
 from phscale.wiener_hopf import WhCoefficients, _atom_mass
 
 _IMAG_TOL = 1e-10
+
+
+def _edecay(c: float, x: float) -> float:
+    """exp(-c * x) with the convention exp(-c * inf) = 0 for c > 0."""
+    if math.isinf(x):
+        if c > 0:
+            return 0.0
+        raise ExponentAtPole("exp(-c*inf) with c <= 0")
+    return math.exp(-c * x)
 
 
 def _window(d: float, lo: float, hi: float) -> float:

@@ -16,7 +16,13 @@ from phscale.fluctuation import (
     undershoot_density,
     up_exit,
 )
-from phscale.models import PhaseTypeRepr, SnLevyModel, WEIBULL_FIT, builtin_model
+from phscale.models import (
+    BUILTIN_JUMPS,
+    PhaseTypeRepr,
+    SnLevyModel,
+    WEIBULL_FIT,
+    builtin_model,
+)
 from phscale.scale import build_scale
 
 from closed_forms import rho
@@ -219,6 +225,26 @@ class TestJoint:
         sf = build_scale(m, Q)
         with pytest.raises(UnsupportedRegime):
             joint_overshoot_undershoot(sf, 2.0, IntervalPair(0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+@pytest.mark.parametrize("name", ("exp1", "weibull-fit"))
+def test_diagonal_twin_matches_hyperexp(scales, name, sigma):
+    # the laws read (lam alpha, eta) from the phase-type arrays, so a diagonal
+    # PhaseTypeRepr gives them too; its roots come from the eigenvalue path
+    # (pareto-fit's agree with the bracket roots only to about 2e-9)
+    he = scales[(name, sigma)]
+    jumps = BUILTIN_JUMPS[name].as_phase_type()
+    twin = build_scale(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps), Q)
+    grid = np.linspace(0.1, 8.0, 40)
+    for fn in (overshoot_density, undershoot_density):
+        np.testing.assert_allclose(fn(twin, 5.0, grid), fn(he, 5.0, grid), rtol=1e-12, atol=0)
+    for pair in (IntervalPair(0.5, 2.0, 1.0, 6.0), IntervalPair(0.0, INF, 0.0, INF)):
+        assert joint_overshoot_undershoot(twin, 3.0, pair) == pytest.approx(
+            joint_overshoot_undershoot(he, 3.0, pair), rel=1e-12, abs=0)
+    # the residuals are relative already: both sides agree to 1e-12
+    np.testing.assert_allclose(conjecture_residuals(twin), conjecture_residuals(he),
+                               rtol=0, atol=1e-12)
 
 
 class TestDensities:

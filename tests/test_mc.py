@@ -274,35 +274,37 @@ class TestHistograms:
         assert np.array_equal(a[1].density, b[1].density)
 
     def test_ph_jump_sampling(self):
-        # phase-type sampler: same law as the hyperexponential one
+        # the diagonal phase-type twin reaches the sampler as the same arrays,
+        # so it draws the same jumps from the same stream
         m_he = builtin_model("exp1", sigma=0.0)
         m_ph = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1.as_phase_type())
         a, _ = simulate_two_sided_exit(m_he, Q, 2.0, 5.0, 50_000, seed=9)
         b, _ = simulate_two_sided_exit(m_ph, Q, 2.0, 5.0, 50_000, seed=9)
-        assert abs(a.value - b.value) < 3 * math.hypot(a.stderr, b.stderr)
+        assert a == b
 
 
-def choice_sample_jumps(jumps, rng, n):
-    """Jump sizes with the components drawn by ``rng.choice``: the reference
-    for the sampler, which draws them by ``searchsorted`` on a cached cdf."""
-    if isinstance(jumps, PhaseTypeRepr):
-        T = np.asarray(jumps.T)
-        m, total = T.shape[0], -np.diag(T)
-        probs = np.column_stack((T / total[:, None], jumps.exit_rates / total))
-        probs[np.arange(m), np.arange(m)] = 0.0
-        state = rng.choice(m, size=n, p=np.asarray(jumps.alpha))
-        time = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        while alive.any():
-            idx = np.flatnonzero(alive)
-            s = state[idx]
-            time[idx] += rng.exponential(1.0 / total[s])
-            nxt = (rng.random(len(idx))[:, None] > np.cumsum(probs[s], axis=1)).sum(axis=1)
-            alive[idx[nxt == m]] = False
-            state[idx[nxt < m]] = nxt[nxt < m]
-        return time
-    p = np.asarray(jumps.p)
-    return rng.exponential(1.0 / np.asarray(jumps.eta)[rng.choice(len(p), size=n, p=p / p.sum())])
+def choice_sample_jumps(ph, rng, n):
+    """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
+    ``rng.choice``: the reference for the sampler, which draws them by
+    ``searchsorted`` on a cached cdf."""
+    alpha, T = ph.alpha, ph.T
+    m = alpha.size
+    state = rng.choice(m, size=n, p=alpha / alpha.sum())
+    if ph.diagonal:
+        return rng.exponential(1.0 / -np.diag(T)[state])
+    total = -np.diag(T)
+    probs = np.column_stack((T / total[:, None], -T.sum(1) / total))
+    probs[np.arange(m), np.arange(m)] = 0.0
+    time = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        s = state[idx]
+        time[idx] += rng.exponential(1.0 / total[s])
+        nxt = (rng.random(len(idx))[:, None] > np.cumsum(probs[s], axis=1)).sum(axis=1)
+        alive[idx[nxt == m]] = False
+        state[idx[nxt < m]] = nxt[nxt < m]
+    return time
 
 
 COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
@@ -314,10 +316,11 @@ COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
 @pytest.mark.parametrize("seed", (0, 7, 2024))
 def test_sampler_matches_rng_choice(jumps, seed):
     # the same draws bit for bit, so the random stream is as with rng.choice
-    sample = _jump_sampler(jumps)
+    ph = jumps.phase_type_arrays()
+    sample = _jump_sampler(ph)
     new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (1, 17, 5000):
-        assert np.array_equal(sample(new, n), choice_sample_jumps(jumps, ref, n))
+        assert np.array_equal(sample(new, n), choice_sample_jumps(ph, ref, n))
     assert new.random() == ref.random()
 
 

@@ -77,6 +77,10 @@ class TestValidation:
                 {"drift": 1, "sigma": 1, "lambda": 1, "jump": {"type": "gamma"}}
             )
 
+    def test_unknown_jump_law_rejected(self):
+        with pytest.raises(DomainError):
+            SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps={"p": [1.0], "eta": [1.0]})
+
     def test_missing_field(self):
         with pytest.raises(DomainError):
             validate_model({"drift": 1, "sigma": 1})

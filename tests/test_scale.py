@@ -7,6 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from phscale.errors import DomainError, RepeatedRootsDetected
+from phscale.meromorphic import (
+    BETA_BENCHMARK,
+    BETA_BENCHMARK_Q,
+    truncated_coefficients,
+    w_bounds,
+    w_prime_bounds,
+    z_bounds,
+)
 from phscale.models import EXP1, HyperExpDist, PhaseTypeRepr, SnLevyModel, builtin_model
 from phscale.scale import boundary_identities, build_scale
 
@@ -287,6 +295,23 @@ class TestArrayEvaluation:
                               ("laplace_transform_w", sf.zeta + xs)):
                 with pytest.raises(DomainError):
                     getattr(sf, name)(pts)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda sf, tm, x: sf.w(x),
+        lambda sf, tm, x: sf.w_tilted(x),
+        lambda sf, tm, x: sf.log_w(x),
+        lambda sf, tm, x: sf.w_prime(x),
+        lambda sf, tm, x: sf.z(x),
+        lambda sf, tm, x: sf.laplace_transform_w(sf.zeta + 1.0 + x),
+        lambda sf, tm, x: w_bounds(tm, x),
+        lambda sf, tm, x: z_bounds(tm, x),
+        lambda sf, tm, x: w_prime_bounds(tm, x),
+    ], ids=("w", "w_tilted", "log_w", "w_prime", "z", "laplace_transform_w",
+            "w_bounds", "z_bounds", "w_prime_bounds"))
+    def test_nan_point_raises(self, scales, evaluate):
+        tm = truncated_coefficients(BETA_BENCHMARK, BETA_BENCHMARK_Q, 10)
+        with pytest.raises(DomainError):
+            evaluate(scales[("exp1", 1.0)], tm, np.array([math.nan, 1.0]))
 
     def test_overflow_guard_on_arrays(self, scales):
         sf = scales[("exp1", 1.0)]
