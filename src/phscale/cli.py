@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,42 +70,26 @@ def _resolve_model(args) -> SnLevyModel:
     return load_model_file(name)
 
 
-def _emit(args, columns: Sequence[str], rows: List[Sequence], meta: dict) -> None:
+def _emit(args, table: dict, meta: dict) -> None:
+    """Write ``table``, {column name: array or list} with equal lengths, and
+    its metadata as one document, formatted in full before the output opens.
+    A CSV float field is printed to 12 significant digits, any other field
+    by ``str``; JSON carries the same Python values."""
     meta = {"version": __version__, **meta}
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if args.format == "json":
-            json.dump(
-                {
-                    "config": meta,
-                    "columns": list(columns),
-                    "rows": [list(map(_jsonable, r)) for r in rows],
-                },
-                out,
-                indent=2,
-            )
-            out.write("\n")
-        else:
-            for k, v in meta.items():
-                out.write(f"# {k}={v}\n")
-            out.write(",".join(columns) + "\n")
-            for r in rows:
-                out.write(",".join(_fmt(v) for v in r) + "\n")
-    finally:
-        if args.output:
-            out.close()
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return f"{float(v):.12g}"
-    return str(v)
+    arrays = [np.asarray(col) for col in table.values()]
+    rows = list(zip(*(a.tolist() for a in arrays)))
+    if args.format == "json":
+        text = json.dumps({"config": meta, "columns": list(table), "rows": rows},
+                          indent=2) + "\n"
+    else:
+        header = "".join(f"# {k}={v}\n" for k, v in meta.items()) + ",".join(table) + "\n"
+        template = ",".join("%.12g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+        text = header + "".join(map(template.__mod__, rows))
+    if args.output:
+        with open(args.output, "w") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
@@ -192,7 +176,7 @@ def _cmd_scale_eval(args) -> None:
     grid = _parse_grid(args.grid)
     wp = np.full(grid.size, sf.wp0)  # the x -> 0+ limit at x <= 0
     wp[grid > 0] = sf.w_prime(grid[grid > 0])
-    _emit(args, ("x", "w", "w_prime", "z"), list(zip(grid, sf.w(grid), wp, sf.z(grid))),
+    _emit(args, {"x": grid, "w": sf.w(grid), "w_prime": wp, "z": sf.z(grid)},
           {"command": "scale-eval", "model": args.model, "q": args.q,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -202,7 +186,7 @@ def _cmd_exit_prob(args) -> None:
     sf = build_scale(model, args.q)
     u = up_exit(sf, args.x, args.b)
     d = down_exit(sf, args.x, args.b)
-    _emit(args, ("x", "b", "up_exit", "down_exit"), [(args.x, args.b, u, d)],
+    _emit(args, {"x": [args.x], "b": [args.b], "up_exit": [u], "down_exit": [d]},
           {"command": "exit-prob", "model": args.model, "q": args.q,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -213,7 +197,7 @@ def _cmd_density(args, kind: str) -> None:
     fn = overshoot_density if kind == "overshoot" else undershoot_density
     grid = _parse_grid(args.grid)
     grid = grid[grid > 0]
-    _emit(args, ("level", "density"), list(zip(grid, fn(sf, args.x, grid))),
+    _emit(args, {"level": grid, "density": fn(sf, args.x, grid)},
           {"command": kind, "model": args.model, "q": args.q, "x": args.x,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -224,8 +208,8 @@ def _cmd_joint(args) -> None:
     a_lo, a_hi = _parse_window(args.a_window)
     b_lo, b_hi = _parse_window(args.b_window)
     val = joint_overshoot_undershoot(sf, args.x, IntervalPair(a_lo, a_hi, b_lo, b_hi))
-    _emit(args, ("a_lo", "a_hi", "b_lo", "b_hi", "value"),
-          [(a_lo, a_hi, b_lo, b_hi, val)],
+    _emit(args, {"a_lo": [a_lo], "a_hi": [a_hi], "b_lo": [b_lo], "b_hi": [b_hi],
+                 "value": [val]},
           {"command": "joint", "model": args.model, "q": args.q, "x": args.x})
 
 
@@ -237,9 +221,8 @@ def _cmd_mero_bounds(args) -> None:
     pos = grid > 0
     wp = np.full((2, grid.size), np.nan)  # W' bounds exist for x > 0 only
     wp[:, pos] = w_prime_bounds(tm, grid[pos])
-    rows = list(zip(grid, *w_bounds(tm, grid), *z_bounds(tm, grid), *wp))
-    _emit(args, ("x", "w_lower", "w_upper", "z_lower", "z_upper",
-                 "wp_lower", "wp_upper"), rows,
+    names = ("x", "w_lower", "w_upper", "z_lower", "z_upper", "wp_lower", "wp_upper")
+    _emit(args, dict(zip(names, (grid, *w_bounds(tm, grid), *z_bounds(tm, grid), *wp))),
           {"command": "mero-bounds", "model": args.model, "q": args.q,
            "m": args.m, "delta_m": tm.delta})
 
@@ -253,11 +236,11 @@ def _cmd_cgmy(args) -> None:
     study = cgmy_limit_study(BETA_BENCHMARK, args.tilde_alpha, args.tilde_c,
                              betas, args.q, args.m, grid)
     curves = study["curves"]
-    rows = [(beta, *r) for beta in betas
-            for r in zip(grid, curves[beta]["lower"], curves[beta]["upper"])]
     diag = {f"sup_diff_{d['beta_pair'][0]}_{d['beta_pair'][1]}": d["upper_sup_diff"]
             for d in study["sup_diffs"]}
-    _emit(args, ("beta", "x", "lower", "upper"), rows,
+    _emit(args, {"beta": np.repeat(betas, grid.size), "x": np.tile(grid, len(betas)),
+                 "lower": np.concatenate([curves[b]["lower"] for b in betas]),
+                 "upper": np.concatenate([curves[b]["upper"] for b in betas])},
           {"command": "cgmy-limit", "q": args.q, "m": args.m,
            "tilde_alpha": args.tilde_alpha, "tilde_c": args.tilde_c, **diag})
 
@@ -272,28 +255,28 @@ def _cmd_simulate(args) -> None:
             raise DomainError("--b is required for exit simulation")
         u, d = simulate_two_sided_exit(model, args.q, args.x, args.b,
                                        args.n_paths, args.seed)
-        rows = [("up", u.value, u.stderr, u.ci95[0], u.ci95[1]),
-                ("down", d.value, d.stderr, d.ci95[0], d.ci95[1])]
-        _emit(args, ("kind", "value", "stderr", "ci_low", "ci_high"), rows,
+        _emit(args, {"kind": ["up", "down"], "value": [u.value, d.value],
+                     "stderr": [u.stderr, d.stderr], "ci_low": [u.ci95[0], d.ci95[0]],
+                     "ci_high": [u.ci95[1], d.ci95[1]]},
               {**meta, "b": args.b, "scheme": u.scheme})
     else:
         oh, uh = simulate_overshoot_undershoot(model, args.q, args.x,
                                                args.bin_width, args.n_paths,
                                                args.seed)
-        rows = []
-        for tag, h in (("overshoot", oh), ("undershoot", uh)):
-            for c, v, se in zip(h.centers, h.density, h.stderr):
-                rows.append((tag, c, v, se))
-        _emit(args, ("kind", "bin_center", "density", "stderr"), rows,
+        sizes = [oh.centers.size, uh.centers.size]
+        _emit(args, {"kind": np.repeat(["overshoot", "undershoot"], sizes),
+                     "bin_center": np.concatenate([oh.centers, uh.centers]),
+                     "density": np.concatenate([oh.density, uh.density]),
+                     "stderr": np.concatenate([oh.stderr, uh.stderr])},
               {**meta, "bin_width": args.bin_width, "scheme": oh.scheme})
 
 
 def _cmd_identities(args) -> None:
     model = _resolve_model(args)
     report = identities_report(model, args.q)
-    rows = [(k, v, "info" if ok is None else ("pass" if ok else "FAIL"))
-            for k, (v, ok) in report.items()]
-    _emit(args, ("identity", "residual", "status"), rows,
+    residuals, gates = zip(*report.values())
+    _emit(args, {"identity": list(report), "residual": residuals,
+                 "status": ["info" if ok is None else ("pass" if ok else "FAIL") for ok in gates]},
           {"command": "identities", "model": args.model, "q": args.q,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -310,8 +293,14 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     b = boundary_identities(sf)
     out["sum_c"] = (b["sum_c_rel_err"], b["sum_c_rel_err"] < 1e-8)
     out["zeta_over_q"] = (b["zeta_identity_rel_err"], b["zeta_identity_rel_err"] < 1e-8)
-    phi0 = abs(wh_factor_minus(sf.decomp, 0.0) - 1.0)
-    out["wh_factor_at_zero"] = (phi0, phi0 < 1e-10)
+    # q/(q - psi(s)) = zeta/(zeta - s) phi_q_minus(s) on (-xi_1, zeta), away
+    # from s = 0, where both sides are 1 by construction
+    s = np.linspace(-0.9 * sf.decomp.xi.real.min(), 0.9 * sf.zeta, 7)
+    s = s[s != 0]
+    lhs = q / (q - model.laplace_exponent(s))
+    rhs = sf.zeta / (sf.zeta - s) * wh_factor_minus(sf.decomp, s)
+    wh = float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
+    out["wh_factorisation"] = (wh, wh < 1e-10)
     s = np.linspace(sf.zeta + 0.5, sf.zeta + 10.0, 20)
     target = 1.0 / (model.laplace_exponent(s) - q)
     lt_err = float(np.max(np.abs(sf.laplace_transform_w(s) - target) / np.abs(target)))
@@ -338,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _DISPATCH[args.command](args)
-    except (ModelValidationError, DomainError, FileNotFoundError,
+    except (ModelValidationError, DomainError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,20 +70,6 @@ class BetaFamilyParams:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
         return float(_beta_fn(self.alpha_b, 1.0 - self.lam))
 
-    def levy_density(self, x: float) -> float:
-        """c e^{alpha beta x} / (1 - e^{beta x})^lam for x < 0."""
-        if x >= 0:
-            return 0.0
-        a, b = self.alpha_b, self.beta_b
-        return self.c * math.exp(a * b * x) / (1.0 - math.exp(b * x)) ** self.lam
-
-
-def cgmy_levy_density(tilde_c: float, tilde_alpha: float, lam: float, x: float) -> float:
-    """Spectrally negative tempered-stable density c~ e^{alpha~ x}/|x|^lam, x < 0."""
-    if x >= 0:
-        return 0.0
-    return tilde_c * math.exp(tilde_alpha * x) / abs(x) ** lam
-
 
 def beta_psi(params: BetaFamilyParams, s):
     """Laplace exponent of the beta-family at real s, a float or an array."""

@@ -56,16 +56,6 @@ class HyperExpDist:
     def m(self) -> int:
         return len(self.p)
 
-    def density(self, z: float) -> float:
-        if z < 0:
-            return 0.0
-        p = np.asarray(self.p)
-        eta = np.asarray(self.eta)
-        return float(np.sum(p * eta * np.exp(-eta * z)))
-
-    def mean(self) -> float:
-        return float(np.sum(np.asarray(self.p) / np.asarray(self.eta)))
-
     def as_phase_type(self) -> "PhaseTypeRepr":
         """Equivalent PH representation with diagonal generator."""
         return PhaseTypeRepr(alpha=self.p, T=tuple(map(tuple, -np.diag(self.eta))))
@@ -114,19 +104,6 @@ class PhaseTypeRepr:
         diagonal = np.count_nonzero(T) == alpha.size  # the diagonal of T has no zero
         poles = -np.diag(T) if diagonal else -np.linalg.eigvals(T)
         return PhaseTypeArrays(alpha, T, -T.sum(axis=1), poles, bool(diagonal))
-
-    def density(self, z: float) -> float:
-        from scipy.linalg import expm  # SciPy loads on first use only
-
-        if z < 0:
-            return 0.0
-        T = np.asarray(self.T)
-        return float(np.asarray(self.alpha) @ expm(T * z) @ -T.sum(axis=1))
-
-    def mean(self) -> float:
-        T = np.asarray(self.T)
-        ones = np.ones(self.m)
-        return float(-np.asarray(self.alpha) @ np.linalg.solve(T, ones))
 
 
 JumpDist = Union[HyperExpDist, PhaseTypeRepr]
@@ -258,11 +235,6 @@ class SnLevyModel:
         without cancellation; at a scalar or elementwise on an array (real or complex)."""
         s = np.asarray(s)
         return _like(s, self._jump_moment(s, self.phase_type.t, 2))
-
-    def jump_density(self, z: float) -> float:
-        if self.lam == 0:
-            raise DomainError("model has no jump component")
-        return self.jumps.density(z)
 
 
 def validate_model(raw: dict) -> SnLevyModel:

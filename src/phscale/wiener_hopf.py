@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleEvaluation, RepeatedRootsDetected
-from .models import CASE2
 from .roots import RootDecomposition, check_clusters
 
 _IMAG_TOL = 1e-10
@@ -29,37 +28,31 @@ class WhCoefficients:
     """Partial-fraction data of phi_q_minus at simple roots.
 
     ``xi`` holds the roots and ``A`` the residue A_i at each; ``varrho`` is
-    sum_i A_i xi_i and ``atom_mass`` the point mass of the running minimum at
-    0 (compound Poisson case only, else 0).
+    sum_i A_i xi_i.
     """
 
     xi: np.ndarray
     A: np.ndarray
     varrho: float
-    atom_mass: float
     zeta: float
     q: float
     case: str
 
 
-def wh_factor_minus(decomp: RootDecomposition, s: complex) -> complex:
-    """phi_q_minus(s) for Re(s) > 0 (and by continuation off the root set)."""
+def wh_factor_minus(decomp: RootDecomposition, s):
+    """phi_q_minus(s) for Re(s) > 0 (and by continuation off the root set), at a
+    scalar or elementwise on an array; real where s and the value are real."""
+    s = np.asarray(s)
+    sj = s[..., None]
     xi, eta = decomp.xi, decomp.poles
-    if np.any(np.abs(s + xi) < 1e-12 * (1.0 + abs(s))):
+    if np.any(np.abs(sj + xi) < 1e-12 * (1.0 + np.abs(sj))):
         raise PoleEvaluation(f"s={s} at a pole of phi_q_minus")
-    out = complex(np.prod((s + eta) / eta) * np.prod(xi / (s + xi)))
-    if abs(out.imag) < _IMAG_TOL * (1.0 + abs(out.real)) and (
-        not isinstance(s, complex) or s.imag == 0
+    out = np.prod((sj + eta) / eta, axis=-1) * np.prod(xi / (sj + xi), axis=-1)
+    if np.all(np.imag(s) == 0) and np.all(
+        np.abs(np.imag(out)) < _IMAG_TOL * (1.0 + np.abs(np.real(out)))
     ):
-        return float(out.real)
-    return out
-
-
-def _atom_mass(decomp: RootDecomposition) -> float:
-    if decomp.case != CASE2:
-        return 0.0
-    # one ratio per root-pole pair: the separate products overflow at m ~ 170
-    return float(np.real(np.prod(decomp.xi / decomp.poles)))
+        out = np.real(out)
+    return out if out.ndim else out.item()
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -120,7 +113,6 @@ def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
         xi=xi,
         A=A,
         varrho=varrho.real,
-        atom_mass=_atom_mass(decomp),
         zeta=decomp.zeta,
         q=decomp.q,
         case=decomp.case,

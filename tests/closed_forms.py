@@ -1,6 +1,7 @@
-"""Closed forms that only the tests use as references: the tail-measure
-double integral rho; the running-minimum density and Laplace form rebuilt
-from Wiener-Hopf partial fractions; partial fractions at repeated roots by
+"""Closed forms that only the tests use as references: jump-law densities
+and means, the beta-family and tempered-stable Levy densities; the
+tail-measure double integral rho; the running-minimum atom, density and
+Laplace form rebuilt from Wiener-Hopf partial fractions; partial fractions at repeated roots by
 quotient differentiation; the cleared Cramer-Lundberg polynomial of
 hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
 Coxian laws to try it on; and a scalar polynomial-times-exponential sum with
@@ -14,13 +15,67 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from phscale.errors import ExponentAtPole, RepeatedRootsDetected
+from phscale.errors import DomainError, ExponentAtPole, RepeatedRootsDetected
 from phscale.fluctuation import IntervalPair
-from phscale.models import HyperExpDist, PhaseTypeRepr, SnLevyModel
+from phscale.meromorphic import BetaFamilyParams
+from phscale.models import CASE2, HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition
-from phscale.wiener_hopf import WhCoefficients, _atom_mass
+from phscale.wiener_hopf import WhCoefficients
 
 _IMAG_TOL = 1e-10
+
+
+def law_density(law, z: float) -> float:
+    """Density of a HyperExpDist (sum_j p_j eta_j e^{-eta_j z}) or a
+    PhaseTypeRepr (alpha e^{Tz} t) jump law at z; 0 for z < 0."""
+    if z < 0:
+        return 0.0
+    if isinstance(law, HyperExpDist):
+        p, eta = np.asarray(law.p), np.asarray(law.eta)
+        return float(np.sum(p * eta * np.exp(-eta * z)))
+    from scipy.linalg import expm
+
+    T = np.asarray(law.T)
+    return float(np.asarray(law.alpha) @ expm(T * z) @ -T.sum(axis=1))
+
+
+def law_mean(law) -> float:
+    """Mean of a HyperExpDist (sum_j p_j/eta_j) or a PhaseTypeRepr (-alpha T^{-1} 1)."""
+    if isinstance(law, HyperExpDist):
+        return float(np.sum(np.asarray(law.p) / np.asarray(law.eta)))
+    T = np.asarray(law.T)
+    return float(-np.asarray(law.alpha) @ np.linalg.solve(T, np.ones(law.m)))
+
+
+def jump_density(model: SnLevyModel, z: float) -> float:
+    """Jump-size density of a model; a model without jumps has none."""
+    if model.lam == 0:
+        raise DomainError("model has no jump component")
+    return law_density(model.jumps, z)
+
+
+def beta_levy_density(params: BetaFamilyParams, x: float) -> float:
+    """c e^{alpha beta x} / (1 - e^{beta x})^lam for x < 0."""
+    if x >= 0:
+        return 0.0
+    a, b = params.alpha_b, params.beta_b
+    return params.c * math.exp(a * b * x) / (1.0 - math.exp(b * x)) ** params.lam
+
+
+def cgmy_levy_density(tilde_c: float, tilde_alpha: float, lam: float, x: float) -> float:
+    """Spectrally negative tempered-stable density c~ e^{alpha~ x}/|x|^lam, x < 0."""
+    if x >= 0:
+        return 0.0
+    return tilde_c * math.exp(tilde_alpha * x) / abs(x) ** lam
+
+
+def atom_mass(decomp: RootDecomposition) -> float:
+    """Point mass of the running minimum at 0: prod_i xi_i/eta_i in the
+    compound Poisson case, else 0."""
+    if decomp.case != CASE2:
+        return 0.0
+    # one ratio per root-pole pair: the separate products overflow at m ~ 170
+    return float(np.real(np.prod(decomp.xi / decomp.poles)))
 
 
 def _edecay(c: float, x: float) -> float:
@@ -79,9 +134,9 @@ def running_min_density(coeffs, x: float) -> float:
     return float(total.real)
 
 
-def reconstruct_factor(coeffs, s: complex) -> complex:
-    """phi_q_minus(s) rebuilt from atom + partial fractions (Laplace form)."""
-    out: complex = coeffs.atom_mass
+def reconstruct_factor(coeffs, atom: float, s: complex) -> complex:
+    """phi_q_minus(s) rebuilt from the atom and the partial fractions (Laplace form)."""
+    out: complex = atom
     for xi, k, A in triples(coeffs):
         out += A * (xi / (s + xi)) ** k
     if isinstance(out, complex) and abs(out.imag) < _IMAG_TOL * (1 + abs(out.real)):
@@ -133,7 +188,6 @@ def multiplicity_coefficients(decomp: RootDecomposition) -> SimpleNamespace:
     return SimpleNamespace(
         entries=tuple(entries),
         varrho=varrho.real,
-        atom_mass=_atom_mass(decomp),
         zeta=decomp.zeta,
         q=decomp.q,
         case=decomp.case,

@@ -2,15 +2,20 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import phscale
-from phscale.cli import build_parser, identities_report, main
-from phscale.models import PhaseTypeRepr, SnLevyModel
+import phscale.cli as cli
+from phscale.cli import _emit, build_parser, identities_report, main
+from phscale.models import PhaseTypeRepr, SnLevyModel, builtin_model
+from phscale.scale import build_scale
 
 
 def run(capsys, *argv):
@@ -30,6 +35,88 @@ def parse_csv(text):
             lines.append(line)
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     return meta, rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("scale-eval", "--model", "exp1", "--grid", "0:2:5"),
+    ("scale-eval", "--model", "pareto-fit", "--sigma", "0", "--grid", "0:3:4"),
+    ("exit-prob", "--model", "weibull-fit", "--x", "1", "--b", "5"),
+    ("overshoot", "--model", "exp1", "--sigma", "0", "--x", "5", "--grid", "0:2:5"),
+    ("undershoot", "--model", "weibull-fit", "--x", "2", "--grid", "0:4:6"),
+    ("joint", "--model", "exp1", "--x", "3", "--a-window", "0:inf", "--b-window", "0.5:2"),
+    ("mero-bounds", "--m", "10", "--grid", "0:1:6"),
+    ("cgmy-limit", "--betas", "1,0.5", "--m", "10", "--grid", "0:1:4"),
+    ("simulate", "--model", "exp1", "--x", "2", "--b", "5", "--n-paths", "2000", "--seed", "3"),
+    ("simulate", "--model", "exp1", "--sigma", "0", "--x", "2", "--mode", "histogram",
+     "--n-paths", "2000", "--bin-width", "0.5"),
+    ("identities", "--model", "weibull-fit"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:6]))
+def test_csv_prints_the_json_values_to_12_digits(capsys, argv):
+    # the same metadata, columns and rows in both formats: a CSV float field
+    # is the JSON value to 12 significant digits, any other field its str
+    code_csv, text, _ = run(capsys, *argv)
+    code_json, doc, _ = run(capsys, *argv, "--format", "json")
+    assert code_csv == code_json == 0
+    doc = json.loads(doc)
+    lines = text.splitlines()
+    assert [l for l in lines if l.startswith("# ")] == [
+        f"# {k}={v}" for k, v in doc["config"].items()]
+    table = [l.split(",") for l in lines if not l.startswith("# ")]
+    assert table[0] == doc["columns"]
+    assert len(table) - 1 == len(doc["rows"]) > 0
+    for fields, row in zip(table[1:], doc["rows"]):
+        assert fields == [f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+
+
+EDGE_TABLE = {"x": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2],
+              "name": list("abcdef"), "n": [1, -2, 3, 40, 5, 6]}
+EDGE_CSV = f"""# version={phscale.__version__}
+# command=demo
+x,name,n
+nan,a,1
+inf,b,-2
+-inf,c,3
+-0,d,40
+1e-300,e,5
+0.3,f,6
+"""
+EDGE_ROWS = [["NaN", '"a"', "1"], ["Infinity", '"b"', "-2"], ["-Infinity", '"c"', "3"],
+             ["-0.0", '"d"', "40"], ["1e-300", '"e"', "5"], ["0.30000000000000004", '"f"', "6"]]
+
+
+def _json_text(columns, rows):
+    # json.dumps(..., indent=2) layout, written out by hand
+    config = (f'  "config": {{\n    "version": "{phscale.__version__}",\n'
+              '    "command": "demo"\n  },\n')
+    cols = ",\n".join(f'    "{c}"' for c in columns)
+    body = ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in r) + "\n    ]" for r in rows)
+    body = f"[\n{body}\n  ]" if rows else "[]"
+    return f'{{\n{config}  "columns": [\n{cols}\n  ],\n  "rows": {body}\n}}\n'
+
+
+@pytest.mark.parametrize("fmt, table, expected", [
+    ("csv", EDGE_TABLE, EDGE_CSV),
+    ("json", EDGE_TABLE, _json_text(["x", "name", "n"], EDGE_ROWS)),
+    ("csv", {"x": [], "name": []},
+     f"# version={phscale.__version__}\n# command=demo\nx,name\n"),
+    ("json", {"x": [], "name": []}, _json_text(["x", "name"], [])),
+])
+def test_emit_bytes(tmp_path, fmt, table, expected):
+    # floats to 12 significant digits in CSV (nan, inf, -0 as Python formats
+    # them) and as repr in JSON; text and integer columns by str
+    dest = tmp_path / f"out.{fmt}"
+    _emit(SimpleNamespace(format=fmt, output=str(dest)), table, {"command": "demo"})
+    assert dest.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.csv"], ids=["directory", "missing-dir"])
+def test_unwritable_output_is_validation_error(capsys, tmp_path, target):
+    dest = tmp_path / target
+    code, out, err = run(capsys, "exit-prob", "--model", "exp1", "--x", "1", "--b", "5",
+                         "--output", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert not any(tmp_path.iterdir())  # nothing written
 
 
 def test_one_parser_per_process(tmp_path):
@@ -296,6 +383,28 @@ class TestIdentities:
         _, rows = parse_csv(out)
         assert rows, "report should not be empty"
         assert all(r["status"] in ("pass", "info") for r in rows)
+
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("model", ["exp1", "weibull-fit", "pareto-fit"])
+    def test_wh_factorisation_holds(self, model, sigma, q):
+        residual, ok = identities_report(builtin_model(model, sigma=sigma), q)["wh_factorisation"]
+        assert ok and residual <= 1e-12
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("model", ["exp1", "weibull-fit", "pareto-fit"])
+    def test_wh_factorisation_fails_on_a_moved_root(self, monkeypatch, model, sigma):
+        # the factorisation compares the roots with psi itself: xi_1 moved by
+        # 1e-6 relative must FAIL the row (phi_q_minus(0) = 1 would still hold)
+        def moved(m, q):
+            sf = build_scale(m, q)
+            xi = sf.decomp.xi.copy()
+            xi[0] *= 1.0 + 1e-6
+            return replace(sf, decomp=replace(sf.decomp, xi=xi))
+
+        monkeypatch.setattr(cli, "build_scale", moved)
+        _, ok = identities_report(builtin_model(model, sigma=sigma), 0.05)["wh_factorisation"]
+        assert ok is False
 
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("deficit", (5e-6, -5e-6))

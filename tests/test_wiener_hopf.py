@@ -8,7 +8,12 @@ from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
 from phscale.roots import RootDecomposition, check_clusters, find_roots
 from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
 
-from closed_forms import multiplicity_coefficients, reconstruct_factor, running_min_density
+from closed_forms import (
+    atom_mass,
+    multiplicity_coefficients,
+    reconstruct_factor,
+    running_min_density,
+)
 
 Q = 0.05
 
@@ -33,16 +38,15 @@ class TestFactor:
         for (name, sigma), d in decomps.items():
             if sigma != 0.0:
                 continue
-            coeffs = partial_fraction_coefficients(d)
             prod = np.prod([complex(x) for x in d.xi]).real / np.prod(d.poles)
-            assert coeffs.atom_mass == pytest.approx(prod, rel=1e-12)
-            assert 0 < coeffs.atom_mass < 1
+            assert atom_mass(d) == pytest.approx(prod, rel=1e-12)
+            assert 0 < atom_mass(d) < 1
             assert wh_factor_minus(d, 1e8) == pytest.approx(
-                coeffs.atom_mass, rel=1e-6
+                atom_mass(d), rel=1e-6
             )
 
     def test_case1_has_no_atom(self, decomps):
-        assert partial_fraction_coefficients(decomps[("exp1", 1.0)]).atom_mass == 0.0
+        assert atom_mass(decomps[("exp1", 1.0)]) == 0.0
 
     def test_pole_rejected(self, decomps):
         d = decomps[("exp1", 1.0)]
@@ -55,7 +59,7 @@ class TestPartialFractions:
         for d in decomps.values():
             coeffs = partial_fraction_coefficients(d)
             total = sum(A.real for A in coeffs.A)
-            assert total + coeffs.atom_mass == pytest.approx(1.0, abs=1e-8)
+            assert total + atom_mass(d) == pytest.approx(1.0, abs=1e-8)
 
     def test_reconstruction(self, decomps):
         for d in decomps.values():
@@ -63,7 +67,7 @@ class TestPartialFractions:
             smax = 10.0 * max(float(np.real(x)) for x in d.xi)
             for s in np.geomspace(1e-3, smax, 30):
                 direct = wh_factor_minus(d, float(s))
-                rebuilt = reconstruct_factor(coeffs, float(s))
+                rebuilt = reconstruct_factor(coeffs, atom_mass(d), float(s))
                 assert complex(rebuilt).real == pytest.approx(
                     complex(direct).real, rel=1e-8
                 )
@@ -81,7 +85,7 @@ class TestPartialFractions:
         # each term integrates to A_i^(k), so total mass is the residue sum
         for d in decomps.values():
             coeffs = partial_fraction_coefficients(d)
-            mass = sum(A.real for A in coeffs.A) + coeffs.atom_mass
+            mass = sum(A.real for A in coeffs.A) + atom_mass(d)
             assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_density_quadrature(self, decomps):
@@ -116,14 +120,14 @@ class TestMultiplicityPath:
         coeffs = multiplicity_coefficients(repeated)
         for s in np.linspace(0.05, 20.0, 50):
             direct = wh_factor_minus(repeated, float(s))
-            rebuilt = reconstruct_factor(coeffs, float(s))
+            rebuilt = reconstruct_factor(coeffs, atom_mass(repeated), float(s))
             assert complex(rebuilt).real == pytest.approx(
                 complex(direct).real, rel=1e-10
             )
 
     def test_total_mass(self, repeated):
         coeffs = multiplicity_coefficients(repeated)
-        mass = sum(A.real for _, _, A in coeffs.entries) + coeffs.atom_mass
+        mass = sum(A.real for _, _, A in coeffs.entries) + atom_mass(repeated)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_density_real(self, repeated):
@@ -147,7 +151,7 @@ class TestMultiplicityPath:
         for x in (0.2, 1.0, 4.0):
             assert running_min_density(coeffs, x) >= -1e-10
         for s in (0.5, 2.0, 10.0):
-            assert complex(reconstruct_factor(coeffs, s)).real == pytest.approx(
+            assert complex(reconstruct_factor(coeffs, atom_mass(d), s)).real == pytest.approx(
                 complex(wh_factor_minus(d, s)).real, rel=1e-8
             )
 
@@ -160,7 +164,8 @@ def test_atom_mass_at_many_roots():
     zeta, xi = mero_roots(p, Q, 400)
     d = RootDecomposition(q=Q, zeta=zeta, xi=xi[:400],
                           poles=beta_poles(p, np.arange(1, 401)), case=CASE2)
-    assert 0.0 < partial_fraction_coefficients(d).atom_mass < 1.0
+    partial_fraction_coefficients(d)
+    assert 0.0 < atom_mass(d) < 1.0
 
 
 class TestClusters:
