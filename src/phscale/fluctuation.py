@@ -2,10 +2,10 @@
 
 Two-sided exit works for any assembled scale function.  The joint
 overshoot/undershoot closed forms require a diagonal jump generator
-T = -diag(eta), that is hyperexponential jumps (distinct real roots); they
-are evaluated for all phases at once as rates x roots arrays.  Infinite
-window endpoints are supported via ``math.inf`` with ``exp(-c * inf) = 0``
-for c > 0.
+T = -diag(eta) (distinct real roots), reduced to its minimal rates however
+the model file gives it; they are evaluated for all phases at once as
+rates x roots arrays.  Infinite window endpoints are supported via
+``math.inf`` with ``exp(-c * inf) = 0`` for c > 0.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ def down_exit_unbounded(sf: ScaleFunction, x):
 
 def _phases(sf: ScaleFunction):
     """(lam alpha, eta) of a diagonal jump generator T = -diag(eta): the
-    hyperexponential weights and rates, which give interlaced, hence real, roots."""
+    minimal weights and rates, which give interlaced, hence real, roots."""
     model = sf.model
     if model is None or not model.phase_type.diagonal:
         raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")

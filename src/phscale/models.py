@@ -62,8 +62,7 @@ class HyperExpDist:
 
     def phase_type_arrays(self) -> "PhaseTypeArrays":
         """alpha = p, T = -diag(eta), t = eta and the poles eta."""
-        p, eta = np.array(self.p), np.array(self.eta)
-        return PhaseTypeArrays(p, -np.diag(eta), eta, eta, True)
+        return _diagonal_arrays(self.p, self.eta)
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,11 @@ class PhaseTypeRepr:
         return len(self.alpha)
 
     def phase_type_arrays(self) -> "PhaseTypeArrays":
-        """alpha, T, t and the poles: -diag(T) for a diagonal T, else -eig(T)."""
+        """alpha, T, t and the poles -eig(T); a diagonal T is reduced to minimal form."""
         alpha, T = np.array(self.alpha), np.array(self.T)
-        diagonal = np.count_nonzero(T) == alpha.size  # the diagonal of T has no zero
-        poles = -np.diag(T) if diagonal else -np.linalg.eigvals(T)
-        return PhaseTypeArrays(alpha, T, -T.sum(axis=1), poles, bool(diagonal))
+        if np.count_nonzero(T) == alpha.size:  # the diagonal of T has no zero
+            return _diagonal_arrays(alpha, -np.diag(T))
+        return PhaseTypeArrays(alpha, T, -T.sum(axis=1), -np.linalg.eigvals(T), False)
 
 
 JumpDist = Union[HyperExpDist, PhaseTypeRepr]
@@ -111,14 +110,23 @@ JumpDist = Union[HyperExpDist, PhaseTypeRepr]
 
 class PhaseTypeArrays(NamedTuple):
     """A jump law as phase-type arrays: alpha, T, the exit rates t = -T 1,
-    the eigenvalue magnitudes of -T (eta, as given, where T = -diag(eta))
-    and whether T is diagonal."""
+    the eigenvalue magnitudes of -T and whether T is diagonal.  A diagonal
+    T = -diag(eta) is minimal: distinct rates ascending, no zero weight."""
 
     alpha: np.ndarray
     T: np.ndarray
     t: np.ndarray
     poles: np.ndarray
     diagonal: bool
+
+
+def _diagonal_arrays(weights, rates) -> PhaseTypeArrays:
+    """Minimal arrays of the mixture sum_j w_j Exp(r_j): zero-weight phases
+    dropped, equal rates merged with their weights summed, rates ascending."""
+    w, r = np.asarray(weights, dtype=float), np.asarray(rates, dtype=float)
+    eta, phase = np.unique(r[w != 0], return_inverse=True)
+    alpha = np.bincount(phase, weights=w[w != 0], minlength=eta.size)
+    return PhaseTypeArrays(alpha, -np.diag(eta), eta, eta, True)
 
 
 def _like(s: np.ndarray, out: np.ndarray):
@@ -160,10 +168,6 @@ class SnLevyModel:
         else:
             raise NegativeSubordinator("sigma = 0 requires mu > 0")
         object.__setattr__(self, "case", case)
-
-    @property
-    def is_hyperexp(self) -> bool:
-        return isinstance(self.jumps, HyperExpDist)
 
     @cached_property
     def phase_type(self) -> PhaseTypeArrays:
@@ -250,16 +254,17 @@ def validate_model(raw: dict) -> SnLevyModel:
         lam = float(raw["lambda"])
         jump_raw = raw["jump"]
         jtype = jump_raw["type"]
-    except (KeyError, TypeError) as exc:
+        if jtype == "hyperexp":
+            jumps = HyperExpDist(p=tuple(jump_raw["p"]), eta=tuple(jump_raw["eta"]))
+        elif jtype == "phase_type":
+            jumps = PhaseTypeRepr(alpha=tuple(jump_raw["alpha"]), T=tuple(map(tuple, jump_raw["T"])))
+        else:
+            jumps = None
+    except KeyError as exc:
         raise DomainError(f"missing model field: {exc}") from exc
-    if jtype == "hyperexp":
-        jumps: JumpDist = HyperExpDist(p=tuple(jump_raw["p"]), eta=tuple(jump_raw["eta"]))
-    elif jtype == "phase_type":
-        jumps = PhaseTypeRepr(
-            alpha=tuple(jump_raw["alpha"]),
-            T=tuple(tuple(row) for row in jump_raw["T"]),
-        )
-    else:
+    except (TypeError, ValueError) as exc:  # a field that is not a number or a list of them
+        raise DomainError(f"malformed model field: {exc}") from exc
+    if jumps is None:
         raise DomainError(f"unknown jump type {jtype!r}")
     return SnLevyModel(mu=mu, sigma=sigma, lam=lam, jumps=jumps)
 

@@ -1,14 +1,15 @@
 """Roots of the Cramer-Lundberg equation psi(s) = q.
 
 ``zeta`` is the unique positive root.  Where the poles ``-eta_j`` of psi are
-real (hyperexponential jumps, the beta-family) the negative roots ``-xi_i``
-interlace them: one in each gap (eta_{j-1}, eta_j) with eta_0 = 0, plus one
-beyond the largest pole when sigma > 0.  ``interlaced_solve`` brackets zeta
-and every xi and narrows all brackets together as one array by
-Anderson-Bjorck (Illinois-type) secant steps on psi with its poles cleared.
-For general phase-type jumps the negative roots can be complex and need not
-interlace; zeta and every xi are then the eigenvalues of one linearisation of
-psi(s) = q, each followed by one complex Newton step.
+real (a diagonal jump generator T = -diag(eta), in its minimal form; the
+beta-family) the negative roots ``-xi_i`` interlace them: one in each gap
+(eta_{j-1}, eta_j) with eta_0 = 0, plus one beyond the largest pole when
+sigma > 0.  ``interlaced_solve`` brackets zeta and every xi and narrows all
+brackets together as one array by Anderson-Bjorck (Illinois-type) secant
+steps on psi with its poles cleared.  For any other T the negative roots can
+be complex and need not interlace; zeta and every xi are then the
+eigenvalues of one linearisation of psi(s) = q, each followed by one complex
+Newton step.
 """
 from __future__ import annotations
 
@@ -150,16 +151,6 @@ def find_zeta(model: SnLevyModel, q: float) -> float:
     return interlaced_solve(model.laplace_exponent, q, np.array([]), None)[0]
 
 
-def find_negative_roots_hyperexp(model: SnLevyModel, q: float) -> RootDecomposition:
-    """zeta and all negative roots for hyperexponential jumps, one per interlacing bracket."""
-    if not model.is_hyperexp:
-        raise DomainError("model jumps are not hyperexponential")
-    eta = model.poles()  # empty without jumps: psi has no poles
-    outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
-    zeta, xi = interlaced_solve(model.laplace_exponent, q, eta, outer)
-    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)
-
-
 def check_clusters(xi) -> None:
     """Raise RepeatedRootsDetected if two roots lie within _CLUSTER_RTOL * max(|xi_i|, |xi_j|);
     positive real roots need only their sorted neighbours (x_i < x_j that close
@@ -234,8 +225,11 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
 
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
-    """Dispatch: the interlaced bracket solve (Anderson-Bjorck steps) for
-    hyperexponential jumps, the eigenvalue linearisation otherwise."""
-    if model.is_hyperexp:
-        return find_negative_roots_hyperexp(model, q)
-    return find_negative_roots_ph(model, q)
+    """zeta and all negative roots: one ``interlaced_solve`` between the poles
+    for a diagonal jump generator T, the eigenvalue linearisation otherwise."""
+    if not model.phase_type.diagonal:
+        return find_negative_roots_ph(model, q)
+    eta = model.poles()  # empty without jumps: psi has no poles
+    outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
+    zeta, xi = interlaced_solve(model.laplace_exponent, q, eta, outer)
+    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)

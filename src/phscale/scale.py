@@ -152,7 +152,7 @@ class ScaleFunction:
                 target -= self.w0
             else:
                 target *= self.model.jump_tilted_mean(self.zeta) * self.w0
-        return abs(self.C.sum().real - target) / max(abs(target), 1e-300)
+        return float(abs(self.C.sum().real - target) / max(abs(target), 1e-300))
 
 
 def boundary_identities(sf: ScaleFunction) -> dict:

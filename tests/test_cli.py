@@ -14,7 +14,7 @@ import pytest
 import phscale
 import phscale.cli as cli
 from phscale.cli import _emit, build_parser, identities_report, main
-from phscale.models import PhaseTypeRepr, SnLevyModel, builtin_model
+from phscale.models import BUILTIN_JUMPS, PARETO_FIT, PhaseTypeRepr, SnLevyModel, builtin_model
 from phscale.scale import build_scale
 
 
@@ -244,6 +244,20 @@ class TestScaleEval:
         for a, b in zip(ref, got):
             assert float(a["w"]) == pytest.approx(float(b["w"]), rel=1e-12)
 
+    @pytest.mark.parametrize("drift, jump", [
+        ("abc", {"type": "hyperexp", "p": [1.0], "eta": [1.0]}),
+        (5.0, {"type": "hyperexp", "p": 5, "eta": [1.0]}),
+        (5.0, {"type": "hyperexp", "p": ["a"], "eta": [1.0]}),
+        (5.0, {"type": "phase_type", "alpha": [0.5, 0.5], "T": [[-1.0, 0.0], [-1.0]]}),
+        (5.0, {"type": "phase_type", "alpha": [1.0], "T": [-1.0]}),
+    ], ids=["drift-text", "p-number", "p-text", "T-ragged", "T-flat"])
+    def test_malformed_model_file(self, capsys, tmp_path, drift, jump):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"drift": drift, "sigma": 1.0, "lambda": 5.0, "jump": jump}))
+        code, out, err = run(capsys, "scale-eval", "--model", str(path), "--grid", "0:1:3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed model field")
+
     def test_beta_benchmark_rejected_outside_mero(self, capsys):
         code, _, _ = run(
             capsys, "scale-eval", "--model", "beta-benchmark", "--grid", "0:1:3"
@@ -405,6 +419,19 @@ class TestIdentities:
         monkeypatch.setattr(cli, "build_scale", moved)
         _, ok = identities_report(builtin_model(model, sigma=sigma), 0.05)["wh_factorisation"]
         assert ok is False
+
+    @pytest.mark.parametrize("q", (0.05, 100.0))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("law", ["exp1", "pareto-fit", "pareto-fit-twin", "coxian"])
+    def test_rows_are_python_scalars(self, law, sigma, q):
+        # np.float64 subclasses float, so the types are compared exactly: a
+        # caller testing `ok is False` must not miss a NumPy False
+        jumps = {**BUILTIN_JUMPS, "pareto-fit-twin": PARETO_FIT.as_phase_type(),
+                 "coxian": PhaseTypeRepr(alpha=(0.7, 0.3), T=((-3.0, 1.8), (0.0, -1.5)))}[law]
+        report = identities_report(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps), q)
+        for name, (residual, ok) in report.items():
+            assert type(residual) is float, name
+            assert ok is None or type(ok) is bool, name
 
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("deficit", (5e-6, -5e-6))

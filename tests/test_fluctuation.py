@@ -18,6 +18,7 @@ from phscale.fluctuation import (
 )
 from phscale.models import (
     BUILTIN_JUMPS,
+    PARETO_FIT,
     PhaseTypeRepr,
     SnLevyModel,
     WEIBULL_FIT,
@@ -228,23 +229,41 @@ class TestJoint:
 
 
 @pytest.mark.parametrize("sigma", (0.0, 1.0))
-@pytest.mark.parametrize("name", ("exp1", "weibull-fit"))
-def test_diagonal_twin_matches_hyperexp(scales, name, sigma):
-    # the laws read (lam alpha, eta) from the phase-type arrays, so a diagonal
-    # PhaseTypeRepr gives them too; its roots come from the eigenvalue path
-    # (pareto-fit's agree with the bracket roots only to about 2e-9)
-    he = scales[(name, sigma)]
+@pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
+def test_diagonal_twin_matches_hyperexp(name, sigma):
+    # the laws and the roots read (lam alpha, eta) from the phase-type
+    # arrays, so a diagonal PhaseTypeRepr gives the same numbers
     jumps = BUILTIN_JUMPS[name].as_phase_type()
-    twin = build_scale(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps), Q)
+    twin_model = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps)
     grid = np.linspace(0.1, 8.0, 40)
-    for fn in (overshoot_density, undershoot_density):
-        np.testing.assert_allclose(fn(twin, 5.0, grid), fn(he, 5.0, grid), rtol=1e-12, atol=0)
-    for pair in (IntervalPair(0.5, 2.0, 1.0, 6.0), IntervalPair(0.0, INF, 0.0, INF)):
-        assert joint_overshoot_undershoot(twin, 3.0, pair) == pytest.approx(
-            joint_overshoot_undershoot(he, 3.0, pair), rel=1e-12, abs=0)
-    # the residuals are relative already: both sides agree to 1e-12
-    np.testing.assert_allclose(conjecture_residuals(twin), conjecture_residuals(he),
-                               rtol=0, atol=1e-12)
+    for q in (Q, 100.0):
+        he = build_scale(builtin_model(name, sigma=sigma), q)
+        twin = build_scale(twin_model, q)
+        np.testing.assert_allclose(twin.w(grid), he.w(grid), rtol=1e-12, atol=0, err_msg=f"q={q}")
+        for fn in (up_exit, down_exit):
+            assert fn(twin, 2.0, 5.0) == pytest.approx(fn(he, 2.0, 5.0), rel=1e-12, abs=0), q
+        for fn in (overshoot_density, undershoot_density):
+            np.testing.assert_allclose(fn(twin, 5.0, grid), fn(he, 5.0, grid),
+                                       rtol=1e-12, atol=0, err_msg=f"q={q}")
+        for pair in (IntervalPair(0.5, 2.0, 1.0, 6.0), IntervalPair(0.0, INF, 0.0, INF)):
+            assert joint_overshoot_undershoot(twin, 3.0, pair) == pytest.approx(
+                joint_overshoot_undershoot(he, 3.0, pair), rel=1e-12, abs=0), q
+        # the residuals are relative already: both sides agree to 1e-12
+        np.testing.assert_allclose(conjecture_residuals(twin), conjecture_residuals(he),
+                                   rtol=0, atol=1e-12, err_msg=f"q={q}")
+
+
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+def test_diagonal_twin_raises_where_hyperexp_does(sigma):
+    # at q = 1e3 pareto-fit's smallest root sits 4.5e-13 relative from its
+    # pole: both models raise the same typed error, neither returns a number
+    errors = []
+    for law in (PARETO_FIT, PARETO_FIT.as_phase_type()):
+        with pytest.raises(PoleEvaluation) as exc:
+            down_exit(build_scale(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=law), 1e3),
+                      2.0, 5.0)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 class TestDensities:

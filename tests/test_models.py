@@ -249,9 +249,16 @@ def test_levy_mass_tracks_weight_deficit():
 @pytest.mark.parametrize("name", sorted(BUILTIN_JUMPS))
 def test_hyperexp_is_diagonal_phase_type(name):
     # one set of jump formulas: a built-in law and its diagonal phase-type
-    # twin give the same psi, psi', transforms and Levy mass, deficit included
+    # twin give the same psi, psi', transforms and Levy mass, deficit included;
+    # a built-in law is minimal already, so both arrays are p and eta bit for bit
     law = BUILTIN_JUMPS[name]
     he, ph = (SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=j) for j in (law, law.as_phase_type()))
+    eta = np.array(law.eta)
+    for arrays in (he.phase_type, ph.phase_type):
+        assert arrays.diagonal
+        assert arrays.alpha.tobytes() == np.array(law.p).tobytes()
+        assert arrays.t.tobytes() == eta.tobytes() == arrays.poles.tobytes()
+        assert arrays.T.tobytes() == (-np.diag(eta)).tobytes()
     assert ph.levy_mass == pytest.approx(he.levy_mass, rel=1e-14)
     for s in (-0.5 * law.eta[0], 0.0, 1e-6, 0.3, 2.0, 40.0):
         for fn in ("laplace_exponent", "laplace_exponent_derivative",

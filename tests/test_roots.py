@@ -8,12 +8,12 @@ from phscale.models import (
     CASE1,
     CASE2,
     EXP1,
+    HyperExpDist,
     PhaseTypeRepr,
     SnLevyModel,
     builtin_model,
 )
 from phscale.roots import (
-    find_negative_roots_hyperexp,
     find_negative_roots_ph,
     find_roots,
     find_zeta,
@@ -53,14 +53,14 @@ class TestZeta:
 
 class TestHyperexpRoots:
     def test_case2_single_rate_count(self):
-        d = find_negative_roots_hyperexp(M1, Q)
+        d = find_roots(M1, Q)
         assert d.case == CASE2
         assert d.n_roots == 1
         assert 0 < d.xi[0] < 1.0
 
     def test_case1_single_rate_count(self):
         m = builtin_model("exp1", sigma=1.0)
-        d = find_negative_roots_hyperexp(m, Q)
+        d = find_roots(m, Q)
         assert d.case == CASE1
         assert d.n_roots == 2
         x1, x2 = d.xi
@@ -72,7 +72,7 @@ class TestHyperexpRoots:
     ])
     def test_builtin_counts_and_interlacing(self, name, sigma, n):
         m = builtin_model(name, sigma=sigma)
-        d = find_negative_roots_hyperexp(m, Q)
+        d = find_roots(m, Q)
         xis = [x.real for x in d.xi]
         assert len(xis) == n
         eta = list(d.poles)
@@ -87,7 +87,7 @@ class TestHyperexpRoots:
         # measure is the Newton correction |psi(-xi) - q| / |psi'(-xi)|,
         # i.e. the backward error in the root itself.
         for m in models.values():
-            d = find_negative_roots_hyperexp(m, Q)
+            d = find_roots(m, Q)
             for xi in d.xi:
                 x = xi.real
                 res = abs(m.laplace_exponent(-x) - Q)
@@ -166,7 +166,7 @@ def test_ph_psi_calls_per_solve(monkeypatch, sigma, q):
 class TestPolynomial:
     def test_vanishes_at_all_roots(self, models):
         for m in models.values():
-            d = find_negative_roots_hyperexp(m, Q)
+            d = find_roots(m, Q)
             P = cramer_lundberg_polynomial(m, Q)
             scale = np.max(np.abs(P))
             for r in [d.zeta] + [-x for x in d.xi]:
@@ -194,7 +194,7 @@ class TestPolynomial:
 class TestPhRoots:
     def test_matches_hyperexp_path(self, models):
         for m in models.values():
-            d_he = find_negative_roots_hyperexp(m, Q)
+            d_he = find_roots(m, Q)
             ph = SnLevyModel(mu=m.mu, sigma=m.sigma, lam=m.lam,
                              jumps=m.jumps.as_phase_type())
             d_ph = find_negative_roots_ph(ph, Q)
@@ -213,10 +213,11 @@ class TestPhRoots:
             assert abs(m.laplace_exponent(-complex(xi)) - Q) < 1e-8
 
     def test_nonminimal_representation_warns(self):
-        # two identical diagonal rates: det(sI-T) and the jump-transform
-        # numerator share the root -1, so the pole cancels and the root
-        # count drops below the minimal-representation prediction
-        dup = PhaseTypeRepr(alpha=(0.5, 0.5), T=((-1.0, 0.0), (0.0, -1.0)))
+        # the first phase is never entered, so the law is Exp(1): the
+        # eigenvalue -2 of T is a root of det(sI-T) and of the jump-transform
+        # numerator, the pole cancels and the root count drops below the
+        # minimal-representation prediction
+        dup = PhaseTypeRepr(alpha=(0.0, 1.0), T=((-2.0, 1.0), (0.0, -1.0)))
         m = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=dup)
         with pytest.warns(UserWarning, match="non-minimal"):
             find_negative_roots_ph(m, Q)
@@ -265,6 +266,23 @@ class TestPhRoots:
         # root of 5s^2 - qs - q = 0 with negative sign
         xi = (-(-Q) - np.sqrt(Q**2 + 4 * 5 * Q)) / (2 * 5.0)
         assert complex(d.xi[0]).real == pytest.approx(-xi, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+def test_diagonal_generator_reduced_to_minimal_rates(sigma):
+    # unsorted rates, a zero-weight phase and a repeated rate: the law is
+    # 0.2 Exp(1) + 0.8 Exp(3), and only 1 and 3 are poles of psi
+    diag = PhaseTypeRepr(alpha=(0.3, 0.0, 0.2, 0.5),
+                         T=tuple(map(tuple, -np.diag([3.0, 7.0, 1.0, 3.0]))))
+    ref = HyperExpDist(p=(0.2, 0.8), eta=(1.0, 3.0))
+    ph, he = (SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=j) for j in (diag, ref))
+    d_ph, d_he = find_roots(ph, Q), find_roots(he, Q)
+    assert d_ph.zeta == d_he.zeta
+    np.testing.assert_array_equal(d_ph.xi, d_he.xi)
+    np.testing.assert_array_equal(d_ph.poles, [1.0, 3.0])
+    x = np.linspace(0.0, 5.0, 11)
+    np.testing.assert_array_equal(build_scale(ph, Q).w(x), build_scale(he, Q).w(x))
 
 
 def test_dispatch(models):
