@@ -62,11 +62,19 @@ def _parse_window(spec: str) -> Tuple[float, float]:
 
 
 def _resolve_model(args) -> SnLevyModel:
+    """The built-in model, with the ``--sigma/--mu/--lam`` given and the
+    defaults of ``builtin_model`` for the rest, or the model file, which
+    sets all three itself and so takes none of the flags."""
     name = args.model
+    given = {k: v for k in ("sigma", "mu", "lam") if (v := getattr(args, k)) is not None}
     if name in BUILTIN_JUMPS:
-        return builtin_model(name, sigma=args.sigma, mu=args.mu, lam=args.lam)
+        return builtin_model(name, **given)
     if name == "beta-benchmark":
         raise DomainError("beta-benchmark is only valid for mero-bounds/cgmy-limit")
+    if given:
+        flags = ", ".join(f"--{k}" for k in given)
+        raise DomainError(f"{flags}: only for a built-in model; the model file {name!r} "
+                          "sets drift, sigma and lambda")
     return load_model_file(name)
 
 
@@ -95,9 +103,10 @@ def _emit(args, table: dict, meta: dict) -> None:
 def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
     if model:
         p.add_argument("--model", required=True, help="built-in name or model file path")
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=5.0)
-        p.add_argument("--lam", type=float, default=5.0)
+        builtin_only = "built-in models only (default %s)"
+        p.add_argument("--sigma", type=float, help=builtin_only % 1.0)
+        p.add_argument("--mu", type=float, help=builtin_only % 5.0)
+        p.add_argument("--lam", type=float, help=builtin_only % 5.0)
     p.add_argument("--q", type=float, default=0.05, help="discount rate > 0")
     p.add_argument("--output", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -19,6 +19,14 @@ tested at grid points only, a detector biased towards too few exits.
 Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly under
 the same e^{-q tau} weights.  Fixed (seed, batch) RNG streams make every
 estimate bit-reproducible.
+
+Each scheme has its own batch loop (``_bridge_batch``, ``_grid_batch``,
+``_drift_batch``), and each carries only the paths still alive, as compact
+arrays filtered in ascending path order, so every draw goes to the same path
+whatever the loop.  A jump's phase is drawn through a 1024-cell lookup table
+on the start distribution's cdf, built once per sampler, that gives the
+searched index bit for bit; only a uniform in one of the few cells that a cdf
+step straddles is searched.
 """
 from __future__ import annotations
 
@@ -35,6 +43,7 @@ _HORIZON_EPS = 1e-8
 _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} are dropped
 _EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
+_CELLS = 1024  # cells of the phase-draw table; a power of 2, so u * _CELLS is exact
 
 
 @dataclass(frozen=True)
@@ -87,14 +96,42 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _table_search(cdf: np.ndarray):
+    """draw(u) -> ``cdf.searchsorted(u, side="right")`` for u in [0, 1),
+    through a table of ``_CELLS`` equal cells built once, here.
+
+    u * _CELLS is exact, so each u falls in its true cell.  The search is
+    constant on a cell [i, i + 1) / _CELLS unless a cdf value lies strictly
+    inside it; the table holds that constant, or -1 for the few cells that a
+    cdf step straddles, whose u alone are searched."""
+    edges = np.arange(_CELLS + 1) / _CELLS
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), lo, -1)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        found = table[(u * _CELLS).astype(np.intp)]
+        odd = np.flatnonzero(found < 0)
+        if odd.size:
+            found[odd] = cdf.searchsorted(u[odd], side="right")
+        return found
+
+    return draw
+
+
 def _jump_sampler(ph: PhaseTypeArrays):
     """sample(rng, n) -> n i.i.d. jump sizes of the phase-type law (alpha, T, t);
     its tables are built once, here."""
     alpha, T, t, _, diagonal = ph
-    start = _choice_cdf(alpha / alpha.sum())
+    start = _table_search(_choice_cdf(alpha / alpha.sum()))
     if diagonal:  # one exponential of rate t_j = eta_j in the drawn phase
         scale = 1.0 / t
-        return lambda rng, n: rng.exponential(scale[start.searchsorted(rng.random(n), side="right")])
+
+        def sample_diagonal(rng: np.random.Generator, n: int) -> np.ndarray:
+            phase = start(rng.random(n))
+            # bit for bit rng.exponential(scale[phase]), which multiplies the same draws
+            return rng.standard_exponential(n) * scale[phase]
+
+        return sample_diagonal
     m = alpha.size
     total = -np.diag(T)
     # cumulative transition probabilities out of each state (to states, then absorb)
@@ -104,7 +141,7 @@ def _jump_sampler(ph: PhaseTypeArrays):
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         # CTMC absorption time, vectorized over the surviving samples
-        state = start.searchsorted(rng.random(n), side="right")
+        state = start(rng.random(n))
         time = np.zeros(n)
         alive = np.ones(n, dtype=bool)
         while alive.any():
@@ -171,6 +208,11 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
 
 
+def _results(n: int):
+    """(up, down, overshoot, undershoot) for n paths before any exit."""
+    return np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
+
+
 def _bridge_batch(
     model: SnLevyModel,
     q: float,
@@ -180,17 +222,11 @@ def _bridge_batch(
     rng: np.random.Generator,
     collect_crossing: bool,
 ):
-    """Exact epochs with killing at rate q (sigma > 0); same returns as
-    ``_run_batch``, with 0/1 indicators in place of discounts."""
+    """Exact epochs with killing at rate q (sigma > 0, x < b); same returns
+    as ``_run_batch``, with 0/1 indicators in place of discounts."""
     mu, var, lam = model.mu, model.sigma**2, model.lam
     rate = lam + q
-    up = np.zeros(n)
-    down = np.zeros(n)
-    over = np.full(n, np.nan)
-    under = np.full(n, np.nan)
-    if b is not None and x >= b:
-        up[:] = 1.0
-        return up, down, over, under
+    up, down, over, under = out = _results(n)
     idx = np.arange(n)
     pos = np.full(n, float(x))
     sample_jumps = _jump_sampler(model.phase_type)
@@ -218,7 +254,107 @@ def _bridge_batch(
                 over[idx[crossed]] = -after[crossed]
                 under[idx[crossed]] = pos[crossed]
             idx, pos = idx[~crossed], after[~crossed]
-    return up, down, over, under
+    return out
+
+
+def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, out, collect_crossing):
+    """Close a discounted epoch at time t: one jump for each live path at pos
+    (none without jumps), a path taken below 0 exits with down = e^{-q t}, one
+    still inside past the horizon expires.  Returns the (live, pos, t) that
+    remain."""
+    keep = t <= math.log(1.0 / _HORIZON_EPS) / q
+    if lam > 0 and live.size:
+        _, down, over, under = out
+        after = pos - sample_jumps(rng, live.size)
+        crossed = after < 0.0
+        down[live[crossed]] = np.exp(-q * t[crossed])
+        if collect_crossing:
+            over[live[crossed]] = -after[crossed]
+            under[live[crossed]] = pos[crossed]
+        keep &= ~crossed
+        pos = after
+    return live[keep], pos[keep], t[keep]
+
+
+def _drift_batch(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    b: Optional[float],
+    n: int,
+    rng: np.random.Generator,
+    collect_crossing: bool,
+):
+    """sigma = 0, x < b: drift segments of length Exp(lambda) (1 without
+    jumps), crossed exactly, with e^{-q tau} weights up to the horizon; same
+    returns as ``_run_batch``."""
+    mu, lam = model.mu, model.lam
+    out = _results(n)
+    up = out[0]
+    sample_jumps = _jump_sampler(model.phase_type)
+    live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
+    while live.size:
+        k = live.size
+        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.ones(k)
+        end = pos + mu * T
+        if b is not None:  # the drift reaches b at t + (b - pos) / mu
+            reach = end >= b
+            up[live[reach]] = np.exp(-q * (t[reach] + (b - pos[reach]) / mu))
+            stay = ~reach
+            live, end, t, T = live[stay], end[stay], t[stay], T[stay]
+        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t + T, out,
+                                  collect_crossing)
+    return out
+
+
+def _grid_batch(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    b: Optional[float],
+    n: int,
+    rng: np.random.Generator,
+    collect_crossing: bool,
+    substeps: int,
+):
+    """sigma > 0, x < b, on the paper's grid: Brownian segments of length
+    Exp(lambda) (1 without jumps) as ``substeps``-point random walks,
+    crossings tested at grid points, with e^{-q tau} weights up to the
+    horizon; same returns as ``_run_batch``."""
+    mu, sigma, lam = model.mu, model.sigma, model.lam
+    up, down, over, under = out = _results(n)
+    sample_jumps = _jump_sampler(model.phase_type)
+    steps = np.arange(1, substeps + 1)
+    live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
+    while live.size:
+        k = live.size
+        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.ones(k)
+        dt = T / substeps
+        # path = pos + (mu dt j + sigma sqrt(dt) W_j), built in place
+        path = rng.standard_normal((k, substeps))
+        np.cumsum(path, axis=1, out=path)
+        path *= sigma * np.sqrt(dt)[:, None]
+        np.add(mu * dt[:, None] * steps, path, out=path)
+        path += pos[:, None]
+        hit_dn = path < 0.0
+        hit = hit_dn | (path >= b) if b is not None else hit_dn
+        first = np.argmax(hit, axis=1)
+        any_hit = hit[np.arange(k), first]  # argmax is 0 on a row without a hit
+        rows = np.flatnonzero(any_hit)
+        cols = first[rows]
+        val = np.exp(-q * (t[rows] + dt[rows] * (cols + 1)))
+        is_dn = hit_dn[rows, cols]
+        exits = live[rows]
+        down[exits[is_dn]] = val[is_dn]
+        up[exits[~is_dn]] = val[~is_dn]
+        if collect_crossing:
+            r, c = rows[is_dn], cols[is_dn]
+            over[exits[is_dn]] = -path[r, c]
+            under[exits[is_dn]] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
+        stay = ~any_hit
+        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live[stay], path[stay, -1],
+                                  t[stay] + T[stay], out, collect_crossing)
+    return out
 
 
 def _run_batch(
@@ -234,101 +370,19 @@ def _run_batch(
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
-    length n; non-exiting entries are 0 discounts / NaN levels.  For sigma > 0
-    and ``substeps=None`` the exact bridge epochs of ``_bridge_batch`` run.
+    length n; non-exiting entries are 0 discounts / NaN levels.  sigma = 0
+    runs ``_drift_batch``; sigma > 0 the exact epochs of ``_bridge_batch``,
+    or ``_grid_batch`` if ``substeps`` is given.
     """
-    if model.sigma > 0 and substeps is None:
+    if b is not None and x >= b:  # every path starts at or above b
+        out = _results(n)
+        out[0][:] = 1.0
+        return out
+    if model.sigma == 0:
+        return _drift_batch(model, q, x, b, n, rng, collect_crossing)
+    if substeps is None:
         return _bridge_batch(model, q, x, b, n, rng, collect_crossing)
-    t_max = math.log(1.0 / _HORIZON_EPS) / q
-    pos = np.full(n, float(x))
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    up = np.zeros(n)
-    down = np.zeros(n)
-    over = np.full(n, np.nan)
-    under = np.full(n, np.nan)
-    mu, sigma, lam = model.mu, model.sigma, model.lam
-    sample_jumps = _jump_sampler(model.phase_type)
-
-    # immediate exits at the start position
-    if b is not None:
-        at_top = pos >= b
-        up[at_top] = 1.0
-        active &= ~at_top
-
-    while active.any():
-        idx = np.flatnonzero(active)
-        k = len(idx)
-        if lam > 0:
-            T = rng.exponential(1.0 / lam, size=k)
-        else:
-            T = np.full(k, 1.0)  # driftless chunking for jump-free models
-        p0 = pos[idx]
-        t0 = t[idx]
-
-        if sigma > 0:
-            dt = T / substeps
-            steps = (
-                mu * dt[:, None] * np.arange(1, substeps + 1)
-                + sigma * np.sqrt(dt)[:, None]
-                * np.cumsum(rng.standard_normal((k, substeps)), axis=1)
-            )
-            path = p0[:, None] + steps
-            hit_dn = path < 0.0
-            hit_up = path >= b if b is not None else np.zeros_like(hit_dn)
-            hit = hit_dn | hit_up
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            rows = np.flatnonzero(any_hit)
-            cols = first[rows]
-            t_hit = t0[rows] + dt[rows] * (cols + 1)
-            val = np.exp(-q * t_hit)
-            is_dn = hit_dn[rows, cols]
-            gidx = idx[rows]
-            down[gidx[is_dn]] = val[is_dn]
-            up[gidx[~is_dn]] = val[~is_dn]
-            if collect_crossing:
-                over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
-                prev = np.where(
-                    cols[is_dn] > 0,
-                    path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
-                    p0[rows[is_dn]],
-                )
-                under[gidx[is_dn]] = prev
-            active[gidx] = False
-            survivors = np.flatnonzero(~any_hit)
-            pos[idx[survivors]] = path[survivors, -1]
-        else:
-            # exact drift crossing of the upper barrier
-            if b is not None:
-                reach = p0 + mu * T >= b
-                t_up = t0 + (b - p0) / mu
-                gup = idx[reach]
-                up[gup] = np.exp(-q * t_up[reach])
-                active[gup] = False
-                survivors = np.flatnonzero(~reach)
-            else:
-                survivors = np.arange(k)
-            pos[idx[survivors]] += mu * T[survivors]
-
-        live = idx[survivors]
-        t[live] += T[survivors]
-        if lam > 0 and len(live):
-            z = sample_jumps(rng, len(live))
-            before = pos[live]
-            after = before - z
-            crossed = after < 0.0
-            gdn = live[crossed]
-            down[gdn] = np.exp(-q * t[gdn])
-            if collect_crossing:
-                over[gdn] = -after[crossed]
-                under[gdn] = before[crossed]
-            active[gdn] = False
-            pos[live[~crossed]] = after[~crossed]
-
-        expired = active & (t > t_max)
-        active &= ~expired
-    return up, down, over, under
+    return _grid_batch(model, q, x, b, n, rng, collect_crossing, substeps)
 
 
 def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths: int,

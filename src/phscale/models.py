@@ -248,16 +248,24 @@ def validate_model(raw: dict) -> SnLevyModel:
     ``{"type": "hyperexp", "p": [...], "eta": [...]}`` or
     ``{"type": "phase_type", "alpha": [...], "T": [[...], ...]}``.
     """
+    def num(v):  # float() and NumPy would take a JSON true or false as 1 or 0
+        if isinstance(v, bool):
+            raise TypeError(f"{v!r} is not a number")
+        return v
+
+    def nums(seq):
+        return tuple(map(num, seq))
+
     try:
-        mu = float(raw["drift"])
-        sigma = float(raw["sigma"])
-        lam = float(raw["lambda"])
+        mu = float(num(raw["drift"]))
+        sigma = float(num(raw["sigma"]))
+        lam = float(num(raw["lambda"]))
         jump_raw = raw["jump"]
         jtype = jump_raw["type"]
         if jtype == "hyperexp":
-            jumps = HyperExpDist(p=tuple(jump_raw["p"]), eta=tuple(jump_raw["eta"]))
+            jumps = HyperExpDist(p=nums(jump_raw["p"]), eta=nums(jump_raw["eta"]))
         elif jtype == "phase_type":
-            jumps = PhaseTypeRepr(alpha=tuple(jump_raw["alpha"]), T=tuple(map(tuple, jump_raw["T"])))
+            jumps = PhaseTypeRepr(alpha=nums(jump_raw["alpha"]), T=tuple(map(nums, jump_raw["T"])))
         else:
             jumps = None
     except KeyError as exc:

@@ -250,13 +250,28 @@ class TestScaleEval:
         (5.0, {"type": "hyperexp", "p": ["a"], "eta": [1.0]}),
         (5.0, {"type": "phase_type", "alpha": [0.5, 0.5], "T": [[-1.0, 0.0], [-1.0]]}),
         (5.0, {"type": "phase_type", "alpha": [1.0], "T": [-1.0]}),
-    ], ids=["drift-text", "p-number", "p-text", "T-ragged", "T-flat"])
+        (True, {"type": "hyperexp", "p": [1.0], "eta": [1.0]}),
+        (5.0, {"type": "hyperexp", "p": [True], "eta": [1.0]}),
+    ], ids=["drift-text", "p-number", "p-text", "T-ragged", "T-flat", "drift-true", "p-true"])
     def test_malformed_model_file(self, capsys, tmp_path, drift, jump):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"drift": drift, "sigma": 1.0, "lambda": 5.0, "jump": jump}))
         code, out, err = run(capsys, "scale-eval", "--model", str(path), "--grid", "0:1:3")
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed model field")
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--mu", "--lam"])
+    def test_model_flags_rejected_with_a_file(self, capsys, tmp_path, flag):
+        # the file sets drift, sigma and lambda; a flag that it would override
+        # unseen is a validation error, not a silent no-op
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"drift": 5.0, "sigma": 1.0, "lambda": 5.0,
+                                    "jump": {"type": "hyperexp", "p": [1.0], "eta": [1.0]}}))
+        code, out, err = run(capsys, "exit-prob", "--model", str(path), flag, "0",
+                             "--x", "1", "--b", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}")
+        assert run(capsys, "exit-prob", "--model", str(path), "--x", "1", "--b", "5")[0] == 0
 
     def test_beta_benchmark_rejected_outside_mero(self, capsys):
         code, _, _ = run(

@@ -15,8 +15,10 @@ from phscale.fluctuation import (
 from phscale.mc import (
     HistogramEstimate,
     SimulationEstimate,
+    _choice_cdf,
     _jump_sampler,
     _run_batch,
+    _table_search,
     bridge_exit_probabilities,
     simulate_overshoot_undershoot,
     simulate_two_sided_exit,
@@ -285,8 +287,8 @@ class TestHistograms:
 
 def choice_sample_jumps(ph, rng, n):
     """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
-    ``rng.choice``: the reference for the sampler, which draws them by
-    ``searchsorted`` on a cached cdf."""
+    ``rng.choice``: the reference for the sampler, which draws them through a
+    lookup table on a cached cdf."""
     alpha, T = ph.alpha, ph.T
     m = alpha.size
     state = rng.choice(m, size=n, p=alpha / alpha.sum())
@@ -319,9 +321,125 @@ def test_sampler_matches_rng_choice(jumps, seed):
     ph = jumps.phase_type_arrays()
     sample = _jump_sampler(ph)
     new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n in (1, 17, 5000):
+    for n in (1, 17, 5000, 20_000):
         assert np.array_equal(sample(new, n), choice_sample_jumps(ph, ref, n))
     assert new.random() == ref.random()
+
+
+@pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), COXIAN],
+                         ids=[*BUILTIN_JUMPS, "coxian"])
+def test_table_search_matches_searchsorted(jumps):
+    # uniforms on and next to every cdf value and every cell edge, where the
+    # search changes its answer or the table its cell
+    ph = jumps.phase_type_arrays()
+    cdf = _choice_cdf(ph.alpha / ph.alpha.sum())
+    points = np.concatenate((cdf, np.arange(1025) / 1024))
+    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(_table_search(cdf)(u), cdf.searchsorted(u, side="right"))
+
+
+def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
+    """Reference for ``_run_batch`` with sigma = 0, or sigma > 0 on a grid of
+    ``substeps``: one loop over boolean masks of all n paths, indexing every
+    path by its position in the batch, with jumps from ``choice_sample_jumps``."""
+    t_max = math.log(1.0 / 1e-8) / q  # horizon e^{-q t} < 1e-8
+    pos = np.full(n, float(x))
+    t = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+    up = np.zeros(n)
+    down = np.zeros(n)
+    over = np.full(n, np.nan)
+    under = np.full(n, np.nan)
+    mu, sigma, lam = model.mu, model.sigma, model.lam
+    ph = model.phase_type
+    if b is not None:
+        at_top = pos >= b
+        up[at_top] = 1.0
+        active &= ~at_top
+    while active.any():
+        idx = np.flatnonzero(active)
+        k = len(idx)
+        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.full(k, 1.0)
+        p0 = pos[idx]
+        t0 = t[idx]
+        if sigma > 0:
+            dt = T / substeps
+            steps = (
+                mu * dt[:, None] * np.arange(1, substeps + 1)
+                + sigma * np.sqrt(dt)[:, None]
+                * np.cumsum(rng.standard_normal((k, substeps)), axis=1)
+            )
+            path = p0[:, None] + steps
+            hit_dn = path < 0.0
+            hit_up = path >= b if b is not None else np.zeros_like(hit_dn)
+            hit = hit_dn | hit_up
+            any_hit = hit.any(axis=1)
+            first = np.argmax(hit, axis=1)
+            rows = np.flatnonzero(any_hit)
+            cols = first[rows]
+            val = np.exp(-q * (t0[rows] + dt[rows] * (cols + 1)))
+            is_dn = hit_dn[rows, cols]
+            gidx = idx[rows]
+            down[gidx[is_dn]] = val[is_dn]
+            up[gidx[~is_dn]] = val[~is_dn]
+            if collect_crossing:
+                over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
+                under[gidx[is_dn]] = np.where(
+                    cols[is_dn] > 0,
+                    path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
+                    p0[rows[is_dn]],
+                )
+            active[gidx] = False
+            survivors = np.flatnonzero(~any_hit)
+            pos[idx[survivors]] = path[survivors, -1]
+        else:
+            if b is not None:
+                reach = p0 + mu * T >= b
+                t_up = t0 + (b - p0) / mu
+                up[idx[reach]] = np.exp(-q * t_up[reach])
+                active[idx[reach]] = False
+                survivors = np.flatnonzero(~reach)
+            else:
+                survivors = np.arange(k)
+            pos[idx[survivors]] += mu * T[survivors]
+        live = idx[survivors]
+        t[live] += T[survivors]
+        if lam > 0 and len(live):
+            before = pos[live]
+            after = before - choice_sample_jumps(ph, rng, len(live))
+            crossed = after < 0.0
+            gdn = live[crossed]
+            down[gdn] = np.exp(-q * t[gdn])
+            if collect_crossing:
+                over[gdn] = -after[crossed]
+                under[gdn] = before[crossed]
+            active[gdn] = False
+            pos[live[~crossed]] = after[~crossed]
+        active &= ~(t > t_max)
+    return up, down, over, under
+
+
+@pytest.mark.parametrize("seed", (0, 5, 11))
+@pytest.mark.parametrize("x, b", [(2.0, 5.0), (5.0, 5.0), (2.0, None)],
+                         ids=["exit", "x=b", "histogram"])
+@pytest.mark.parametrize("model, substeps", [
+    (builtin_model("exp1", sigma=0.0), None),
+    (builtin_model("weibull-fit", sigma=0.0), None),
+    (builtin_model("pareto-fit", sigma=0.0, mu=1.0, lam=10.0), None),
+    (builtin_model("exp1", sigma=0.0, lam=0.0), None),
+    (SnLevyModel(mu=1.0, sigma=0.0, lam=10.0, jumps=COXIAN), None),
+    (builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0), 7),
+    (SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN), 7),
+], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian", "grid-pareto-fit", "grid-coxian"])
+def test_run_batch_matches_masked_reference(model, substeps, x, b, seed):
+    # the same draws to the same paths, so every output is equal bit for bit;
+    # histogram mode (b = None) also records overshoot and undershoot
+    args = (model, Q, x, b, 3000)
+    got = _run_batch(*args, np.random.default_rng(seed), b is None, substeps)
+    ref = masked_run_batch(*args, np.random.default_rng(seed), b is None, substeps)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
 
 
 class TestDomainChecks:

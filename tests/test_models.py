@@ -81,6 +81,25 @@ class TestValidation:
         with pytest.raises(DomainError):
             SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps={"p": [1.0], "eta": [1.0]})
 
+    @pytest.mark.parametrize("path", [
+        ("drift",), ("sigma",), ("lambda",), ("jump", "p", 0), ("jump", "eta", 0),
+        ("jump", "alpha", 0), ("jump", "T", 0, 0),
+    ], ids=lambda path: "-".join(map(str, path)))
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_are_not_numbers(self, path, flag):
+        # json.load gives a JSON true as Python True, which float() takes as 1.0
+        hyperexp = {"type": "hyperexp", "p": [1.0], "eta": [1.0]}
+        ph = {"type": "phase_type", "alpha": [1.0], "T": [[-1.0]]}
+        raw = {"drift": 5.0, "sigma": 1.0, "lambda": 5.0,
+               "jump": ph if "alpha" in path or "T" in path else hyperexp}
+        validate_model(raw)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = flag
+        with pytest.raises(DomainError, match="malformed model field"):
+            validate_model(raw)
+
     def test_missing_field(self):
         with pytest.raises(DomainError):
             validate_model({"drift": 1, "sigma": 1})
