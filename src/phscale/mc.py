@@ -23,10 +23,13 @@ estimate bit-reproducible.
 Each scheme has its own batch loop (``_bridge_batch``, ``_grid_batch``,
 ``_drift_batch``), and each carries only the paths still alive, as compact
 arrays filtered in ascending path order, so every draw goes to the same path
-whatever the loop.  A jump's phase is drawn through a 1024-cell lookup table
-on the start distribution's cdf, built once per sampler, that gives the
-searched index bit for bit; only a uniform in one of the few cells that a cdf
-step straddles is searched.
+whatever the loop.  The drift and grid loops filter them once per epoch, in
+``_epoch_end``, after the epoch's exits, jumps and expiries are known.  A
+path without jumps that cannot go down (sigma = 0, lambda = 0, no upper
+barrier) is retired at once.  A jump's phase is drawn through a 1024-cell
+lookup table on the start distribution's cdf, built once per sampler, that
+gives the searched index bit for bit; only a uniform in one of the few cells
+that a cdf step straddles is searched.
 """
 from __future__ import annotations
 
@@ -134,25 +137,24 @@ def _jump_sampler(ph: PhaseTypeArrays):
         return sample_diagonal
     m = alpha.size
     total = -np.diag(T)
+    scale = 1.0 / total
     # cumulative transition probabilities out of each state (to states, then absorb)
     probs = np.column_stack((T, t)) / total[:, None]
     probs[np.arange(m), np.arange(m)] = 0.0
     cum = np.cumsum(probs, axis=1)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        # CTMC absorption time, vectorized over the surviving samples
+        # CTMC absorption time over the compact (idx, state) of the unabsorbed
+        # samples, kept in ascending order
         state = start(rng.random(n))
         time = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        while alive.any():
-            idx = np.flatnonzero(alive)
-            s = state[idx]
-            time[idx] += rng.exponential(1.0 / total[s])
-            u = rng.random(len(idx))
-            nxt = (u[:, None] > cum[s]).sum(axis=1)
-            absorbed = nxt == m
-            alive[idx[absorbed]] = False
-            state[idx[~absorbed]] = nxt[~absorbed]
+        idx = np.arange(n)
+        while idx.size:
+            # bit for bit rng.exponential(scale[state]), which multiplies the same draws
+            time[idx] += rng.standard_exponential(idx.size) * scale[state]
+            nxt = (rng.random(idx.size)[:, None] > cum[state]).sum(axis=1)
+            go = np.flatnonzero(nxt < m)
+            idx, state = idx[go], nxt[go]
         return time
 
     return sample
@@ -257,23 +259,30 @@ def _bridge_batch(
     return out
 
 
-def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, out, collect_crossing):
-    """Close a discounted epoch at time t: one jump for each live path at pos
-    (none without jumps), a path taken below 0 exits with down = e^{-q t}, one
-    still inside past the horizon expires.  Returns the (live, pos, t) that
-    remain."""
-    keep = t <= math.log(1.0 / _HORIZON_EPS) / q
-    if lam > 0 and live.size:
+def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_crossing):
+    """Close a discounted epoch at time t for the paths ``live`` at pos, of
+    which the mask ``stay`` marks those that did not exit during it: one jump
+    for each of these (none without jumps), written in at their positions in
+    ascending path order; a path taken below 0 exits with down = e^{-q t}, one
+    still inside past the horizon expires.  This is the epoch's one filter of
+    the live set: (live, pos, t) are compressed once, to the paths that stay,
+    did not cross and are within the horizon, and returned."""
+    keep = stay & (t <= math.log(1.0 / _HORIZON_EPS) / q)
+    n_stay = np.count_nonzero(stay)
+    if lam > 0 and n_stay:
         _, down, over, under = out
-        after = pos - sample_jumps(rng, live.size)
-        crossed = after < 0.0
-        down[live[crossed]] = np.exp(-q * t[crossed])
+        jump = np.zeros(live.size)
+        jump[stay] = sample_jumps(rng, n_stay)
+        after = pos - jump
+        gone = np.flatnonzero(stay & (after < 0.0))
+        down[live[gone]] = np.exp(-q * t[gone])
         if collect_crossing:
-            over[live[crossed]] = -after[crossed]
-            under[live[crossed]] = pos[crossed]
-        keep &= ~crossed
+            over[live[gone]] = -after[gone]
+            under[live[gone]] = pos[gone]
+        keep[gone] = False
         pos = after
-    return live[keep], pos[keep], t[keep]
+    kept = np.flatnonzero(keep)
+    return live[kept], pos[kept], t[kept]
 
 
 def _drift_batch(
@@ -290,6 +299,8 @@ def _drift_batch(
     returns as ``_run_batch``."""
     mu, lam = model.mu, model.lam
     out = _results(n)
+    if lam == 0 and b is None:  # mu > 0 and no jumps: no path ever goes down
+        return out
     up = out[0]
     sample_jumps = _jump_sampler(model.phase_type)
     live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
@@ -297,12 +308,13 @@ def _drift_batch(
         k = live.size
         T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.ones(k)
         end = pos + mu * T
-        if b is not None:  # the drift reaches b at t + (b - pos) / mu
-            reach = end >= b
+        if b is None:
+            stay = np.ones(k, dtype=bool)
+        else:  # the drift reaches b at t + (b - pos) / mu
+            stay = end < b
+            reach = np.flatnonzero(~stay)
             up[live[reach]] = np.exp(-q * (t[reach] + (b - pos[reach]) / mu))
-            stay = ~reach
-            live, end, t, T = live[stay], end[stay], t[stay], T[stay]
-        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t + T, out,
+        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t + T, stay, out,
                                   collect_crossing)
     return out
 
@@ -351,9 +363,8 @@ def _grid_batch(
             r, c = rows[is_dn], cols[is_dn]
             over[exits[is_dn]] = -path[r, c]
             under[exits[is_dn]] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
-        stay = ~any_hit
-        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live[stay], path[stay, -1],
-                                  t[stay] + T[stay], out, collect_crossing)
+        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, path[:, -1], t + T,
+                                  ~any_hit, out, collect_crossing)
     return out
 
 

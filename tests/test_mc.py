@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phscale import mc
 from phscale.errors import DomainError
 from phscale.fluctuation import (
     IntervalPair,
@@ -438,6 +439,85 @@ def test_run_batch_matches_masked_reference(model, substeps, x, b, seed):
     args = (model, Q, x, b, 3000)
     got = _run_batch(*args, np.random.default_rng(seed), b is None, substeps)
     ref = masked_run_batch(*args, np.random.default_rng(seed), b is None, substeps)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+def test_drift_without_jumps_never_goes_down(monkeypatch):
+    # sigma = 0, mu > 0, lambda = 0 and no upper barrier: every path is
+    # retired at once, before any epoch
+    def no_epoch(*args):
+        raise AssertionError("_epoch_end called")
+
+    monkeypatch.setattr(mc, "_epoch_end", no_epoch)
+    m = builtin_model("exp1", sigma=0.0, mu=1.0, lam=0.0)
+    rng = np.random.default_rng(0)
+    up, down, over, under = _run_batch(m, Q, 5.0, None, 1000, rng, True)
+    assert not up.any() and not down.any()
+    assert np.isnan(over).all() and np.isnan(under).all()
+    assert rng.random() == np.random.default_rng(0).random()  # no draw taken
+
+
+def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
+    """Reference for ``_run_batch`` with sigma > 0 on exact bridge epochs: one
+    loop over boolean masks of all n paths, drawing per epoch T, the normal,
+    the bridge uniform and the kill uniform for every live path, then the
+    jumps from ``choice_sample_jumps`` for the paths that jump."""
+    mu, var, lam = model.mu, model.sigma**2, model.lam
+    rate = lam + q
+    pos = np.full(n, float(x))
+    active = np.ones(n, dtype=bool)
+    up = np.zeros(n)
+    down = np.zeros(n)
+    over = np.full(n, np.nan)
+    under = np.full(n, np.nan)
+    if b is not None and x >= b:
+        up[:] = 1.0
+        active[:] = False
+    while active.any():
+        idx = np.flatnonzero(active)
+        k = len(idx)
+        T = rng.exponential(1.0 / rate, size=k)
+        p0 = pos[idx]
+        end = p0 + mu * T + np.sqrt(var * T) * rng.standard_normal(k)
+        p_dn, p_up = bridge_exit_probabilities(p0, end, var * T, b)
+        u = rng.random(k)
+        dn = u < p_dn
+        hit_up = ~dn & (u < p_dn + p_up)
+        down[idx[dn]] = 1.0
+        up[idx[hit_up]] = 1.0
+        if collect_crossing:  # creeping
+            over[idx[dn]] = 0.0
+            under[idx[dn]] = 0.0
+        killed = rng.random(k) * rate >= lam
+        active[idx[dn | hit_up | killed]] = False
+        jumped = ~(dn | hit_up | killed)
+        live = idx[jumped]
+        if len(live):
+            before = end[jumped]
+            after = before - choice_sample_jumps(model.phase_type, rng, len(live))
+            crossed = after < 0.0
+            down[live[crossed]] = 1.0
+            if collect_crossing:
+                over[live[crossed]] = -after[crossed]
+                under[live[crossed]] = before[crossed]
+            active[live[crossed]] = False
+            pos[live[~crossed]] = after[~crossed]
+    return up, down, over, under
+
+
+@pytest.mark.parametrize("seed", (0, 5, 11))
+@pytest.mark.parametrize("x, b", [(2.0, 5.0), (2.0, None)], ids=["exit", "histogram"])
+@pytest.mark.parametrize("model", [
+    builtin_model("exp1", sigma=1.0),
+    builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0),
+    SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN),
+], ids=["exp1", "pareto-fit", "coxian"])
+def test_bridge_batch_matches_masked_reference(model, x, b, seed):
+    # the same draws to the same paths, so every output is equal bit for bit
+    args = (model, Q, x, b, 3000)
+    got = _run_batch(*args, np.random.default_rng(seed), b is None)
+    ref = masked_bridge_batch(*args, np.random.default_rng(seed), b is None)
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
 
