@@ -14,7 +14,7 @@ from .models import (
 )
 from .roots import RootDecomposition, find_roots, find_zeta
 from .scale import ScaleFunction, boundary_identities, build_scale
-from .wiener_hopf import WhCoefficients, partial_fraction_coefficients, wh_factor_minus
+from .wiener_hopf import partial_fraction_coefficients, wh_factor_minus
 from .fluctuation import (
     IntervalPair,
     down_exit,
@@ -51,7 +51,6 @@ __all__ = [
     "SimulationEstimate",
     "SnLevyModel",
     "TruncatedMero",
-    "WhCoefficients",
     "beta_psi",
     "boundary_identities",
     "build_scale",

@@ -269,6 +269,8 @@ def _cmd_simulate(args) -> None:
                      "ci_high": [u.ci95[1], d.ci95[1]]},
               {**meta, "b": args.b, "scheme": u.scheme})
     else:
+        if args.b is not None:
+            raise DomainError("--b is for exit simulation only")
         oh, uh = simulate_overshoot_undershoot(model, args.q, args.x,
                                                args.bin_width, args.n_paths,
                                                args.seed)

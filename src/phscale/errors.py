@@ -41,10 +41,6 @@ class RepeatedRootsDetected(NumericalFailure):
     """Automated root pipeline found clustered (near-repeated) roots."""
 
 
-class ExponentAtPole(NumericalFailure):
-    """Closed-form exponential integral hit a vanishing denominator."""
-
-
 class UnsupportedRegime(PhscaleError):
     """Parameter regime outside what the closed forms support."""
 

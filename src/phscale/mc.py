@@ -442,8 +442,6 @@ def simulate_overshoot_undershoot(
     window_width: float,
     n_paths: int,
     seed: int,
-    a_max: float = 10.0,
-    b_max: Optional[float] = None,
     substeps: Optional[int] = None,
 ) -> Tuple[HistogramEstimate, HistogramEstimate]:
     """Binned discounted overshoot/undershoot laws at the first down-crossing.
@@ -451,16 +449,15 @@ def simulate_overshoot_undershoot(
     Returns (overshoot_hist, undershoot_hist); densities are per unit level so
     they compare directly against the closed-form densities at bin centers.
     Creeping paths (sigma > 0) land at overshoot 0 and undershoot 0, in the
-    first bin of each histogram.  ``substeps`` selects the scheme as in
+    first bin of each histogram.  The overshoot bins cover [0, 10] and the
+    undershoot bins [0, 2x].  ``substeps`` selects the scheme as in
     ``simulate_two_sided_exit``.
     """
     scheme = _scheme(model, q, n_paths, substeps)
     if not (0 < x < math.inf and 0 < window_width < math.inf):
         raise DomainError("x and window_width must be > 0 and finite")
-    if b_max is None:
-        b_max = 2.0 * x
-    edges_a = np.arange(0.0, a_max + window_width / 2, window_width)
-    edges_b = np.arange(0.0, b_max + window_width / 2, window_width)
+    edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
+    edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
     sums_a = np.zeros(len(edges_a) - 1)
     sq_a = np.zeros_like(sums_a)
     sums_b = np.zeros(len(edges_b) - 1)

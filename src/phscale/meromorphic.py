@@ -25,7 +25,7 @@ from .errors import (
 from .models import CASE1, CASE2
 from .roots import RootDecomposition, interlaced_solve
 from .scale import ScaleFunction, assemble
-from .wiener_hopf import like, partial_fraction_coefficients, points
+from .wiener_hopf import like, points
 
 _POLE_TOL = 1e-12
 
@@ -115,16 +115,14 @@ def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.nd
 class TruncatedMero:
     """m-truncated system with the truncation gaps delta (W/Z) and epsilon
     (W' refinement).  ``sf`` is the m-term scale function with lead
-    1/psi'(zeta) and value w0 + delta at 0: the upper bound for W and Z and the
-    lower bound for W'.  Its ``wp0`` and ``theta`` are those of the process
-    (inf for sigma = 0 with infinite jump activity, where ``theta`` is None)."""
+    1/psi'(zeta) and value W(0) + delta at 0: the upper bound for W and Z and
+    the lower bound for W'.  Its decomposition holds xi_1..xi_m and the poles
+    eta_1..eta_m; ``xi`` adds xi_{m+1}, which the gaps need.  The ``wp0`` and
+    ``theta`` of ``sf`` are those of the process (inf for sigma = 0 with
+    infinite jump activity, where ``theta`` here is None)."""
 
-    params: BetaFamilyParams
     m: int
     xi: np.ndarray  # xi_1 .. xi_{m+1}
-    eta: np.ndarray  # eta_1 .. eta_m
-    w0: float
-    gamma: float
     delta: float
     theta: Optional[float]
     epsilon: Optional[float]
@@ -164,21 +162,15 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m], poles=etas,
                                case=CASE1 if params.sigma > 0 else CASE2)
     ppz = beta_psi_derivative(params, zeta)
-    sf = assemble(partial_fraction_coefficients(decomp), w0=w0, wp0=wp0,
-                  theta=math.inf if theta is None else theta, psi_prime_zeta=ppz,
-                  decomp=decomp, model=None)
-    gamma = 1.0 / ppz - w0
-    delta = gamma - float(sf.C.sum())
+    sf = assemble(decomp, w0=w0, wp0=wp0, theta=math.inf if theta is None else theta,
+                  psi_prime_zeta=ppz, model=None)
+    delta = 1.0 / ppz - w0 - float(sf.C.sum())
     return TruncatedMero(
-        params=params,
         m=m,
         xi=xis,
-        eta=etas,
-        w0=w0,
-        gamma=gamma,
         delta=delta,
         theta=theta,
-        epsilon=None if theta is None else theta - (zeta / q) * sf.wh.varrho,
+        epsilon=None if theta is None else theta - (zeta / q) * sf.varrho,
         # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
         sf=replace(sf, w0=w0 + delta, lead=1.0 / ppz),
     )

@@ -52,14 +52,6 @@ class HyperExpDist:
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "eta", tuple(eta))
 
-    @property
-    def m(self) -> int:
-        return len(self.p)
-
-    def as_phase_type(self) -> "PhaseTypeRepr":
-        """Equivalent PH representation with diagonal generator."""
-        return PhaseTypeRepr(alpha=self.p, T=tuple(map(tuple, -np.diag(self.eta))))
-
     def phase_type_arrays(self) -> "PhaseTypeArrays":
         """alpha = p, T = -diag(eta), t = eta and the poles eta."""
         return _diagonal_arrays(self.p, self.eta)
@@ -92,10 +84,6 @@ class PhaseTypeRepr:
             raise SingularGenerator("PH generator is singular")
         object.__setattr__(self, "alpha", tuple(alpha))
         object.__setattr__(self, "T", tuple(tuple(row) for row in T))
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha)
 
     def phase_type_arrays(self) -> "PhaseTypeArrays":
         """alpha, T, t and the poles -eig(T); a diagonal T is reduced to minimal form."""

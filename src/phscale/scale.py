@@ -1,6 +1,7 @@
-"""Closed-form scale functions assembled from Wiener-Hopf coefficients.
+"""Closed-form scale functions assembled from the roots of psi(s) = q.
 
-With simple roots the q-scale function is the exponential sum
+With simple roots and the residues A_i of the Wiener-Hopf factor at them,
+the q-scale function is the exponential sum
 
     W(x) = lead e^{zeta x} - sum_i C_i e^{-xi_i x},   x >= 0,
 
@@ -20,15 +21,8 @@ import numpy as np
 from .errors import DomainError, RepeatedRootsDetected
 from .models import CASE1, CASE2, SnLevyModel
 from .roots import RootDecomposition, find_roots
-from .wiener_hopf import (
-    WhCoefficients,
-    exp_sum,
-    like,
-    partial_fraction_coefficients,
-    points,
-)
+from .wiener_hopf import _IMAG_TOL, exp_sum, like, partial_fraction_coefficients, points
 
-_IMAG_TOL = 1e-10
 _EXP_LOG_GUARD = 700.0
 
 
@@ -64,10 +58,12 @@ def _envelope(zx: np.ndarray, vals, expfn=np.exp) -> np.ndarray:
 class ScaleFunction:
     """Assembled q-scale function of one model.
 
-    ``xi`` and ``C`` are arrays (complex where the roots hold a conjugate
-    pair) with C_i = (zeta/q) A_i xi_i/(zeta + xi_i); ``lead`` = w0 + sum C
-    is the coefficient of e^{zeta x} and coincides with 1/psi'(zeta) up to
-    rounding.
+    ``decomp`` holds the roots and poles; ``q``, ``zeta`` and ``xi`` are its
+    own objects.  ``A``, ``C`` are arrays aligned with ``xi`` (complex where
+    the roots hold a conjugate pair): the residues A_i of phi_q_minus and
+    C_i = (zeta/q) A_i xi_i/(zeta + xi_i).  ``varrho`` = sum_i A_i xi_i, and
+    ``lead`` = w0 + sum C is the coefficient of e^{zeta x}, which coincides
+    with 1/psi'(zeta) up to rounding.
     """
 
     q: float
@@ -78,8 +74,9 @@ class ScaleFunction:
     theta: float
     lead: float
     xi: np.ndarray
+    A: np.ndarray
     C: np.ndarray
-    wh: WhCoefficients
+    varrho: float
     decomp: RootDecomposition
     model: Optional[SnLevyModel]
 
@@ -145,7 +142,7 @@ class ScaleFunction:
     def sum_c_residual(self) -> float:
         """Relative residual of sum(C) against 1/psi'(zeta) (case 2: minus 1/mu)."""
         target = 1.0 / self.psi_prime_zeta
-        if self.wh.case == CASE2:
+        if self.decomp.case == CASE2:
             # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with
             # w0 = 1/mu; the subtraction cancels when psi'(zeta) is near mu
             if self.model is None:
@@ -156,44 +153,46 @@ class ScaleFunction:
 
 
 def boundary_identities(sf: ScaleFunction) -> dict:
-    """Residuals of the positive-root identity zeta/q = theta/varrho and of
-    the coefficient-sum identity."""
+    """Relative residuals of the positive-root identity zeta/q = theta/varrho
+    and of the coefficient-sum identity."""
     lhs = sf.zeta / sf.q
-    rhs = sf.theta / sf.wh.varrho
     return {
-        "zeta_over_q": lhs,
-        "theta_over_varrho": rhs,
-        "zeta_identity_rel_err": abs(lhs - rhs) / max(abs(lhs), 1e-300),
+        "zeta_identity_rel_err": abs(lhs - sf.theta / sf.varrho) / max(abs(lhs), 1e-300),
         "sum_c_rel_err": sf.sum_c_residual(),
     }
 
 
 def assemble(
-    wh: WhCoefficients,
+    decomp: RootDecomposition,
     *,
     w0: float,
     wp0: float,
     theta: float,
     psi_prime_zeta: float,
-    decomp: RootDecomposition,
     model: Optional[SnLevyModel],
 ) -> ScaleFunction:
-    """Build a ScaleFunction from partial-fraction data at simple roots."""
-    C = (wh.zeta / wh.q) * wh.A * (wh.xi / (wh.zeta + wh.xi))
-    lead = complex(w0 + C.sum())
+    """Build a ScaleFunction from simple roots and the residues at them; a
+    sum over conjugate pairs that is not real raises RepeatedRootsDetected."""
+    zeta, xi = decomp.zeta, decomp.xi
+    A = partial_fraction_coefficients(decomp)
+    C = (zeta / decomp.q) * A * (xi / (zeta + xi))
+    varrho, lead = complex(A @ xi), complex(w0 + C.sum())
+    if abs(varrho.imag) > _IMAG_TOL * (1.0 + abs(varrho.real)):
+        raise RepeatedRootsDetected(f"varrho has imaginary part {varrho.imag}")
     if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
         raise RepeatedRootsDetected("leading coefficient not real")
     return ScaleFunction(
-        q=wh.q,
-        zeta=wh.zeta,
+        q=decomp.q,
+        zeta=zeta,
         psi_prime_zeta=psi_prime_zeta,
         w0=w0,
         wp0=wp0,
         theta=theta,
         lead=lead.real,
-        xi=wh.xi,
+        xi=xi,
+        A=A,
         C=C,
-        wh=wh,
+        varrho=varrho.real,
         decomp=decomp,
         model=model,
     )
@@ -204,7 +203,6 @@ def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
     if not 0 < q < math.inf:
         raise DomainError("q must be > 0 and finite")
     decomp = find_roots(model, q)
-    wh = partial_fraction_coefficients(decomp)
     zeta = decomp.zeta
     if model.case == CASE1:
         w0 = 0.0
@@ -217,11 +215,10 @@ def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
         # that nothing cancels when theta is far below zeta/mu
         theta = model.jump_transform(zeta) / model.mu**2
     return assemble(
-        wh,
+        decomp,
         w0=w0,
         wp0=wp0,
         theta=theta,
         psi_prime_zeta=model.laplace_exponent_derivative(zeta),
-        decomp=decomp,
         model=model,
     )

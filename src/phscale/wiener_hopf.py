@@ -5,38 +5,23 @@ The factor is the rational function
     phi_q_minus(s) = prod_j (s + eta_j)/eta_j * prod_i xi_i / (s + xi_i),
 
 whose partial-fraction expansion gives the density of the running minimum.
-Residues at the (simple) roots are exact products.  The same roots and
-residues give the exponential sums of the scale functions, evaluated on
-grids by one tiled kernel, ``exp_sum``.
+Residues at the (simple) roots are exact products, returned as one array
+aligned with the roots of the ``RootDecomposition``; ``scale.assemble`` turns
+roots and residues into the exponential sum of the scale function, and every
+such sum is evaluated on grids by one tiled kernel, ``exp_sum``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import PoleEvaluation, RepeatedRootsDetected
+from .errors import PoleEvaluation
 from .roots import RootDecomposition, check_clusters
 
+# Relative size of an imaginary part that counts as rounding, wherever a sum
+# over conjugate root pairs is taken as real
 _IMAG_TOL = 1e-10
 # Elements per temporary in the tiled m x m and grid x m products (bounds peak memory)
 _TILE = 2**14
-
-
-@dataclass(frozen=True, eq=False)
-class WhCoefficients:
-    """Partial-fraction data of phi_q_minus at simple roots.
-
-    ``xi`` holds the roots and ``A`` the residue A_i at each; ``varrho`` is
-    sum_i A_i xi_i.
-    """
-
-    xi: np.ndarray
-    A: np.ndarray
-    varrho: float
-    zeta: float
-    q: float
-    case: str
 
 
 def wh_factor_minus(decomp: RootDecomposition, s):
@@ -100,20 +85,9 @@ def exp_sum(rates, weights, xs: np.ndarray, expfn=np.exp) -> np.ndarray:
     return out
 
 
-def partial_fraction_coefficients(decomp: RootDecomposition) -> WhCoefficients:
-    """Partial-fraction coefficients of phi_q_minus at simple roots, as
-    closed-form residue products; repeated or clustered roots raise."""
-    xi = decomp.xi
-    check_clusters(xi)
-    A = product_residues(xi, decomp.poles)
-    varrho = complex(A @ xi)
-    if abs(varrho.imag) > _IMAG_TOL * (1.0 + abs(varrho.real)):
-        raise RepeatedRootsDetected(f"varrho has imaginary part {varrho.imag}")
-    return WhCoefficients(
-        xi=xi,
-        A=A,
-        varrho=varrho.real,
-        zeta=decomp.zeta,
-        q=decomp.q,
-        case=decomp.case,
-    )
+def partial_fraction_coefficients(decomp: RootDecomposition) -> np.ndarray:
+    """Residues A_i of phi_q_minus at the simple roots ``decomp.xi``, as
+    closed-form products (complex where the roots are); repeated or clustered
+    roots raise."""
+    check_clusters(decomp.xi)
+    return product_residues(decomp.xi, decomp.poles)

@@ -1,6 +1,7 @@
-"""Closed forms that only the tests use as references: jump-law densities
-and means, the beta-family and tempered-stable Levy densities; the
-tail-measure double integral rho; the running-minimum atom, density and
+"""Closed forms that only the tests use as references: jump-law densities,
+means and phase counts, the phase-type form of a hyperexponential law, the
+beta-family and tempered-stable Levy densities; the tail-measure double
+integral rho; the running-minimum atom, density and
 Laplace form rebuilt from Wiener-Hopf partial fractions; partial fractions at repeated roots by
 quotient differentiation; the cleared Cramer-Lundberg polynomial of
 hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
@@ -15,14 +16,28 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from phscale.errors import DomainError, ExponentAtPole, RepeatedRootsDetected
+from phscale.errors import DomainError, NumericalFailure, RepeatedRootsDetected
 from phscale.fluctuation import IntervalPair
 from phscale.meromorphic import BetaFamilyParams
 from phscale.models import CASE2, HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition
-from phscale.wiener_hopf import WhCoefficients
+from phscale.wiener_hopf import partial_fraction_coefficients
 
 _IMAG_TOL = 1e-10
+
+
+class ExponentAtPole(NumericalFailure):
+    """Closed-form exponential integral hit a vanishing denominator."""
+
+
+def n_phases(law) -> int:
+    """Number of phases of a HyperExpDist or a PhaseTypeRepr."""
+    return len(law.p) if isinstance(law, HyperExpDist) else len(law.alpha)
+
+
+def as_phase_type(law: HyperExpDist) -> PhaseTypeRepr:
+    """The hyperexponential law as a phase-type law with diagonal generator."""
+    return PhaseTypeRepr(alpha=law.p, T=tuple(map(tuple, -np.diag(law.eta))))
 
 
 def law_density(law, z: float) -> float:
@@ -44,7 +59,7 @@ def law_mean(law) -> float:
     if isinstance(law, HyperExpDist):
         return float(np.sum(np.asarray(law.p) / np.asarray(law.eta)))
     T = np.asarray(law.T)
-    return float(-np.asarray(law.alpha) @ np.linalg.solve(T, np.ones(law.m)))
+    return float(-np.asarray(law.alpha) @ np.linalg.solve(T, np.ones(n_phases(law))))
 
 
 def jump_density(model: SnLevyModel, z: float) -> float:
@@ -115,19 +130,17 @@ def rho(K: float, pair: IntervalPair, jumps: HyperExpDist, lam: float) -> float:
     return total
 
 
-def triples(coeffs) -> List[Tuple[complex, int, complex]]:
-    """(xi_i, k, A_i^(k)) of partial-fraction data: the ``entries`` of
-    ``multiplicity_coefficients``, or k = 1 for the simple roots of a
-    package ``WhCoefficients``."""
-    if isinstance(coeffs, WhCoefficients):
-        return [(xi, 1, A) for xi, A in zip(coeffs.xi, coeffs.A)]
-    return list(coeffs.entries)
+def simple_coefficients(decomp: RootDecomposition) -> SimpleNamespace:
+    """The package's residues at simple roots, laid out as
+    ``multiplicity_coefficients``: ``entries`` (xi_i, 1, A_i)."""
+    A = partial_fraction_coefficients(decomp)
+    return SimpleNamespace(entries=tuple(zip(decomp.xi, [1] * A.size, A)))
 
 
 def running_min_density(coeffs, x: float) -> float:
     """Density of -(running minimum at an exponential q-time) at x > 0."""
     total = 0.0 + 0.0j
-    for xi, k, A in triples(coeffs):
+    for xi, k, A in coeffs.entries:
         total += A * xi * (xi * x) ** (k - 1) / math.factorial(k - 1) * np.exp(-xi * x)
     if abs(total.imag) > _IMAG_TOL * (1.0 + abs(total.real)):
         raise RepeatedRootsDetected(f"density imaginary part {total.imag} at x={x}")
@@ -137,7 +150,7 @@ def running_min_density(coeffs, x: float) -> float:
 def reconstruct_factor(coeffs, atom: float, s: complex) -> complex:
     """phi_q_minus(s) rebuilt from the atom and the partial fractions (Laplace form)."""
     out: complex = atom
-    for xi, k, A in triples(coeffs):
+    for xi, k, A in coeffs.entries:
         out += A * (xi / (s + xi)) ** k
     if isinstance(out, complex) and abs(out.imag) < _IMAG_TOL * (1 + abs(out.real)):
         return float(out.real)
@@ -181,17 +194,9 @@ def _multiplicity_coefficients(decomp: RootDecomposition) -> List[Tuple[complex,
 
 def multiplicity_coefficients(decomp: RootDecomposition) -> SimpleNamespace:
     """Partial-fraction coefficients of phi_q_minus for a decomposition with
-    repeated roots (the package accepts simple roots only), laid out as
-    WhCoefficients with ``entries`` (xi, k, A^(k)) in place of ``xi`` and ``A``."""
-    entries = _multiplicity_coefficients(decomp)
-    varrho = complex(sum(A * xi for xi, k, A in entries if k == 1))
-    return SimpleNamespace(
-        entries=tuple(entries),
-        varrho=varrho.real,
-        zeta=decomp.zeta,
-        q=decomp.q,
-        case=decomp.case,
-    )
+    repeated roots (the package accepts simple roots only): ``entries``
+    (xi, k, A^(k))."""
+    return SimpleNamespace(entries=tuple(_multiplicity_coefficients(decomp)))
 
 
 def cramer_lundberg_polynomial(model: SnLevyModel, q: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from phscale.models import HyperExpDist, SnLevyModel, builtin_model
 from phscale.roots import find_roots
 from phscale.scale import build_scale
 
-from closed_forms import beta_levy_density, cgmy_levy_density
+from closed_forms import as_phase_type, beta_levy_density, cgmy_levy_density
 
 Q = 0.05
 B = 5.0
@@ -366,7 +366,7 @@ class TestCriterion8OracleEquivalence:
     def test_ph_reproduces_hyperexp(self, jumps, sigma):
         m_he = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps)
         m_ph = SnLevyModel(
-            mu=5.0, sigma=sigma, lam=5.0, jumps=jumps.as_phase_type()
+            mu=5.0, sigma=sigma, lam=5.0, jumps=as_phase_type(jumps)
         )
         d_he, d_ph = find_roots(m_he, Q), find_roots(m_ph, Q)
         err = abs(d_he.zeta - d_ph.zeta)

@@ -17,6 +17,8 @@ from phscale.cli import _emit, build_parser, identities_report, main
 from phscale.models import BUILTIN_JUMPS, PARETO_FIT, PhaseTypeRepr, SnLevyModel, builtin_model
 from phscale.scale import build_scale
 
+from closed_forms import as_phase_type
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -392,6 +394,14 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_histogram_rejects_barrier(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--model", "exp1", "--x", "2", "--b", "5",
+            "--mode", "histogram", "--n-paths", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--b" in err
+
     def test_histogram_mode(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--model", "exp1", "--sigma", "0", "--x", "2",
@@ -441,7 +451,7 @@ class TestIdentities:
     def test_rows_are_python_scalars(self, law, sigma, q):
         # np.float64 subclasses float, so the types are compared exactly: a
         # caller testing `ok is False` must not miss a NumPy False
-        jumps = {**BUILTIN_JUMPS, "pareto-fit-twin": PARETO_FIT.as_phase_type(),
+        jumps = {**BUILTIN_JUMPS, "pareto-fit-twin": as_phase_type(PARETO_FIT),
                  "coxian": PhaseTypeRepr(alpha=(0.7, 0.3), T=((-3.0, 1.8), (0.0, -1.5)))}[law]
         report = identities_report(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps), q)
         for name, (residual, ok) in report.items():

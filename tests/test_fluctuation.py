@@ -26,7 +26,7 @@ from phscale.models import (
 )
 from phscale.scale import build_scale
 
-from closed_forms import rho
+from closed_forms import as_phase_type, rho
 
 Q = 0.05
 INF = math.inf
@@ -233,7 +233,7 @@ class TestJoint:
 def test_diagonal_twin_matches_hyperexp(name, sigma):
     # the laws and the roots read (lam alpha, eta) from the phase-type
     # arrays, so a diagonal PhaseTypeRepr gives the same numbers
-    jumps = BUILTIN_JUMPS[name].as_phase_type()
+    jumps = as_phase_type(BUILTIN_JUMPS[name])
     twin_model = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=jumps)
     grid = np.linspace(0.1, 8.0, 40)
     for q in (Q, 100.0):
@@ -258,7 +258,7 @@ def test_diagonal_twin_raises_where_hyperexp_does(sigma):
     # at q = 1e3 pareto-fit's smallest root sits 4.5e-13 relative from its
     # pole: both models raise the same typed error, neither returns a number
     errors = []
-    for law in (PARETO_FIT, PARETO_FIT.as_phase_type()):
+    for law in (PARETO_FIT, as_phase_type(PARETO_FIT)):
         with pytest.raises(PoleEvaluation) as exc:
             down_exit(build_scale(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=law), 1e3),
                       2.0, 5.0)

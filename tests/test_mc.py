@@ -34,6 +34,8 @@ from phscale.models import (
 )
 from phscale.scale import build_scale
 
+from closed_forms import as_phase_type
+
 Q = 0.05
 
 
@@ -280,7 +282,7 @@ class TestHistograms:
         # the diagonal phase-type twin reaches the sampler as the same arrays,
         # so it draws the same jumps from the same stream
         m_he = builtin_model("exp1", sigma=0.0)
-        m_ph = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1.as_phase_type())
+        m_ph = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=as_phase_type(EXP1))
         a, _ = simulate_two_sided_exit(m_he, Q, 2.0, 5.0, 50_000, seed=9)
         b, _ = simulate_two_sided_exit(m_ph, Q, 2.0, 5.0, 50_000, seed=9)
         assert a == b
@@ -314,7 +316,7 @@ COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
                        T=((-3.0, 1.0, 0.5), (0.0, -2.0, 1.5), (0.0, 0.0, -1.0)))
 
 
-@pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), WEIBULL_FIT.as_phase_type(), COXIAN],
+@pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), as_phase_type(WEIBULL_FIT), COXIAN],
                          ids=[*BUILTIN_JUMPS, "weibull-fit-ph", "coxian"])
 @pytest.mark.parametrize("seed", (0, 7, 2024))
 def test_sampler_matches_rng_choice(jumps, seed):

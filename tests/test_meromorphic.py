@@ -205,7 +205,7 @@ class TestRoots:
 class TestTruncation:
     def test_positivity(self, tm10, tm100):
         for tm in (tm10, tm100):
-            assert all(a > 0 for a in tm.sf.wh.A)
+            assert all(a > 0 for a in tm.sf.A)
             assert all(c > 0 for c in tm.sf.C)
             assert tm.delta > 0
 
@@ -214,18 +214,18 @@ class TestTruncation:
 
     def test_a_monotone_in_m(self, tm10, tm100):
         for i in range(10):
-            assert tm10.sf.wh.A[i] < tm100.sf.wh.A[i]
+            assert tm10.sf.A[i] < tm100.sf.A[i]
 
     def test_residues_match_mpmath_product(self):
         # A_i = prod_j (eta_j - xi_i)/eta_j * prod_{l != i} xi_l/(xi_l - xi_i) at
         # 50 digits, from the computed xi: the beta-family at m = 300, and the
         # pareto-fit hyperexponential, whose rates span ten decades
         tm = truncated_coefficients(BETA_BENCHMARK, Q, 300)
-        cases = [(tm.xi[:300], tm.eta, tm.sf.wh.A)]
+        cases = [(tm.xi[:300], tm.sf.decomp.poles, tm.sf.A)]
         for sigma in (0.0, 1.0):
             for q in (1e-3, 0.05, 100.0):
                 d = find_roots(builtin_model("pareto-fit", sigma=sigma), q)
-                cases.append((d.xi, d.poles, partial_fraction_coefficients(d).A.real))
+                cases.append((d.xi, d.poles, partial_fraction_coefficients(d).real))
         with mpmath.workdps(50):
             for xis, etas, A in cases:
                 xi = [mpmath.mpf(float(v)) for v in xis]
@@ -241,7 +241,8 @@ class TestTruncation:
 
     def test_w_zero_regimes(self):
         bv = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
-        assert truncated_coefficients(bv, Q, 5).w0 == pytest.approx(10.0)
+        tm = truncated_coefficients(bv, Q, 5)
+        assert tm.sf.w0 - tm.delta == pytest.approx(10.0)  # W(0) = 1/mu
         ubv = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=2.5)
         with pytest.raises(UnsupportedRegime):
             truncated_coefficients(ubv, Q, 5)
@@ -258,7 +259,7 @@ class TestTruncation:
             assert tm.theta is None and tm.epsilon is None
             partial.append(
                 (tm.sf.zeta / tm.sf.q)
-                * float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.wh.A)))
+                * float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.A)))
             )
         assert partial[0] < partial[1] < partial[2]
 
@@ -301,7 +302,7 @@ class TestTruncation:
         errs = []
         for m in (10, 100, 400):
             tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
-            s = float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.wh.A)))
+            s = float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.A)))
             errs.append(abs(tm.sf.zeta / tm.sf.q - tm.theta / s))
         assert errs[0] > errs[1] > errs[2]
 

@@ -9,9 +9,9 @@ from phscale.fluctuation import IntervalPair, up_exit
 from phscale.models import HyperExpDist, SnLevyModel
 from phscale.roots import find_roots
 from phscale.scale import build_scale
-from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
+from phscale.wiener_hopf import wh_factor_minus
 
-from closed_forms import ExpPolySum, atom_mass, reconstruct_factor, rho
+from closed_forms import ExpPolySum, atom_mass, reconstruct_factor, rho, simple_coefficients
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -69,9 +69,9 @@ class TestRootStructure:
     @settings(**SETTINGS)
     def test_wh_factor_normalized_and_reconstructs(self, model, q):
         d = find_roots(model, q)
-        coeffs = partial_fraction_coefficients(d)
+        coeffs = simple_coefficients(d)
         assert wh_factor_minus(d, 0.0) == pytest.approx(1.0, abs=1e-9)
-        total = sum(A.real for A in coeffs.A) + atom_mass(d)
+        total = sum(A.real for _, _, A in coeffs.entries) + atom_mass(d)
         assert total == pytest.approx(1.0, abs=1e-7)
         for s in (0.1, 1.0, 10.0):
             assert complex(reconstruct_factor(coeffs, atom_mass(d), s)).real == pytest.approx(

@@ -21,7 +21,13 @@ from phscale.roots import (
 )
 from phscale.scale import build_scale
 
-from closed_forms import coxian_laws, cramer_lundberg_polynomial, mp_ph_psi
+from closed_forms import (
+    as_phase_type,
+    coxian_laws,
+    cramer_lundberg_polynomial,
+    mp_ph_psi,
+    n_phases,
+)
 
 Q = 0.05
 M1 = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1)
@@ -196,7 +202,7 @@ class TestPhRoots:
         for m in models.values():
             d_he = find_roots(m, Q)
             ph = SnLevyModel(mu=m.mu, sigma=m.sigma, lam=m.lam,
-                             jumps=m.jumps.as_phase_type())
+                             jumps=as_phase_type(m.jumps))
             d_ph = find_negative_roots_ph(ph, Q)
             assert d_ph.zeta == pytest.approx(d_he.zeta, rel=1e-8)
             for a, b in zip(d_he.xi, d_ph.xi):
@@ -235,7 +241,7 @@ class TestPhRoots:
                   for law in coxian_laws(12, 2)] + [erlang]
         for m in models:
             d = find_roots(m, q)
-            assert d.n_roots == m.jumps.m + (sigma > 0)
+            assert d.n_roots == n_phases(m.jumps) + (sigma > 0)
             psi, dpsi = mp_ph_psi(m)
             with mpmath.workdps(50):
                 for r in [d.zeta, *(-d.xi)]:
@@ -261,7 +267,7 @@ class TestPhRoots:
 
     def test_single_rate_closed_form(self):
         d = find_negative_roots_ph(
-            SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1.as_phase_type()), Q
+            SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=as_phase_type(EXP1)), Q
         )
         # root of 5s^2 - qs - q = 0 with negative sign
         xi = (-(-Q) - np.sqrt(Q**2 + 4 * 5 * Q)) / (2 * 5.0)
@@ -289,6 +295,6 @@ def test_dispatch(models):
     m = models[("exp1", 1.0)]
     d = find_roots(m, Q)
     assert np.unique(d.xi).size == d.n_roots
-    ph = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=EXP1.as_phase_type())
+    ph = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=as_phase_type(EXP1))
     d2 = find_roots(ph, Q)
     assert d2.zeta == pytest.approx(d.zeta, rel=1e-10)

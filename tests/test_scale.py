@@ -16,7 +16,8 @@ from phscale.meromorphic import (
     z_bounds,
 )
 from phscale.models import EXP1, HyperExpDist, PhaseTypeRepr, SnLevyModel, builtin_model
-from phscale.scale import boundary_identities, build_scale
+import phscale.scale
+from phscale.scale import assemble, boundary_identities, build_scale
 
 from closed_forms import ExpPolySum, loop_scale
 
@@ -331,6 +332,33 @@ class TestArrayEvaluation:
         np.testing.assert_allclose(wp[:2], sf.zeta * w[:2], rtol=1e-12)
         assert wp[2] == math.inf
         assert sf.w(float(xs[0])) == w[0]
+
+    @staticmethod
+    def _reassemble(sf, decomp):
+        return assemble(decomp, w0=sf.w0, wp0=sf.wp0, theta=sf.theta,
+                        psi_prime_zeta=sf.psi_prime_zeta, model=sf.model)
+
+    @pytest.mark.parametrize("model", [pytest.param(ERLANG2, id="erlang2"), pytest.param(
+        SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=COXIAN3), id="coxian3-s0")])
+    def test_root_off_its_conjugate_raises_in_assembly(self, model):
+        # one root of the conjugate pair moved by 1e-3j: the roots are still
+        # distinct, but sum A_i xi_i is no longer real
+        sf = build_scale(model, Q)
+        xi = sf.xi.copy()
+        xi[np.flatnonzero(xi.imag)[0]] += 1e-3j
+        with pytest.raises(RepeatedRootsDetected, match="varrho"):
+            self._reassemble(sf, dataclasses.replace(sf.decomp, xi=xi))
+        assert self._reassemble(sf, sf.decomp).lead == sf.lead
+
+    def test_lead_not_real_raises_in_assembly(self, monkeypatch):
+        # residues whose imaginary parts cancel in sum A_i xi_i but not in
+        # sum C_i reach the second realness check
+        sf = build_scale(builtin_model("exp1", sigma=1.0), Q)
+        x1, x2 = sf.xi
+        monkeypatch.setattr(phscale.scale, "partial_fraction_coefficients",
+                            lambda d: sf.A + 1e-3j * np.array([x2, -x1]))
+        with pytest.raises(RepeatedRootsDetected, match="leading coefficient"):
+            self._reassemble(sf, sf.decomp)
 
     def test_imaginary_residue_raises_elementwise(self):
         sf = build_scale(ERLANG2, Q)

@@ -13,6 +13,7 @@ from closed_forms import (
     multiplicity_coefficients,
     reconstruct_factor,
     running_min_density,
+    simple_coefficients,
 )
 
 Q = 0.05
@@ -57,13 +58,12 @@ class TestFactor:
 class TestPartialFractions:
     def test_residues_sum_to_one_minus_atom(self, decomps):
         for d in decomps.values():
-            coeffs = partial_fraction_coefficients(d)
-            total = sum(A.real for A in coeffs.A)
+            total = partial_fraction_coefficients(d).real.sum()
             assert total + atom_mass(d) == pytest.approx(1.0, abs=1e-8)
 
     def test_reconstruction(self, decomps):
         for d in decomps.values():
-            coeffs = partial_fraction_coefficients(d)
+            coeffs = simple_coefficients(d)
             smax = 10.0 * max(float(np.real(x)) for x in d.xi)
             for s in np.geomspace(1e-3, smax, 30):
                 direct = wh_factor_minus(d, float(s))
@@ -72,26 +72,25 @@ class TestPartialFractions:
                     complex(direct).real, rel=1e-8
                 )
 
-    def test_varrho_positive(self, decomps):
-        for d in decomps.values():
-            assert partial_fraction_coefficients(d).varrho > 0
+    def test_varrho_positive(self, scales):
+        for sf in scales.values():
+            assert sf.varrho > 0
 
     def test_density_nonnegative(self, decomps):
-        coeffs = partial_fraction_coefficients(decomps[("weibull-fit", 1.0)])
+        coeffs = simple_coefficients(decomps[("weibull-fit", 1.0)])
         for x in np.linspace(0.01, 20.0, 200):
             assert running_min_density(coeffs, float(x)) >= -1e-12
 
     def test_density_normalization_exact(self, decomps):
         # each term integrates to A_i^(k), so total mass is the residue sum
         for d in decomps.values():
-            coeffs = partial_fraction_coefficients(d)
-            mass = sum(A.real for A in coeffs.A) + atom_mass(d)
+            mass = partial_fraction_coefficients(d).real.sum() + atom_mass(d)
             assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_density_quadrature(self, decomps):
         from scipy.integrate import quad
 
-        coeffs = partial_fraction_coefficients(decomps[("exp1", 1.0)])
+        coeffs = simple_coefficients(decomps[("exp1", 1.0)])
         total, _ = quad(lambda x: running_min_density(coeffs, x), 0.0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -147,7 +146,7 @@ class TestMultiplicityPath:
         jumps = PhaseTypeRepr(alpha=(1.0, 0.0), T=((-3.0, 3.0), (0.0, -3.0)))
         m = SnLevyModel(mu=1.0, sigma=1.0, lam=2.0, jumps=jumps)
         d = find_roots(m, Q)
-        coeffs = partial_fraction_coefficients(d)
+        coeffs = simple_coefficients(d)
         for x in (0.2, 1.0, 4.0):
             assert running_min_density(coeffs, x) >= -1e-10
         for s in (0.5, 2.0, 10.0):
