@@ -20,16 +20,20 @@ Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly under
 the same e^{-q tau} weights.  Fixed (seed, batch) RNG streams make every
 estimate bit-reproducible.
 
-Each scheme has its own batch loop (``_bridge_batch``, ``_grid_batch``,
-``_drift_batch``), and each carries only the paths still alive, as compact
-arrays filtered in ascending path order, so every draw goes to the same path
-whatever the loop.  The drift and grid loops filter them once per epoch, in
-``_epoch_end``, after the epoch's exits, jumps and expiries are known.  A
-path without jumps that cannot go down (sigma = 0, lambda = 0, no upper
-barrier) is retired at once.  A jump's phase is drawn through a 1024-cell
-lookup table on the start distribution's cdf, built once per sampler, that
-gives the searched index bit for bit; only a uniform in one of the few cells
-that a cdf step straddles is searched.
+One batch loop, ``_run_batch``, serves the three schemes.  Each epoch draws
+its length T, then the scheme's epoch function (``_bridge_epoch``,
+``_drift_epoch`` or ``_grid_epoch``) moves the live paths and records the
+exits inside the epoch, and ``_epoch_end`` adds the jumps and filters the
+live set once, after the epoch's exits, jumps and expiries are known.  Bridge
+epochs keep their clock at 0, as killing stands in for the discount, so a
+jump below 0 there counts e^0 = 1 and no path expires.  The loop carries only
+the paths still alive, as compact arrays filtered in ascending path order, so
+every draw goes to the same path as in a loop over all paths.  A path without
+jumps that cannot go down (sigma = 0, lambda = 0, no upper barrier) is
+retired at once.  A jump's phase is drawn through a 1024-cell lookup table on
+the start distribution's cdf, built once per sampler, that gives the searched
+index bit for bit; only a uniform in one of the few cells that a cdf step
+straddles is searched.
 """
 from __future__ import annotations
 
@@ -49,6 +53,13 @@ _BATCH = 20_000  # fixed so that results are independent of total path count
 _CELLS = 1024  # cells of the phase-draw table; a power of 2, so u * _CELLS is exact
 
 
+def _mean_stderr(s, s2, n: int):
+    """Mean and standard error of n samples from their sum s and sum of
+    squares s2 (floats or arrays of them)."""
+    mean = s / n
+    return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / n)
+
+
 @dataclass(frozen=True)
 class SimulationEstimate:
     """Point estimate with standard error and normal 95% CI; ``scheme`` is
@@ -64,9 +75,7 @@ class SimulationEstimate:
     @staticmethod
     def from_sums(s: float, s2: float, n: int, seed: int,
                   scheme: str = "bridge") -> "SimulationEstimate":
-        mean = s / n
-        var = max(s2 / n - mean**2, 0.0)
-        se = math.sqrt(var / n)
+        mean, se = map(float, _mean_stderr(s, s2, n))
         return SimulationEstimate(
             value=mean, stderr=se, ci95=(mean - 1.96 * se, mean + 1.96 * se),
             n_paths=n, seed=seed, scheme=scheme,
@@ -210,137 +219,60 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
 
 
-def _results(n: int):
-    """(up, down, overshoot, undershoot) for n paths before any exit."""
-    return np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
-
-
-def _bridge_batch(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: Optional[float],
-    n: int,
-    rng: np.random.Generator,
-    collect_crossing: bool,
-):
-    """Exact epochs with killing at rate q (sigma > 0, x < b); same returns
-    as ``_run_batch``, with 0/1 indicators in place of discounts."""
+def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossing: bool):
+    """Exact epochs with killing at rate q (sigma > 0): the Brownian endpoint,
+    one uniform against the bridge exit probabilities, under which an exit
+    counts 1 (a crossing of 0 creeps), and one that keeps a jump against
+    killing.  The clock stays at 0: a killed path needs no discount."""
     mu, var, lam = model.mu, model.sigma**2, model.lam
     rate = lam + q
-    up, down, over, under = out = _results(n)
-    idx = np.arange(n)
-    pos = np.full(n, float(x))
-    sample_jumps = _jump_sampler(model.phase_type)
-    while idx.size:
-        k = idx.size
-        T = rng.exponential(1.0 / rate, size=k)
+
+    def epoch(rng, live, pos, t, T, out):
+        up, down, over, under = out
+        k = live.size
         s = var * T
         end = pos + mu * T + np.sqrt(s) * rng.standard_normal(k)
         p_dn, p_up = bridge_exit_probabilities(pos, end, s, b)
         u = rng.random(k)
         dn = u < p_dn
         hit_up = ~dn & (u < p_dn + p_up)
-        down[idx[dn]] = 1.0
-        up[idx[hit_up]] = 1.0
+        down[live[dn]] = 1.0
+        up[live[hit_up]] = 1.0
         if collect_crossing:  # creeping
-            over[idx[dn]] = 0.0
-            under[idx[dn]] = 0.0
-        jumped = ~(dn | hit_up) & (rng.random(k) * rate < lam)
-        idx, pos = idx[jumped], end[jumped]
-        if idx.size:
-            after = pos - sample_jumps(rng, idx.size)
-            crossed = after < 0.0
-            down[idx[crossed]] = 1.0
-            if collect_crossing:
-                over[idx[crossed]] = -after[crossed]
-                under[idx[crossed]] = pos[crossed]
-            idx, pos = idx[~crossed], after[~crossed]
-    return out
+            over[live[dn]] = 0.0
+            under[live[dn]] = 0.0
+        return end, ~(dn | hit_up) & (rng.random(k) * rate < lam), t
+
+    return epoch
 
 
-def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_crossing):
-    """Close a discounted epoch at time t for the paths ``live`` at pos, of
-    which the mask ``stay`` marks those that did not exit during it: one jump
-    for each of these (none without jumps), written in at their positions in
-    ascending path order; a path taken below 0 exits with down = e^{-q t}, one
-    still inside past the horizon expires.  This is the epoch's one filter of
-    the live set: (live, pos, t) are compressed once, to the paths that stay,
-    did not cross and are within the horizon, and returned."""
-    keep = stay & (t <= math.log(1.0 / _HORIZON_EPS) / q)
-    n_stay = np.count_nonzero(stay)
-    if lam > 0 and n_stay:
-        _, down, over, under = out
-        jump = np.zeros(live.size)
-        jump[stay] = sample_jumps(rng, n_stay)
-        after = pos - jump
-        gone = np.flatnonzero(stay & (after < 0.0))
-        down[live[gone]] = np.exp(-q * t[gone])
-        if collect_crossing:
-            over[live[gone]] = -after[gone]
-            under[live[gone]] = pos[gone]
-        keep[gone] = False
-        pos = after
-    kept = np.flatnonzero(keep)
-    return live[kept], pos[kept], t[kept]
+def _drift_epoch(model: SnLevyModel, q: float, b: Optional[float]):
+    """sigma = 0: a drift segment, crossed exactly; it reaches b, if at all,
+    at t + (b - pos) / mu."""
+    mu = model.mu
 
-
-def _drift_batch(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: Optional[float],
-    n: int,
-    rng: np.random.Generator,
-    collect_crossing: bool,
-):
-    """sigma = 0, x < b: drift segments of length Exp(lambda) (1 without
-    jumps), crossed exactly, with e^{-q tau} weights up to the horizon; same
-    returns as ``_run_batch``."""
-    mu, lam = model.mu, model.lam
-    out = _results(n)
-    if lam == 0 and b is None:  # mu > 0 and no jumps: no path ever goes down
-        return out
-    up = out[0]
-    sample_jumps = _jump_sampler(model.phase_type)
-    live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
-    while live.size:
-        k = live.size
-        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.ones(k)
+    def epoch(rng, live, pos, t, T, out):
         end = pos + mu * T
         if b is None:
-            stay = np.ones(k, dtype=bool)
-        else:  # the drift reaches b at t + (b - pos) / mu
-            stay = end < b
-            reach = np.flatnonzero(~stay)
-            up[live[reach]] = np.exp(-q * (t[reach] + (b - pos[reach]) / mu))
-        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t + T, stay, out,
-                                  collect_crossing)
-    return out
+            return end, np.ones(live.size, dtype=bool), t + T
+        stay = end < b
+        reach = np.flatnonzero(~stay)
+        out[0][live[reach]] = np.exp(-q * (t[reach] + (b - pos[reach]) / mu))
+        return end, stay, t + T
+
+    return epoch
 
 
-def _grid_batch(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: Optional[float],
-    n: int,
-    rng: np.random.Generator,
-    collect_crossing: bool,
-    substeps: int,
-):
-    """sigma > 0, x < b, on the paper's grid: Brownian segments of length
-    Exp(lambda) (1 without jumps) as ``substeps``-point random walks,
-    crossings tested at grid points, with e^{-q tau} weights up to the
-    horizon; same returns as ``_run_batch``."""
-    mu, sigma, lam = model.mu, model.sigma, model.lam
-    up, down, over, under = out = _results(n)
-    sample_jumps = _jump_sampler(model.phase_type)
+def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossing: bool,
+                substeps: int):
+    """sigma > 0 on the paper's grid: a ``substeps``-point random walk, its
+    crossings tested at grid points."""
+    mu, sigma = model.mu, model.sigma
     steps = np.arange(1, substeps + 1)
-    live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
-    while live.size:
+
+    def epoch(rng, live, pos, t, T, out):
+        up, down, over, under = out
         k = live.size
-        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.ones(k)
         dt = T / substeps
         # path = pos + (mu dt j + sigma sqrt(dt) W_j), built in place
         path = rng.standard_normal((k, substeps))
@@ -363,37 +295,71 @@ def _grid_batch(
             r, c = rows[is_dn], cols[is_dn]
             over[exits[is_dn]] = -path[r, c]
             under[exits[is_dn]] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
-        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, path[:, -1], t + T,
-                                  ~any_hit, out, collect_crossing)
-    return out
+        return path[:, -1], ~any_hit, t + T
+
+    return epoch
 
 
-def _run_batch(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: Optional[float],
-    n: int,
-    rng: np.random.Generator,
-    collect_crossing: bool,
-    substeps: Optional[int] = None,
-):
+def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_crossing):
+    """Close an epoch at time t for the paths ``live`` at pos, of which the
+    mask ``stay`` marks those that did not exit during it: one jump for each
+    of these (none without jumps), in ascending path order; a path taken
+    below 0 exits with down = e^{-q t}, one still inside past the horizon
+    expires.  This is the epoch's one filter of the live set: (live, pos, t)
+    are compressed once, to the paths that stay, did not cross and are
+    within the horizon, and returned."""
+    keep = stay & (t <= math.log(1.0 / _HORIZON_EPS) / q)
+    n_stay = np.count_nonzero(stay)
+    if lam > 0 and n_stay:
+        _, down, over, under = out
+        jump = sample_jumps(rng, n_stay)
+        if n_stay < live.size:  # 0 for the paths that exited
+            jump, drawn = np.zeros(live.size), jump
+            jump[stay] = drawn
+        after = pos - jump
+        gone = np.flatnonzero(stay & (after < 0.0))
+        down[live[gone]] = np.exp(-q * t[gone])
+        if collect_crossing:
+            over[live[gone]] = -after[gone]
+            under[live[gone]] = pos[gone]
+        keep[gone] = False
+        pos = after
+    kept = np.flatnonzero(keep)
+    return live[kept], pos[kept], t[kept]
+
+
+def _run_batch(model: SnLevyModel, q: float, x: float, b: Optional[float], n: int,
+               rng: np.random.Generator, collect_crossing: bool,
+               substeps: Optional[int] = None):
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
-    length n; non-exiting entries are 0 discounts / NaN levels.  sigma = 0
-    runs ``_drift_batch``; sigma > 0 the exact epochs of ``_bridge_batch``,
-    or ``_grid_batch`` if ``substeps`` is given.
+    length n; non-exiting entries are 0 discounts / NaN levels.  Each epoch
+    draws its length T, Exp(lambda + q) for bridge epochs and Exp(lambda)
+    otherwise (1 without jumps), moves the live paths by the scheme's epoch
+    function and closes through ``_epoch_end``.
     """
+    out = np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
+    lam = model.lam
     if b is not None and x >= b:  # every path starts at or above b
-        out = _results(n)
         out[0][:] = 1.0
         return out
     if model.sigma == 0:
-        return _drift_batch(model, q, x, b, n, rng, collect_crossing)
-    if substeps is None:
-        return _bridge_batch(model, q, x, b, n, rng, collect_crossing)
-    return _grid_batch(model, q, x, b, n, rng, collect_crossing, substeps)
+        if lam == 0 and b is None:  # mu > 0 and no jumps: no path ever goes down
+            return out
+        rate, epoch = lam, _drift_epoch(model, q, b)
+    elif substeps is None:
+        rate, epoch = lam + q, _bridge_epoch(model, q, b, collect_crossing)
+    else:
+        rate, epoch = lam, _grid_epoch(model, q, b, collect_crossing, substeps)
+    sample_jumps = _jump_sampler(model.phase_type)
+    live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
+    while live.size:
+        T = rng.exponential(1.0 / rate, size=live.size) if rate > 0 else np.ones(live.size)
+        end, stay, t = epoch(rng, live, pos, t, T, out)
+        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t, stay, out,
+                                  collect_crossing)
+    return out
 
 
 def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths: int,
@@ -406,15 +372,9 @@ def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths
                          collect_crossing, substeps)
 
 
-def simulate_two_sided_exit(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: float,
-    n_paths: int,
-    seed: int,
-    substeps: Optional[int] = None,
-) -> Tuple[SimulationEstimate, SimulationEstimate]:
+def simulate_two_sided_exit(model: SnLevyModel, q: float, x: float, b: float, n_paths: int,
+                            seed: int, substeps: Optional[int] = None
+                            ) -> Tuple[SimulationEstimate, SimulationEstimate]:
     """(up, down) estimates of the discounted two-sided exit probabilities.
 
     ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
@@ -423,27 +383,16 @@ def simulate_two_sided_exit(
     scheme = _scheme(model, q, n_paths, substeps)
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
-    su = su2 = sd = sd2 = 0.0
+    sums = np.zeros((2, 2))  # (up, down) x (sum, sum of squares)
     for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, False, substeps):
-        su += u.sum()
-        su2 += (u**2).sum()
-        sd += d.sum()
-        sd2 += (d**2).sum()
-    return (
-        SimulationEstimate.from_sums(su, su2, n_paths, seed, scheme),
-        SimulationEstimate.from_sums(sd, sd2, n_paths, seed, scheme),
-    )
+        sums += [(u.sum(), (u**2).sum()), (d.sum(), (d**2).sum())]
+    up, down = (SimulationEstimate.from_sums(s, s2, n_paths, seed, scheme) for s, s2 in sums)
+    return up, down
 
 
-def simulate_overshoot_undershoot(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    window_width: float,
-    n_paths: int,
-    seed: int,
-    substeps: Optional[int] = None,
-) -> Tuple[HistogramEstimate, HistogramEstimate]:
+def simulate_overshoot_undershoot(model: SnLevyModel, q: float, x: float, window_width: float,
+                                  n_paths: int, seed: int, substeps: Optional[int] = None
+                                  ) -> Tuple[HistogramEstimate, HistogramEstimate]:
     """Binned discounted overshoot/undershoot laws at the first down-crossing.
 
     Returns (overshoot_hist, undershoot_hist); densities are per unit level so
@@ -456,30 +405,20 @@ def simulate_overshoot_undershoot(
     scheme = _scheme(model, q, n_paths, substeps)
     if not (0 < x < math.inf and 0 < window_width < math.inf):
         raise DomainError("x and window_width must be > 0 and finite")
-    edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
-    edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
-    sums_a = np.zeros(len(edges_a) - 1)
-    sq_a = np.zeros_like(sums_a)
-    sums_b = np.zeros(len(edges_b) - 1)
-    sq_b = np.zeros_like(sums_b)
+    edges = (np.arange(0.0, 10.0 + window_width / 2, window_width),
+             np.arange(0.0, 2.0 * x + window_width / 2, window_width))
+    sums = [np.zeros((2, e.size - 1)) for e in edges]  # (sum, sum of squares) per bin
     for _, d, over, under in _batches(model, q, x, None, n_paths, seed, True, substeps):
         mask = d > 0
-        sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
-        sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]
-        sums_b += np.histogram(under[mask], bins=edges_b, weights=d[mask])[0]
-        sq_b += np.histogram(under[mask], bins=edges_b, weights=d[mask] ** 2)[0]
+        weight = d[mask]
+        for s, levels, e in zip(sums, (over[mask], under[mask]), edges):
+            s[0] += np.histogram(levels, bins=e, weights=weight)[0]
+            s[1] += np.histogram(levels, bins=e, weights=weight**2)[0]
 
-    def finish(s, s2, edges):
-        mean = s / n_paths
-        var = np.maximum(s2 / n_paths - mean**2, 0.0)
-        se = np.sqrt(var / n_paths)
-        return HistogramEstimate(
-            edges=edges,
-            density=mean / window_width,
-            stderr=se / window_width,
-            n_paths=n_paths,
-            seed=seed,
-            scheme=scheme,
-        )
+    def finish(s, e):
+        mean, se = _mean_stderr(s[0], s[1], n_paths)
+        return HistogramEstimate(edges=e, density=mean / window_width, stderr=se / window_width,
+                                 n_paths=n_paths, seed=seed, scheme=scheme)
 
-    return finish(sums_a, sq_a, edges_a), finish(sums_b, sq_b, edges_b)
+    overshoot, undershoot = map(finish, sums, edges)
+    return overshoot, undershoot

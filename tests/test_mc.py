@@ -434,7 +434,9 @@ def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
     (SnLevyModel(mu=1.0, sigma=0.0, lam=10.0, jumps=COXIAN), None),
     (builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0), 7),
     (SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN), 7),
-], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian", "grid-pareto-fit", "grid-coxian"])
+    (builtin_model("exp1", sigma=1.0, lam=0.0), 7),
+], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian", "grid-pareto-fit", "grid-coxian",
+        "grid-lam-0"])
 def test_run_batch_matches_masked_reference(model, substeps, x, b, seed):
     # the same draws to the same paths, so every output is equal bit for bit;
     # histogram mode (b = None) also records overshoot and undershoot
@@ -514,7 +516,8 @@ def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
     builtin_model("exp1", sigma=1.0),
     builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0),
     SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN),
-], ids=["exp1", "pareto-fit", "coxian"])
+    builtin_model("exp1", sigma=1.0, lam=0.0),
+], ids=["exp1", "pareto-fit", "coxian", "lam-0"])
 def test_bridge_batch_matches_masked_reference(model, x, b, seed):
     # the same draws to the same paths, so every output is equal bit for bit
     args = (model, Q, x, b, 3000)

@@ -151,6 +151,16 @@ class TestEvaluation:
         assert grid[0] == expected
         assert grid[1] == pytest.approx(math.log(sf.w(1.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["exp1", "weibull-fit", "pareto-fit"])
+    def test_linear_at_small_x(self, scales, name):
+        # sigma > 0: W(x) = W'(0) x (1 + O(x)), with the O(x) term a few x;
+        # W and log W keep every digit of it as x -> 0
+        sf = scales[(name, 1.0)]
+        xs = np.array([1e-15, 1e-12, 1e-8])
+        bound = 10 * xs + 1e-13
+        assert np.all(np.abs(sf.w(xs) / (sf.wp0 * xs) - 1.0) <= bound)
+        assert np.all(np.abs(sf.log_w(xs) - np.log(sf.wp0 * xs)) <= bound)
+
     def test_domain_errors(self, scales):
         sf = scales[("exp1", 1.0)]
         with pytest.raises(DomainError):
