@@ -303,19 +303,17 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossi
 def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_crossing):
     """Close an epoch at time t for the paths ``live`` at pos, of which the
     mask ``stay`` marks those that did not exit during it: one jump for each
-    of these (none without jumps), in ascending path order; a path taken
-    below 0 exits with down = e^{-q t}, one still inside past the horizon
-    expires.  This is the epoch's one filter of the live set: (live, pos, t)
-    are compressed once, to the paths that stay, did not cross and are
-    within the horizon, and returned."""
+    of these (none without jumps), written in at their positions in
+    ascending path order; a path taken below 0 exits with down = e^{-q t},
+    one still inside past the horizon expires.  This is the epoch's one
+    filter of the live set: (live, pos, t) are compressed once, to the paths
+    that stay, did not cross and are within the horizon, and returned."""
     keep = stay & (t <= math.log(1.0 / _HORIZON_EPS) / q)
     n_stay = np.count_nonzero(stay)
     if lam > 0 and n_stay:
         _, down, over, under = out
-        jump = sample_jumps(rng, n_stay)
-        if n_stay < live.size:  # 0 for the paths that exited
-            jump, drawn = np.zeros(live.size), jump
-            jump[stay] = drawn
+        jump = np.zeros(live.size)
+        jump[stay] = sample_jumps(rng, n_stay)
         after = pos - jump
         gone = np.flatnonzero(stay & (after < 0.0))
         down[live[gone]] = np.exp(-q * t[gone])
@@ -328,9 +326,16 @@ def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_cross
     return live[kept], pos[kept], t[kept]
 
 
-def _run_batch(model: SnLevyModel, q: float, x: float, b: Optional[float], n: int,
-               rng: np.random.Generator, collect_crossing: bool,
-               substeps: Optional[int] = None):
+def _run_batch(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    b: Optional[float],
+    n: int,
+    rng: np.random.Generator,
+    collect_crossing: bool,
+    substeps: Optional[int] = None,
+):
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
@@ -372,9 +377,15 @@ def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths
                          collect_crossing, substeps)
 
 
-def simulate_two_sided_exit(model: SnLevyModel, q: float, x: float, b: float, n_paths: int,
-                            seed: int, substeps: Optional[int] = None
-                            ) -> Tuple[SimulationEstimate, SimulationEstimate]:
+def simulate_two_sided_exit(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    b: float,
+    n_paths: int,
+    seed: int,
+    substeps: Optional[int] = None,
+) -> Tuple[SimulationEstimate, SimulationEstimate]:
     """(up, down) estimates of the discounted two-sided exit probabilities.
 
     ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
@@ -383,16 +394,27 @@ def simulate_two_sided_exit(model: SnLevyModel, q: float, x: float, b: float, n_
     scheme = _scheme(model, q, n_paths, substeps)
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
-    sums = np.zeros((2, 2))  # (up, down) x (sum, sum of squares)
+    su = su2 = sd = sd2 = 0.0
     for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, False, substeps):
-        sums += [(u.sum(), (u**2).sum()), (d.sum(), (d**2).sum())]
-    up, down = (SimulationEstimate.from_sums(s, s2, n_paths, seed, scheme) for s, s2 in sums)
-    return up, down
+        su += u.sum()
+        su2 += (u**2).sum()
+        sd += d.sum()
+        sd2 += (d**2).sum()
+    return (
+        SimulationEstimate.from_sums(su, su2, n_paths, seed, scheme),
+        SimulationEstimate.from_sums(sd, sd2, n_paths, seed, scheme),
+    )
 
 
-def simulate_overshoot_undershoot(model: SnLevyModel, q: float, x: float, window_width: float,
-                                  n_paths: int, seed: int, substeps: Optional[int] = None
-                                  ) -> Tuple[HistogramEstimate, HistogramEstimate]:
+def simulate_overshoot_undershoot(
+    model: SnLevyModel,
+    q: float,
+    x: float,
+    window_width: float,
+    n_paths: int,
+    seed: int,
+    substeps: Optional[int] = None,
+) -> Tuple[HistogramEstimate, HistogramEstimate]:
     """Binned discounted overshoot/undershoot laws at the first down-crossing.
 
     Returns (overshoot_hist, undershoot_hist); densities are per unit level so
@@ -405,20 +427,28 @@ def simulate_overshoot_undershoot(model: SnLevyModel, q: float, x: float, window
     scheme = _scheme(model, q, n_paths, substeps)
     if not (0 < x < math.inf and 0 < window_width < math.inf):
         raise DomainError("x and window_width must be > 0 and finite")
-    edges = (np.arange(0.0, 10.0 + window_width / 2, window_width),
-             np.arange(0.0, 2.0 * x + window_width / 2, window_width))
-    sums = [np.zeros((2, e.size - 1)) for e in edges]  # (sum, sum of squares) per bin
+    edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
+    edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
+    sums_a = np.zeros(len(edges_a) - 1)
+    sq_a = np.zeros_like(sums_a)
+    sums_b = np.zeros(len(edges_b) - 1)
+    sq_b = np.zeros_like(sums_b)
     for _, d, over, under in _batches(model, q, x, None, n_paths, seed, True, substeps):
         mask = d > 0
-        weight = d[mask]
-        for s, levels, e in zip(sums, (over[mask], under[mask]), edges):
-            s[0] += np.histogram(levels, bins=e, weights=weight)[0]
-            s[1] += np.histogram(levels, bins=e, weights=weight**2)[0]
+        sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
+        sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]
+        sums_b += np.histogram(under[mask], bins=edges_b, weights=d[mask])[0]
+        sq_b += np.histogram(under[mask], bins=edges_b, weights=d[mask] ** 2)[0]
 
-    def finish(s, e):
-        mean, se = _mean_stderr(s[0], s[1], n_paths)
-        return HistogramEstimate(edges=e, density=mean / window_width, stderr=se / window_width,
-                                 n_paths=n_paths, seed=seed, scheme=scheme)
+    def finish(s, s2, edges):
+        mean, se = _mean_stderr(s, s2, n_paths)
+        return HistogramEstimate(
+            edges=edges,
+            density=mean / window_width,
+            stderr=se / window_width,
+            n_paths=n_paths,
+            seed=seed,
+            scheme=scheme,
+        )
 
-    overshoot, undershoot = map(finish, sums, edges)
-    return overshoot, undershoot
+    return finish(sums_a, sq_a, edges_a), finish(sums_b, sq_b, edges_b)

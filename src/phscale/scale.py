@@ -85,14 +85,11 @@ class ScaleFunction:
         return _real(exp_sum(self.xi + shift, weights, xs, expfn), xs)
 
     def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
-        return self.lead - self.decay_sum(xs, self.C, self.zeta)
-
-    def _w_near(self, xs: np.ndarray) -> np.ndarray:
-        """W(x) = w0 + lead (e^{zeta x} - 1) - sum_i C_i (e^{-xi_i x} - 1), as
-        lead = w0 + sum C: no term cancels as x -> 0.  W and log W use it
-        below the envelope guard, the tilted form past it."""
-        return (self.w0 + self.lead * np.expm1(self.zeta * xs)
-                - self.decay_sum(xs, self.C, expfn=np.expm1))
+        """e^{-zeta x} (w0 - sum_i C_i (e^{-xi_i x} - 1)) - lead (e^{-zeta x} - 1),
+        which is lead - sum_i C_i e^{-(xi_i + zeta) x} as lead = w0 + sum C,
+        with no difference of near terms as x -> 0 and no overflow."""
+        head = self.w0 - self.decay_sum(xs, self.C, expfn=np.expm1)
+        return np.exp(-self.zeta * xs) * head - self.lead * np.expm1(-self.zeta * xs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -106,12 +103,8 @@ class ScaleFunction:
     def w(self, x):
         """W(x); 0 on (-inf, 0)."""
         xs = _numbers(x)
-        vals = np.zeros(xs.shape)
-        zx = self.zeta * xs
-        near, far = (xs >= 0) & (zx < _EXP_LOG_GUARD), zx >= _EXP_LOG_GUARD
-        vals[near] = self._w_near(xs[near])
-        vals[far] = _envelope(zx[far], self._w_tilted(xs[far]))
-        return like(x, vals)
+        pos = np.maximum(xs, 0.0)
+        return like(x, np.where(xs < 0, 0.0, _envelope(self.zeta * pos, self._w_tilted(pos))))
 
     def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope; at
@@ -119,12 +112,10 @@ class ScaleFunction:
         xs = points(x)
         if not np.all(xs >= 0):
             raise DomainError("x must be >= 0")
-        vals = np.full(xs.shape, math.log(self.w0) if self.w0 > 0 else -math.inf)
-        zx = self.zeta * xs
-        near, far = (xs > 0) & (zx < _EXP_LOG_GUARD), zx >= _EXP_LOG_GUARD
-        vals[near] = np.log(self._w_near(xs[near]))
-        vals[far] = zx[far] + np.log(self._w_tilted(xs[far]))
-        return like(x, vals)
+        at0 = xs == 0
+        log_w0 = math.log(self.w0) if self.w0 > 0 else -math.inf
+        tilted = np.where(at0, 1.0, self._w_tilted(xs))
+        return like(x, np.where(at0, log_w0, self.zeta * xs + np.log(tilted)))
 
     def w_prime(self, x):
         """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""

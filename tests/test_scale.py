@@ -141,6 +141,16 @@ class TestEvaluation:
         )
         assert sf.w(x) == math.inf
 
+    def test_log_w_where_only_w_overflows(self):
+        # lead ~ 1/mu = 1e5, so lead e^{zeta x} passes the float range at
+        # zeta x ~ 698, below the envelope guard; log W stays finite there,
+        # and W is inf without an overflow warning
+        sf = build_scale(builtin_model("exp1", sigma=0.0, mu=1e-5, lam=1e-6), Q)
+        x = 0.1399
+        assert sf.zeta * x < 700.0
+        assert sf.w(x) == math.inf
+        assert sf.log_w(x) == pytest.approx(sf.zeta * x + math.log(sf.lead), rel=1e-12)
+
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
     def test_log_w_at_zero(self, scales, sigma):
         # log w0 exactly, also inside a grid: -inf for sigma > 0, -log mu else
