@@ -3,8 +3,9 @@
 Two-sided exit works for any assembled scale function.  The joint
 overshoot/undershoot closed forms require a diagonal jump generator
 T = -diag(eta) (distinct real roots), reduced to its minimal rates however
-the model file gives it; they are evaluated for all phases at once as
-rates x roots arrays.  Infinite window endpoints are supported via
+the model file gives it.  The window laws are evaluated for all phases at
+once as rates x roots arrays, and the undershoot density as the jump tail
+times the resolvent density.  Infinite window endpoints are supported via
 ``math.inf`` with ``exp(-c * inf) = 0`` for c > 0.
 """
 from __future__ import annotations
@@ -48,8 +49,8 @@ def down_exit(sf: ScaleFunction, x: float, b: float) -> float:
     Z(x) - Z(b) W(x)/W(b).
 
     It is computed as the exact rearrangement D(x) - (W(x)/W(b)) D(b) with
-    D = ``down_exit_unbounded``: the e^{zeta x} growth of Z(x) and of
-    Z(b) W(x)/W(b) cancels inside D, not in floating point.
+    D = ``down_exit_unbounded``, which holds no e^{zeta x} term: the growth of
+    Z(x) and of Z(b) W(x)/W(b) never meets in floating point.
     """
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
@@ -59,25 +60,14 @@ def down_exit(sf: ScaleFunction, x: float, b: float) -> float:
 def down_exit_unbounded(sf: ScaleFunction, x):
     """b -> infinity limit: Z(x) - (q/zeta) W(x), at a float or a 1-d array.
 
-    The e^{zeta x} parts of Z and (q/zeta) W cancel exactly, so the value is
-    computed from the decaying remainder R(x) = -sum_i C_i e^{-xi_i x} of W:
-
-        1 - (q/zeta) lead + q * int_0^x R - (q/zeta) R(x),
-
-    which stays accurate when zeta*x is large (the naive difference loses all
-    precision there).
+    This is the tail sum_i A_i e^{-xi_i x} of the running minimum at an
+    Exp(q) time, read off the residues of phi_q_minus: no term grows like
+    e^{zeta x}, and none cancels.
     """
     xs = points(x)
     if not np.all(xs >= 0):
         raise DomainError("x must be >= 0")
-    q, zeta = sf.q, sf.zeta
-    vals = (
-        1.0
-        - (q / zeta) * sf.lead
-        + q * sf.decay_sum(xs, sf.C / sf.xi, expfn=np.expm1)
-        + (q / zeta) * sf.decay_sum(xs, sf.C)
-    )
-    return like(x, vals)
+    return like(x, sf.decay_sum(xs, sf.A))
 
 
 def _phases(sf: ScaleFunction):
@@ -98,7 +88,7 @@ def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: floa
     # exp(-inf) = 0 covers an infinite window end
     out = (
         np.exp(zeta * x - c * max(b_lo, x)) - np.exp(zeta * x - c * max(b_hi, x))
-    ) / (sf.psi_prime_zeta * c)
+    ) * (sf.lead / c)
     eta, c = eta[:, None], c[:, None]  # rates x roots from here on
     d = eta - xi
     bl, bh = min(b_lo, x), min(b_hi, x)
@@ -137,32 +127,32 @@ def overshoot_density(sf: ScaleFunction, x: float, a):
 
 def undershoot_density(sf: ScaleFunction, x: float, b):
     """Density in the undershoot position b > 0 (overshoot unrestricted), at a
-    float or a 1-d array of positions.
+    float or a 1-d array of positions: the jump tail sum_j lam alpha_j
+    e^{-eta_j b} times the resolvent density r(x, b) = e^{-zeta b} W(x) - W(x - b).
 
-    Two-branch closed form; discontinuous at b = x for the compound Poisson
-    case, continuous when sigma > 0.
+    Below x, r = -sum_i C_i e^{-xi_i (x - b)} expm1(-(xi_i + zeta) b), with no
+    difference of near terms as b -> 0; from x on, r = e^{zeta (x - b)} W_zeta(x).
+    r jumps by W(0) = 1/mu at b = x for the compound Poisson case and is
+    continuous when sigma > 0.
     """
     bs = points(b)
     if not (0 < x < math.inf and np.all(bs > 0)):
         raise DomainError("need b > 0 and 0 < x < inf")
     lam_alpha, eta = _phases(sf)
-    zeta, xi, C = sf.zeta, sf.xi, sf.C
-    eta = eta[:, None]  # (rates, 1) against the roots
-    c = eta + zeta
-    # each branch at its own side of x, so that neither overflows:
-    # positions x (rates) x roots for b < x, positions x rates for b >= x
-    lo = np.minimum(bs, x)[:, None, None]
-    hi = np.maximum(bs, x)[:, None]
-    below = (np.exp(-xi * (x - lo) - eta * lo) - np.exp(-xi * x - c * lo)) @ C
-    above = (np.exp(zeta * x - c[:, 0] * hi) / sf.psi_prime_zeta
-             - np.exp(-(xi * x + c * hi[..., None])) @ C)
-    return like(b, np.where(bs < x, below @ lam_alpha, above @ lam_alpha))
+    xi = sf.xi
+    lo = np.minimum(bs, x)[:, None]  # positions x roots
+    below = -(np.exp(-xi * (x - lo)) * np.expm1(-(xi + sf.zeta) * lo)) @ sf.C
+    above = np.exp(sf.zeta * (x - np.maximum(bs, x))) * sf.w_tilted(x)
+    return like(b, exp_sum(eta, lam_alpha, bs) * np.where(bs < x, below, above))
 
 
 def conjecture_residuals(sf: ScaleFunction) -> list:
-    """Per-rate residual of the conjectured identity
-    1/(psi'(zeta)(eta_j+zeta)) = sum_i C_i/(eta_j - xi_i); informational only."""
-    eta = _phases(sf)[1]
-    lhs = 1.0 / (sf.psi_prime_zeta * (eta + sf.zeta))
+    """Relative residual, per pole s = -eta_j of psi, of
+    sum_i C_i/(eta_j - xi_i) = lead/(eta_j + zeta): the transform of W,
+    lead/(s - zeta) - sum_i C_i/(s + xi_i) = 1/(psi(s) - q), vanishes at the
+    poles of psi.  It holds for every jump generator, at complex poles too;
+    without jumps psi has no poles and the list is empty."""
+    eta = sf.model.poles()
+    lhs = sf.lead / (eta + sf.zeta)
     rhs = (1.0 / np.subtract.outer(eta, sf.xi)) @ sf.C
     return (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).tolist()

@@ -157,11 +157,12 @@ class ScaleFunction:
 
 
 def boundary_identities(sf: ScaleFunction) -> dict:
-    """Relative residuals of the positive-root identity zeta/q = theta/varrho
-    and of the coefficient-sum identity."""
-    lhs = sf.zeta / sf.q
+    """Relative residuals of the positive-root identity zeta/q = theta/varrho,
+    compared as zeta varrho = q theta (both 0 for a pure drift), and of the
+    coefficient-sum identity."""
+    lhs = sf.zeta * sf.varrho
     return {
-        "zeta_identity_rel_err": abs(lhs - sf.theta / sf.varrho) / max(abs(lhs), 1e-300),
+        "zeta_identity_rel_err": abs(lhs - sf.q * sf.theta) / max(abs(lhs), 1e-300),
         "sum_c_rel_err": sf.sum_c_residual(),
     }
 

@@ -5,8 +5,9 @@ integral rho; the running-minimum atom, density and
 Laplace form rebuilt from Wiener-Hopf partial fractions; partial fractions at repeated roots by
 quotient differentiation; the cleared Cramer-Lundberg polynomial of
 hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
-Coxian laws to try it on; and a scalar polynomial-times-exponential sum with
-loop evaluators of a scale function built on it."""
+Coxian laws to try it on, and W and Z as its residue sums at any precision;
+and a scalar polynomial-times-exponential sum with loop evaluators of a
+scale function built on it."""
 import math
 import random
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from phscale.errors import DomainError, NumericalFailure, RepeatedRootsDetected
 from phscale.fluctuation import IntervalPair
 from phscale.meromorphic import BetaFamilyParams
 from phscale.models import CASE2, HyperExpDist, PhaseTypeRepr, SnLevyModel
-from phscale.roots import RootDecomposition
+from phscale.roots import RootDecomposition, find_roots
 from phscale.wiener_hopf import partial_fraction_coefficients
 
 _IMAG_TOL = 1e-10
@@ -245,6 +246,39 @@ def mp_ph_psi(model: SnLevyModel):
         return mu + sigma**2 * s - lam * (alpha * mpmath.lu_solve(A, mpmath.lu_solve(A, t)))[0]
 
     return psi, dpsi
+
+
+def mp_refine(psi, dpsi, q: float, r):
+    """The root r of psi(s) = q, real or complex, refined by Newton steps to
+    the working precision (less 5 digits)."""
+    ref = mpmath.mpmathify(complex(r) if np.iscomplexobj(r) else float(r))
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    for _ in range(60):
+        step = (psi(ref) - q) / dpsi(ref)
+        ref -= step
+        if abs(step) < tol * abs(ref):
+            return ref
+    raise AssertionError(f"no refined root near {r}")
+
+
+def mp_scale(model: SnLevyModel, q: float):
+    """(zeta, W, Z) of a phase-type model in mpmath at the working precision, as the
+    residue sums of 1/(psi(s) - q): W(x) = sum_r e^{r x}/psi'(r) over the roots
+    r of psi(r) = q, each refined by ``mp_refine`` from the double root of
+    ``find_roots``.  Z(x) = 1 + q int_0^x W term by term.  Neither uses the
+    residues A_i, nor lead = w0 + sum C."""
+    psi, dpsi = mp_ph_psi(model)
+    d = find_roots(model, q)
+    roots = [(ref, 1 / dpsi(ref))
+             for ref in (mp_refine(psi, dpsi, q, r) for r in [d.zeta, *(-d.xi)])]
+
+    def w(x):
+        return mpmath.re(mpmath.fsum(c * mpmath.exp(r * x) for r, c in roots))
+
+    def z(x):
+        return 1 + q * mpmath.re(mpmath.fsum(c * mpmath.expm1(r * x) / r for r, c in roots))
+
+    return roots[0][0], w, z
 
 
 class ExpPolySum:

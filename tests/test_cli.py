@@ -17,7 +17,7 @@ from phscale.cli import _emit, build_parser, identities_report, main
 from phscale.models import BUILTIN_JUMPS, PARETO_FIT, PhaseTypeRepr, SnLevyModel, builtin_model
 from phscale.scale import build_scale
 
-from closed_forms import as_phase_type
+from closed_forms import as_phase_type, coxian_laws
 
 
 def run(capsys, *argv):
@@ -444,6 +444,56 @@ class TestIdentities:
         monkeypatch.setattr(cli, "build_scale", moved)
         _, ok = identities_report(builtin_model(model, sigma=sigma), 0.05)["wh_factorisation"]
         assert ok is False
+
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 1.0, 100.0, 1e3))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    def test_laplace_at_poles_for_every_generator(self, sigma, q):
+        # the transform of W vanishes at every pole of psi, whatever T is:
+        # Erlang laws (a double and a triple pole), Coxians and a generator
+        # with a complex eigenvalue pair
+        laws = [
+            PhaseTypeRepr(alpha=(1.0, 0.0), T=((-2.0, 2.0), (0.0, -2.0))),
+            PhaseTypeRepr(alpha=(1.0, 0.0, 0.0),
+                          T=((-3.0, 3.0, 0.0), (0.0, -3.0, 3.0), (0.0, 0.0, -3.0))),
+            PhaseTypeRepr(alpha=(0.5, 0.3, 0.2),
+                          T=((-3.0, 2.5, 0.0), (0.0, -2.0, 1.9), (3.5, 0.0, -4.0))),
+            *coxian_laws(4, 3),
+        ]
+        for law in laws:
+            report = identities_report(SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=law), q)
+            assert report["laplace_at_poles"][1] is True, (law, report)
+            assert all(ok for _, ok in report.values()), (law, report)
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("model", ["exp1", "weibull-fit", "pareto-fit"])
+    def test_laplace_at_poles_fails_on_a_scaled_residue(self, monkeypatch, model, sigma):
+        def scaled(m, q):
+            sf = build_scale(m, q)
+            C = sf.C.copy()
+            C[0] *= 1.0 + 1e-6
+            return replace(sf, C=C)
+
+        monkeypatch.setattr(cli, "build_scale", scaled)
+        _, ok = identities_report(builtin_model(model, sigma=sigma), 0.05)["laplace_at_poles"]
+        assert ok is False
+
+    @pytest.mark.parametrize("source", ["exp1-s0", "exp1-s1", "coxian-file"])
+    def test_without_jumps(self, capsys, tmp_path, source):
+        # a pure drift (sigma = 0, lam = 0) has no negative root, and theta
+        # and varrho are both 0; psi has no poles without jumps
+        if source == "coxian-file":
+            path = tmp_path / "drift.json"
+            path.write_text(json.dumps({
+                "drift": 5.0, "sigma": 0, "lambda": 0,
+                "jump": {"type": "phase_type", "alpha": [1.0, 0.0],
+                         "T": [[-3.0, 1.8], [0.0, -1.5]]}}))
+            argv = ("--model", str(path))
+        else:
+            argv = ("--model", "exp1", "--sigma", source[-1], "--lam", "0")
+        code, out, _ = run(capsys, "identities", *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["pass"] * 6, rows
 
     @pytest.mark.parametrize("q", (0.05, 100.0))
     @pytest.mark.parametrize("sigma", (0.0, 1.0))

@@ -1,6 +1,7 @@
 """Exit identities and overshoot/undershoot laws."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +19,7 @@ from phscale.fluctuation import (
 )
 from phscale.models import (
     BUILTIN_JUMPS,
+    EXP1,
     PARETO_FIT,
     PhaseTypeRepr,
     SnLevyModel,
@@ -26,7 +28,7 @@ from phscale.models import (
 )
 from phscale.scale import build_scale
 
-from closed_forms import as_phase_type, rho
+from closed_forms import as_phase_type, mp_scale, rho
 
 Q = 0.05
 INF = math.inf
@@ -100,6 +102,59 @@ class TestDownExitSweep:
             if q <= 1.0:
                 direct = sf.z(x) - sf.z(b) * u
                 assert d == pytest.approx(direct, rel=1e-10, abs=0)
+
+
+# a 3-phase Coxian of the closed-form benchmark, where D(x) - (W(x)/W(b)) D(b)
+# is small: a D rebuilt from cancelling terms of W and Z lost five digits here
+COXIAN = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=PhaseTypeRepr(
+    alpha=(1.0, 0.0, 0.0),
+    T=((-5.200937397294847, 3.5576920793584645, 0.0),
+       (0.0, -4.2384995351843795, 2.435096668061824),
+       (0.0, 0.0, -3.1456212423609706))))
+
+
+def _exp1(sigma: float) -> SnLevyModel:
+    """exp1 as a phase-type model, which ``mp_scale`` reads."""
+    return SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=as_phase_type(EXP1))
+
+
+class TestAgainstResidueSums:
+    """The exit laws and the undershoot density against W and Z summed over
+    the roots of psi(s) = q in mpmath, with enough digits that their
+    e^{zeta x} terms cancel exactly: each within 1e-13 relative."""
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    def test_down_exit_unbounded_at_large_q(self, sigma):
+        # zeta x reaches 1e3 at q = 1e3, so Z(x) and (q/zeta) W(x) agree in
+        # their first 430 digits
+        q = 1e3
+        sf = build_scale(builtin_model("exp1", sigma=sigma), q)
+        with mpmath.workdps(800):
+            zeta, w, z = mp_scale(_exp1(sigma), q)
+            for x in (4.0, 5.0):
+                ref = float(z(x) - q / zeta * w(x))
+                assert down_exit_unbounded(sf, x) == pytest.approx(ref, rel=1e-13, abs=0), x
+
+    @pytest.mark.parametrize("q", (47.16, 300.0))
+    def test_down_exit_where_small(self, q):
+        sf = build_scale(COXIAN, q)
+        with mpmath.workdps(300):
+            _, w, z = mp_scale(COXIAN, q)
+            ref = float(z(4) - z(5) * w(4) / w(5))
+        assert down_exit(sf, 4.0, 5.0) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("q", (0.05, 100.0))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    def test_undershoot_at_small_positions(self, sigma, q):
+        # lam e^{-b} (e^{-zeta b} W(2) - W(2 - b)): the two terms agree to
+        # about log10(1/b) digits
+        sf = build_scale(builtin_model("exp1", sigma=sigma), q)
+        with mpmath.workdps(60):
+            zeta, w, _ = mp_scale(_exp1(sigma), q)
+            for b in (1e-12, 1e-8, 1e-4):
+                mb = mpmath.mpf(b)
+                ref = float(5 * mpmath.exp(-mb) * (mpmath.exp(-zeta * mb) * w(2) - w(2 - mb)))
+                assert undershoot_density(sf, 2.0, b) == pytest.approx(ref, rel=1e-13, abs=0), b
 
 
 class TestIntervalPair:
@@ -399,8 +454,9 @@ class TestLargeQ:
 
 class TestConjecture:
     def test_residuals_reported(self, scales):
-        # informational probe only: finite, one value per mixture rate
+        # the transform of W vanishes at every pole of psi: one residual per
+        # mixture rate, each within the identities gate
         for (name, sigma), sf in scales.items():
             res = conjecture_residuals(sf)
             assert len(res) == len(sf.model.jumps.eta)
-            assert all(np.isfinite(r) and r >= 0 for r in res)
+            assert all(0 <= r <= 1e-10 for r in res), (name, sigma, max(res))

@@ -26,6 +26,7 @@ from closed_forms import (
     coxian_laws,
     cramer_lundberg_polynomial,
     mp_ph_psi,
+    mp_refine,
     n_phases,
 )
 
@@ -245,14 +246,7 @@ class TestPhRoots:
             psi, dpsi = mp_ph_psi(m)
             with mpmath.workdps(50):
                 for r in [d.zeta, *(-d.xi)]:
-                    ref = mpmath.mpmathify(complex(r) if np.iscomplexobj(r) else float(r))
-                    for _ in range(60):
-                        step = (psi(ref) - q) / dpsi(ref)
-                        ref -= step
-                        if abs(step) < mpmath.mpf(10) ** -45 * abs(ref):
-                            break
-                    else:
-                        raise AssertionError(f"no 50-digit root near {r}")
+                    ref = mp_refine(psi, dpsi, q, r)
                     assert float(abs(r - ref) / abs(ref)) < 5e-13
 
     @pytest.mark.filterwarnings("error")
