@@ -183,7 +183,7 @@ def _cmd_scale_eval(args) -> None:
     model = _resolve_model(args)
     sf = build_scale(model, args.q)
     grid = _parse_grid(args.grid)
-    wp = np.full(grid.size, sf.wp0)  # the x -> 0+ limit at x <= 0
+    wp = np.where(grid == 0, sf.wp0, 0.0)  # W = 0 below 0; the x -> 0+ limit at 0
     wp[grid > 0] = sf.w_prime(grid[grid > 0])
     _emit(args, {"x": grid, "w": sf.w(grid), "w_prime": wp, "z": sf.z(grid)},
           {"command": "scale-eval", "model": args.model, "q": args.q,
@@ -219,7 +219,8 @@ def _cmd_joint(args) -> None:
     val = joint_overshoot_undershoot(sf, args.x, IntervalPair(a_lo, a_hi, b_lo, b_hi))
     _emit(args, {"a_lo": [a_lo], "a_hi": [a_hi], "b_lo": [b_lo], "b_hi": [b_hi],
                  "value": [val]},
-          {"command": "joint", "model": args.model, "q": args.q, "x": args.x})
+          {"command": "joint", "model": args.model, "q": args.q, "x": args.x,
+           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
 
 def _cmd_mero_bounds(args) -> None:
@@ -245,8 +246,11 @@ def _cmd_cgmy(args) -> None:
     study = cgmy_limit_study(BETA_BENCHMARK, args.tilde_alpha, args.tilde_c,
                              betas, args.q, args.m, grid)
     curves = study["curves"]
-    diag = {f"sup_diff_{d['beta_pair'][0]}_{d['beta_pair'][1]}": d["upper_sup_diff"]
-            for d in study["sup_diffs"]}
+    diag = {}
+    for d in study["sup_diffs"]:
+        pair = "_".join(map(str, d["beta_pair"]))
+        diag[f"sup_diff_{pair}"] = d["upper_sup_diff"]
+        diag[f"lower_sup_diff_{pair}"] = d["lower_sup_diff"]
     _emit(args, {"beta": np.repeat(betas, grid.size), "x": np.tile(grid, len(betas)),
                  "lower": np.concatenate([curves[b]["lower"] for b in betas]),
                  "upper": np.concatenate([curves[b]["upper"] for b in betas])},

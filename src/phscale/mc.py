@@ -20,11 +20,14 @@ Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly under
 the same e^{-q tau} weights.  Fixed (seed, batch) RNG streams make every
 estimate bit-reproducible.
 
-One batch loop, ``_run_batch``, serves the three schemes.  Each epoch draws
-its length T, then the scheme's epoch function (``_bridge_epoch``,
-``_drift_epoch`` or ``_grid_epoch``) moves the live paths and records the
-exits inside the epoch, and ``_epoch_end`` adds the jumps and filters the
-live set once, after the epoch's exits, jumps and expiries are known.  Bridge
+``_scheme`` is the one place that picks the scheme, from sigma and
+``substeps``: it names it and gives its epoch rate and epoch function
+(``_bridge_epoch``, ``_drift_epoch`` or ``_grid_epoch``).  One batch loop,
+``_run_batch``, serves the three schemes.  Each epoch draws its length T,
+then the epoch function moves the live paths and records the exits inside
+the epoch, and ``_epoch_end`` adds the jumps and filters the live set once,
+after the epoch's exits, jumps and expiries are known.  Every exit below 0
+records its overshoot and undershoot, in exit mode as in histogram mode.  Bridge
 epochs keep their clock at 0, as killing stands in for the discount, so a
 jump below 0 there counts e^0 = 1 and no path expires.  The loop carries only
 the paths still alive, as compact arrays filtered in ascending path order, so
@@ -169,20 +172,6 @@ def _jump_sampler(ph: PhaseTypeArrays):
     return sample
 
 
-def _scheme(model: SnLevyModel, q: float, n_paths: int, substeps: Optional[int]) -> str:
-    """Name of the sampling scheme; rejects a q that is not positive and
-    finite, fewer than 1 path and a grid of fewer than 1 substep."""
-    if not 0 < q < math.inf:
-        raise DomainError("q must be > 0 and finite")
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    if substeps is not None and substeps < 1:
-        raise DomainError("substeps must be >= 1")
-    if model.sigma == 0:
-        return "drift"
-    return "bridge" if substeps is None else f"grid-{substeps}"
-
-
 def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
     with variance s = sigma^2 T leaves (0, b) first through 0, first through
@@ -219,7 +208,7 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
 
 
-def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossing: bool):
+def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
     """Exact epochs with killing at rate q (sigma > 0): the Brownian endpoint,
     one uniform against the bridge exit probabilities, under which an exit
     counts 1 (a crossing of 0 creeps), and one that keeps a jump against
@@ -236,11 +225,10 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_cros
         u = rng.random(k)
         dn = u < p_dn
         hit_up = ~dn & (u < p_dn + p_up)
-        down[live[dn]] = 1.0
+        crept = live[dn]
+        down[crept] = 1.0
+        over[crept] = under[crept] = 0.0
         up[live[hit_up]] = 1.0
-        if collect_crossing:  # creeping
-            over[live[dn]] = 0.0
-            under[live[dn]] = 0.0
         return end, ~(dn | hit_up) & (rng.random(k) * rate < lam), t
 
     return epoch
@@ -263,8 +251,7 @@ def _drift_epoch(model: SnLevyModel, q: float, b: Optional[float]):
     return epoch
 
 
-def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossing: bool,
-                substeps: int):
+def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int):
     """sigma > 0 on the paper's grid: a ``substeps``-point random walk, its
     crossings tested at grid points."""
     mu, sigma = model.mu, model.sigma
@@ -289,18 +276,38 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], collect_crossi
         val = np.exp(-q * (t[rows] + dt[rows] * (cols + 1)))
         is_dn = hit_dn[rows, cols]
         exits = live[rows]
-        down[exits[is_dn]] = val[is_dn]
         up[exits[~is_dn]] = val[~is_dn]
-        if collect_crossing:
-            r, c = rows[is_dn], cols[is_dn]
-            over[exits[is_dn]] = -path[r, c]
-            under[exits[is_dn]] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
+        dn, r, c = exits[is_dn], rows[is_dn], cols[is_dn]
+        down[dn] = val[is_dn]
+        over[dn] = -path[r, c]
+        under[dn] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
         return path[:, -1], ~any_hit, t + T
 
     return epoch
 
 
-def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_crossing):
+def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
+            substeps: Optional[int]):
+    """(name, rate, epoch) of the sampling scheme: its name, the rate of the
+    exponential epoch lengths (lambda + q for bridge epochs, which kill at
+    rate q, lambda otherwise) and its epoch function, None where no path can
+    exit.  Rejects a q that is not positive and finite, fewer than 1 path and
+    a grid of fewer than 1 substep."""
+    if not 0 < q < math.inf:
+        raise DomainError("q must be > 0 and finite")
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    if substeps is not None and substeps < 1:
+        raise DomainError("substeps must be >= 1")
+    lam = model.lam
+    if model.sigma == 0:  # mu > 0: without jumps or an upper barrier no path exits
+        return "drift", lam, None if lam == 0 and b is None else _drift_epoch(model, q, b)
+    if substeps is None:
+        return "bridge", lam + q, _bridge_epoch(model, q, b)
+    return f"grid-{substeps}", lam, _grid_epoch(model, q, b, substeps)
+
+
+def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out):
     """Close an epoch at time t for the paths ``live`` at pos, of which the
     mask ``stay`` marks those that did not exit during it: one jump for each
     of these (none without jumps), written in at their positions in
@@ -316,10 +323,10 @@ def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out, collect_cross
         jump[stay] = sample_jumps(rng, n_stay)
         after = pos - jump
         gone = np.flatnonzero(stay & (after < 0.0))
-        down[live[gone]] = np.exp(-q * t[gone])
-        if collect_crossing:
-            over[live[gone]] = -after[gone]
-            under[live[gone]] = pos[gone]
+        exits = live[gone]
+        down[exits] = np.exp(-q * t[gone])
+        over[exits] = -after[gone]
+        under[exits] = pos[gone]
         keep[gone] = False
         pos = after
     kept = np.flatnonzero(keep)
@@ -333,48 +340,39 @@ def _run_batch(
     b: Optional[float],
     n: int,
     rng: np.random.Generator,
-    collect_crossing: bool,
     substeps: Optional[int] = None,
 ):
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
-    length n; non-exiting entries are 0 discounts / NaN levels.  Each epoch
-    draws its length T, Exp(lambda + q) for bridge epochs and Exp(lambda)
-    otherwise (1 without jumps), moves the live paths by the scheme's epoch
-    function and closes through ``_epoch_end``.
+    length n; non-exiting entries are 0 discounts / NaN levels, and every
+    exit below 0 records its levels.  Each epoch draws its length T at the
+    rate of the scheme that ``_scheme`` picks (1 at rate 0), moves the live
+    paths by the scheme's epoch function and closes through ``_epoch_end``.
     """
+    _, rate, epoch = _scheme(model, q, b, n, substeps)
     out = np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
-    lam = model.lam
     if b is not None and x >= b:  # every path starts at or above b
         out[0][:] = 1.0
         return out
-    if model.sigma == 0:
-        if lam == 0 and b is None:  # mu > 0 and no jumps: no path ever goes down
-            return out
-        rate, epoch = lam, _drift_epoch(model, q, b)
-    elif substeps is None:
-        rate, epoch = lam + q, _bridge_epoch(model, q, b, collect_crossing)
-    else:
-        rate, epoch = lam, _grid_epoch(model, q, b, collect_crossing, substeps)
+    if epoch is None:
+        return out
     sample_jumps = _jump_sampler(model.phase_type)
     live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
     while live.size:
         T = rng.exponential(1.0 / rate, size=live.size) if rate > 0 else np.ones(live.size)
         end, stay, t = epoch(rng, live, pos, t, T, out)
-        live, pos, t = _epoch_end(rng, sample_jumps, q, lam, live, end, t, stay, out,
-                                  collect_crossing)
+        live, pos, t = _epoch_end(rng, sample_jumps, q, model.lam, live, end, t, stay, out)
     return out
 
 
 def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths: int,
-             seed: int, collect_crossing: bool, substeps: Optional[int]):
+             seed: int, substeps: Optional[int]):
     """The ``_run_batch`` results for n_paths paths in batches of ``_BATCH``,
     batch k on its own stream ``default_rng([seed, k])``."""
     for k, done in enumerate(range(0, n_paths, _BATCH)):
         rng = np.random.default_rng([seed, k])
-        yield _run_batch(model, q, x, b, min(_BATCH, n_paths - done), rng,
-                         collect_crossing, substeps)
+        yield _run_batch(model, q, x, b, min(_BATCH, n_paths - done), rng, substeps)
 
 
 def simulate_two_sided_exit(
@@ -391,11 +389,11 @@ def simulate_two_sided_exit(
     ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
     ``substeps=100`` is the paper's random-walk grid.
     """
-    scheme = _scheme(model, q, n_paths, substeps)
+    scheme = _scheme(model, q, b, n_paths, substeps)[0]
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
     su = su2 = sd = sd2 = 0.0
-    for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, False, substeps):
+    for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, substeps):
         su += u.sum()
         su2 += (u**2).sum()
         sd += d.sum()
@@ -424,7 +422,7 @@ def simulate_overshoot_undershoot(
     undershoot bins [0, 2x].  ``substeps`` selects the scheme as in
     ``simulate_two_sided_exit``.
     """
-    scheme = _scheme(model, q, n_paths, substeps)
+    scheme = _scheme(model, q, None, n_paths, substeps)[0]
     if not (0 < x < math.inf and 0 < window_width < math.inf):
         raise DomainError("x and window_width must be > 0 and finite")
     edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
@@ -433,7 +431,7 @@ def simulate_overshoot_undershoot(
     sq_a = np.zeros_like(sums_a)
     sums_b = np.zeros(len(edges_b) - 1)
     sq_b = np.zeros_like(sums_b)
-    for _, d, over, under in _batches(model, q, x, None, n_paths, seed, True, substeps):
+    for _, d, over, under in _batches(model, q, x, None, n_paths, seed, substeps):
         mask = d > 0
         sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
         sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]

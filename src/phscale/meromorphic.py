@@ -22,7 +22,7 @@ from .errors import (
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .models import CASE1, CASE2
+from .models import CASE1, CASE2, check_sigma_square
 from .roots import RootDecomposition, interlaced_solve
 from .scale import ScaleFunction, assemble
 from .wiener_hopf import like, points
@@ -60,6 +60,7 @@ class BetaFamilyParams:
             raise DomainError("beta-family parameters must be finite")
         if self.sigma < 0:
             raise NegativeSubordinator("sigma must be >= 0")
+        check_sigma_square(self.sigma)
         if self.alpha_b <= 0 or self.beta_b <= 0 or self.c < 0:
             raise DomainError("need alpha > 0, beta > 0, c >= 0")
         if not (0 < self.lam < 3):

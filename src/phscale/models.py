@@ -117,6 +117,13 @@ def _diagonal_arrays(weights, rates) -> PhaseTypeArrays:
     return PhaseTypeArrays(alpha, -np.diag(eta), eta, eta, True)
 
 
+def check_sigma_square(sigma: float) -> None:
+    """Raise DomainError for a sigma > 0 whose square underflows to 0 or
+    overflows, which would leave 2 / sigma^2 or sigma^2 s^2 / 2 meaningless."""
+    if sigma > 0 and not 0 < float(sigma) * float(sigma) < math.inf:
+        raise DomainError(f"sigma = {sigma!r}: sigma^2 leaves the float range")
+
+
 def _like(s: np.ndarray, out: np.ndarray):
     """out as an array for an array s, else as a float (a complex for complex s)."""
     if out.ndim:
@@ -147,6 +154,7 @@ class SnLevyModel:
             raise DomainError("mu, sigma and lam must be finite")
         if self.sigma < 0:
             raise NegativeSubordinator("sigma must be >= 0")
+        check_sigma_square(self.sigma)
         if self.lam < 0:
             raise NegativeSubordinator("jump rate must be >= 0")
         if self.sigma > 0:

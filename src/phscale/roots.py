@@ -134,8 +134,12 @@ def interlaced_solve(
         # poles); past eta_n + 2 outer, sigma^2 s^2 / 2 has overtaken the drift
         start = hi[-1]
         end = start + max(2.0 * outer, 1.0)
-        while psi(-end) <= q:
-            end = start + 2 * (end - start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (f_end := psi(-end)) <= q:
+                end = start + 2 * (end - start)
+            # the secant steps form products up to |f| (end - start)^2
+            if not abs(f_end - q) * (end - start) * (end - start) < np.inf:
+                raise BracketingFailure(f"outer root beyond the float range, near {end}")
         lo, hi = np.append(lo, start), np.append(hi, end)
     roots = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, np.isin(hi, eta))
     if not np.all((lo < roots) & (roots < hi)):
@@ -200,7 +204,7 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     roots = np.linalg.eigvals(M)
     r = roots[:, None]
     on_pole = np.any(np.abs(r + poles) < _POLE_REL_TOL * np.maximum(np.abs(r), np.abs(poles)), axis=1)
-    if on_pole.any() and model.lam != 0:  # without jumps no eigenvalue of T is a pole
+    if on_pole.any():
         warnings.warn(
             "PH representation appears non-minimal: root counts may be off",
             stacklevel=2,
@@ -226,10 +230,11 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     """zeta and all negative roots: one ``interlaced_solve`` between the poles
-    for a diagonal jump generator T, the eigenvalue linearisation otherwise."""
-    if not model.phase_type.diagonal:
+    for a diagonal jump generator T or no jumps (lam = 0, where psi has no
+    poles), the eigenvalue linearisation otherwise."""
+    if model.lam != 0 and not model.phase_type.diagonal:
         return find_negative_roots_ph(model, q)
-    eta = model.poles()  # empty without jumps: psi has no poles
+    eta = model.poles()
     outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
     zeta, xi = interlaced_solve(model.laplace_exponent, q, eta, outer)
     return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)

@@ -205,6 +205,45 @@ class TestScaleEval:
         ws = [float(r["w"]) for r in rows]
         assert ws == sorted(ws)
 
+    def test_w_prime_is_zero_below_zero(self, capsys):
+        # W = 0 on x < 0, so W' is 0 there; x = 0 carries W'(0+) = 2/sigma^2
+        code, out, _ = run(capsys, "scale-eval", "--model", "exp1", "--grid=-1:1:5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r["w_prime"]) for r in rows[:2]] == [0.0, 0.0]
+        assert [float(r["w"]) for r in rows[:2]] == [0.0, 0.0]
+        assert float(rows[2]["w_prime"]) == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma", ("1e-200", "1e200"))
+    @pytest.mark.parametrize("argv", [
+        ("scale-eval", "--grid", "0:1:3"),
+        ("exit-prob", "--x", "1", "--b", "5"),
+        ("simulate", "--x", "1", "--b", "5", "--n-paths", "10"),
+    ], ids=lambda argv: argv[0])
+    def test_sigma_square_out_of_range_is_validation_error(self, capsys, argv, sigma):
+        # sigma^2 underflows to 0 or overflows: 2 mu / sigma^2 and
+        # sigma^2 s^2 / 2 would be meaningless
+        code, _, err = run(capsys, argv[0], "--model", "exp1", "--sigma", sigma, *argv[1:])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ("1e-60", "1e-100", "1e-150"))
+    def test_tiny_sigma_gives_the_sigma_zero_values_or_fails(self, capsys, sigma):
+        # the outer root near 2 mu / sigma^2 is beyond the float range of the
+        # secant steps: either it is solved, and W and Z are those of sigma = 0,
+        # or the run fails with one line, with no NumPy warning on the way
+        argv = ("scale-eval", "--model", "exp1", "--grid", "0.5:3:3")
+        code, out, err = run(capsys, *argv, "--sigma", sigma)
+        if code == 3:
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
+            return
+        assert code == 0
+        _, rows = parse_csv(out)
+        _, ref = parse_csv(run(capsys, *argv, "--sigma", "0")[1])
+        for r, e in zip(rows, ref):
+            for key in ("w", "z"):
+                assert float(r[key]) == pytest.approx(float(e[key]), rel=1e-9)
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
         code, out, _ = run(
@@ -303,6 +342,12 @@ class TestDensitiesAndJoint:
         _, rows = parse_csv(out)
         assert 0.0 < float(rows[0]["value"]) < 1.0
 
+    def test_joint_metadata_names_the_model_parameters(self, capsys):
+        argv = ("joint", "--model", "exp1", "--x", "3", "--a-window", "0:1", "--b-window", "0:1")
+        metas = [parse_csv(run(capsys, *argv, "--sigma", s)[1])[0] for s in ("0", "1")]
+        assert [(m["sigma"], m["mu"], m["lam"]) for m in metas] == [
+            ("0.0", "5.0", "5.0"), ("1.0", "5.0", "5.0")]
+
     def test_joint_ph_model_unsupported(self, capsys, tmp_path):
         spec = {
             "drift": 5.0, "sigma": 1.0, "lambda": 5.0,
@@ -354,6 +399,7 @@ class TestCgmyLimit:
         sup_keys = [k for k in meta if k.startswith("sup_diff")]
         assert len(sup_keys) == 1
         assert float(meta[sup_keys[0]]) >= 0.0
+        assert float(meta["lower_" + sup_keys[0]]) >= 0.0
         assert len(rows) == 12  # 2 betas x 6 grid points
 
     @pytest.mark.parametrize("betas", ("1,x", ""))
@@ -494,6 +540,27 @@ class TestIdentities:
         assert code == 0
         _, rows = parse_csv(out)
         assert [r["status"] for r in rows] == ["pass"] * 6, rows
+
+    @pytest.mark.parametrize("sigma", (0, 1))
+    def test_without_jumps_repeated_eigenvalue(self, capsys, tmp_path, sigma):
+        # an Erlang-2 T has the double eigenvalue -2, which is no pole of psi
+        # without jumps: the file is the pure drift or Brownian motion of
+        # exp1 with lam = 0, not a clustered pair of roots
+        path = tmp_path / "erlang2.json"
+        path.write_text(json.dumps({
+            "drift": 5.0, "sigma": sigma, "lambda": 0,
+            "jump": {"type": "phase_type", "alpha": [1.0, 0.0],
+                     "T": [[-2.0, 2.0], [0.0, -2.0]]}}))
+        code, out, _ = run(capsys, "identities", "--model", str(path))
+        assert code == 0
+        assert [r["status"] for r in parse_csv(out)[1]] == ["pass"] * 6
+        assert run(capsys, "exit-prob", "--model", str(path), "--x", "1", "--b", "5")[0] == 0
+        grid = ("--grid", "0:3:7")
+        code, out, _ = run(capsys, "scale-eval", "--model", str(path), *grid)
+        _, ref = run(capsys, "scale-eval", "--model", "exp1", "--lam", "0",
+                     "--sigma", str(sigma), *grid)[:2]
+        assert code == 0
+        assert parse_csv(out)[1] == parse_csv(ref)[1]
 
     @pytest.mark.parametrize("q", (0.05, 100.0))
     @pytest.mark.parametrize("sigma", (0.0, 1.0))

@@ -164,8 +164,7 @@ class TestBridge:
         creep = down_exit_unbounded(sf, 2.0) - joint_overshoot_undershoot(
             sf, 2.0, IntervalPair(0.0, math.inf, 0.0, math.inf))
         n = 100_000
-        _, d, over, under = _run_batch(m, Q, 2.0, None, n, np.random.default_rng(3),
-                                       collect_crossing=True)
+        _, d, over, under = _run_batch(m, Q, 2.0, None, n, np.random.default_rng(3))
         crept = (d > 0) & (over == 0.0)
         assert np.all(under[crept] == 0.0)
         assert np.all(over[(d > 0) & ~crept] > 0.0)
@@ -342,7 +341,7 @@ def test_table_search_matches_searchsorted(jumps):
     assert np.array_equal(_table_search(cdf)(u), cdf.searchsorted(u, side="right"))
 
 
-def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
+def masked_run_batch(model, q, x, b, n, rng, substeps=None):
     """Reference for ``_run_batch`` with sigma = 0, or sigma > 0 on a grid of
     ``substeps``: one loop over boolean masks of all n paths, indexing every
     path by its position in the batch, with jumps from ``choice_sample_jumps``."""
@@ -386,13 +385,12 @@ def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
             gidx = idx[rows]
             down[gidx[is_dn]] = val[is_dn]
             up[gidx[~is_dn]] = val[~is_dn]
-            if collect_crossing:
-                over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
-                under[gidx[is_dn]] = np.where(
-                    cols[is_dn] > 0,
-                    path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
-                    p0[rows[is_dn]],
-                )
+            over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
+            under[gidx[is_dn]] = np.where(
+                cols[is_dn] > 0,
+                path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
+                p0[rows[is_dn]],
+            )
             active[gidx] = False
             survivors = np.flatnonzero(~any_hit)
             pos[idx[survivors]] = path[survivors, -1]
@@ -414,9 +412,8 @@ def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
             crossed = after < 0.0
             gdn = live[crossed]
             down[gdn] = np.exp(-q * t[gdn])
-            if collect_crossing:
-                over[gdn] = -after[crossed]
-                under[gdn] = before[crossed]
+            over[gdn] = -after[crossed]
+            under[gdn] = before[crossed]
             active[gdn] = False
             pos[live[~crossed]] = after[~crossed]
         active &= ~(t > t_max)
@@ -438,11 +435,11 @@ def masked_run_batch(model, q, x, b, n, rng, collect_crossing, substeps=None):
 ], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian", "grid-pareto-fit", "grid-coxian",
         "grid-lam-0"])
 def test_run_batch_matches_masked_reference(model, substeps, x, b, seed):
-    # the same draws to the same paths, so every output is equal bit for bit;
-    # histogram mode (b = None) also records overshoot and undershoot
+    # the same draws to the same paths, so every output is equal bit for bit,
+    # overshoot and undershoot included, in exit mode as in histogram mode
     args = (model, Q, x, b, 3000)
-    got = _run_batch(*args, np.random.default_rng(seed), b is None, substeps)
-    ref = masked_run_batch(*args, np.random.default_rng(seed), b is None, substeps)
+    got = _run_batch(*args, np.random.default_rng(seed), substeps)
+    ref = masked_run_batch(*args, np.random.default_rng(seed), substeps)
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
 
@@ -456,13 +453,13 @@ def test_drift_without_jumps_never_goes_down(monkeypatch):
     monkeypatch.setattr(mc, "_epoch_end", no_epoch)
     m = builtin_model("exp1", sigma=0.0, mu=1.0, lam=0.0)
     rng = np.random.default_rng(0)
-    up, down, over, under = _run_batch(m, Q, 5.0, None, 1000, rng, True)
+    up, down, over, under = _run_batch(m, Q, 5.0, None, 1000, rng)
     assert not up.any() and not down.any()
     assert np.isnan(over).all() and np.isnan(under).all()
     assert rng.random() == np.random.default_rng(0).random()  # no draw taken
 
 
-def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
+def masked_bridge_batch(model, q, x, b, n, rng):
     """Reference for ``_run_batch`` with sigma > 0 on exact bridge epochs: one
     loop over boolean masks of all n paths, drawing per epoch T, the normal,
     the bridge uniform and the kill uniform for every live path, then the
@@ -490,9 +487,8 @@ def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
         hit_up = ~dn & (u < p_dn + p_up)
         down[idx[dn]] = 1.0
         up[idx[hit_up]] = 1.0
-        if collect_crossing:  # creeping
-            over[idx[dn]] = 0.0
-            under[idx[dn]] = 0.0
+        over[idx[dn]] = 0.0  # creeping
+        under[idx[dn]] = 0.0
         killed = rng.random(k) * rate >= lam
         active[idx[dn | hit_up | killed]] = False
         jumped = ~(dn | hit_up | killed)
@@ -502,9 +498,8 @@ def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
             after = before - choice_sample_jumps(model.phase_type, rng, len(live))
             crossed = after < 0.0
             down[live[crossed]] = 1.0
-            if collect_crossing:
-                over[live[crossed]] = -after[crossed]
-                under[live[crossed]] = before[crossed]
+            over[live[crossed]] = -after[crossed]
+            under[live[crossed]] = before[crossed]
             active[live[crossed]] = False
             pos[live[~crossed]] = after[~crossed]
     return up, down, over, under
@@ -519,10 +514,11 @@ def masked_bridge_batch(model, q, x, b, n, rng, collect_crossing):
     builtin_model("exp1", sigma=1.0, lam=0.0),
 ], ids=["exp1", "pareto-fit", "coxian", "lam-0"])
 def test_bridge_batch_matches_masked_reference(model, x, b, seed):
-    # the same draws to the same paths, so every output is equal bit for bit
+    # the same draws to the same paths, so every output is equal bit for bit,
+    # overshoot and undershoot included, in exit mode as in histogram mode
     args = (model, Q, x, b, 3000)
-    got = _run_batch(*args, np.random.default_rng(seed), b is None)
-    ref = masked_bridge_batch(*args, np.random.default_rng(seed), b is None)
+    got = _run_batch(*args, np.random.default_rng(seed))
+    ref = masked_bridge_batch(*args, np.random.default_rng(seed))
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
 

@@ -80,6 +80,12 @@ class TestParams:
         with pytest.raises(NegativeSubordinator):
             BetaFamilyParams(0.1, -0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
 
+    @pytest.mark.parametrize("sigma", (1e-200, 1e200))
+    def test_sigma_square_out_of_float_range(self, sigma):
+        # truncated_coefficients would divide by sigma^2 = 0 or square 1e200
+        with pytest.raises(DomainError, match="float range"):
+            BetaFamilyParams(0.1, sigma, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
+
     def test_levy_density(self):
         x = -0.7
         p = BETA_BENCHMARK

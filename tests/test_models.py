@@ -63,6 +63,12 @@ class TestValidation:
         with pytest.raises(NegativeSubordinator):
             SnLevyModel(mu=1.0, sigma=-0.5, lam=5.0, jumps=EXP1)
 
+    @pytest.mark.parametrize("sigma", (1e-200, 1e-163, 1e155, 1e200))
+    def test_sigma_square_out_of_float_range(self, sigma):
+        # sigma^2 underflows to 0 or overflows to inf
+        with pytest.raises(DomainError, match="float range"):
+            SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=EXP1)
+
     def test_simplex_violation(self):
         with pytest.raises(SimplexViolation):
             HyperExpDist(p=(0.5, 0.3), eta=(1.0, 2.0))

@@ -136,6 +136,15 @@ class TestInterlacedRoots:
             interlaced_roots(f, np.array([0.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("sigma", (1e-60, 1e-100, 1e-150, 1e-155))
+def test_outer_root_beyond_float_range_raises(sigma):
+    # the outer root lies near 2 mu / sigma^2, where the secant steps' products
+    # overflow (at 1e-155 sigma^2 is subnormal and 2 mu / sigma^2 is inf):
+    # a typed failure, with no NumPy warning before it
+    with pytest.raises(BracketingFailure, match="float range"):
+        find_roots(builtin_model("exp1", sigma=sigma), Q)
+
+
 @pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
 @pytest.mark.parametrize("sigma", (0.0, 1.0))
 @pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
