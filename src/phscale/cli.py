@@ -336,8 +336,20 @@ _DISPATCH = {
 }
 
 
+def _join_grid(argv: Sequence[str]) -> list:
+    """argv with ``--grid SPEC`` as ``--grid=SPEC``: argparse would read a
+    SPEC that starts with a minus sign, such as -1:1:5, as an option."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--grid":
+            out[-1] = "--grid=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     try:
         _DISPATCH[args.command](args)
     except (ModelValidationError, DomainError, OSError,

@@ -72,8 +72,11 @@ def down_exit_unbounded(sf: ScaleFunction, x):
 
 def _phases(sf: ScaleFunction):
     """(lam alpha, eta) of a diagonal jump generator T = -diag(eta): the
-    minimal weights and rates, which give interlaced, hence real, roots."""
+    minimal weights and rates, which give interlaced, hence real, roots.
+    Without jumps (lam = 0) both are empty, whatever T, and every law is 0."""
     model = sf.model
+    if model is not None and model.lam == 0:
+        return np.zeros(0), np.zeros(0)
     if model is None or not model.phase_type.diagonal:
         raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")
     return model.lam * model.phase_type.alpha, model.phase_type.poles

@@ -5,7 +5,8 @@ The Laplace exponent is ``psi(z) = mu_hat*z + sigma^2 z^2/2
 B.  Its poles sit at -eta_k with eta_k = beta*(alpha + k - 1), the negative
 roots of psi(s) = q interlace them, and the scale function is a countable
 exponential sum which we sandwich between finite-sum bounds with an explicit
-truncation gap.
+truncation gap.  ``_BetaKernel`` evaluates B(x, 1 - lam) and its derivative
+in x with NumPy on arrays and with ``math`` at one point.
 """
 from __future__ import annotations
 
@@ -28,19 +29,107 @@ from .scale import ScaleFunction, assemble
 from .wiener_hopf import like, points
 
 _POLE_TOL = 1e-12
+_SHIFT = 24  # arguments within _SHIFT of the mirror point move up by _SHIFT
+# B_{2i}(1/2), i = 0..4: the Bernoulli polynomials at 1/2
+_BERNOULLI_HALF = (1.0, -1.0 / 12, 7.0 / 240, -31.0 / 1344, 127.0 / 3840)
 
 
-def _beta_fn(x, y):
-    """B(x, y) elementwise for real non-pole arguments."""
-    from scipy.special import gammaln, gammasgn  # SciPy loads on first use only
+class _BetaKernel:
+    """B(x, y) = Gamma(y) Gamma(x) / Gamma(x + y) for one y in (-2, 1), as
+    Gamma(y) (x + y)^[y < -1] G(x) with G = Gamma(x)/Gamma(x + y1) and
+    y1 = y or y + 1 in (-1, 1).
 
-    for arg in (np.asarray(x), np.asarray(y)):
-        on_pole = (arg <= 0) & (np.abs(arg - np.rint(arg)) < _POLE_TOL * (1.0 + np.abs(arg)))
-        if on_pole.any():
-            raise PoleEvaluation(f"gamma pole at {float(arg[on_pole].flat[0])}")
-    lg_xy = gammaln(x + y)  # +inf at the poles of Gamma(x + y), where B = 0
-    sign = gammasgn(x) * gammasgn(y) * gammasgn(x + y)
-    return np.where(np.isinf(lg_xy), 0.0, sign * np.exp(gammaln(x) + gammaln(y) - lg_xy))
+    With h = (1 - y1)/2, A = h + |x - h| is x itself for x >= h and
+    1 - x - y1 below it, where the reflection formula gives
+    G(x) = sin(pi (x + y1)) / sin(pi x) * G(A).  Both sine arguments are
+    reduced exactly to [-1/2, 1/2] (x + y1 after the one rounding of
+    x - n + fy), so the zeros of B (x + y a non-positive integer) come out
+    as exact zeros.  For w = |x - h| >= _SHIFT,
+    G(A) = w^-y1 exp(S(w^-2)), with S the even-power asymptotic series
+    sum_k B_{2k+1}((1 + y1)/2) / (k (2k + 1)) w^-2k of log G (four terms
+    leave under 1e-16); smaller w move up by _SHIFT through
+    G(A) = G(A + _SHIFT) prod_j (A + y1 + j)/(A + j), every term positive."""
+
+    def __init__(self, y: float):
+        if y <= 0 and abs(y - round(y)) < _POLE_TOL * (1.0 + abs(y)):
+            raise PoleEvaluation(f"gamma pole at {y}")
+        self.y, self.lift = y, y < -1
+        y1 = y + 1.0 if self.lift else y
+        py = round(y1)
+        self.y1, self.fy, self.h = y1, y1 - py, 0.5 * (1.0 - y1)
+        # sin pi(x + y1) = (-1)^(n + py) sin pi t with t = x - n + fy
+        self.pi_s = -math.pi if py % 2 else math.pi
+        self.gamma_y = math.gamma(y)
+        v = 0.5 * y1
+        self.s = tuple(
+            sum(math.comb(2 * k + 1, 2 * i) * b * v ** (2 * k + 1 - 2 * i)
+                for i, b in enumerate(_BERNOULLI_HALF[: k + 1])) / (k * (2 * k + 1))
+            for k in range(1, 5))
+        self.jh = np.arange(_SHIFT)[:, None] + self.h  # A + j = |x - h| + jh
+        self.jh_list = self.jh.ravel().tolist()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """B(x, y) at every element of a 1-D array x."""
+        n = np.rint(x)
+        r = x - n
+        gap = np.abs(r) + _POLE_TOL * x  # < _POLE_TOL within tolerance of a pole
+        if np.minimum.reduce(gap, initial=np.inf) < _POLE_TOL:
+            raise PoleEvaluation(f"gamma pole at {float(x[np.argmin(gap)])}")
+        y = self.y1
+        w = np.abs(x - self.h)
+        low = (w < _SHIFT).nonzero()[0]
+        wl = w[low]
+        w[low] += _SHIFT
+        u = 1.0 / (w * w)
+        s1, s2, s3, s4 = self.s
+        b = w**-y * np.exp(u * (s1 + u * (s2 + u * (s3 + u * s4)))) * self.gamma_y
+        den = self.jh + wl
+        num = den + y
+        b[low] *= np.multiply.reduce(np.divide(num, den, out=num), axis=0)
+        t = r + self.fy
+        e = np.copysign(t - np.rint(t), t)  # sin pi e = sin pi t, |e| <= 1/2
+        np.divide(b * np.sin(np.pi * e), np.sin(self.pi_s * r), out=b, where=x < self.h)
+        return b * (x + self.y) if self.lift else b
+
+    def point(self, x: float) -> Tuple[float, float]:
+        """B(x, y) and dB/dx = B(x, y) (psi0(x) - psi0(x + y)) at one x, in
+        floats (both nan for x = nan or +-inf)."""
+        if not math.isfinite(x):
+            return math.nan, math.nan
+        n = round(x)
+        r = x - n
+        if abs(r) + _POLE_TOL * x < _POLE_TOL:
+            raise PoleEvaluation(f"gamma pole at {x}")
+        y = self.y1
+        d = abs(x - self.h)
+        w = d + _SHIFT if d < _SHIFT else d
+        u = 1.0 / (w * w)
+        s1, s2, s3, s4 = self.s
+        b = w**-y * math.exp(u * (s1 + u * (s2 + u * (s3 + u * s4)))) * self.gamma_y
+        # d log G(A) / dA
+        dlog = -(y + u * (2 * s1 + u * (4 * s2 + u * (6 * s3 + u * 8 * s4)))) / w
+        if d < _SHIFT:
+            prod = 1.0
+            for jh in self.jh_list:
+                den = d + jh
+                num = den + y
+                prod *= num / den
+                dlog -= y / (num * den)
+            b *= prod
+        if x < self.h:  # B = b sin pi t / sin_s, with dA/dx = -1
+            t = r + self.fy
+            p = round(t)
+            e = t - p
+            sin_t = math.sin(math.pi * math.copysign(e, t))
+            cos_t = -math.cos(math.pi * e) if p else math.cos(math.pi * e)
+            sin_s = math.sin(self.pi_s * r)
+            b, db = b * sin_t / sin_s, b / sin_s * (
+                math.pi * cos_t - sin_t * (dlog + math.pi / math.tan(math.pi * r)))
+        else:
+            db = b * dlog
+        if self.lift:
+            return b * (x + self.y), db * (x + self.y) + b
+        return b, db
 
 
 @dataclass(frozen=True)
@@ -67,34 +156,36 @@ class BetaFamilyParams:
             raise DomainError("stability index must lie in (0, 3)")
 
     @cached_property
+    def _beta(self) -> _BetaKernel:
+        """B(x, 1 - lam) as a function of x."""
+        return _BetaKernel(1.0 - self.lam)
+
+    @cached_property
     def _beta0(self) -> float:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
-        return float(_beta_fn(self.alpha_b, 1.0 - self.lam))
+        return self._beta.point(self.alpha_b)[0]
 
 
 def beta_psi(params: BetaFamilyParams, s):
     """Laplace exponent of the beta-family at real s, a float or an array."""
     p = params
     s = np.asarray(s, dtype=float)
-    out = p.mu_hat * s + 0.5 * p.sigma**2 * s**2
+    v = s.item() if s.size == 1 else s.ravel()  # one point runs on floats
+    out = p.mu_hat * v + 0.5 * p.sigma**2 * v**2
     if p.c != 0:
-        b1 = _beta_fn(p.alpha_b + s / p.beta_b, 1.0 - p.lam)
+        x = p.alpha_b + v / p.beta_b
+        b1 = p._beta.point(x)[0] if s.size == 1 else p._beta(x)
         out = out + (p.c / p.beta_b) * (b1 - p._beta0)
-    return float(out) if out.ndim == 0 else out
+    return out if s.ndim == 0 else np.reshape(out, s.shape)
 
 
 def beta_psi_derivative(params: BetaFamilyParams, s: float) -> float:
-    """psi'(s) via digamma differentiation of the beta term."""
+    """psi'(s), with dB(x, y)/dx = B(x, y) (psi0(x) - psi0(x + y)) in the beta term."""
     p = params
     base = p.mu_hat + p.sigma**2 * s
     if p.c == 0:
         return base
-    from scipy.special import digamma
-
-    x = p.alpha_b + s / p.beta_b
-    y = 1.0 - p.lam
-    b1 = _beta_fn(x, y)
-    return base + (p.c / p.beta_b**2) * b1 * (digamma(x) - digamma(x + y))
+    return base + (p.c / p.beta_b**2) * p._beta.point(p.alpha_b + s / p.beta_b)[1]
 
 
 def beta_poles(params: BetaFamilyParams, k):
@@ -155,7 +246,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     elif params.lam < 1:
         # -zeta/mu + (q + jump mass)/mu^2 with the mass (c/beta) B(alpha, 1-lam),
         # rewritten through psi(zeta) = q so that nothing cancels
-        b1 = float(_beta_fn(params.alpha_b + zeta / params.beta_b, 1.0 - params.lam))
+        b1 = params._beta.point(params.alpha_b + zeta / params.beta_b)[0]
         theta = (params.c / params.beta_b) * b1 / params.mu_hat**2
         wp0 = theta + zeta / params.mu_hat
     else:

@@ -214,6 +214,17 @@ class TestScaleEval:
         assert [float(r["w"]) for r in rows[:2]] == [0.0, 0.0]
         assert float(rows[2]["w_prime"]) == pytest.approx(2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ("scale-eval", "--model", "exp1"),
+        ("mero-bounds", "--m", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_grid_below_zero_as_its_own_argument(self, capsys, argv):
+        # argparse reads a value that starts with "-" as an option unless it is
+        # joined to --grid; main joins it first, so both spellings are one grid
+        code, out, err = run(capsys, *argv, "--grid", "-1:1:5")
+        assert (code, out, err) == run(capsys, *argv, "--grid=-1:1:5")
+        assert code == (0 if argv[0] == "scale-eval" else 2)
+
     @pytest.mark.parametrize("sigma", ("1e-200", "1e200"))
     @pytest.mark.parametrize("argv", [
         ("scale-eval", "--grid", "0:1:3"),
@@ -347,6 +358,23 @@ class TestDensitiesAndJoint:
         metas = [parse_csv(run(capsys, *argv, "--sigma", s)[1])[0] for s in ("0", "1")]
         assert [(m["sigma"], m["mu"], m["lam"]) for m in metas] == [
             ("0.0", "5.0", "5.0"), ("1.0", "5.0", "5.0")]
+
+    @pytest.mark.parametrize("sigma", (0, 1))
+    def test_without_jumps_any_generator(self, capsys, tmp_path, sigma):
+        # without jumps the overshoot laws are 0 whatever T is: the jumpless
+        # Erlang-2 file prints the rows of exp1 with lam = 0
+        path = tmp_path / "erlang2.json"
+        path.write_text(json.dumps({
+            "drift": 5.0, "sigma": sigma, "lambda": 0,
+            "jump": {"type": "phase_type", "alpha": [1.0, 0.0],
+                     "T": [[-2.0, 2.0], [0.0, -2.0]]}}))
+        for argv in (("overshoot", "--x", "2", "--grid", "0:3:7"),
+                     ("undershoot", "--x", "2", "--grid", "0:3:7"),
+                     ("joint", "--x", "2", "--a-window", "0:inf", "--b-window", "0.5:2")):
+            code, out, err = run(capsys, *argv, "--model", str(path))
+            assert (code, err) == (0, ""), argv
+            _, ref = run(capsys, *argv, "--model", "exp1", "--lam", "0", "--sigma", str(sigma))[:2]
+            assert parse_csv(out)[1] == parse_csv(ref)[1], argv
 
     def test_joint_ph_model_unsupported(self, capsys, tmp_path):
         spec = {
@@ -587,15 +615,39 @@ class TestIdentities:
         assert all(ok for _, ok in report.values() if ok is not None), report
 
 
-def test_import_leaves_out_scipy_optimize():
-    # the roots are bracketed and bisected in-package; no SciPy solver is
-    # loaded, and SciPy as a whole loads only when a function that needs it
-    # (the matrix exponential, the gamma family) is first called
+def _run_python(code):
+    """stdout of ``python -c code`` with this checkout's phscale on the path."""
     src = os.path.dirname(os.path.dirname(phscale.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, phscale.cli; print('scipy.optimize' in sys.modules, "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False []"
+    return out.stdout.strip()
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the roots are bracketed and bisected in-package and the beta function
+    # is NumPy code: importing the CLI loads no SciPy module at all
+    code = ("import sys, phscale.cli; print('scipy.optimize' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "False []"
+
+
+def test_commands_run_without_scipy():
+    # SciPy is a test dependency only: with every import of it made to fail
+    # (a None entry in sys.modules), each kind of command runs, the beta-family
+    # included, and no SciPy module is loaded
+    code = """if True:
+        import os, sys
+        sys.modules["scipy"] = None
+        from phscale.cli import main
+        runs = (["mero-bounds", "--m", "50", "--grid", "0:1:11"],
+                ["cgmy-limit", "--m", "20", "--grid", "0:1:5"],
+                ["exit-prob", "--model", "exp1", "--x", "1", "--b", "5"],
+                ["overshoot", "--model", "exp1", "--x", "2", "--grid", "0.5:2:4"],
+                ["simulate", "--model", "exp1", "--x", "2", "--b", "5", "--n-paths", "2000"])
+        codes = [main([*argv, "--output", os.devnull]) for argv in runs]
+        print(codes, sorted(m for m, v in sys.modules.items()
+                            if m.split(".")[0] == "scipy" and v is not None))
+    """
+    assert _run_python(code) == "[0, 0, 0, 0, 0] []"

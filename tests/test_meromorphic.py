@@ -16,6 +16,8 @@ from phscale.meromorphic import (
     BETA_BENCHMARK,
     BETA_BENCHMARK_Q,
     BetaFamilyParams,
+    _BetaKernel,
+    _SHIFT,
     beta_poles,
     beta_psi,
     beta_psi_derivative,
@@ -146,6 +148,123 @@ class TestPsi:
             assert beta_psi_derivative(BETA_BENCHMARK, s) == pytest.approx(fd, rel=1e-6)
 
 
+# y = 1 - lam: both signs, next to the poles of Gamma(y) at 0 and -1, and
+# below -1, where the kernel lifts y by 1
+KERNEL_YS = (0.9, 0.5, 0.3, -0.5, -0.99, -1.5)
+
+
+def mp_rel_err(got, ref):
+    """|got - ref| / |ref|; a zero of B must come out as 0."""
+    if ref == 0:
+        return 0.0 if got == 0 else math.inf
+    return float(abs((mpmath.mpf(got) - ref) / ref))
+
+
+def mp_beta(x, y):
+    with mpmath.workdps(40):
+        return mpmath.beta(mpmath.mpf(x), mpmath.mpf(y))
+
+
+class TestBetaKernel:
+    """B(x, y) against 40-digit mpmath: 300 x in [-797, 3], x next to the poles
+    of Gamma(x) from -1 to -800, large x, the branch seams, and the zeros."""
+
+    SWEEP = np.concatenate((
+        np.linspace(-796.9, 2.9, 300),
+        [k + d for k in (-1, -2, -3, -10, -100, -551, -800)
+         for d in (1e-6, 1e-4, 1e-2, 0.3, -1e-6, -1e-4, -1e-2, -0.3)],
+        [-551.9, 50.5, 1003.3, 10003.7, 1e5 + 0.3, 1e8 + 0.3],
+    ))
+
+    @pytest.mark.parametrize("y", KERNEL_YS)
+    def test_sweep(self, y):
+        kernel = _BetaKernel(y)
+        got = kernel(self.SWEEP)
+        assert max(mp_rel_err(b, mp_beta(x, y)) for x, b in zip(self.SWEEP, got)) <= 1e-14
+        # one point runs the same formulas on floats
+        points = [kernel.point(float(x))[0] for x in self.SWEEP]
+        assert points == pytest.approx(got, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x", (1003.3, 10003.7))
+    def test_large_x(self, x):
+        # exp(gammaln - gammaln) was 5e-13 and 5.6e-12 off here
+        kernel = _BetaKernel(0.5)
+        assert mp_rel_err(kernel(np.array([x, 2.0]))[0], mp_beta(x, 0.5)) <= 1e-14
+        assert mp_rel_err(kernel.point(x)[0], mp_beta(x, 0.5)) <= 1e-14
+
+    @pytest.mark.parametrize("y", KERNEL_YS)
+    def test_seams(self, y):
+        # the reflection meets the direct branch at h = (1 - y1)/2, with y1 = y
+        # (or y + 1 below -1), and the shift ends _SHIFT from h on either side;
+        # x and x + y next to 1/2 as well (x = 0 is a pole at y = 1/2)
+        h = 0.5 * (1.0 - (y + 1.0 if y < -1 else y))
+        xs = np.array([c + d for c in (h, h + _SHIFT, h - _SHIFT, 0.5, 0.5 - y)
+                       for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3) if c + d != 0.0])
+        kernel = _BetaKernel(y)
+        got = kernel(xs)
+        assert max(mp_rel_err(b, mp_beta(x, y)) for x, b in zip(xs, got)) <= 1e-14
+        assert [kernel.point(float(x))[0] for x in xs] == pytest.approx(got, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("y, xs", [
+        (0.5, (-1.5, -2.5, -10.5, -799.5)),
+        (-0.5, (0.5, -0.5, -9.5)),
+        (-1.5, (1.5, 0.5, -0.5, -7.5)),
+    ])
+    def test_zero_where_x_plus_y_is_a_pole(self, y, xs):
+        # x + y is 0, -1, ... exactly, so 1/Gamma(x + y) = 0
+        kernel = _BetaKernel(y)
+        assert kernel(np.array(xs)).tolist() == [0.0] * len(xs)
+        assert [kernel.point(x)[0] for x in xs] == [0.0] * len(xs)
+
+    @pytest.mark.parametrize("y", KERNEL_YS)
+    def test_next_to_the_zeros_and_to_one(self, y):
+        # x + y within d of 1 or of a pole of Gamma(x + y): the sine argument
+        # r + y carries one rounding, about 1.1e-16 absolute, so B is good to
+        # that over d
+        kernel = _BetaKernel(y)
+        for k in (1, 0, -1, -2, -7, -300):
+            for d in (1e-8, 1e-5, 1e-3, 0.1, 0.45, -1e-8, -1e-5, -1e-3, -0.1):
+                x = k + d - y
+                if x <= 0 and abs(x - round(x)) < 1e-6:
+                    continue  # a pole of Gamma(x)
+                ref = mp_beta(x, y)
+                gap = float(abs(mpmath.mpf(x) + y - k))
+                for b in (kernel(np.array([x, 2.0]))[0], kernel.point(x)[0]):
+                    assert mp_rel_err(b, ref) <= 1e-14 + 2.3e-16 / gap, (k, d)
+
+    @pytest.mark.parametrize("y", KERNEL_YS)
+    def test_digamma_difference(self, y):
+        # dB/dx = B (psi0(x) - psi0(x + y)), for beta_psi_derivative
+        kernel = _BetaKernel(y)
+        for x in (0.02, 0.3, 0.7, 1.7, 2.5, 10.0, 23.9, 24.1, 100.0, 1e4):
+            b, db = kernel.point(x)
+            with mpmath.workdps(40):
+                ref = mpmath.digamma(x) - mpmath.digamma(mpmath.mpf(x) + y)
+            assert db / b == pytest.approx(float(ref), rel=1e-14), x
+
+    @pytest.mark.parametrize("y, x, k", [(-0.5, 0.5, 0), (-1.5, 1.5, 0), (-1.5, 0.5, 1)])
+    def test_derivative_at_a_zero(self, y, x, k):
+        # x + y = -k: B = 0 and dB/dx = Gamma(y) Gamma(x) (-1)^k k!
+        b, db = _BetaKernel(y).point(x)
+        assert b == 0.0
+        assert db == pytest.approx(math.gamma(y) * math.gamma(x) * (-1) ** k, rel=1e-14)
+
+    def test_poles(self):
+        for y in (0.0, -1.0, -1.0 + 1e-13):
+            with pytest.raises(PoleEvaluation):
+                _BetaKernel(y)
+        kernel = _BetaKernel(0.5)
+        # within 1e-12 (1 + |x|) of 0, -1, -2, ...
+        for x in (0.0, -3.0, -3.0 + 3e-12, -800.0 - 1e-10):
+            with pytest.raises(PoleEvaluation):
+                kernel(np.array([1.5, x]))
+            with pytest.raises(PoleEvaluation):
+                kernel.point(x)
+        assert math.isfinite(kernel.point(-3.0 + 5e-12)[0])
+        with pytest.raises(PoleEvaluation):
+            beta_psi(BetaFamilyParams(0.1, 0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.0), 0.5)
+
+
 class TestPoles:
     def test_formula(self):
         assert beta_poles(BETA_BENCHMARK, 1) == 3.0
@@ -183,8 +302,8 @@ class TestRoots:
         zeta, xis = mero_roots(BETA_BENCHMARK, Q, m)
         assert xis.shape == (m + 1,)
         # psi(-xi) = q is a cancellation of terms of size sigma^2 xi^2 / 2 (about
-        # 1e4 at xi = 800), and gammaln near -800 is good to about |pi x| eps,
-        # so the residual is bounded relative to those terms
+        # 1e4 at xi = 800), each good to a few eps, so the residual is bounded
+        # relative to those terms
         p = BETA_BENCHMARK
         terms = 1.0 + p.mu_hat * xis + 0.5 * p.sigma**2 * xis**2
         assert np.max(np.abs(beta_psi(p, -xis) - Q) / terms) < 1e-9
