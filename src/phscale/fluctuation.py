@@ -64,10 +64,7 @@ def down_exit_unbounded(sf: ScaleFunction, x):
     Exp(q) time, read off the residues of phi_q_minus: no term grows like
     e^{zeta x}, and none cancels.
     """
-    xs = points(x)
-    if not np.all(xs >= 0):
-        raise DomainError("x must be >= 0")
-    return like(x, sf.decay_sum(xs, sf.A))
+    return like(x, sf.decay_sum(points(x, above=0.0), sf.A))
 
 
 def _phases(sf: ScaleFunction):
@@ -120,9 +117,9 @@ def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) 
 def overshoot_density(sf: ScaleFunction, x: float, a):
     """Density in the overshoot magnitude a > 0 (undershoot unrestricted), at
     a float or a 1-d array of magnitudes."""
-    a_s = points(a)
-    if not (0 < x < math.inf and np.all(a_s > 0)):
-        raise DomainError("need a > 0 and 0 < x < inf")
+    a_s = points(a, above=0.0, strict=True)
+    if not 0 < x < math.inf:
+        raise DomainError("x must be > 0 and finite")
     lam_alpha, eta = _phases(sf)
     kappa = _kappa(sf, eta, x, 0.0, math.inf)
     return like(a, exp_sum(eta, lam_alpha * eta * kappa, a_s))
@@ -138,9 +135,9 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     r jumps by W(0) = 1/mu at b = x for the compound Poisson case and is
     continuous when sigma > 0.
     """
-    bs = points(b)
-    if not (0 < x < math.inf and np.all(bs > 0)):
-        raise DomainError("need b > 0 and 0 < x < inf")
+    bs = points(b, above=0.0, strict=True)
+    if not 0 < x < math.inf:
+        raise DomainError("x must be > 0 and finite")
     lam_alpha, eta = _phases(sf)
     xi = sf.xi
     lo = np.minimum(bs, x)[:, None]  # positions x roots

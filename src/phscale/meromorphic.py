@@ -268,38 +268,27 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     )
 
 
-def _grid(x) -> np.ndarray:
-    xs = points(x)
-    if not np.all(xs >= 0):
-        raise DomainError("x must be >= 0")
-    return xs
-
-
-def _pair(x, lower: np.ndarray, upper: np.ndarray):
-    """The bounds at x >= 0 (x > 0 for W'): floats for a float x, arrays for a grid."""
-    return like(x, lower), like(x, upper)
-
-
 def w_bounds(tm: TruncatedMero, x):
-    """(lower, upper) sandwich of W^{(q)}(x); gap = delta_m (1 + e^{-xi_{m+1} x})."""
-    xs = _grid(x)
+    """(lower, upper) sandwich of W^{(q)}(x) at x >= 0, floats for a float x;
+    gap = delta_m (1 + e^{-xi_{m+1} x})."""
+    xs = points(x, above=0.0)
     upper = tm.sf.w(xs)
-    return _pair(x, upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs)), upper)
+    return like(x, upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))), like(x, upper)
 
 
 def z_bounds(tm: TruncatedMero, x):
-    """(lower, upper) for Z^{(q)}(x) by exact integration of the W bounds."""
-    xs = _grid(x)
+    """(lower, upper) for Z^{(q)}(x), x >= 0, by exact integration of the W bounds."""
+    xs = points(x, above=0.0)
     upper = tm.sf.z(xs)
     xm1 = tm.xi[tm.m]
     gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
-    return _pair(x, upper - gap, upper)
+    return like(x, upper - gap), like(x, upper)
 
 
 def w_prime_bounds(tm: TruncatedMero, x):
     """(lower, upper) for the derivative of the scale function at x > 0."""
-    xs = points(x)
-    lower = tm.sf.w_prime(xs)  # raises unless every x > 0
+    xs = points(x, above=0.0, strict=True)
+    lower = tm.sf.w_prime(xs)
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     xi = tm.sf.xi
@@ -311,7 +300,7 @@ def w_prime_bounds(tm: TruncatedMero, x):
     if tm.epsilon is not None:
         refined = lower + head_sup * tm.delta + np.exp(-xm1 * xs) * tm.epsilon
         upper = np.minimum(upper, refined)
-    return _pair(x, lower, upper)
+    return like(x, lower), like(x, upper)
 
 
 def cgmy_params(

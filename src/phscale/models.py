@@ -74,13 +74,16 @@ class PhaseTypeRepr:
             raise SimplexViolation("alpha must be a probability simplex")
         if not (np.all(np.isfinite(T)) and np.all(np.diag(T) < 0)):
             raise SingularGenerator("T must be finite with a strictly negative diagonal")
+        # every test is invariant under T -> cT, c > 0: the sign tolerances
+        # follow each row's rate |T_ii|, and singularity is judged by cond(T)
+        rate = -np.diag(T)
         off = T - np.diag(np.diag(T))
-        if np.any(off < -1e-12):
+        if np.any(off < -1e-12 * rate[:, None]):
             raise SingularGenerator("off-diagonal entries of T must be nonnegative")
         t = -T.sum(axis=1)
-        if np.any(t < -1e-9):
+        if np.any(t < -1e-9 * rate):
             raise SingularGenerator("row sums of [T | t] must vanish with t >= 0")
-        if abs(np.linalg.det(T)) < 1e-300:
+        if not np.linalg.cond(T) * np.finfo(float).eps < 1:  # also for cond = inf or nan
             raise SingularGenerator("PH generator is singular")
         object.__setattr__(self, "alpha", tuple(alpha))
         object.__setattr__(self, "T", tuple(tuple(row) for row in T))
@@ -115,6 +118,26 @@ def _diagonal_arrays(weights, rates) -> PhaseTypeArrays:
     eta, phase = np.unique(r[w != 0], return_inverse=True)
     alpha = np.bincount(phase, weights=w[w != 0], minlength=eta.size)
     return PhaseTypeArrays(alpha, -np.diag(eta), eta, eta, True)
+
+
+def near_pole(s, poles):
+    """(s + p, |s + p| < _POLE_REL_TOL * max(|s|, |p|)) for every s
+    (elementwise) and every p of the 1-d ``poles`` (on a new last axis): the
+    offsets from the poles -p and whether s counts as on one.  The tolerance
+    is relative, so that rates spanning many decades, and roots next to 0,
+    stay evaluable."""
+    sj = np.asarray(s)[..., None]
+    off = sj + poles
+    return off, np.abs(off) < _POLE_REL_TOL * np.maximum(np.abs(sj), np.abs(poles))
+
+
+def pole_offsets(s, poles) -> np.ndarray:
+    """The offsets s + p of ``near_pole``; raises PoleEvaluation where s is on a pole."""
+    off, near = near_pole(s, poles)
+    if near.any():
+        k, j = divmod(int(np.flatnonzero(near)[0]), poles.size)
+        raise PoleEvaluation(f"s={np.ravel(s)[k]} within tolerance of pole -{poles[j]}")
+    return off
 
 
 def check_sigma_square(sigma: float) -> None:
@@ -190,18 +213,11 @@ class SnLevyModel:
         if self.lam == 0:
             return 0.0 * s  # without jumps psi has no poles
         alpha, T, _, poles, diagonal = self.phase_type
-        # scale-free: tolerance follows the pole magnitude so that fitted
-        # parameter sets with rates spanning many decades stay evaluable
-        sj = s[..., None]
-        off = sj + poles
-        near = np.abs(off) < _POLE_REL_TOL * np.maximum(np.abs(sj), np.abs(poles))
-        if near.any():
-            k, j = divmod(int(np.flatnonzero(near)[0]), poles.size)
-            raise PoleEvaluation(f"s={s.flat[k]} within tolerance of pole -{poles[j]}")
+        off = pole_offsets(s, poles)
         if diagonal:
             y = b / off**power  # off = s + eta
         else:
-            A = sj[..., None] * np.eye(alpha.size) - T
+            A = s[..., None, None] * np.eye(alpha.size) - T
             y = np.broadcast_to(b, A.shape[:-1])[..., None]
             for _ in range(power):
                 y = np.linalg.solve(A, y)

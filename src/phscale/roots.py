@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BracketingFailure, DomainError, RepeatedRootsDetected
-from .models import _POLE_REL_TOL, CASE1, SnLevyModel
+from .models import CASE1, SnLevyModel, near_pole
 
 _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
@@ -52,27 +52,32 @@ def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=Tr
     """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]); the ends
     flagged by ``pole_lo``/``pole_hi`` (a bool or an array) are poles of f.
     Roots can sit extremely close to a pole when a mixture weight is tiny, so
-    each bracket creeps in from a quarter width (shrinking by 8) until ``f``
-    changes sign.  Then all brackets take Anderson-Bjorck steps together on
+    each bracket probes at a quarter width from its ends, and where ``f`` does
+    not change sign there, probes its ends that are no poles at the end itself
+    and creeps in from its pole ends (shrinking by 8) until it does.  Then all
+    brackets take Anderson-Bjorck steps together on
     g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so g has the
     sign and root of f but no pole.  A secant point on or beyond an end moves
     2 ulps inside (Brent's minimum step); a bracket that three steps did not
     halve is bisected once.  A bracket stops at 4 ulps wide or where f = 0,
     returning the end with the smaller |f|."""
     n, d = lo.size, 0.25 * (hi - lo)
+    pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
+    crept = np.zeros(n, dtype=bool)
     for _ in range(60):
-        a, b = lo + d, hi - d
+        a = lo + np.where(pole_lo | ~crept, d, 0.0)
+        b = hi - np.where(pole_hi | ~crept, d, 0.0)
         fab = f(np.concatenate((a, b)))
         fa, fb = fab[:n], fab[n:]
         todo = ~((a < b) & (np.sign(fa) != np.sign(fb)))
-        creep = todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi)
+        creep = todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi) & (pole_lo | pole_hi | ~crept)
         if not creep.any():
             break
         d[creep] /= 8.0
+        crept |= creep
     if todo.any():
         k = np.flatnonzero(todo)[0]
         raise BracketingFailure(f"no sign change in ({float(lo[k])}, {float(hi[k])})")
-    pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
 
     def clear(s, k):
         return np.where(pole_lo[k], s - lo[k], 1.0) * np.where(pole_hi[k], hi[k] - s, 1.0)
@@ -202,8 +207,7 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     else:
         M[-1] /= model.mu
     roots = np.linalg.eigvals(M)
-    r = roots[:, None]
-    on_pole = np.any(np.abs(r + poles) < _POLE_REL_TOL * np.maximum(np.abs(r), np.abs(poles)), axis=1)
+    on_pole = near_pole(roots, poles)[1].any(axis=1)
     if on_pole.any():
         warnings.warn(
             "PH representation appears non-minimal: root counts may be off",

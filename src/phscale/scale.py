@@ -38,14 +38,6 @@ def _real(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def _numbers(x) -> np.ndarray:
-    """points(x), with a DomainError for a NaN point."""
-    xs = points(x)
-    if np.isnan(xs).any():
-        raise DomainError("x must not be NaN")
-    return xs
-
-
 def _envelope(zx: np.ndarray, vals, expfn=np.exp) -> np.ndarray:
     """expfn(zeta x) * vals, inf only where the product itself exceeds the
     float range: the growth past the guard multiplies the guarded value."""
@@ -95,23 +87,18 @@ class ScaleFunction:
 
     def w_tilted(self, x):
         """W_{zeta}(x) = e^{-zeta x} W(x); bounded and nondecreasing."""
-        xs = points(x)
-        if not np.all(xs >= 0):
-            raise DomainError("x must be >= 0")
-        return like(x, self._w_tilted(xs))
+        return like(x, self._w_tilted(points(x, above=0.0)))
 
     def w(self, x):
         """W(x); 0 on (-inf, 0)."""
-        xs = _numbers(x)
+        xs = points(x)
         pos = np.maximum(xs, 0.0)
         return like(x, np.where(xs < 0, 0.0, _envelope(self.zeta * pos, self._w_tilted(pos))))
 
     def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope; at
         x = 0 it is log w0 exactly (-inf for sigma > 0)."""
-        xs = points(x)
-        if not np.all(xs >= 0):
-            raise DomainError("x must be >= 0")
+        xs = points(x, above=0.0)
         at0 = xs == 0
         log_w0 = math.log(self.w0) if self.w0 > 0 else -math.inf
         tilted = np.where(at0, 1.0, self._w_tilted(xs))
@@ -119,15 +106,13 @@ class ScaleFunction:
 
     def w_prime(self, x):
         """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""
-        xs = points(x)
-        if not np.all(xs > 0):
-            raise DomainError("x must be > 0")
+        xs = points(x, above=0.0, strict=True)
         slope = self.zeta * self.lead + self.decay_sum(xs, self.C * self.xi, self.zeta)
         return like(x, _envelope(self.zeta * xs, slope))
 
     def z(self, x):
         """Z(x) = 1 + q * integral of W over [0, x]; 1 on (-inf, 0]."""
-        xs = _numbers(x)
+        xs = points(x)
         pos = np.maximum(xs, 0.0)
         grow = (self.lead / self.zeta) * _envelope(self.zeta * pos, 1.0, np.expm1)
         vals = 1.0 + self.q * (grow + self.decay_sum(pos, self.C / self.xi, expfn=np.expm1))
@@ -135,9 +120,7 @@ class ScaleFunction:
 
     def laplace_transform_w(self, s):
         """Analytic Laplace transform of W at s > zeta."""
-        ss = points(s)
-        if not np.all(ss > self.zeta):
-            raise DomainError("transform converges only for s > zeta")
+        ss = points(s, above=self.zeta, strict=True)
         vals = self.lead / (ss - self.zeta) - (1.0 / np.add.outer(ss, self.xi)) @ self.C
         return like(s, _real(vals, ss))
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleEvaluation
+from .errors import DomainError
+from .models import pole_offsets
 from .roots import RootDecomposition, check_clusters
 
 # Relative size of an imaginary part that counts as rounding, wherever a sum
@@ -26,13 +27,11 @@ _TILE = 2**14
 
 def wh_factor_minus(decomp: RootDecomposition, s):
     """phi_q_minus(s) for Re(s) > 0 (and by continuation off the root set), at a
-    scalar or elementwise on an array; real where s and the value are real."""
+    scalar or elementwise on an array; real where s and the value are real.
+    Raises PoleEvaluation where s is on a pole -xi_i (``pole_offsets``)."""
     s = np.asarray(s)
-    sj = s[..., None]
     xi, eta = decomp.xi, decomp.poles
-    if np.any(np.abs(sj + xi) < 1e-12 * (1.0 + np.abs(sj))):
-        raise PoleEvaluation(f"s={s} at a pole of phi_q_minus")
-    out = np.prod((sj + eta) / eta, axis=-1) * np.prod(xi / (sj + xi), axis=-1)
+    out = np.prod((s[..., None] + eta) / eta, axis=-1) * np.prod(xi / pole_offsets(s, xi), axis=-1)
     if np.all(np.imag(s) == 0) and np.all(
         np.abs(np.imag(out)) < _IMAG_TOL * (1.0 + np.abs(np.real(out)))
     ):
@@ -64,9 +63,16 @@ def product_residues(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return A
 
 
-def points(x) -> np.ndarray:
-    """x as a 1-d float array; a float is one point."""
-    return np.atleast_1d(np.asarray(x, dtype=float))
+def points(x, above=-np.inf, strict=False) -> np.ndarray:
+    """x as a 1-d float array, a float being one point: the one domain check
+    of every evaluator.  Raises DomainError for a NaN point and for a point
+    below ``above`` (at or below it with ``strict``)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ok = xs > above if strict else xs >= above  # False at NaN
+    if not ok.all():
+        bad = float(xs[~ok][0])
+        raise DomainError(f"point {bad} is not {'>' if strict else '>='} {above}")
+    return xs
 
 
 def like(x, vals: np.ndarray):

@@ -248,6 +248,26 @@ def mp_ph_psi(model: SnLevyModel):
     return psi, dpsi
 
 
+def mp_hyperexp_psi(model: SnLevyModel):
+    """(psi, psi') of a hyperexponential model in mpmath at the working
+    precision, as s (d + s (sigma^2/2 + lam sum_j p_j / (eta_j (s + eta_j))))
+    with the mean drift d = mu - lam sum_j p_j / eta_j formed once: no term
+    cancels as s -> 0, so tiny roots refine to full relative precision."""
+    mu, sigma, lam = (mpmath.mpf(v) for v in (model.mu, model.sigma, model.lam))
+    laws = [(mpmath.mpf(p), mpmath.mpf(e)) for p, e in zip(model.jumps.p, model.jumps.eta)]
+    drift = mu - lam * mpmath.fsum(p / e for p, e in laws)
+
+    def psi(s):
+        jumps = mpmath.fsum(p / (e * (s + e)) for p, e in laws)
+        return s * (drift + s * (sigma**2 / 2 + lam * jumps))
+
+    def dpsi(s):
+        jumps = mpmath.fsum(p * (s + 2 * e) / (e * (s + e) ** 2) for p, e in laws)
+        return drift + s * (sigma**2 + lam * jumps)
+
+    return psi, dpsi
+
+
 def mp_refine(psi, dpsi, q: float, r):
     """The root r of psi(s) = q, real or complex, refined by Newton steps to
     the working precision (less 5 digits)."""

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import phscale
@@ -188,6 +189,22 @@ class TestExitProb:
         )
         assert code == 2
         assert "error" in err
+
+    def test_forty_rate_phase_type_file_matches_hyperexp(self, capsys, tmp_path):
+        # rates geometric in [1e-9, 1e-7]: det T = 1e-320, condition number 100
+        rates = np.geomspace(1e-9, 1e-7, 40).tolist()
+        laws = {"ph": {"type": "phase_type", "alpha": [1 / 40] * 40,
+                       "T": np.diag(-np.asarray(rates)).tolist()},
+                "hyperexp": {"type": "hyperexp", "p": [1 / 40] * 40, "eta": rates}}
+        rows = {}
+        for kind, jump in laws.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"drift": 5.0, "sigma": 1.0, "lambda": 5.0, "jump": jump}))
+            code, out, _ = run(capsys, "exit-prob", "--model", str(path), "--x", "1", "--b", "5")
+            assert code == 0
+            rows[kind] = parse_csv(out)[1]
+        assert rows["ph"] == rows["hyperexp"]
+        assert float(rows["ph"][0]["up_exit"]) == pytest.approx(0.02477, abs=5e-6)
 
 
 class TestScaleEval:

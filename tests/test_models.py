@@ -81,6 +81,34 @@ class TestValidation:
         with pytest.raises(SingularGenerator):
             PhaseTypeRepr(alpha=(1.0, 0.0), T=((-1.0, 1.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("c", (1e-150, 1.0, 1e150))
+    @pytest.mark.parametrize("alpha, T, ok", [
+        pytest.param((0.5, 0.5), [[-1.0, 1.0], [1.0, -1.0]], False, id="closed-2"),
+        pytest.param((1.0, 0.0, 0.0), [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]],
+                     False, id="closed-3"),
+        pytest.param((1.0, 0.0), [[-1.0, 1.0], [0.0, -1.0]], True, id="erlang2"),
+        pytest.param((1.0, 0.0), [[-2e-153, 2e-153], [0.0, -2e-153]], True, id="erlang2-tiny"),
+        pytest.param((1 / 40,) * 40, np.diag(-np.geomspace(1e-9, 1e-7, 40)), True,
+                     id="diag40-cond100"),
+    ])
+    def test_generator_checks_ignore_the_scale_of_T(self, alpha, T, ok, c):
+        # every check is invariant under T -> cT: a closed class is singular
+        # at every c, and a generator of condition number 100 is not, however
+        # small its determinant (1e-320 for the 40 rates at c = 1)
+        T = tuple(map(tuple, c * np.asarray(T)))
+        if ok:
+            PhaseTypeRepr(alpha=alpha, T=T)
+        else:
+            with pytest.raises(SingularGenerator):
+                PhaseTypeRepr(alpha=alpha, T=T)
+
+    def test_sign_tolerances_follow_the_rates(self):
+        # an off-diagonal -1e-20 is rounding beside rates of 1, but beside
+        # rates of 1e-15 it is a negative rate
+        PhaseTypeRepr(alpha=(1.0, 0.0), T=((-1.0, 1.0), (-1e-20, -1.0)))
+        with pytest.raises(SingularGenerator):
+            PhaseTypeRepr(alpha=(1.0, 0.0), T=((-1e-15, 1e-15), (-1e-20, -1e-15)))
+
     def test_ph_alpha_simplex(self):
         with pytest.raises(SimplexViolation):
             PhaseTypeRepr(alpha=(0.5, 0.2), T=((-1.0, 0.0), (0.0, -2.0)))

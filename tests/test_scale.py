@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from phscale.errors import DomainError, RepeatedRootsDetected
+from phscale.fluctuation import down_exit_unbounded, overshoot_density, undershoot_density
 from phscale.meromorphic import (
     BETA_BENCHMARK,
     BETA_BENCHMARK_Q,
@@ -327,8 +328,12 @@ class TestArrayEvaluation:
         lambda sf, tm, x: w_bounds(tm, x),
         lambda sf, tm, x: z_bounds(tm, x),
         lambda sf, tm, x: w_prime_bounds(tm, x),
+        lambda sf, tm, x: down_exit_unbounded(sf, x),
+        lambda sf, tm, x: overshoot_density(sf, 1.0, x),
+        lambda sf, tm, x: undershoot_density(sf, 1.0, x),
     ], ids=("w", "w_tilted", "log_w", "w_prime", "z", "laplace_transform_w",
-            "w_bounds", "z_bounds", "w_prime_bounds"))
+            "w_bounds", "z_bounds", "w_prime_bounds", "down_exit_unbounded",
+            "overshoot_density", "undershoot_density"))
     def test_nan_point_raises(self, scales, evaluate):
         tm = truncated_coefficients(BETA_BENCHMARK, BETA_BENCHMARK_Q, 10)
         with pytest.raises(DomainError):

@@ -54,6 +54,18 @@ class TestFactor:
         with pytest.raises(PoleEvaluation):
             wh_factor_minus(d, -d.xi[0])
 
+    def test_pole_test_is_relative_next_to_a_tiny_root(self):
+        # s = -0.9 xi_1 lies 1e-13 from the pole -xi_1 = -1e-12, a tenth of
+        # xi_1 in relative terms: a value, not a pole
+        d = RootDecomposition(q=1e-12, zeta=0.5, xi=np.array([1e-12, 3.0]),
+                              poles=np.array([2.0]), case=CASE1)
+        s = -0.9e-12
+        expected = (s + 2.0) / 2.0 * (1e-12 / (s + 1e-12)) * (3.0 / (s + 3.0))
+        assert wh_factor_minus(d, s) == pytest.approx(expected, rel=1e-12)
+        assert np.isfinite(wh_factor_minus(d, np.array([s, 1.0]))).all()
+        with pytest.raises(PoleEvaluation):
+            wh_factor_minus(d, -1e-12)
+
 
 class TestPartialFractions:
     def test_residues_sum_to_one_minus_atom(self, decomps):
