@@ -54,6 +54,7 @@ _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} 
 _EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
 _CELLS = 1024  # cells of the phase-draw table; a power of 2, so u * _CELLS is exact
+_MAX_BINS = 10**6  # bins per histogram; a finer window is refused before allocating
 
 
 def _mean_stderr(s, s2, n: int):
@@ -287,16 +288,19 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int)
 
 
 def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
-            substeps: Optional[int]):
+            substeps: Optional[int], seed: int = 0):
     """(name, rate, epoch) of the sampling scheme: its name, the rate of the
     exponential epoch lengths (lambda + q for bridge epochs, which kill at
     rate q, lambda otherwise) and its epoch function, None where no path can
-    exit.  Rejects a q that is not positive and finite, fewer than 1 path and
-    a grid of fewer than 1 substep."""
+    exit.  Rejects a q that is not positive and finite, fewer than 1 path, a
+    grid of fewer than 1 substep and a negative seed (``default_rng`` takes
+    none)."""
     if not 0 < q < math.inf:
         raise DomainError("q must be > 0 and finite")
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     if substeps is not None and substeps < 1:
         raise DomainError("substeps must be >= 1")
     lam = model.lam
@@ -389,7 +393,7 @@ def simulate_two_sided_exit(
     ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
     ``substeps=100`` is the paper's random-walk grid.
     """
-    scheme = _scheme(model, q, b, n_paths, substeps)[0]
+    scheme = _scheme(model, q, b, n_paths, substeps, seed)[0]
     if b <= 0 or not (0 <= x <= b and x < math.inf):
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
     su = su2 = sd = sd2 = 0.0
@@ -419,12 +423,15 @@ def simulate_overshoot_undershoot(
     they compare directly against the closed-form densities at bin centers.
     Creeping paths (sigma > 0) land at overshoot 0 and undershoot 0, in the
     first bin of each histogram.  The overshoot bins cover [0, 10] and the
-    undershoot bins [0, 2x].  ``substeps`` selects the scheme as in
-    ``simulate_two_sided_exit``.
+    undershoot bins [0, 2x], at most ``_MAX_BINS`` each.  ``substeps``
+    selects the scheme as in ``simulate_two_sided_exit``.
     """
-    scheme = _scheme(model, q, None, n_paths, substeps)[0]
+    scheme = _scheme(model, q, None, n_paths, substeps, seed)[0]
     if not (0 < x < math.inf and 0 < window_width < math.inf):
         raise DomainError("x and window_width must be > 0 and finite")
+    if max(10.0, 2.0 * x) / window_width > _MAX_BINS:
+        raise DomainError(f"bin width {window_width} at x = {x} gives more than "
+                          f"{_MAX_BINS} bins per histogram")
     edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
     edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
     sums_a = np.zeros(len(edges_a) - 1)

@@ -5,8 +5,8 @@ The Laplace exponent is ``psi(z) = mu_hat*z + sigma^2 z^2/2
 B.  Its poles sit at -eta_k with eta_k = beta*(alpha + k - 1), the negative
 roots of psi(s) = q interlace them, and the scale function is a countable
 exponential sum which we sandwich between finite-sum bounds with an explicit
-truncation gap.  ``_BetaKernel`` evaluates B(x, 1 - lam) and its derivative
-in x with NumPy on arrays and with ``math`` at one point.
+truncation gap.  ``_BetaKernel`` evaluates B(x, 1 - lam), and its derivative
+in x on request, with NumPy on arrays; one point is an array of one.
 """
 from __future__ import annotations
 
@@ -66,10 +66,11 @@ class _BetaKernel:
                 for i, b in enumerate(_BERNOULLI_HALF[: k + 1])) / (k * (2 * k + 1))
             for k in range(1, 5))
         self.jh = np.arange(_SHIFT)[:, None] + self.h  # A + j = |x - h| + jh
-        self.jh_list = self.jh.ravel().tolist()
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """B(x, y) at every element of a 1-D array x."""
+    def __call__(self, x: np.ndarray, derivative: bool = False):
+        """B(x, y) at every element of a 1-D array x, or (B, dB/dx) with
+        ``derivative``: dB/dx = B (psi0(x) - psi0(x + y)), from d log G(A)/dA
+        and, below h, the derivative of the sine ratio (dA/dx = -1)."""
         n = np.rint(x)
         r = x - n
         gap = np.abs(r) + _POLE_TOL * x  # < _POLE_TOL within tolerance of a pole
@@ -85,51 +86,25 @@ class _BetaKernel:
         b = w**-y * np.exp(u * (s1 + u * (s2 + u * (s3 + u * s4)))) * self.gamma_y
         den = self.jh + wl
         num = den + y
+        if derivative:
+            dlog = -(y + u * (2 * s1 + u * (4 * s2 + u * (6 * s3 + u * 8 * s4)))) / w
+            dlog[low] -= np.add.reduce(y / (num * den), axis=0)
         b[low] *= np.multiply.reduce(np.divide(num, den, out=num), axis=0)
         t = r + self.fy
         e = np.copysign(t - np.rint(t), t)  # sin pi e = sin pi t, |e| <= 1/2
-        np.divide(b * np.sin(np.pi * e), np.sin(self.pi_s * r), out=b, where=x < self.h)
-        return b * (x + self.y) if self.lift else b
-
-    def point(self, x: float) -> Tuple[float, float]:
-        """B(x, y) and dB/dx = B(x, y) (psi0(x) - psi0(x + y)) at one x, in
-        floats (both nan for x = nan or +-inf)."""
-        if not math.isfinite(x):
-            return math.nan, math.nan
-        n = round(x)
-        r = x - n
-        if abs(r) + _POLE_TOL * x < _POLE_TOL:
-            raise PoleEvaluation(f"gamma pole at {x}")
-        y = self.y1
-        d = abs(x - self.h)
-        w = d + _SHIFT if d < _SHIFT else d
-        u = 1.0 / (w * w)
-        s1, s2, s3, s4 = self.s
-        b = w**-y * math.exp(u * (s1 + u * (s2 + u * (s3 + u * s4)))) * self.gamma_y
-        # d log G(A) / dA
-        dlog = -(y + u * (2 * s1 + u * (4 * s2 + u * (6 * s3 + u * 8 * s4)))) / w
-        if d < _SHIFT:
-            prod = 1.0
-            for jh in self.jh_list:
-                den = d + jh
-                num = den + y
-                prod *= num / den
-                dlog -= y / (num * den)
-            b *= prod
-        if x < self.h:  # B = b sin pi t / sin_s, with dA/dx = -1
-            t = r + self.fy
-            p = round(t)
-            e = t - p
-            sin_t = math.sin(math.pi * math.copysign(e, t))
-            cos_t = -math.cos(math.pi * e) if p else math.cos(math.pi * e)
-            sin_s = math.sin(self.pi_s * r)
-            b, db = b * sin_t / sin_s, b / sin_s * (
-                math.pi * cos_t - sin_t * (dlog + math.pi / math.tan(math.pi * r)))
-        else:
+        sin_t, sin_s, refl = np.sin(np.pi * e), np.sin(self.pi_s * r), x < self.h
+        if derivative:
             db = b * dlog
+            k = refl.nonzero()[0]
+            cos_t = np.cos(np.pi * e[k]) * np.where(np.rint(t[k]) != 0, -1.0, 1.0)
+            db[k] = b[k] / sin_s[k] * (
+                np.pi * cos_t - sin_t[k] * (dlog[k] + np.pi / np.tan(np.pi * r[k])))
+        np.divide(b * sin_t, sin_s, out=b, where=refl)
         if self.lift:
-            return b * (x + self.y), db * (x + self.y) + b
-        return b, db
+            if derivative:
+                db = db * (x + self.y) + b
+            b = b * (x + self.y)
+        return (b, db) if derivative else b
 
 
 @dataclass(frozen=True)
@@ -163,29 +138,30 @@ class BetaFamilyParams:
     @cached_property
     def _beta0(self) -> float:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
-        return self._beta.point(self.alpha_b)[0]
+        return float(self._beta(np.array([self.alpha_b]))[0])
 
 
 def beta_psi(params: BetaFamilyParams, s):
     """Laplace exponent of the beta-family at real s, a float or an array."""
     p = params
     s = np.asarray(s, dtype=float)
-    v = s.item() if s.size == 1 else s.ravel()  # one point runs on floats
+    v = s.ravel()
     out = p.mu_hat * v + 0.5 * p.sigma**2 * v**2
     if p.c != 0:
-        x = p.alpha_b + v / p.beta_b
-        b1 = p._beta.point(x)[0] if s.size == 1 else p._beta(x)
-        out = out + (p.c / p.beta_b) * (b1 - p._beta0)
-    return out if s.ndim == 0 else np.reshape(out, s.shape)
+        out += (p.c / p.beta_b) * (p._beta(p.alpha_b + v / p.beta_b) - p._beta0)
+    return out.item() if s.ndim == 0 else out.reshape(s.shape)
 
 
-def beta_psi_derivative(params: BetaFamilyParams, s: float) -> float:
-    """psi'(s), with dB(x, y)/dx = B(x, y) (psi0(x) - psi0(x + y)) in the beta term."""
+def beta_psi_derivative(params: BetaFamilyParams, s):
+    """psi'(s) at real s, a float or an array, with
+    dB(x, y)/dx = B(x, y) (psi0(x) - psi0(x + y)) in the beta term."""
     p = params
-    base = p.mu_hat + p.sigma**2 * s
-    if p.c == 0:
-        return base
-    return base + (p.c / p.beta_b**2) * p._beta.point(p.alpha_b + s / p.beta_b)[1]
+    s = np.asarray(s, dtype=float)
+    v = s.ravel()
+    out = p.mu_hat + p.sigma**2 * v
+    if p.c != 0:
+        out += (p.c / p.beta_b**2) * p._beta(p.alpha_b + v / p.beta_b, derivative=True)[1]
+    return out.item() if s.ndim == 0 else out.reshape(s.shape)
 
 
 def beta_poles(params: BetaFamilyParams, k):
@@ -246,7 +222,7 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     elif params.lam < 1:
         # -zeta/mu + (q + jump mass)/mu^2 with the mass (c/beta) B(alpha, 1-lam),
         # rewritten through psi(zeta) = q so that nothing cancels
-        b1 = params._beta.point(params.alpha_b + zeta / params.beta_b)[0]
+        b1 = float(params._beta(np.array([params.alpha_b + zeta / params.beta_b]))[0])
         theta = (params.c / params.beta_b) * b1 / params.mu_hat**2
         wp0 = theta + zeta / params.mu_hat
     else:
@@ -308,12 +284,16 @@ def cgmy_params(
 ) -> BetaFamilyParams:
     """Beta-family member approximating the tempered-stable target:
     c = c~ beta^lam, alpha = alpha~ / beta."""
+    try:
+        c = tilde_c * beta**base.lam
+    except OverflowError:
+        raise DomainError(f"c = c~ beta^lam overflows at beta = {beta}") from None
     return BetaFamilyParams(
         mu_hat=base.mu_hat,
         sigma=base.sigma,
         alpha_b=tilde_alpha / beta,
         beta_b=beta,
-        c=tilde_c * beta**base.lam,
+        c=c,
         lam=base.lam,
     )
 

@@ -48,19 +48,21 @@ class RootDecomposition:
         return self.xi.size
 
 
-def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=True) -> np.ndarray:
-    """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]); the ends
-    flagged by ``pole_lo``/``pole_hi`` (a bool or an array) are poles of f.
-    Roots can sit extremely close to a pole when a mixture weight is tiny, so
-    each bracket probes at a quarter width from its ends, and where ``f`` does
-    not change sign there, probes its ends that are no poles at the end itself
-    and creeps in from its pole ends (shrinking by 8) until it does.  Then all
-    brackets take Anderson-Bjorck steps together on
+def interlaced_roots(
+    f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=True
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]), and f
+    there; the ends flagged by ``pole_lo``/``pole_hi`` (a bool or an array)
+    are poles of f.  Roots can sit extremely close to a pole when a mixture
+    weight is tiny, so each bracket probes at a quarter width from its ends,
+    and where ``f`` does not change sign there, probes its ends that are no
+    poles at the end itself and creeps in from its pole ends (shrinking by 8)
+    until it does.  Then all brackets take Anderson-Bjorck steps together on
     g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so g has the
     sign and root of f but no pole.  A secant point on or beyond an end moves
     2 ulps inside (Brent's minimum step); a bracket that three steps did not
     halve is bisected once.  A bracket stops at 4 ulps wide or where f = 0,
-    returning the end with the smaller |f|."""
+    returning the end with the smaller |f| and that f."""
     n, d = lo.size, 0.25 * (hi - lo)
     pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
     crept = np.zeros(n, dtype=bool)
@@ -110,7 +112,8 @@ def interlaced_roots(f, lo: np.ndarray, hi: np.ndarray, pole_lo=True, pole_hi=Tr
             bisect[:] = False
     if np.isnan(f0).any() or np.isnan(f1).any():
         raise BracketingFailure("f is NaN inside a bracket")
-    return np.where(np.abs(f0) <= np.abs(f1), x0, x1)
+    near = np.abs(f0) <= np.abs(f1)
+    return np.where(near, x0, x1), np.where(near, f0, f1)
 
 
 def interlaced_solve(
@@ -122,7 +125,8 @@ def interlaced_solve(
     pole, near eta_n + ``outer`` (2 mu / sigma^2, where sigma^2 s^2 / 2 takes
     over from the drift).  The zeta bracket (-top, 0) of psi(-s) = q and all
     xi brackets go to one ``interlaced_roots`` call, which clears the ends
-    that are poles: eta_k, but not -top, 0 or the outer bracket's far end."""
+    that are poles: eta_k, but not -top, 0 or the outer bracket's far end.
+    The zeta residual is the f that call returns at -zeta."""
     if not 0 < q < np.inf:
         raise DomainError("q must be > 0 and finite")
     top = 1.0
@@ -146,13 +150,12 @@ def interlaced_solve(
             if not abs(f_end - q) * (end - start) * (end - start) < np.inf:
                 raise BracketingFailure(f"outer root beyond the float range, near {end}")
         lo, hi = np.append(lo, start), np.append(hi, end)
-    roots = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, np.isin(hi, eta))
+    roots, resid = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, np.isin(hi, eta))
     if not np.all((lo < roots) & (roots < hi)):
         raise BracketingFailure("interlacing violated")
-    zeta = float(-roots[0])
-    if abs(psi(zeta) - q) > _RESIDUAL_TOL * max(1.0, q):
-        raise BracketingFailure(f"zeta residual too large: {psi(zeta) - q}")
-    return zeta, roots[1:]
+    if abs(resid[0]) > _RESIDUAL_TOL * max(1.0, q):
+        raise BracketingFailure(f"zeta residual too large: {resid[0]}")
+    return float(-roots[0]), roots[1:]
 
 
 def find_zeta(model: SnLevyModel, q: float) -> float:

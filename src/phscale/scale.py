@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, RepeatedRootsDetected
+from .errors import BracketingFailure, DomainError, RepeatedRootsDetected
 from .models import CASE1, CASE2, SnLevyModel
 from .roots import RootDecomposition, find_roots
 from .wiener_hopf import _IMAG_TOL, exp_sum, like, partial_fraction_coefficients, points
@@ -160,8 +160,14 @@ def assemble(
     model: Optional[SnLevyModel],
 ) -> ScaleFunction:
     """Build a ScaleFunction from simple roots and the residues at them; a
-    sum over conjugate pairs that is not real raises RepeatedRootsDetected."""
+    sum over conjugate pairs that is not real raises RepeatedRootsDetected.
+    psi is convex with psi(0) = 0, so psi'(zeta) >= q/zeta > 0 at the root:
+    any other psi'(zeta) (0 where the zeta solve lost psi to rounding at a
+    tiny q) raises BracketingFailure."""
     zeta, xi = decomp.zeta, decomp.xi
+    if not 0 < psi_prime_zeta < math.inf:
+        raise BracketingFailure(f"psi'(zeta) = {psi_prime_zeta} at zeta = {zeta}; "
+                                "zeta is no simple positive root")
     A = partial_fraction_coefficients(decomp)
     C = (zeta / decomp.q) * A * (xi / (zeta + xi))
     varrho, lead = complex(A @ xi), complex(w0 + C.sum())

@@ -455,6 +455,27 @@ class TestCgmyLimit:
         assert err.startswith("error:")
 
 
+# inputs that once ended in a traceback (exit 1): each is refused with one
+# stderr line, the histograms before any bin is allocated
+@pytest.mark.parametrize("argv, code", [
+    (("cgmy-limit", "--betas", "1e300,1e299", "--grid", "0:1:3"), 2),
+    (("simulate", "--model", "exp1", "--x", "1", "--b", "5", "--n-paths", "10",
+      "--seed", "-1"), 2),
+    (("simulate", "--model", "exp1", "--x", "1", "--mode", "histogram", "--n-paths", "10",
+      "--bin-width", "1e-300"), 2),
+    (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
+      "--n-paths", "10"), 2),
+    (("identities", "--model", "exp1", "--q", "1e-300"), 3),
+    (("scale-eval", "--model", "exp1", "--q", "1e-40", "--grid", "0:4:3"), 3),
+], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
+        "scale-eval-tiny-q"))
+def test_typed_refusal(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:" if code == 2 else "numerical failure:")
+    assert err.count("\n") == 1
+
+
 class TestSimulate:
     def test_exit_deterministic(self, capsys):
         argv = ("simulate", "--model", "exp1", "--x", "2", "--b", "5",

@@ -16,6 +16,7 @@ from phscale.fluctuation import (
 from phscale.mc import (
     HistogramEstimate,
     SimulationEstimate,
+    _MAX_BINS,
     _choice_cdf,
     _jump_sampler,
     _run_batch,
@@ -191,6 +192,22 @@ class TestBridge:
             simulate_two_sided_exit(m, Q, 2.0, 5.0, 100, seed=0, substeps=0)
         with pytest.raises(DomainError):
             simulate_overshoot_undershoot(m, Q, 2.0, 0.1, 100, 0, substeps=0)
+
+    def test_negative_seed(self):
+        # default_rng([seed, k]) takes no negative seed
+        m = builtin_model("exp1", sigma=1.0)
+        with pytest.raises(DomainError, match="seed"):
+            simulate_two_sided_exit(m, Q, 2.0, 5.0, 100, seed=-1)
+        with pytest.raises(DomainError, match="seed"):
+            simulate_overshoot_undershoot(m, Q, 2.0, 0.1, 100, -1)
+
+    @pytest.mark.parametrize("x, width", [(1.0, 1e-300), (1.0, 1e-9), (1e300, 0.1),
+                                          (1.0, 10.0 / (_MAX_BINS + 1))])
+    def test_bin_count_ceiling(self, x, width):
+        # refused from the bin counts, before any bin is allocated
+        m = builtin_model("exp1", sigma=1.0)
+        with pytest.raises(DomainError, match="bins per histogram"):
+            simulate_overshoot_undershoot(m, Q, x, width, 100, 0)
 
 
 def _stay_inside(y, y_end, s, b, k_max=60):

@@ -147,6 +147,26 @@ class TestPsi:
             fd = (beta_psi(BETA_BENCHMARK, s + h) - beta_psi(BETA_BENCHMARK, s - h)) / (2 * h)
             assert beta_psi_derivative(BETA_BENCHMARK, s) == pytest.approx(fd, rel=1e-6)
 
+    def test_derivative_at_every_root_in_one_call(self):
+        # psi' at zeta and the 101 -xi_k of m = 100 in one call, against 40
+        # digits; psi' sums terms of either sign (3.9 times |psi'| at -xi_1),
+        # each good to a few eps, so the error is taken relative to their sum
+        p = BETA_BENCHMARK
+        zeta, xis = mero_roots(p, Q, 100)
+        s = np.concatenate(([zeta], -xis))
+        got = beta_psi_derivative(p, s)
+        assert got.shape == s.shape and isinstance(beta_psi_derivative(p, zeta), float)
+        with mpmath.workdps(40):
+            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.sigma, p.alpha_b, p.beta_b,
+                                                   p.c, 1 - p.lam))
+            ref, terms = [], []
+            for v in map(mpmath.mpf, s):
+                x = a + v / b
+                jump = c / b**2 * mpmath.beta(x, y) * (mpmath.digamma(x) - mpmath.digamma(x + y))
+                ref.append(float(mu + sig**2 * v + jump))
+                terms.append(float(mu + sig**2 * abs(v) + abs(jump)))
+        assert np.max(np.abs(got - ref) / terms) <= 1e-15
+
 
 # y = 1 - lam: both signs, next to the poles of Gamma(y) at 0 and -1, and
 # below -1, where the kernel lifts y by 1
@@ -181,16 +201,13 @@ class TestBetaKernel:
         kernel = _BetaKernel(y)
         got = kernel(self.SWEEP)
         assert max(mp_rel_err(b, mp_beta(x, y)) for x, b in zip(self.SWEEP, got)) <= 1e-14
-        # one point runs the same formulas on floats
-        points = [kernel.point(float(x))[0] for x in self.SWEEP]
-        assert points == pytest.approx(got, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("x", (1003.3, 10003.7))
     def test_large_x(self, x):
         # exp(gammaln - gammaln) was 5e-13 and 5.6e-12 off here
         kernel = _BetaKernel(0.5)
         assert mp_rel_err(kernel(np.array([x, 2.0]))[0], mp_beta(x, 0.5)) <= 1e-14
-        assert mp_rel_err(kernel.point(x)[0], mp_beta(x, 0.5)) <= 1e-14
+        assert mp_rel_err(kernel(np.array([x]))[0], mp_beta(x, 0.5)) <= 1e-14
 
     @pytest.mark.parametrize("y", KERNEL_YS)
     def test_seams(self, y):
@@ -203,7 +220,6 @@ class TestBetaKernel:
         kernel = _BetaKernel(y)
         got = kernel(xs)
         assert max(mp_rel_err(b, mp_beta(x, y)) for x, b in zip(xs, got)) <= 1e-14
-        assert [kernel.point(float(x))[0] for x in xs] == pytest.approx(got, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("y, xs", [
         (0.5, (-1.5, -2.5, -10.5, -799.5)),
@@ -214,7 +230,6 @@ class TestBetaKernel:
         # x + y is 0, -1, ... exactly, so 1/Gamma(x + y) = 0
         kernel = _BetaKernel(y)
         assert kernel(np.array(xs)).tolist() == [0.0] * len(xs)
-        assert [kernel.point(x)[0] for x in xs] == [0.0] * len(xs)
 
     @pytest.mark.parametrize("y", KERNEL_YS)
     def test_next_to_the_zeros_and_to_one(self, y):
@@ -229,15 +244,16 @@ class TestBetaKernel:
                     continue  # a pole of Gamma(x)
                 ref = mp_beta(x, y)
                 gap = float(abs(mpmath.mpf(x) + y - k))
-                for b in (kernel(np.array([x, 2.0]))[0], kernel.point(x)[0]):
-                    assert mp_rel_err(b, ref) <= 1e-14 + 2.3e-16 / gap, (k, d)
+                b = kernel(np.array([x, 2.0]))[0]
+                assert mp_rel_err(b, ref) <= 1e-14 + 2.3e-16 / gap, (k, d)
 
     @pytest.mark.parametrize("y", KERNEL_YS)
     def test_digamma_difference(self, y):
         # dB/dx = B (psi0(x) - psi0(x + y)), for beta_psi_derivative
-        kernel = _BetaKernel(y)
-        for x in (0.02, 0.3, 0.7, 1.7, 2.5, 10.0, 23.9, 24.1, 100.0, 1e4):
-            b, db = kernel.point(x)
+        xs = np.array([0.02, 0.3, 0.7, 1.7, 2.5, 10.0, 23.9, 24.1, 100.0, 1e4])
+        bs, dbs = _BetaKernel(y)(xs, derivative=True)
+        assert bs.tolist() == _BetaKernel(y)(xs).tolist()
+        for x, b, db in zip(xs, bs, dbs):
             with mpmath.workdps(40):
                 ref = mpmath.digamma(x) - mpmath.digamma(mpmath.mpf(x) + y)
             assert db / b == pytest.approx(float(ref), rel=1e-14), x
@@ -245,7 +261,7 @@ class TestBetaKernel:
     @pytest.mark.parametrize("y, x, k", [(-0.5, 0.5, 0), (-1.5, 1.5, 0), (-1.5, 0.5, 1)])
     def test_derivative_at_a_zero(self, y, x, k):
         # x + y = -k: B = 0 and dB/dx = Gamma(y) Gamma(x) (-1)^k k!
-        b, db = _BetaKernel(y).point(x)
+        (b,), (db,) = _BetaKernel(y)(np.array([x]), derivative=True)
         assert b == 0.0
         assert db == pytest.approx(math.gamma(y) * math.gamma(x) * (-1) ** k, rel=1e-14)
 
@@ -258,9 +274,7 @@ class TestBetaKernel:
         for x in (0.0, -3.0, -3.0 + 3e-12, -800.0 - 1e-10):
             with pytest.raises(PoleEvaluation):
                 kernel(np.array([1.5, x]))
-            with pytest.raises(PoleEvaluation):
-                kernel.point(x)
-        assert math.isfinite(kernel.point(-3.0 + 5e-12)[0])
+        assert math.isfinite(kernel(np.array([-3.0 + 5e-12]))[0])
         with pytest.raises(PoleEvaluation):
             beta_psi(BetaFamilyParams(0.1, 0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.0), 0.5)
 
@@ -555,6 +569,11 @@ class TestCgmy:
         target = cgmy_levy_density(0.1, 3.0, BETA_BENCHMARK.lam, x)
         p = cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta=0.01)
         assert beta_levy_density(p, x) == pytest.approx(target, rel=0.01)
+
+    def test_c_overflow_is_domain_error(self):
+        # c~ beta^lam leaves the float range at beta = 1e300, lam = 1.5
+        with pytest.raises(DomainError, match="overflows"):
+            cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta=1e300)
 
     def test_betas_must_decrease(self):
         with pytest.raises(DomainError):

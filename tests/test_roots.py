@@ -110,9 +110,11 @@ class TestInterlacedRoots:
         # tan(s) = s has one root in each ((k - 1/2) pi, (k + 1/2) pi), k >= 1,
         # whose ends are poles of tan
         k = np.arange(1, 40)
-        roots = interlaced_roots(lambda s: np.tan(s) - s, (k - 0.5) * np.pi, (k + 0.5) * np.pi)
+        roots, vals = interlaced_roots(lambda s: np.tan(s) - s, (k - 0.5) * np.pi,
+                                       (k + 0.5) * np.pi)
         assert np.all(((k - 0.5) * np.pi < roots) & (roots < (k + 0.5) * np.pi))
         assert np.all(np.abs(np.tan(roots) - roots) <= 1e-12 * roots**2)
+        assert np.all(np.abs(vals) <= 1e-12 * roots**2)
 
     def test_no_sign_change_names_first_bracket(self):
         with pytest.raises(BracketingFailure, match=r"no sign change in \(0.0, 2.0\)"):
@@ -128,8 +130,8 @@ class TestInterlacedRoots:
             calls.append(1)
             return (s - 1.0) - 1e-17
 
-        root = interlaced_roots(f, np.array([0.0]), np.array([4.0]), False, False)
-        assert root[0] == 1.0
+        root, val = interlaced_roots(f, np.array([0.0]), np.array([4.0]), False, False)
+        assert root[0] == 1.0 and val[0] == -1e-17  # f at the returned root
         assert len(calls) == 2  # the creep phase and one step
 
     def test_nan_inside_bracket_raises(self):

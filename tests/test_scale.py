@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phscale.errors import DomainError, RepeatedRootsDetected
+from phscale.errors import BracketingFailure, DomainError, RepeatedRootsDetected
 from phscale.fluctuation import down_exit_unbounded, overshoot_density, undershoot_density
 from phscale.meromorphic import (
     BETA_BENCHMARK,
@@ -374,6 +374,13 @@ class TestArrayEvaluation:
         with pytest.raises(RepeatedRootsDetected, match="varrho"):
             self._reassemble(sf, dataclasses.replace(sf.decomp, xi=xi))
         assert self._reassemble(sf, sf.decomp).lead == sf.lead
+
+    @pytest.mark.parametrize("ppz", (0.0, -1.0, math.nan, math.inf))
+    def test_psi_prime_zeta_not_positive_raises_in_assembly(self, ppz):
+        # convexity gives psi'(zeta) >= q/zeta > 0 at the positive root
+        sf = build_scale(builtin_model("exp1", sigma=1.0), Q)
+        with pytest.raises(BracketingFailure, match="psi'"):
+            self._reassemble(dataclasses.replace(sf, psi_prime_zeta=ppz), sf.decomp)
 
     def test_lead_not_real_raises_in_assembly(self, monkeypatch):
         # residues whose imaginary parts cancel in sum A_i xi_i but not in
