@@ -28,6 +28,7 @@ from .meromorphic import (
     BetaFamilyParams,
     TruncatedMero,
     beta_psi,
+    scale_bounds,
     truncated_coefficients,
     w_bounds,
     w_prime_bounds,
@@ -63,6 +64,7 @@ __all__ = [
     "load_model_file",
     "overshoot_density",
     "partial_fraction_coefficients",
+    "scale_bounds",
     "simulate_overshoot_undershoot",
     "simulate_two_sided_exit",
     "truncated_coefficients",

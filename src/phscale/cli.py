@@ -31,10 +31,8 @@ from .meromorphic import (
     BETA_BENCHMARK,
     BETA_BENCHMARK_Q,
     cgmy_limit_study,
+    scale_bounds,
     truncated_coefficients,
-    w_bounds,
-    w_prime_bounds,
-    z_bounds,
 )
 from .mc import simulate_overshoot_undershoot, simulate_two_sided_exit
 from .models import BUILTIN_JUMPS, SnLevyModel, builtin_model, load_model_file
@@ -183,9 +181,7 @@ def _cmd_scale_eval(args) -> None:
     model = _resolve_model(args)
     sf = build_scale(model, args.q)
     grid = _parse_grid(args.grid)
-    wp = np.where(grid == 0, sf.wp0, 0.0)  # W = 0 below 0; the x -> 0+ limit at 0
-    wp[grid > 0] = sf.w_prime(grid[grid > 0])
-    _emit(args, {"x": grid, "w": sf.w(grid), "w_prime": wp, "z": sf.z(grid)},
+    _emit(args, dict(zip(("x", "w", "w_prime", "z"), (grid, *sf.evaluate(grid)))),
           {"command": "scale-eval", "model": args.model, "q": args.q,
            "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
 
@@ -228,11 +224,8 @@ def _cmd_mero_bounds(args) -> None:
         raise DomainError("mero-bounds currently supports the beta-benchmark model only")
     tm = truncated_coefficients(BETA_BENCHMARK, args.q, args.m)
     grid = _parse_grid(args.grid)
-    pos = grid > 0
-    wp = np.full((2, grid.size), np.nan)  # W' bounds exist for x > 0 only
-    wp[:, pos] = w_prime_bounds(tm, grid[pos])
     names = ("x", "w_lower", "w_upper", "z_lower", "z_upper", "wp_lower", "wp_upper")
-    _emit(args, dict(zip(names, (grid, *w_bounds(tm, grid), *z_bounds(tm, grid), *wp))),
+    _emit(args, dict(zip(names, (grid, *scale_bounds(tm, grid)))),
           {"command": "mero-bounds", "model": args.model, "q": args.q,
            "m": args.m, "delta_m": tm.delta})
 

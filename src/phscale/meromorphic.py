@@ -244,27 +244,19 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     )
 
 
-def w_bounds(tm: TruncatedMero, x):
-    """(lower, upper) sandwich of W^{(q)}(x) at x >= 0, floats for a float x;
-    gap = delta_m (1 + e^{-xi_{m+1} x})."""
-    xs = points(x, above=0.0)
-    upper = tm.sf.w(xs)
-    return like(x, upper - tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))), like(x, upper)
+def _w_gap(tm: TruncatedMero, xs: np.ndarray) -> np.ndarray:
+    """delta_m (1 + e^{-xi_{m+1} x}), upper minus lower bound of W."""
+    return tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
 
 
-def z_bounds(tm: TruncatedMero, x):
-    """(lower, upper) for Z^{(q)}(x), x >= 0, by exact integration of the W bounds."""
-    xs = points(x, above=0.0)
-    upper = tm.sf.z(xs)
+def _z_gap(tm: TruncatedMero, xs: np.ndarray) -> np.ndarray:
+    """q times the integral of the W gap over [0, x]."""
     xm1 = tm.xi[tm.m]
-    gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
-    return like(x, upper - gap), like(x, upper)
+    return tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
 
 
-def w_prime_bounds(tm: TruncatedMero, x):
-    """(lower, upper) for the derivative of the scale function at x > 0."""
-    xs = points(x, above=0.0, strict=True)
-    lower = tm.sf.w_prime(xs)
+def _w_prime_upper(tm: TruncatedMero, xs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The upper bound of W' at x > 0 from its lower bound."""
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     xi = tm.sf.xi
@@ -276,7 +268,42 @@ def w_prime_bounds(tm: TruncatedMero, x):
     if tm.epsilon is not None:
         refined = lower + head_sup * tm.delta + np.exp(-xm1 * xs) * tm.epsilon
         upper = np.minimum(upper, refined)
-    return like(x, lower), like(x, upper)
+    return upper
+
+
+def w_bounds(tm: TruncatedMero, x):
+    """(lower, upper) sandwich of W^{(q)}(x) at x >= 0, floats for a float x;
+    gap = delta_m (1 + e^{-xi_{m+1} x})."""
+    xs = points(x, above=0.0)
+    upper = tm.sf.w(xs)
+    return like(x, upper - _w_gap(tm, xs)), like(x, upper)
+
+
+def z_bounds(tm: TruncatedMero, x):
+    """(lower, upper) for Z^{(q)}(x), x >= 0, by exact integration of the W bounds."""
+    xs = points(x, above=0.0)
+    upper = tm.sf.z(xs)
+    return like(x, upper - _z_gap(tm, xs)), like(x, upper)
+
+
+def w_prime_bounds(tm: TruncatedMero, x):
+    """(lower, upper) for the derivative of the scale function at x > 0."""
+    xs = points(x, above=0.0, strict=True)
+    lower = tm.sf.w_prime(xs)
+    return like(x, lower), like(x, _w_prime_upper(tm, xs, lower))
+
+
+def scale_bounds(tm: TruncatedMero, x):
+    """The bounds of ``w_bounds``, ``z_bounds`` and ``w_prime_bounds`` at
+    x >= 0 as (w_lower, w_upper, z_lower, z_upper, wp_lower, wp_upper), all
+    from one evaluation of the m-term scale function; the W' bounds are NaN
+    at x = 0, where they do not exist."""
+    xs = points(x, above=0.0)
+    w, wp, z = tm.sf.evaluate(xs)
+    pos = xs > 0
+    wp_bounds = np.full((2, xs.size), np.nan)
+    wp_bounds[:, pos] = wp[pos], _w_prime_upper(tm, xs[pos], wp[pos])
+    return tuple(like(x, v) for v in (w - _w_gap(tm, xs), w, z - _z_gap(tm, xs), z, *wp_bounds))
 
 
 def cgmy_params(

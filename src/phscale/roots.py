@@ -57,7 +57,8 @@ def interlaced_roots(
     weight is tiny, so each bracket probes at a quarter width from its ends,
     and where ``f`` does not change sign there, probes its ends that are no
     poles at the end itself and creeps in from its pole ends (shrinking by 8)
-    until it does.  Then all brackets take Anderson-Bjorck steps together on
+    until it does; each creep pass evaluates f at the brackets that creep
+    only.  Then all brackets take Anderson-Bjorck steps together on
     g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so g has the
     sign and root of f but no pole.  A secant point on or beyond an end moves
     2 ulps inside (Brent's minimum step); a bracket that three steps did not
@@ -66,17 +67,21 @@ def interlaced_roots(
     n, d = lo.size, 0.25 * (hi - lo)
     pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
     crept = np.zeros(n, dtype=bool)
-    for _ in range(60):
-        a = lo + np.where(pole_lo | ~crept, d, 0.0)
-        b = hi - np.where(pole_hi | ~crept, d, 0.0)
-        fab = f(np.concatenate((a, b)))
-        fa, fb = fab[:n], fab[n:]
+    a, b = lo + d, hi - d
+    fab = f(np.concatenate((a, b)))
+    fa, fb = fab[:n], fab[n:]
+    for _ in range(59):
         todo = ~((a < b) & (np.sign(fa) != np.sign(fb)))
-        creep = todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi) & (pole_lo | pole_hi | ~crept)
-        if not creep.any():
+        k = np.flatnonzero(todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi)
+                           & (pole_lo | pole_hi | ~crept))
+        if not k.size:
             break
-        d[creep] /= 8.0
-        crept |= creep
+        d[k] /= 8.0
+        crept[k] = True
+        a[k] = lo[k] + np.where(pole_lo[k], d[k], 0.0)
+        b[k] = hi[k] - np.where(pole_hi[k], d[k], 0.0)
+        fab = f(np.concatenate((a[k], b[k])))
+        fa[k], fb[k] = fab[:k.size], fab[k.size:]
     if todo.any():
         k = np.flatnonzero(todo)[0]
         raise BracketingFailure(f"no sign change in ({float(lo[k])}, {float(hi[k])})")
@@ -97,7 +102,8 @@ def interlaced_roots(
             break
         a0, a1, h0, h1 = x0[k], x1[k], g0[k], g1[k]
         c = np.where(bisect[k], 0.5 * (a0 + a1), a1 - h1 * (a1 - a0) / (h1 - h0))
-        c = np.clip(c, np.minimum(a0, a1) + 2 * ulp[k], np.maximum(a0, a1) - 2 * ulp[k])
+        c = np.minimum(np.maximum(c, np.minimum(a0, a1) + 2 * ulp[k]),
+                       np.maximum(a0, a1) - 2 * ulp[k])
         fc = f(c)
         gc = fc * clear(c, k)
         flip = np.sign(gc) != np.sign(h1)
@@ -150,7 +156,9 @@ def interlaced_solve(
             if not abs(f_end - q) * (end - start) * (end - start) < np.inf:
                 raise BracketingFailure(f"outer root beyond the float range, near {end}")
         lo, hi = np.append(lo, start), np.append(hi, end)
-    roots, resid = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, np.isin(hi, eta))
+    pole_hi = np.zeros(hi.size, dtype=bool)
+    pole_hi[1:eta.size + 1] = True  # hi holds 0, eta and the outer end
+    roots, resid = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, pole_hi)
     if not np.all((lo < roots) & (roots < hi)):
         raise BracketingFailure("interlacing violated")
     if abs(resid[0]) > _RESIDUAL_TOL * max(1.0, q):

@@ -27,14 +27,14 @@ _EXP_LOG_GUARD = 700.0
 
 
 def _real(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Real part of a sum over complex-conjugate root pairs; raises if an
-    imaginary residue is more than rounding."""
+    """Real part of a sum over complex-conjugate root pairs, one row per point
+    of xs; raises if an imaginary residue is more than rounding."""
     if not np.iscomplexobj(vals):
         return vals
     bad = np.abs(vals.imag) > _IMAG_TOL * (1.0 + np.abs(vals.real))
     if bad.any():
-        k = np.flatnonzero(bad)[0]
-        raise RepeatedRootsDetected(f"imaginary residue {vals.imag[k]} at x={xs[k]}")
+        k = tuple(np.argwhere(bad)[0])
+        raise RepeatedRootsDetected(f"imaginary residue {vals.imag[k]} at x={xs[k[0]]}")
     return vals.real
 
 
@@ -72,16 +72,35 @@ class ScaleFunction:
     decomp: RootDecomposition
     model: Optional[SnLevyModel]
 
-    def decay_sum(self, xs: np.ndarray, weights, shift: float = 0.0, expfn=np.exp) -> np.ndarray:
-        """sum_i weights_i expfn(-(xi_i + shift) x) on the grid xs, as reals."""
-        return _real(exp_sum(self.xi + shift, weights, xs, expfn), xs)
+    def decay_sum(self, xs: np.ndarray, weights, minus_one=0) -> np.ndarray:
+        """sum_i weights_i e^{-xi_i x} on the grid xs, as reals, or
+        sum_i weights_i (e^{-xi_i x} - 1) with ``minus_one``: ``exp_sum``,
+        which takes a weight matrix for one column per weight vector."""
+        return _real(exp_sum(self.xi, weights, xs, minus_one), xs)
+
+    def _tilt(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """W_zeta at xs from head = sum_i C_i (e^{-xi_i x} - 1), as
+        e^{-zeta x} (w0 - head) - lead (e^{-zeta x} - 1): this is
+        lead - sum_i C_i e^{-(xi_i + zeta) x} as lead = w0 + sum C, with no
+        difference of near terms as x -> 0 and no overflow."""
+        return np.exp(-self.zeta * xs) * (self.w0 - head) - self.lead * np.expm1(-self.zeta * xs)
 
     def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
-        """e^{-zeta x} (w0 - sum_i C_i (e^{-xi_i x} - 1)) - lead (e^{-zeta x} - 1),
-        which is lead - sum_i C_i e^{-(xi_i + zeta) x} as lead = w0 + sum C,
-        with no difference of near terms as x -> 0 and no overflow."""
-        head = self.w0 - self.decay_sum(xs, self.C, expfn=np.expm1)
-        return np.exp(-self.zeta * xs) * head - self.lead * np.expm1(-self.zeta * xs)
+        return self._tilt(xs, self.decay_sum(xs, self.C, True))
+
+    # W, Z and W' at points xs >= 0 from their sums sum_i C_i (e^{-xi_i x} - 1),
+    # sum_i (C_i/xi_i) (e^{-xi_i x} - 1) and sum_i C_i xi_i e^{-xi_i x}
+
+    def _w(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
+        return _envelope(self.zeta * xs, self._tilt(xs, head))
+
+    def _z(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
+        grow = (self.lead / self.zeta) * _envelope(self.zeta * xs, 1.0, np.expm1)
+        return 1.0 + self.q * (grow + head)
+
+    def _w_prime(self, xs: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        zx = self.zeta * xs
+        return _envelope(zx, self.zeta * self.lead + np.exp(-zx) * tail)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -93,7 +112,7 @@ class ScaleFunction:
         """W(x); 0 on (-inf, 0)."""
         xs = points(x)
         pos = np.maximum(xs, 0.0)
-        return like(x, np.where(xs < 0, 0.0, _envelope(self.zeta * pos, self._w_tilted(pos))))
+        return like(x, np.where(xs < 0, 0.0, self._w(pos, self.decay_sum(pos, self.C, True))))
 
     def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope; at
@@ -107,16 +126,26 @@ class ScaleFunction:
     def w_prime(self, x):
         """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""
         xs = points(x, above=0.0, strict=True)
-        slope = self.zeta * self.lead + self.decay_sum(xs, self.C * self.xi, self.zeta)
-        return like(x, _envelope(self.zeta * xs, slope))
+        return like(x, self._w_prime(xs, self.decay_sum(xs, self.C * self.xi)))
 
     def z(self, x):
         """Z(x) = 1 + q * integral of W over [0, x]; 1 on (-inf, 0]."""
         xs = points(x)
         pos = np.maximum(xs, 0.0)
-        grow = (self.lead / self.zeta) * _envelope(self.zeta * pos, 1.0, np.expm1)
-        vals = 1.0 + self.q * (grow + self.decay_sum(pos, self.C / self.xi, expfn=np.expm1))
-        return like(x, np.where(xs <= 0, 1.0, vals))
+        head = self.decay_sum(pos, self.C / self.xi, True)
+        return like(x, np.where(xs <= 0, 1.0, self._z(pos, head)))
+
+    def evaluate(self, x):
+        """(W, W', Z) at a float or a 1-d array of points, the three sums
+        read off one exponential tile: W and Z as ``w`` and ``z``, W' as
+        ``w_prime`` for x > 0, its x -> 0+ limit ``wp0`` at 0 and 0 below."""
+        xs = points(x)
+        pos = np.maximum(xs, 0.0)
+        weights = np.stack((self.C, self.C / self.xi, self.C * self.xi), axis=1)
+        head_w, head_z, tail = self.decay_sum(pos, weights, 2).T
+        w, z = self._w(pos, head_w), self._z(pos, head_z)
+        wp = np.where(xs > 0, self._w_prime(pos, tail), np.where(xs == 0, self.wp0, 0.0))
+        return like(x, np.where(xs < 0, 0.0, w)), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
 
     def laplace_transform_w(self, s):
         """Analytic Laplace transform of W at s > zeta."""

@@ -18,12 +18,14 @@ from phscale.meromorphic import (
     BetaFamilyParams,
     _BetaKernel,
     _SHIFT,
+    _w_zero,
     beta_poles,
     beta_psi,
     beta_psi_derivative,
     cgmy_limit_study,
     cgmy_params,
     mero_roots,
+    scale_bounds,
     truncated_coefficients,
     w_bounds,
     w_prime_bounds,
@@ -374,6 +376,22 @@ class TestTruncation:
                         y / (y - x) for l, y in enumerate(xi) if l != i)
                     assert A[i] == pytest.approx(float(ref), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("q", (3e-3, 0.03))
+    def test_delta_matches_mpmath_product(self, q):
+        # delta_m = 1/psi'(zeta) - w0 - sum C cancels: against the 30-digit
+        # product residues of the same roots it keeps 1e-11 relative
+        tm = truncated_coefficients(BETA_BENCHMARK, q, 200)
+        with mpmath.workdps(30):
+            xi = [mpmath.mpf(float(v)) for v in tm.sf.xi]
+            eta = [mpmath.mpf(float(v)) for v in tm.sf.decomp.poles]
+            zeta = mpmath.mpf(tm.sf.zeta)
+            sum_c = mpmath.fsum(
+                (zeta / q) * x / (zeta + x) * mpmath.fprod((e - x) / e for e in eta)
+                * mpmath.fprod(y / (y - x) for l, y in enumerate(xi) if l != i)
+                for i, x in enumerate(xi))
+            ref = 1 / mpmath.mpf(tm.sf.psi_prime_zeta) - _w_zero(BETA_BENCHMARK) - sum_c
+            assert abs(tm.delta / ref - 1) <= 1e-11
+
     def test_theta_and_epsilon(self, tm100):
         assert tm100.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50
         assert tm100.epsilon is not None and tm100.epsilon > 0
@@ -487,8 +505,28 @@ class TestArrayBounds:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_scalar_in_float_out(self, tm10):
-        for fn in (w_bounds, z_bounds, w_prime_bounds):
+        for fn in (w_bounds, z_bounds, w_prime_bounds, scale_bounds):
             assert all(type(v) is float for v in fn(tm10, 0.5))
+
+    def test_one_evaluation_at_m800_matches_reference(self):
+        # the six columns of scale_bounds come from one exponential tile per
+        # row block; the three bound functions form their own columns
+        tm = truncated_coefficients(BETA_BENCHMARK, Q, 800)
+        grid = np.linspace(0.0, 1.0, 101)
+        at = [1, 50, 100]  # x = 0.01, 0.5, 1
+        ref = np.array([reference_bounds(tm, float(grid[k])) for k in at]).T
+        pos = grid[at]
+        singles = (*w_bounds(tm, pos), *z_bounds(tm, pos), *w_prime_bounds(tm, pos))
+        for got, single, want in zip(scale_bounds(tm, grid), singles, ref):
+            tol = 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got[at] - want)) <= tol
+            assert np.max(np.abs(single - want)) <= tol
+
+    def test_one_evaluation_at_zero(self, tm100):
+        wl, wu, zl, zu, pl, pu = scale_bounds(tm100, np.array([0.0, 0.5]))
+        assert (wl[0], wu[0]) == w_bounds(tm100, 0.0)
+        assert (zl[0], zu[0]) == (1.0, 1.0)
+        assert np.isnan([pl[0], pu[0]]).all() and np.isfinite([pl[1], pu[1]]).all()
 
 
 class TestZBounds:

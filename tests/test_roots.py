@@ -134,6 +134,19 @@ class TestInterlacedRoots:
         assert root[0] == 1.0 and val[0] == -1e-17  # f at the returned root
         assert len(calls) == 2  # the creep phase and one step
 
+    def test_creep_passes_evaluate_only_the_brackets_that_creep(self):
+        # f = 1/(s - 1) + 1/(s - 2) + 1e-6/(s - 3) - 1 has poles at 1, 2, 3; the
+        # root in (2, 3) sits 1e-6 below 3, so only that bracket creeps
+        sizes = []
+
+        def f(s):
+            sizes.append(s.size)
+            return 1 / (s - 1) + 1 / (s - 2) + 1e-6 / (s - 3) - 1
+
+        roots, _ = interlaced_roots(f, np.array([1.0, 2.0]), np.array([2.0, 3.0]))
+        assert roots[1] == pytest.approx(3.0 - 1e-6, rel=1e-6)
+        assert sizes[:3] == [4, 2, 2]  # both brackets, then the one that creeps
+
     def test_nan_inside_bracket_raises(self):
         f = lambda s: np.where(s > 0.5, np.nan, s - 0.75)
         with pytest.raises(BracketingFailure, match="NaN"):

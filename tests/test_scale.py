@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +21,7 @@ from phscale.models import EXP1, HyperExpDist, PhaseTypeRepr, SnLevyModel, built
 import phscale.scale
 from phscale.scale import assemble, boundary_identities, build_scale
 
-from closed_forms import ExpPolySum, loop_scale
+from closed_forms import ExpPolySum, loop_scale, mp_residue_terms, mp_scale
 
 Q = 0.05
 
@@ -399,3 +400,45 @@ class TestArrayEvaluation:
         for name, pts in (("w", GRID), ("w_prime", GRID[1:]), ("z", GRID)):
             with pytest.raises(RepeatedRootsDetected):
                 getattr(bad, name)(pts)
+
+
+class TestOneTile:
+    """W, W' and Z from the one exponential tile of ``exp_sum``, against
+    50-digit residue sums."""
+
+    XS = np.array([1e-15, 1e-8, 0.5, 4.0])
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_matches_mpmath(self, name, sigma):
+        model = builtin_model(name, sigma=sigma)
+        sf = build_scale(model, Q)
+        with mpmath.workdps(50):
+            _, w, z = mp_scale(model, Q)
+            terms = mp_residue_terms(model, Q)
+            want = {
+                "w": [w(x) for x in self.XS],
+                "w_prime": [mpmath.re(mpmath.fsum(c * r * mpmath.exp(r * x) for r, c in terms))
+                            for x in self.XS],
+                "z": [z(x) for x in self.XS],
+            }
+        got = dict(zip(want, sf.evaluate(self.XS)))
+        for key, ref in want.items():
+            for vals in (got[key], getattr(sf, key)(self.XS)):
+                rel = [abs(float(v / r - 1)) for v, r in zip(vals, ref)]
+                assert max(rel) <= 1e-13, (key, rel)
+
+    def test_a_cell_passes_the_exponent_floor(self):
+        # weibull-fit's largest root times x = 4 is past 708, where the tile
+        # holds 0 for e^{-xi x}: the cells of test_matches_mpmath include it
+        assert build_scale(builtin_model("weibull-fit", sigma=1.0), Q).xi.max() * 4.0 > 708.0
+
+    def test_evaluate_matches_the_single_evaluators(self, scales):
+        xs = np.array([-1.0, 0.0, 1e-9, 0.5, 3.0])
+        for sf in scales.values():
+            w, wp, z = sf.evaluate(xs)
+            np.testing.assert_allclose(w, sf.w(xs), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(z, sf.z(xs), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(wp[2:], sf.w_prime(xs[2:]), rtol=1e-15, atol=0)
+            assert wp[:2].tolist() == [0.0, sf.wp0]
+            assert all(type(v) is float for v in sf.evaluate(0.5))

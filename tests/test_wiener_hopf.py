@@ -1,4 +1,5 @@
 """Negative Wiener-Hopf factor, partial fractions, running-minimum law."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,7 +7,7 @@ from phscale.errors import PoleEvaluation, RepeatedRootsDetected
 from phscale.meromorphic import BetaFamilyParams, beta_poles, mero_roots
 from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
 from phscale.roots import RootDecomposition, check_clusters, find_roots
-from phscale.wiener_hopf import partial_fraction_coefficients, wh_factor_minus
+from phscale.wiener_hopf import exp_sum, partial_fraction_coefficients, wh_factor_minus
 
 from closed_forms import (
     atom_mass,
@@ -218,3 +219,51 @@ class TestClusters:
                               poles=np.array([1.5, 3.0]), case=CASE2)
         with pytest.raises(RepeatedRootsDetected):
             partial_fraction_coefficients(d)
+
+
+class TestExpSum:
+    # unsorted points: 0, a tiny x where every |rate x| < ln 2, and points
+    # where 1e4 x and 300 x pass the exponent floor -708
+    XS = np.array([0.5, 0.0, 1e-12, 3.0, 0.07, 80.0])
+    WEIGHTS = np.array([[1.0, -2.0, 0.3], [0.5, 1.0, -4.0], [-3.0, 0.25, 1.0],
+                        [2.0, -1.0, 0.5], [1e-3, 7.0, -1.0]])
+
+    def _reference(self, rates, weights, flags):
+        with mpmath.workdps(30):
+            terms = [[[w * (mpmath.exp(-mpmath.mpf(float(r)) * float(x)) - f)
+                       for r, w in zip(rates, weights[:, c])]
+                      for c, f in enumerate(flags)] for x in self.XS]
+            want = np.array([[float(mpmath.fsum(col)) for col in row] for row in terms])
+            size = np.array([[float(mpmath.fsum(map(abs, col))) for col in row] for row in terms])
+        return want, size
+
+    def test_columns_match_mpmath(self):
+        rates = np.array([1e-3, 0.5, 2.0, 300.0, 1e4])
+        ref = {f: self._reference(rates, self.WEIGHTS, [f] * 3) for f in (False, True)}
+        for minus_one in (0, 2, 3):  # the first minus_one columns read e^{-rx} - 1
+            got = exp_sum(rates, self.WEIGHTS, self.XS, minus_one)
+            assert got.shape == (self.XS.size, 3)
+            for c in range(3):
+                want, size = ref[c < minus_one]
+                assert np.all(np.abs(got[:, c] - want[:, c]) <= 1e-15 * size[:, c] + 1e-300)
+        for f, (want, size) in ref.items():  # one weight vector gives one column
+            for c in range(3):
+                col = exp_sum(rates, self.WEIGHTS[:, c], self.XS, f)
+                assert col.shape == self.XS.shape
+                assert np.all(np.abs(col - want[:, c]) <= 1e-15 * size[:, c] + 1e-300)
+
+    def test_complex_pair(self):
+        rates = np.array([1.0 - 2.0j, 1.0 + 2.0j, 3.0])
+        weights = np.array([[0.5 + 1.0j, 2.0], [0.5 - 1.0j, 2.0], [1.0, -1.0]])
+        got = exp_sum(rates, weights, self.XS, 1)
+        assert np.abs(got.imag).max() <= 1e-15 * np.abs(got.real).max()
+        for x, row in zip(self.XS, got):
+            e = np.exp(-rates * x)
+            np.testing.assert_allclose(row, [weights[:, 0] @ (e - 1), weights[:, 1] @ e],
+                                       rtol=1e-14, atol=1e-15)
+
+    def test_exponent_floor(self):
+        # e^{-708.2} = 2.7e-308 is taken as 0; e^{-707} is kept
+        assert exp_sum([708.2, 707.0], [1.0, 0.0], np.array([1.0]))[0] == 0.0
+        assert exp_sum([708.2, 707.0], [0.0, 1.0], np.array([1.0]))[0] == np.exp(-707.0)
+        assert exp_sum([708.2], [1.0], np.array([1.0]), True)[0] == -1.0
