@@ -41,6 +41,10 @@ class RepeatedRootsDetected(NumericalFailure):
     """Automated root pipeline found clustered (near-repeated) roots."""
 
 
+class InvertedBounds(NumericalFailure):
+    """A truncation gap came out negative, so a lower bound would exceed its upper bound."""
+
+
 class UnsupportedRegime(PhscaleError):
     """Parameter regime outside what the closed forms support."""
 

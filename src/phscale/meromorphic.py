@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    InvertedBounds,
     NegativeSubordinator,
     PoleEvaluation,
     UnsupportedRegime,
@@ -212,7 +213,8 @@ def _w_zero(params: BetaFamilyParams) -> float:
 
 def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> TruncatedMero:
     """The m-term scale function from the first m roots and poles, through the
-    closed-form pipeline, and the gaps delta_m, epsilon_m."""
+    closed-form pipeline, and the gaps delta_m, epsilon_m; the bounds need
+    delta_m >= 0, so a negative one (at a tiny q) raises InvertedBounds."""
     w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
     etas = beta_poles(params, np.arange(1, m + 1))
@@ -233,6 +235,8 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     sf = assemble(decomp, w0=w0, wp0=wp0, theta=math.inf if theta is None else theta,
                   psi_prime_zeta=ppz, model=None)
     delta = 1.0 / ppz - w0 - float(sf.C.sum())
+    if not delta >= 0:
+        raise InvertedBounds(f"delta_m = {delta} < 0 at m = {m}, q = {q}: the bounds would cross")
     return TruncatedMero(
         m=m,
         xi=xis,
@@ -249,61 +253,51 @@ def _w_gap(tm: TruncatedMero, xs: np.ndarray) -> np.ndarray:
     return tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
 
 
-def _z_gap(tm: TruncatedMero, xs: np.ndarray) -> np.ndarray:
-    """q times the integral of the W gap over [0, x]."""
-    xm1 = tm.xi[tm.m]
-    return tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
-
-
-def _w_prime_upper(tm: TruncatedMero, xs: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The upper bound of W' at x > 0 from its lower bound."""
-    # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
-    # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
-    xi = tm.sf.xi
-    near = xi[np.clip(np.searchsorted(xi, 1.0 / xs) + [[-1], [0]], 0, tm.m - 1)]
-    head_sup = np.max(near * np.exp(-near * xs), axis=0)
-    xm1 = tm.xi[tm.m]
-    tail_sup = np.where(xm1 <= 1.0 / xs, 1.0 / (math.e * xs), xm1 * np.exp(-xm1 * xs))
-    upper = lower + (head_sup + tail_sup) * tm.delta
-    if tm.epsilon is not None:
-        refined = lower + head_sup * tm.delta + np.exp(-xm1 * xs) * tm.epsilon
-        upper = np.minimum(upper, refined)
-    return upper
-
-
 def w_bounds(tm: TruncatedMero, x):
-    """(lower, upper) sandwich of W^{(q)}(x) at x >= 0, floats for a float x;
-    gap = delta_m (1 + e^{-xi_{m+1} x})."""
-    xs = points(x, above=0.0)
+    """(lower, upper) sandwich of W^{(q)}(x) at finite x >= 0, floats for a
+    float x; gap = delta_m (1 + e^{-xi_{m+1} x})."""
+    xs = points(x, above=0.0, finite=True)
     upper = tm.sf.w(xs)
     return like(x, upper - _w_gap(tm, xs)), like(x, upper)
 
 
 def z_bounds(tm: TruncatedMero, x):
-    """(lower, upper) for Z^{(q)}(x), x >= 0, by exact integration of the W bounds."""
-    xs = points(x, above=0.0)
-    upper = tm.sf.z(xs)
-    return like(x, upper - _z_gap(tm, xs)), like(x, upper)
+    """(lower, upper) for Z^{(q)}(x) at finite x >= 0, by exact integration
+    of the W bounds: the Z columns of ``scale_bounds``."""
+    return scale_bounds(tm, x)[2:4]
 
 
 def w_prime_bounds(tm: TruncatedMero, x):
-    """(lower, upper) for the derivative of the scale function at x > 0."""
-    xs = points(x, above=0.0, strict=True)
-    lower = tm.sf.w_prime(xs)
-    return like(x, lower), like(x, _w_prime_upper(tm, xs, lower))
+    """(lower, upper) for the derivative of the scale function at finite
+    x > 0: the W' columns of ``scale_bounds``."""
+    points(x, above=0.0, strict=True)
+    return scale_bounds(tm, x)[4:]
 
 
 def scale_bounds(tm: TruncatedMero, x):
-    """The bounds of ``w_bounds``, ``z_bounds`` and ``w_prime_bounds`` at
-    x >= 0 as (w_lower, w_upper, z_lower, z_upper, wp_lower, wp_upper), all
-    from one evaluation of the m-term scale function; the W' bounds are NaN
+    """(w_lower, w_upper, z_lower, z_upper, wp_lower, wp_upper) at finite
+    x >= 0, all from one evaluation of the m-term scale function, whose W
+    and Z are the upper bounds and whose W' is the lower bound.  The Z gap
+    is q times the integral of the W gap over [0, x]; the W' bounds are NaN
     at x = 0, where they do not exist."""
-    xs = points(x, above=0.0)
+    xs = points(x, above=0.0, finite=True)
     w, wp, z = tm.sf.evaluate(xs)
+    xm1 = tm.xi[tm.m]
+    z_gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
     pos = xs > 0
+    p, lower = xs[pos], wp[pos]
+    # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
+    # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
+    xi = tm.sf.xi
+    near = xi[np.clip(np.searchsorted(xi, 1.0 / p) + [[-1], [0]], 0, tm.m - 1)]
+    head_sup = np.max(near * np.exp(-near * p), axis=0)
+    tail_sup = np.where(xm1 <= 1.0 / p, 1.0 / (math.e * p), xm1 * np.exp(-xm1 * p))
+    upper = lower + (head_sup + tail_sup) * tm.delta
+    if tm.epsilon is not None:
+        upper = np.minimum(upper, lower + head_sup * tm.delta + np.exp(-xm1 * p) * tm.epsilon)
     wp_bounds = np.full((2, xs.size), np.nan)
-    wp_bounds[:, pos] = wp[pos], _w_prime_upper(tm, xs[pos], wp[pos])
-    return tuple(like(x, v) for v in (w - _w_gap(tm, xs), w, z - _z_gap(tm, xs), z, *wp_bounds))
+    wp_bounds[:, pos] = lower, upper
+    return tuple(like(x, v) for v in (w - _w_gap(tm, xs), w, z - z_gap, z, *wp_bounds))
 
 
 def cgmy_params(

@@ -88,19 +88,9 @@ class ScaleFunction:
     def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
         return self._tilt(xs, self.decay_sum(xs, self.C, True))
 
-    # W, Z and W' at points xs >= 0 from their sums sum_i C_i (e^{-xi_i x} - 1),
-    # sum_i (C_i/xi_i) (e^{-xi_i x} - 1) and sum_i C_i xi_i e^{-xi_i x}
-
     def _w(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """W at points xs >= 0 from head = sum_i C_i (e^{-xi_i x} - 1)."""
         return _envelope(self.zeta * xs, self._tilt(xs, head))
-
-    def _z(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
-        grow = (self.lead / self.zeta) * _envelope(self.zeta * xs, 1.0, np.expm1)
-        return 1.0 + self.q * (grow + head)
-
-    def _w_prime(self, xs: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        zx = self.zeta * xs
-        return _envelope(zx, self.zeta * self.lead + np.exp(-zx) * tail)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -124,28 +114,31 @@ class ScaleFunction:
         return like(x, np.where(at0, log_w0, self.zeta * xs + np.log(tilted)))
 
     def w_prime(self, x):
-        """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``)."""
-        xs = points(x, above=0.0, strict=True)
-        return like(x, self._w_prime(xs, self.decay_sum(xs, self.C * self.xi)))
+        """W'(x) for x > 0 (the x -> 0+ limit is ``wp0``): the W' of ``evaluate``."""
+        points(x, above=0.0, strict=True)
+        return self.evaluate(x)[1]
 
     def z(self, x):
-        """Z(x) = 1 + q * integral of W over [0, x]; 1 on (-inf, 0]."""
-        xs = points(x)
-        pos = np.maximum(xs, 0.0)
-        head = self.decay_sum(pos, self.C / self.xi, True)
-        return like(x, np.where(xs <= 0, 1.0, self._z(pos, head)))
+        """Z(x) = 1 + q * integral of W over [0, x]; 1 on (-inf, 0]: the Z of ``evaluate``."""
+        return self.evaluate(x)[2]
 
     def evaluate(self, x):
-        """(W, W', Z) at a float or a 1-d array of points, the three sums
-        read off one exponential tile: W and Z as ``w`` and ``z``, W' as
-        ``w_prime`` for x > 0, its x -> 0+ limit ``wp0`` at 0 and 0 below."""
+        """(W, W', Z) at a float or a 1-d array of points, read off one
+        exponential tile of the sums sum_i C_i (e^{-xi_i x} - 1),
+        sum_i (C_i/xi_i) (e^{-xi_i x} - 1) and sum_i C_i xi_i e^{-xi_i x}:
+        W as ``w``, W' for x > 0 with its x -> 0+ limit ``wp0`` at 0 and 0
+        below, and Z = 1 + q (lead (e^{zeta x} - 1)/zeta + the second sum),
+        1 on (-inf, 0]."""
         xs = points(x)
         pos = np.maximum(xs, 0.0)
         weights = np.stack((self.C, self.C / self.xi, self.C * self.xi), axis=1)
         head_w, head_z, tail = self.decay_sum(pos, weights, 2).T
-        w, z = self._w(pos, head_w), self._z(pos, head_z)
-        wp = np.where(xs > 0, self._w_prime(pos, tail), np.where(xs == 0, self.wp0, 0.0))
-        return like(x, np.where(xs < 0, 0.0, w)), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
+        zx = self.zeta * pos
+        z = 1.0 + self.q * ((self.lead / self.zeta) * _envelope(zx, 1.0, np.expm1) + head_z)
+        wp = _envelope(zx, self.zeta * self.lead + np.exp(-zx) * tail)
+        wp = np.where(xs > 0, wp, np.where(xs == 0, self.wp0, 0.0))
+        w = np.where(xs < 0, 0.0, self._w(pos, head_w))
+        return like(x, w), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
 
     def laplace_transform_w(self, s):
         """Analytic Laplace transform of W at s > zeta."""

@@ -82,15 +82,20 @@ def product_residues(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return A
 
 
-def points(x, above=-np.inf, strict=False) -> np.ndarray:
+def points(x, above=-np.inf, strict=False, finite=False) -> np.ndarray:
     """x as a 1-d float array, a float being one point: the one domain check
-    of every evaluator.  Raises DomainError for a NaN point and for a point
-    below ``above`` (at or below it with ``strict``)."""
+    of every evaluator.  Raises DomainError for an array of more than one
+    dimension, for a NaN point, for a point below ``above`` (at or below it
+    with ``strict``) and, with ``finite``, for an infinite point."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim > 1:
+        raise DomainError(f"points must be a float or a 1-d array, got shape {xs.shape}")
     ok = xs > above if strict else xs >= above  # False at NaN
     if not ok.all():
         bad = float(xs[~ok][0])
         raise DomainError(f"point {bad} is not {'>' if strict else '>='} {above}")
+    if finite and np.isinf(xs).any():
+        raise DomainError("points must be finite")
     return xs
 
 
@@ -133,7 +138,8 @@ def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:
             E = np.exp(tile, out=tile)
         else:
             keep = tile.real > _EXP_FLOOR
-            E = np.multiply(np.exp(tile, out=tile, where=keep), keep, out=tile)
+            E = np.exp(tile, out=tile, where=keep)
+            np.putmask(E, ~keep, 0.0)  # not a product with keep: -inf * 0 is NaN at x = inf
         out[rows, k_m:] = E @ cols[:, k_m:]
         if k_m:
             M = np.subtract(E, 1.0, out=E)

@@ -172,6 +172,14 @@ class TestExitProb:
         assert meta["command"] == "exit-prob"
         assert float(rows[0]["up_exit"]) == pytest.approx(0.30312, abs=5e-6)
 
+    def test_infinite_barrier_is_the_limit(self, capsys):
+        downs = []
+        for b in ("inf", "1e300"):
+            code, out, _ = run(capsys, "exit-prob", "--model", "exp1", "--x", "1", "--b", b)
+            assert code == 0
+            downs.append(parse_csv(out)[1][0]["down_exit"])
+        assert downs == ["0.836397822814"] * 2
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "exit-prob", "--model", "exp1", "--x", "1", "--b", "5",
@@ -467,8 +475,9 @@ class TestCgmyLimit:
       "--n-paths", "10"), 2),
     (("identities", "--model", "exp1", "--q", "1e-300"), 3),
     (("scale-eval", "--model", "exp1", "--q", "1e-40", "--grid", "0:4:3"), 3),
+    (("mero-bounds", "--m", "5", "--q", "1e-20", "--grid", "0:1:3"), 3),
 ], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
-        "scale-eval-tiny-q"))
+        "scale-eval-tiny-q", "mero-bounds-tiny-q"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

@@ -75,6 +75,24 @@ class TestExit:
             down_exit_unbounded(sf, -1.0)
 
 
+class TestAtInfinity:
+    """x = inf is in the domain of every evaluator on [0, inf): each gives its
+    limit there, as e^{-xi inf} = 0, and no NaN."""
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("name", ("exp1", "pareto-fit"))
+    def test_limits(self, scales, name, sigma):
+        sf = scales[(name, sigma)]
+        xs = np.array([1.0, INF])
+        assert (sf.w(INF), sf.w_prime(INF), sf.z(INF)) == (INF, INF, INF)
+        assert [v[1] for v in sf.evaluate(xs)] == [INF, INF, INF]
+        assert down_exit_unbounded(sf, xs)[1] == 0.0
+        assert overshoot_density(sf, 1.0, xs)[1] == 0.0
+        assert undershoot_density(sf, 1.0, xs)[1] == 0.0
+        assert up_exit(sf, 1.0, INF) == 0.0
+        assert down_exit(sf, 1.0, INF) == down_exit_unbounded(sf, 1.0)
+
+
 def _down_exit_cells():
     for name in ("exp1", "weibull-fit", "pareto-fit"):
         for sigma in (0.0, 1.0):

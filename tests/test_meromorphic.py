@@ -8,7 +8,9 @@ import pytest
 from phscale.errors import (
     BracketingFailure,
     DomainError,
+    InvertedBounds,
     NegativeSubordinator,
+    NumericalFailure,
     PoleEvaluation,
     UnsupportedRegime,
 )
@@ -63,6 +65,15 @@ def reference_bounds(tm, x):
     if tm.epsilon is not None:
         pu = min(pu, pl + head * tm.delta + math.exp(-xm1 * x) * tm.epsilon)
     return wl, wu, zl, zu, pl, pu
+
+
+def mp_sum_c(zeta, q, xi, eta):
+    """sum_i C_i at the working precision, from the product residues of the
+    roots xi and the poles eta."""
+    return mpmath.fsum(
+        (zeta / q) * x / (zeta + x) * mpmath.fprod((e - x) / e for e in eta)
+        * mpmath.fprod(y / (y - x) for l, y in enumerate(xi) if l != i)
+        for i, x in enumerate(xi))
 
 
 @pytest.fixture(scope="module")
@@ -385,12 +396,40 @@ class TestTruncation:
             xi = [mpmath.mpf(float(v)) for v in tm.sf.xi]
             eta = [mpmath.mpf(float(v)) for v in tm.sf.decomp.poles]
             zeta = mpmath.mpf(tm.sf.zeta)
-            sum_c = mpmath.fsum(
-                (zeta / q) * x / (zeta + x) * mpmath.fprod((e - x) / e for e in eta)
-                * mpmath.fprod(y / (y - x) for l, y in enumerate(xi) if l != i)
-                for i, x in enumerate(xi))
+            sum_c = mp_sum_c(zeta, q, xi, eta)
             ref = 1 / mpmath.mpf(tm.sf.psi_prime_zeta) - _w_zero(BETA_BENCHMARK) - sum_c
             assert abs(tm.delta / ref - 1) <= 1e-11
+
+    def test_negative_delta_raises(self):
+        # psi_beta cancels as s -> 0, so at q = 1e-20 the roots drift and
+        # delta_m comes out near -2e4: every lower bound would be above its upper
+        with pytest.raises(InvertedBounds, match="delta_m") as info:
+            truncated_coefficients(BETA_BENCHMARK, 1e-20, 5)
+        assert isinstance(info.value, NumericalFailure)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "psi_beta forms mu s + (c/beta)(B(alpha + s/beta, 1 - lam) - B(alpha, 1 - lam)), "
+        "which cancels as s -> 0: xi_1 ~ 5.8e-11 is off by 4e-4 relative, and delta_m "
+        "reads 0.52863 against 0.5069499"))
+    def test_delta_at_small_q_matches_mpmath(self):
+        # the 40-digit reference refines every root of psi_beta(s) = q with
+        # findroot and forms the product residues of those roots
+        p, q, m = BETA_BENCHMARK, 1e-12, 30
+        tm = truncated_coefficients(p, q, m)
+        with mpmath.workdps(40):
+            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.sigma, p.alpha_b, p.beta_b,
+                                                   p.c, 1 - p.lam))
+            psi = lambda z: (mu * z + sig**2 * z**2 / 2
+                             + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y)))
+            zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.sf.zeta))
+            xi = [-mpmath.findroot(lambda z: psi(z) - q, -mpmath.mpf(float(v)))
+                  for v in tm.xi[:m]]
+            eta = [b * (a + k) for k in range(m)]
+            u = a + zeta / b
+            ppz = mu + sig**2 * zeta + c / b**2 * mpmath.beta(u, y) * (
+                mpmath.digamma(u) - mpmath.digamma(u + y))
+            ref = 1 / ppz - _w_zero(p) - mp_sum_c(zeta, q, xi, eta)
+        assert abs(tm.delta / ref - 1) <= 1e-6
 
     def test_theta_and_epsilon(self, tm100):
         assert tm100.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50
@@ -510,7 +549,7 @@ class TestArrayBounds:
 
     def test_one_evaluation_at_m800_matches_reference(self):
         # the six columns of scale_bounds come from one exponential tile per
-        # row block; the three bound functions form their own columns
+        # row block; w_bounds forms its W alone
         tm = truncated_coefficients(BETA_BENCHMARK, Q, 800)
         grid = np.linspace(0.0, 1.0, 101)
         at = [1, 50, 100]  # x = 0.01, 0.5, 1
@@ -521,6 +560,21 @@ class TestArrayBounds:
             tol = 1e-13 * np.max(np.abs(want))
             assert np.max(np.abs(got[at] - want)) <= tol
             assert np.max(np.abs(single - want)) <= tol
+
+    @pytest.mark.parametrize("m", (10, 800))
+    def test_z_and_w_prime_bounds_are_columns_of_scale_bounds(self, m):
+        tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
+        grid, pos = np.linspace(0.0, 1.0, 101), np.linspace(0.01, 1.0, 100)
+        got = (*z_bounds(tm, grid), *w_prime_bounds(tm, pos))
+        want = (*scale_bounds(tm, grid)[2:4], *scale_bounds(tm, pos)[4:])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_infinite_point_raises(self, tm10):
+        # the Z lower bound at x = inf would be inf - inf
+        for fn in (w_bounds, z_bounds, w_prime_bounds, scale_bounds):
+            for x in (math.inf, np.array([0.5, math.inf])):
+                with pytest.raises(DomainError, match="finite"):
+                    fn(tm10, x)
 
     def test_one_evaluation_at_zero(self, tm100):
         wl, wu, zl, zu, pl, pu = scale_bounds(tm100, np.array([0.0, 0.5]))

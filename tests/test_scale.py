@@ -283,6 +283,25 @@ ARRAY_CASES = (
 GRID = np.linspace(0.0, 5.0, 401)
 
 
+# every evaluator of points, each as (scale function, beta-family truncation, points)
+POINT_EVALUATORS = pytest.mark.parametrize("evaluate", [
+    lambda sf, tm, x: sf.w(x),
+    lambda sf, tm, x: sf.w_tilted(x),
+    lambda sf, tm, x: sf.log_w(x),
+    lambda sf, tm, x: sf.w_prime(x),
+    lambda sf, tm, x: sf.z(x),
+    lambda sf, tm, x: sf.laplace_transform_w(sf.zeta + 1.0 + x),
+    lambda sf, tm, x: w_bounds(tm, x),
+    lambda sf, tm, x: z_bounds(tm, x),
+    lambda sf, tm, x: w_prime_bounds(tm, x),
+    lambda sf, tm, x: down_exit_unbounded(sf, x),
+    lambda sf, tm, x: overshoot_density(sf, 1.0, x),
+    lambda sf, tm, x: undershoot_density(sf, 1.0, x),
+], ids=("w", "w_tilted", "log_w", "w_prime", "z", "laplace_transform_w",
+        "w_bounds", "z_bounds", "w_prime_bounds", "down_exit_unbounded",
+        "overshoot_density", "undershoot_density"))
+
+
 class TestArrayEvaluation:
     @pytest.mark.parametrize("model, q", ARRAY_CASES)
     def test_matches_loop_reference(self, model, q):
@@ -319,26 +338,17 @@ class TestArrayEvaluation:
                 with pytest.raises(DomainError):
                     getattr(sf, name)(pts)
 
-    @pytest.mark.parametrize("evaluate", [
-        lambda sf, tm, x: sf.w(x),
-        lambda sf, tm, x: sf.w_tilted(x),
-        lambda sf, tm, x: sf.log_w(x),
-        lambda sf, tm, x: sf.w_prime(x),
-        lambda sf, tm, x: sf.z(x),
-        lambda sf, tm, x: sf.laplace_transform_w(sf.zeta + 1.0 + x),
-        lambda sf, tm, x: w_bounds(tm, x),
-        lambda sf, tm, x: z_bounds(tm, x),
-        lambda sf, tm, x: w_prime_bounds(tm, x),
-        lambda sf, tm, x: down_exit_unbounded(sf, x),
-        lambda sf, tm, x: overshoot_density(sf, 1.0, x),
-        lambda sf, tm, x: undershoot_density(sf, 1.0, x),
-    ], ids=("w", "w_tilted", "log_w", "w_prime", "z", "laplace_transform_w",
-            "w_bounds", "z_bounds", "w_prime_bounds", "down_exit_unbounded",
-            "overshoot_density", "undershoot_density"))
+    @POINT_EVALUATORS
     def test_nan_point_raises(self, scales, evaluate):
         tm = truncated_coefficients(BETA_BENCHMARK, BETA_BENCHMARK_Q, 10)
         with pytest.raises(DomainError):
             evaluate(scales[("exp1", 1.0)], tm, np.array([math.nan, 1.0]))
+
+    @POINT_EVALUATORS
+    def test_points_of_more_than_one_dimension_raise(self, scales, evaluate):
+        tm = truncated_coefficients(BETA_BENCHMARK, BETA_BENCHMARK_Q, 10)
+        with pytest.raises(DomainError, match="1-d"):
+            evaluate(scales[("weibull-fit", 1.0)], tm, np.ones((2, 3)))
 
     def test_overflow_guard_on_arrays(self, scales):
         sf = scales[("exp1", 1.0)]
@@ -438,7 +448,8 @@ class TestOneTile:
         for sf in scales.values():
             w, wp, z = sf.evaluate(xs)
             np.testing.assert_allclose(w, sf.w(xs), rtol=1e-15, atol=0)
-            np.testing.assert_allclose(z, sf.z(xs), rtol=1e-15, atol=0)
-            np.testing.assert_allclose(wp[2:], sf.w_prime(xs[2:]), rtol=1e-15, atol=0)
+            # Z and W' are the columns of evaluate at the same points, bit for bit
+            assert np.array_equal(z, sf.z(xs))
+            assert np.array_equal(sf.evaluate(xs[2:])[1], sf.w_prime(xs[2:]))
             assert wp[:2].tolist() == [0.0, sf.wp0]
             assert all(type(v) is float for v in sf.evaluate(0.5))
