@@ -89,7 +89,9 @@ class _BetaKernel:
         num = den + y
         if derivative:
             dlog = -(y + u * (2 * s1 + u * (4 * s2 + u * (6 * s3 + u * 8 * s4)))) / w
-            dlog[low] -= np.add.reduce(y / (num * den), axis=0)
+            # summed along one contiguous row per point, as NumPy sums a single
+            # point's terms, so that a point's value does not depend on the array
+            dlog[low] -= np.add.reduce((y / (num * den)).T.copy(), axis=1)
         b[low] *= np.multiply.reduce(np.divide(num, den, out=num), axis=0)
         t = r + self.fy
         e = np.copysign(t - np.rint(t), t)  # sin pi e = sin pi t, |e| <= 1/2
@@ -145,24 +147,40 @@ class BetaFamilyParams:
 def beta_psi(params: BetaFamilyParams, s):
     """Laplace exponent of the beta-family at real s, a float or an array."""
     p = params
-    s = np.asarray(s, dtype=float)
-    v = s.ravel()
-    out = p.mu_hat * v + 0.5 * p.sigma**2 * v**2
-    if p.c != 0:
-        out += (p.c / p.beta_b) * (p._beta(p.alpha_b + v / p.beta_b) - p._beta0)
-    return out.item() if s.ndim == 0 else out.reshape(s.shape)
+    return _psi(p, s, (p.alpha_b, p.beta_b, p.c, p._beta0) if p.c != 0 else None)
 
 
 def beta_psi_derivative(params: BetaFamilyParams, s):
     """psi'(s) at real s, a float or an array, with
     dB(x, y)/dx = B(x, y) (psi0(x) - psi0(x + y)) in the beta term."""
     p = params
+    return _psi_prime(p, s, (p.alpha_b, p.beta_b, p.c) if p.c != 0 else None)
+
+
+def _psi(p: BetaFamilyParams, s, jump):
+    """``beta_psi`` with the mu_hat, sigma and kernel of ``p`` and the
+    jump = (alpha, beta, c, B(alpha, 1 - lam)), None for c = 0.  A ladder
+    solve gives the jump of each point's member: arrays that broadcast
+    against s."""
     s = np.asarray(s, dtype=float)
-    v = s.ravel()
-    out = p.mu_hat + p.sigma**2 * v
-    if p.c != 0:
-        out += (p.c / p.beta_b**2) * p._beta(p.alpha_b + v / p.beta_b, derivative=True)[1]
-    return out.item() if s.ndim == 0 else out.reshape(s.shape)
+    out = p.mu_hat * s + 0.5 * p.sigma**2 * s**2
+    if jump is not None:
+        alpha, beta, c, b0 = jump
+        x = alpha + s / beta
+        out = out + (c / beta) * (p._beta(x.ravel()).reshape(x.shape) - b0)
+    return out.item() if out.ndim == 0 else out
+
+
+def _psi_prime(p: BetaFamilyParams, s, jump):
+    """``beta_psi_derivative`` as ``_psi`` gives ``beta_psi``, with
+    jump = (alpha, beta, c)."""
+    s = np.asarray(s, dtype=float)
+    out = p.mu_hat + p.sigma**2 * s
+    if jump is not None:
+        alpha, beta, c = jump
+        x = alpha + s / beta
+        out = out + (c / beta**2) * p._beta(x.ravel(), derivative=True)[1].reshape(x.shape)
+    return out.item() if out.ndim == 0 else out
 
 
 def beta_poles(params: BetaFamilyParams, k):
@@ -172,11 +190,20 @@ def beta_poles(params: BetaFamilyParams, k):
     return params.beta_b * (params.alpha_b + k - 1)
 
 
-def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.ndarray]:
-    """(zeta_q, xi_{1..m+1}) with xi_k bracketed in (eta_{k-1}, eta_k)."""
+def _check_truncation(params: BetaFamilyParams, m: int) -> None:
+    """Refuse an m-term truncation before any root search: m < 1, or c = 0,
+    where psi has no poles for the roots to interlace."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    return interlaced_solve(lambda s: beta_psi(params, s), q,
+    if params.c == 0:
+        raise UnsupportedRegime("c = 0: a beta-family without jumps has no poles, "
+                                "so there are no roots to interlace")
+
+
+def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.ndarray]:
+    """(zeta_q, xi_{1..m+1}) with xi_k bracketed in (eta_{k-1}, eta_k)."""
+    _check_truncation(params, m)
+    return interlaced_solve(lambda s, k: beta_psi(params, s), q,
                             beta_poles(params, np.arange(1, m + 2)), None)
 
 
@@ -217,6 +244,38 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
     delta_m >= 0, so a negative one (at a tiny q) raises InvertedBounds."""
     w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
+    return _truncation(params, q, m, w0, zeta, xis, beta_psi_derivative(params, zeta))
+
+
+def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> list:
+    """``truncated_coefficients`` of each member of a ladder that shares
+    mu_hat, sigma and lam (``cgmy_params``), from one root solve: one pole
+    row per member in one ``interlaced_solve``, whose psi reads each
+    bracket's alpha, beta, c and B(alpha, 1 - lam) through ``_psi``, with one
+    kernel, and B(alpha, 1 - lam) and psi'(zeta) of every member in one array
+    call each.  Every step is elementwise per bracket, so each member gets
+    the bits of its own ``truncated_coefficients``."""
+    if not members:
+        return []
+    w0s = [_w_zero(p) for p in members]
+    for p in members:
+        _check_truncation(p, m)
+    base = members[0]
+    alpha, beta, c = np.array([(p.alpha_b, p.beta_b, p.c) for p in members]).T
+    # brackets per member: zeta and xi_1..xi_{m+1}
+    jump = tuple(np.repeat(v, m + 2) for v in (alpha, beta, c, base._beta(alpha)))
+    poles = np.array([beta_poles(p, np.arange(1, m + 2)) for p in members])
+    zetas, xis = interlaced_solve(lambda s, k: _psi(base, s, tuple(v[k] for v in jump)),
+                                  q, poles, None)
+    ppzs = _psi_prime(base, zetas, (alpha, beta, c))
+    return [_truncation(p, q, m, w0, float(zeta), xi, float(ppz))
+            for p, w0, zeta, xi, ppz in zip(members, w0s, zetas, xis, ppzs)]
+
+
+def _truncation(params: BetaFamilyParams, q: float, m: int, w0: float, zeta: float,
+                xis: np.ndarray, ppz: float) -> TruncatedMero:
+    """The assembly of ``truncated_coefficients`` from the roots (zeta,
+    xi_{1..m+1}), W(0) = w0 and psi'(zeta) = ppz."""
     etas = beta_poles(params, np.arange(1, m + 1))
     if params.sigma > 0:
         theta: Optional[float] = 2.0 / params.sigma**2
@@ -231,7 +290,6 @@ def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> Trunca
         theta, wp0 = None, math.inf  # infinite jump measure, sum A_i xi_i diverges
     decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m], poles=etas,
                                case=CASE1 if params.sigma > 0 else CASE2)
-    ppz = beta_psi_derivative(params, zeta)
     sf = assemble(decomp, w0=w0, wp0=wp0, theta=math.inf if theta is None else theta,
                   psi_prime_zeta=ppz, model=None)
     delta = 1.0 / ppz - w0 - float(sf.C.sum())
@@ -334,9 +392,9 @@ def cgmy_limit_study(
     if not (all(b > 0 for b in betas) and all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))):
         raise DomainError("betas must be positive and strictly decreasing")
     grid = np.asarray(list(grid), dtype=float)
+    members = [cgmy_params(base, tilde_alpha, tilde_c, beta) for beta in betas]
     curves = {}
-    for beta in betas:
-        tm = truncated_coefficients(cgmy_params(base, tilde_alpha, tilde_c, beta), q, m)
+    for beta, tm in zip(betas, _truncated_ladder(members, q, m)):
         lower, upper = w_bounds(tm, grid)
         curves[beta] = {"lower": lower, "upper": upper, "delta": tm.delta}
     sup = lambda b1, b2, key: float(np.max(np.abs(curves[b1][key] - curves[b2][key])))

@@ -53,73 +53,95 @@ def interlaced_roots(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One root of the vectorised ``f`` in each bracket (lo[k], hi[k]), and f
     there; the ends flagged by ``pole_lo``/``pole_hi`` (a bool or an array)
-    are poles of f.  Roots can sit extremely close to a pole when a mixture
-    weight is tiny, so each bracket probes at a quarter width from its ends,
-    and where ``f`` does not change sign there, probes its ends that are no
-    poles at the end itself and creeps in from its pole ends (shrinking by 8)
-    until it does; each creep pass evaluates f at the brackets that creep
-    only.  Then all brackets take Anderson-Bjorck steps together on
-    g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so g has the
-    sign and root of f but no pole.  A secant point on or beyond an end moves
-    2 ulps inside (Brent's minimum step); a bracket that three steps did not
-    halve is bisected once.  A bracket stops at 4 ulps wide or where f = 0,
-    returning the end with the smaller |f| and that f."""
+    are poles of f.  f(s, k) takes points s whose last axis runs over the
+    brackets k, an index array or the slice of all brackets, so that f can
+    read parameters of its own per bracket; s holds one point per bracket, or
+    both ends of each as two rows.  Roots can sit extremely close to a pole
+    when a mixture weight is tiny, so each bracket probes at a quarter width
+    from its ends, and where ``f`` does not change sign there, probes its
+    ends that are no poles at the end itself and creeps in from its pole ends
+    (shrinking by 8) until it does; each creep pass evaluates f at the
+    brackets that creep only.  Then all brackets take Anderson-Bjorck steps
+    together on g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so
+    g has the sign and root of f but no pole.  A secant point on or beyond an
+    end moves 2 ulps inside (Brent's minimum step); a bracket that three
+    steps did not halve is bisected once.  A bracket stops at 4 ulps wide or
+    where f = 0, returning the end with the smaller |f| and that f.  Every
+    operation is elementwise per bracket, so a bracket's steps do not depend
+    on the others."""
     n, d = lo.size, 0.25 * (hi - lo)
     pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
+    # 1 at a pole end and 0 at the others: the creep moves the pole ends only
+    sl, sh = pole_lo.astype(float), pole_hi.astype(float)
+    every = slice(None)
     crept = np.zeros(n, dtype=bool)
+    floor = 8 * np.finfo(float).eps * hi
     a, b = lo + d, hi - d
-    fab = f(np.concatenate((a, b)))
-    fa, fb = fab[:n], fab[n:]
+    fa, fb = f(np.concatenate((a, b)).reshape(2, n), every)
     for _ in range(59):
         todo = ~((a < b) & (np.sign(fa) != np.sign(fb)))
-        k = np.flatnonzero(todo & (d / 8.0 >= 8 * np.finfo(float).eps * hi)
-                           & (pole_lo | pole_hi | ~crept))
+        k = (todo & (d / 8.0 >= floor) & (pole_lo | pole_hi | ~crept)).nonzero()[0]
         if not k.size:
             break
         d[k] /= 8.0
         crept[k] = True
-        a[k] = lo[k] + np.where(pole_lo[k], d[k], 0.0)
-        b[k] = hi[k] - np.where(pole_hi[k], d[k], 0.0)
-        fab = f(np.concatenate((a[k], b[k])))
-        fa[k], fb[k] = fab[:k.size], fab[k.size:]
+        a[k] = lo[k] + d[k] * sl[k]
+        b[k] = hi[k] - d[k] * sh[k]
+        fa[k], fb[k] = f(np.concatenate((a[k], b[k])).reshape(2, k.size), k)
     if todo.any():
-        k = np.flatnonzero(todo)[0]
+        k = todo.nonzero()[0][0]
         raise BracketingFailure(f"no sign change in ({float(lo[k])}, {float(hi[k])})")
 
+    # (s - lo)(hi - s) at the pole ends and 1 at the others, as
+    # (s sl - ol)(oh - s sh): every product and difference is exact
+    ol, oh = np.where(pole_lo, lo, -1.0), np.where(pole_hi, hi, 1.0)
+
     def clear(s, k):
-        return np.where(pole_lo[k], s - lo[k], 1.0) * np.where(pole_hi[k], hi[k] - s, 1.0)
+        return (s * sl[k] - ol[k]) * (oh[k] - s * sh[k])
 
     # (x1, f1, g1) is the newest end of each bracket and (x0, f0, g0) the
-    # other one, with g0 scaled down by the Anderson-Bjorck factor while x0 is kept
+    # other one, with g0 scaled down by the Anderson-Bjorck factor while x0 is
+    # kept; while every bracket is live, k is a slice and nothing is gathered
     x0, x1, f0, f1 = a, b, fa, fb
-    g0, g1 = fa * clear(a, slice(None)), fb * clear(b, slice(None))
+    g0, g1 = fa * clear(a, every), fb * clear(b, every)
     width = last = np.abs(x1 - x0)
-    bisect = np.zeros(n, dtype=bool)
+    bisect = None  # after every third step: the brackets it did not halve
     for step in itertools.count(1):
-        ulp = np.spacing(np.maximum(np.abs(x0), np.abs(x1)))
-        k = np.flatnonzero((width > 4 * ulp) & (f1 != 0))
-        if not k.size:
+        ulp2 = 2 * np.spacing(np.maximum(np.abs(x0), np.abs(x1)))
+        k = ((width > 2 * ulp2) & (f1 != 0)).nonzero()[0]
+        if k.size == n:
+            k = every
+        elif not k.size:
             break
-        a0, a1, h0, h1 = x0[k], x1[k], g0[k], g1[k]
-        c = np.where(bisect[k], 0.5 * (a0 + a1), a1 - h1 * (a1 - a0) / (h1 - h0))
-        c = np.minimum(np.maximum(c, np.minimum(a0, a1) + 2 * ulp[k]),
-                       np.maximum(a0, a1) - 2 * ulp[k])
-        fc = f(c)
+        a0, a1, h0, h1, u2 = x0[k], x1[k], g0[k], g1[k], ulp2[k]
+        c = a1 - h1 * (a1 - a0) / (h1 - h0)
+        if bisect is not None:
+            c = np.where(bisect[k], 0.5 * (a0 + a1), c)
+        c = np.minimum(np.maximum(c, np.minimum(a0, a1) + u2), np.maximum(a0, a1) - u2)
+        fc = f(c, k)
         gc = fc * clear(c, k)
         flip = np.sign(gc) != np.sign(h1)
         shrink = 1.0 - gc / h1
-        x0[k], f0[k] = np.where(flip, a1, a0), np.where(flip, f1[k], f0[k])
-        g0[k] = np.where(flip, h1, h0 * np.where(shrink > 0, shrink, 0.5))
+        np.copyto(shrink, 0.5, where=~(shrink > 0))
+        h0, v0 = h0 * shrink, f0[k]
+        for old, new in ((a0, a1), (v0, f1[k]), (h0, h1)):
+            np.copyto(old, new, where=flip)  # the newest end replaces the other
+        x0[k], f0[k], g0[k] = a0, v0, h0
         x1[k], f1[k], g1[k] = c, fc, gc
         width = np.abs(x1 - x0)
         if step % 3 == 0:
             bisect, last = width > 0.5 * last, width
         else:
-            bisect[:] = False
+            bisect = None
     if np.isnan(f0).any() or np.isnan(f1).any():
         raise BracketingFailure("f is NaN inside a bracket")
     near = np.abs(f0) <= np.abs(f1)
     return np.where(near, x0, x1), np.where(near, f0, f1)
+
+
+# The far ends 2^j of the zeta bracket (-2^j, 0) tried in one call
+_TOPS = 2.0 ** np.arange(16)
+_DOUBLINGS = 200  # the powers 2^0 .. 2^199 tried in all
 
 
 def interlaced_solve(
@@ -129,46 +151,72 @@ def interlaced_solve(
     poles at -eta (ascending, positive): xi_k in (eta_{k-1}, eta_k) with
     eta_0 = 0 and, unless ``outer`` is None, one more xi beyond the largest
     pole, near eta_n + ``outer`` (2 mu / sigma^2, where sigma^2 s^2 / 2 takes
-    over from the drift).  The zeta bracket (-top, 0) of psi(-s) = q and all
-    xi brackets go to one ``interlaced_roots`` call, which clears the ends
-    that are poles: eta_k, but not -top, 0 or the outer bracket's far end.
-    The zeta residual is the f that call returns at -zeta."""
+    over from the drift).  The zeta bracket is (-top, 0), with top the first
+    power of two where psi > q: the first 16 powers in one call, the rest one
+    at a time.  It and all xi brackets go to one ``interlaced_roots`` call,
+    which clears the ends that are poles: eta_k, but not -top, 0 or the outer
+    bracket's far end.  The zeta residual is the f that call returns at -zeta.
+
+    psi(s, k) takes the points s and the index k of their brackets
+    (``interlaced_roots``), which broadcasts against s.  A 2-d ``eta`` holds
+    the poles of several Laplace exponents, one row each (a ladder of models,
+    with ``outer`` None): all their brackets, row after row with zeta first,
+    go to the one call, psi reads each bracket's parameters through k, and
+    zeta and xi come as one row per exponent.  One row's psi ignores k."""
     if not 0 < q < np.inf:
         raise DomainError("q must be > 0 and finite")
-    top = 1.0
-    for _ in range(200):
-        if psi(top) > q:
-            break
-        top *= 2.0
-    else:
-        raise BracketingFailure("could not bracket zeta by doubling")
-    hi = np.concatenate(([0.0], eta))
-    lo = np.concatenate(([-top], hi[:-1]))
+    rows = np.atleast_2d(eta)
+    n_rows, n = rows.shape
+    width = n + 1 + (outer is not None)
+    k0 = np.arange(0, n_rows * width, width)  # the zeta bracket of each row
+    # the powers past the root can overflow psi; they are not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = (psi(_TOPS, k0[:, None]) > q).reshape(n_rows, -1)
+    top = _TOPS[up.argmax(axis=1)]
+    for r in (~up.any(axis=1)).nonzero()[0]:
+        top[r] = 2.0 * _TOPS[-1]
+        for _ in range(_DOUBLINGS - _TOPS.size):
+            if psi(top[r], k0[r]) > q:
+                break
+            top[r] *= 2.0
+        else:
+            raise BracketingFailure("could not bracket zeta by doubling")
+    # each row of hi holds 0, eta and the outer end; lo holds -top and the
+    # ends of hi before its own
+    hi = np.zeros((n_rows, width))
+    hi[:, 1:n + 1] = rows
+    lo = np.empty_like(hi)
+    lo[:, 0], lo[:, 1:] = -top, hi[:, :-1]
     if outer is not None:
         # psi(-s) - q < 0 just beyond the largest pole (or at s = 0 without
         # poles); past eta_n + 2 outer, sigma^2 s^2 / 2 has overtaken the drift
-        start = hi[-1]
+        start = lo[0, -1]
         end = start + max(2.0 * outer, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            while (f_end := psi(-end)) <= q:
+            while (f_end := psi(-end, width - 1)) <= q:
                 end = start + 2 * (end - start)
             # the secant steps form products up to |f| (end - start)^2
             if not abs(f_end - q) * (end - start) * (end - start) < np.inf:
                 raise BracketingFailure(f"outer root beyond the float range, near {end}")
-        lo, hi = np.append(lo, start), np.append(hi, end)
-    pole_hi = np.zeros(hi.size, dtype=bool)
-    pole_hi[1:eta.size + 1] = True  # hi holds 0, eta and the outer end
-    roots, resid = interlaced_roots(lambda s: psi(-s) - q, lo, hi, lo > 0, pole_hi)
+        hi[0, -1] = end
+    pole_hi = np.zeros(hi.shape, dtype=bool)
+    pole_hi[:, 1:n + 1] = True
+    lo, hi = lo.ravel(), hi.ravel()
+    roots, resid = interlaced_roots(lambda s, k: psi(-s, k) - q, lo, hi, lo > 0, pole_hi.ravel())
     if not np.all((lo < roots) & (roots < hi)):
         raise BracketingFailure("interlacing violated")
-    if abs(resid[0]) > _RESIDUAL_TOL * max(1.0, q):
-        raise BracketingFailure(f"zeta residual too large: {resid[0]}")
-    return float(-roots[0]), roots[1:]
+    bad = (np.abs(resid[k0]) > _RESIDUAL_TOL * max(1.0, q)).nonzero()[0]
+    if bad.size:
+        raise BracketingFailure(f"zeta residual too large: {resid[k0[bad[0]]]}")
+    roots = roots.reshape(n_rows, width)
+    if np.ndim(eta) == 1:
+        return float(-roots[0, 0]), roots[0, 1:]
+    return -roots[:, 0], roots[:, 1:]
 
 
 def find_zeta(model: SnLevyModel, q: float) -> float:
     """Positive root of psi(s) = q: doubling bracket, then Anderson-Bjorck steps."""
-    return interlaced_solve(model.laplace_exponent, q, np.array([]), None)[0]
+    return interlaced_solve(lambda s, k: model.laplace_exponent(s), q, np.array([]), None)[0]
 
 
 def check_clusters(xi) -> None:
@@ -251,5 +299,5 @@ def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
         return find_negative_roots_ph(model, q)
     eta = model.poles()
     outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
-    zeta, xi = interlaced_solve(model.laplace_exponent, q, eta, outer)
+    zeta, xi = interlaced_solve(lambda s, k: model.laplace_exponent(s), q, eta, outer)
     return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)

@@ -125,9 +125,17 @@ def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:
         # |rates_j| >= reach[j] for all later j too: from searchsorted(reach,
         # ln 2 / x) on, every column has |rates x| >= ln 2
         reach = np.minimum.accumulate(np.abs(minus[::-1]))[::-1]
+    # x = inf times a complex rate a + 0j is NaN in the imaginary part: such
+    # rows take the exponent's limit -inf (Re rates > 0) instead of the product
+    far = np.isinf(xs) if np.iscomplexobj(minus) else None
     for rows in _row_blocks(xs.size, minus.size):
         x = xs[rows]
+        at_inf = far is not None and far[rows].any()
+        if at_inf:
+            x = np.where(far[rows], 0.0, x)
         tile = np.dot(x[:, None], minus[None, :])  # x * minus, one rounding a cell
+        if at_inf:
+            tile[far[rows]] = -np.inf
         if k_m == cols.shape[1]:
             out[rows] = np.expm1(tile, out=tile) @ cols
             continue

@@ -191,6 +191,34 @@ class TestExitProb:
         idx = doc["columns"].index("up_exit")
         assert doc["rows"][0][idx] == pytest.approx(0.30312, abs=5e-6)
 
+    def test_infinite_barrier_with_complex_roots(self, capsys, tmp_path):
+        # a generator with a conjugate pair of roots: at x = inf a rate a + 0j
+        # once made the tile inf * 0 = NaN, and exit-prob printed nan,nan
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "drift": 5.0, "sigma": 1.0, "lambda": 5.0,
+            "jump": {"type": "phase_type", "alpha": [0.5, 0.3, 0.2],
+                     "T": [[-3.0, 2.5, 0.0], [0.0, -2.0, 1.9], [3.5, 0.0, -4.0]]}}))
+        rows = []
+        for b in ("inf", "1e300"):
+            code, out, err = run(capsys, "exit-prob", "--model", str(path), "--x", "1",
+                                 "--b", b)
+            assert (code, err) == (0, "")
+            rows.append(parse_csv(out)[1][0])
+        assert [(r["up_exit"], r["down_exit"]) for r in rows] == [("0", "0.981349971549")] * 2
+
+    # the zeta bracket's powers of two overflow psi at sigma = 1e150; both
+    # cells fail later, with the messages of the one-at-a-time doubling
+    @pytest.mark.parametrize("argv, message", [
+        (("--sigma", "1e150"), "s=-1.0000000000004547 within tolerance of pole -1.0"),
+        (("--sigma", "1e-150", "--q", "1e6"),
+         "outer root beyond the float range, near 1.9999999999999999e+301"),
+    ])
+    def test_extreme_sigma_keeps_its_refusal(self, capsys, argv, message):
+        code, out, err = run(capsys, "exit-prob", "--model", "exp1", *argv, "--x", "1",
+                             "--b", "5")
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
     def test_x_above_barrier_is_validation_error(self, capsys):
         code, _, err = run(
             capsys, "exit-prob", "--model", "exp1", "--x", "6", "--b", "5"
@@ -454,6 +482,23 @@ class TestCgmyLimit:
         assert float(meta[sup_keys[0]]) >= 0.0
         assert float(meta["lower_" + sup_keys[0]]) >= 0.0
         assert len(rows) == 12  # 2 betas x 6 grid points
+
+    def test_ladder_rows_equal_the_single_runs(self, capsys):
+        # the ladder is one bracket array, each beta's rows as if run alone
+        grid = ("--m", "25", "--grid", "0:1:11")
+        code, out, _ = run(capsys, "cgmy-limit", "--betas", "0.6,0.3,0.1", *grid)
+        assert code == 0
+        ladder = parse_csv(out)[1]
+        for beta in ("0.6", "0.3", "0.1"):
+            code, out, _ = run(capsys, "cgmy-limit", "--betas", beta, *grid)
+            assert code == 0
+            assert [r for r in ladder if r["beta"] == beta] == parse_csv(out)[1]
+
+    def test_no_jumps_is_refused_by_name(self, capsys):
+        code, out, err = run(capsys, "cgmy-limit", "--betas", "1,0.5", "--tilde-c", "0",
+                             "--grid", "0:1:3")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: c = 0:")
 
     @pytest.mark.parametrize("betas", ("1,x", ""))
     def test_malformed_betas_is_validation_error(self, capsys, betas):

@@ -92,6 +92,22 @@ class TestAtInfinity:
         assert up_exit(sf, 1.0, INF) == 0.0
         assert down_exit(sf, 1.0, INF) == down_exit_unbounded(sf, 1.0)
 
+    def test_limits_with_complex_roots(self):
+        # a conjugate pair of roots beside real ones held as a + 0j: inf times
+        # such a rate made NaN in the tile; finite points keep their values
+        T = ((-3.0, 2.5, 0.0), (0.0, -2.0, 1.9), (3.5, 0.0, -4.0))
+        jumps = PhaseTypeRepr(alpha=(0.5, 0.3, 0.2), T=T)
+        sf = build_scale(SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=jumps), 0.05)
+        assert np.iscomplexobj(sf.xi) and (sf.xi.imag == 0).any()
+        xs = np.array([0.5, INF, 2.0])
+        for fn in (sf.w, sf.w_tilted):
+            assert fn(xs)[[0, 2]].tolist() == fn(xs[[0, 2]]).tolist()
+        assert (sf.w(INF), sf.w_tilted(INF)) == (INF, sf.lead)
+        assert [v[1] for v in sf.evaluate(xs)] == [INF, INF, INF]
+        assert down_exit_unbounded(sf, xs)[1] == 0.0
+        assert up_exit(sf, 1.0, INF) == 0.0
+        assert down_exit(sf, 1.0, INF) == down_exit_unbounded(sf, 1.0)
+
 
 def _down_exit_cells():
     for name in ("exp1", "weibull-fit", "pareto-fit"):

@@ -20,6 +20,7 @@ from phscale.meromorphic import (
     BetaFamilyParams,
     _BetaKernel,
     _SHIFT,
+    _truncated_ladder,
     _w_zero,
     beta_poles,
     beta_psi,
@@ -271,6 +272,18 @@ class TestBetaKernel:
                 ref = mpmath.digamma(x) - mpmath.digamma(mpmath.mpf(x) + y)
             assert db / b == pytest.approx(float(ref), rel=1e-14), x
 
+    @pytest.mark.parametrize("y", KERNEL_YS)
+    def test_a_point_gets_the_same_bits_in_any_array(self, y):
+        # a ladder reads B(alpha_i, 1 - lam) and psi'(zeta_i) of all members in
+        # one call: each must equal the member's own one-point call
+        xs = np.concatenate((np.linspace(-20.3, 60.7, 150), np.geomspace(1e-3, 1e3, 50)))
+        xs = xs[np.abs(xs - np.rint(xs)) > 1e-3]
+        kernel = _BetaKernel(y)
+        bs, dbs = kernel(xs, derivative=True)
+        one = [kernel(np.array([x]), derivative=True) for x in xs]
+        assert bs.tolist() == [b[0] for b, _ in one]
+        assert dbs.tolist() == [db[0] for _, db in one]
+
     @pytest.mark.parametrize("y, x, k", [(-0.5, 0.5, 0), (-1.5, 1.5, 0), (-1.5, 0.5, 1)])
     def test_derivative_at_a_zero(self, y, x, k):
         # x + y = -k: B = 0 and dB/dx = Gamma(y) Gamma(x) (-1)^k k!
@@ -352,6 +365,21 @@ class TestRoots:
             mero_roots(BETA_BENCHMARK, 0.0, 10)
         with pytest.raises(DomainError):
             mero_roots(BETA_BENCHMARK, Q, 0)
+
+    def test_no_jumps_is_refused_before_the_root_search(self, monkeypatch):
+        # c = 0 leaves psi without poles: nothing for the roots to interlace
+        import phscale.meromorphic as mero
+
+        def no_search(*args):
+            raise AssertionError("root search started")
+
+        monkeypatch.setattr(mero, "interlaced_solve", no_search)
+        p = BetaFamilyParams(0.1, 0.2, alpha_b=3.0, beta_b=1.0, c=0.0, lam=1.5)
+        for solve in (mero_roots, truncated_coefficients):
+            with pytest.raises(UnsupportedRegime, match="c = 0"):
+                solve(p, Q, 10)
+        with pytest.raises(UnsupportedRegime, match="c = 0"):
+            cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.0, [1.0, 0.5], Q, 10, [0.0, 1.0])
 
 
 class TestTruncation:
@@ -670,3 +698,46 @@ class TestCgmy:
     def test_betas_must_decrease(self):
         with pytest.raises(DomainError):
             cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [0.5, 1.0], Q, 10, [0.0, 1.0])
+
+
+LADDERS = ((0.6, 0.3, 0.1), (0.9, 0.5, 0.12), (0.55, 0.2, 0.05), (1.0, 0.37, 0.07, 0.02))
+
+
+class TestLadder:
+    """A cgmy-limit ladder is solved as one bracket array; every step is
+    elementwise per bracket, so each member gets the bits of its own solve."""
+
+    @pytest.mark.parametrize("m", (1, 25, 100))
+    @pytest.mark.parametrize("q", (3e-3, 0.03, 0.3))
+    @pytest.mark.parametrize("betas", LADDERS, ids=str)
+    def test_ladder_equals_the_member_solves(self, betas, q, m):
+        members = [cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta) for beta in betas]
+        for p, tm in zip(members, _truncated_ladder(members, q, m)):
+            zeta, xis = mero_roots(p, q, m)
+            ref = truncated_coefficients(p, q, m)
+            assert (tm.sf.zeta, tm.xi.tolist()) == (zeta, xis.tolist())
+            assert tm.sf.psi_prime_zeta == ref.sf.psi_prime_zeta
+            assert (tm.delta, tm.epsilon, tm.sf.lead) == (ref.delta, ref.epsilon, ref.sf.lead)
+            assert tm.sf.C.tolist() == ref.sf.C.tolist()
+
+    def test_one_psi_call_per_step_for_the_whole_ladder(self, monkeypatch):
+        import phscale.meromorphic as mero
+
+        calls = []
+        psi = mero._psi
+
+        def counting(p, s, jump):
+            calls.append(np.shape(s))
+            return psi(p, s, jump)
+
+        monkeypatch.setattr(mero, "_psi", counting)
+        members = [cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta) for beta in LADDERS[0]]
+        _truncated_ladder(members, Q, 100)
+        ladder = len(calls)
+        calls.clear()
+        for p in members:
+            truncated_coefficients(p, Q, 100)
+        assert ladder <= 25 and 2.5 * ladder < len(calls)
+
+    def test_empty_ladder(self):
+        assert _truncated_ladder([], Q, 10) == []

@@ -13,6 +13,8 @@ from phscale.models import (
     SnLevyModel,
     builtin_model,
 )
+import phscale.roots as roots
+from phscale.meromorphic import BETA_BENCHMARK, _truncated_ladder, beta_psi, cgmy_params
 from phscale.roots import (
     find_negative_roots_ph,
     find_roots,
@@ -110,7 +112,7 @@ class TestInterlacedRoots:
         # tan(s) = s has one root in each ((k - 1/2) pi, (k + 1/2) pi), k >= 1,
         # whose ends are poles of tan
         k = np.arange(1, 40)
-        roots, vals = interlaced_roots(lambda s: np.tan(s) - s, (k - 0.5) * np.pi,
+        roots, vals = interlaced_roots(lambda s, k: np.tan(s) - s, (k - 0.5) * np.pi,
                                        (k + 0.5) * np.pi)
         assert np.all(((k - 0.5) * np.pi < roots) & (roots < (k + 0.5) * np.pi))
         assert np.all(np.abs(np.tan(roots) - roots) <= 1e-12 * roots**2)
@@ -118,7 +120,7 @@ class TestInterlacedRoots:
 
     def test_no_sign_change_names_first_bracket(self):
         with pytest.raises(BracketingFailure, match=r"no sign change in \(0.0, 2.0\)"):
-            interlaced_roots(lambda s: s - 3.0, np.array([0.0, 2.0]), np.array([2.0, 4.0]))
+            interlaced_roots(lambda s, k: s - 3.0, np.array([0.0, 2.0]), np.array([2.0, 4.0]))
 
     def test_secant_onto_an_end_takes_the_minimum_step(self):
         # the root 1 + 1e-17 sits within one ulp of the end 1.0 that the creep
@@ -126,7 +128,7 @@ class TestInterlacedRoots:
         # 2 ulps inside, which closes the bracket without bisecting
         calls = []
 
-        def f(s):
+        def f(s, k):
             calls.append(1)
             return (s - 1.0) - 1e-17
 
@@ -139,7 +141,7 @@ class TestInterlacedRoots:
         # root in (2, 3) sits 1e-6 below 3, so only that bracket creeps
         sizes = []
 
-        def f(s):
+        def f(s, k):
             sizes.append(s.size)
             return 1 / (s - 1) + 1 / (s - 2) + 1e-6 / (s - 3) - 1
 
@@ -147,10 +149,88 @@ class TestInterlacedRoots:
         assert roots[1] == pytest.approx(3.0 - 1e-6, rel=1e-6)
         assert sizes[:3] == [4, 2, 2]  # both brackets, then the one that creeps
 
+    def test_f_gets_the_bracket_of_each_point(self):
+        # f(s, k) = expm1(w[k] (s - r[k])) finds r only if k names the
+        # bracket of every point; the root 1 + 1e-9 makes its bracket creep
+        # to its end 1, and the curvatures w end the brackets at other steps
+        lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        r, w = np.array([0.5, 1.0 + 1e-9, 2.3]), np.array([0.1, 1.0, 8.0])
+        calls = []
+
+        def f(s, k):
+            brackets = np.arange(3)[k]
+            assert s.shape[-1] == brackets.size
+            assert np.all((lo[brackets] <= s) & (s <= hi[brackets]))
+            calls.append((s.shape, brackets.tolist()))
+            return np.expm1(w[k] * (s - r[k]))
+
+        roots, vals = interlaced_roots(f, lo, hi, False, False)
+        assert np.all(np.abs(roots - r) <= 4 * np.spacing(r))
+        assert calls[0] == ((2, 3), [0, 1, 2])  # both probes of every bracket
+        assert calls[1] == ((2, 1), [1])        # the creep of the middle one
+        steps = calls[2:]
+        assert steps[0] == ((3,), [0, 1, 2])
+        assert all(shape == (len(k),) for shape, k in steps)
+        assert any(0 < len(k) < 3 for _, k in steps)
+
     def test_nan_inside_bracket_raises(self):
-        f = lambda s: np.where(s > 0.5, np.nan, s - 0.75)
+        f = lambda s, k: np.where(s > 0.5, np.nan, s - 0.75)
         with pytest.raises(BracketingFailure, match="NaN"):
             interlaced_roots(f, np.array([0.0]), np.array([1.0]))
+
+
+def _doubling(psi, q):
+    """The far end of the zeta bracket, doubled one power at a time."""
+    top = 1.0
+    while psi(top) <= q:
+        top *= 2.0
+    return top
+
+
+def _zeta_brackets(monkeypatch, solve):
+    """-lo of every zeta bracket that ``solve()`` hands ``interlaced_roots``."""
+    seen = []
+    inner = roots.interlaced_roots
+
+    def spy(f, lo, hi, *poles):
+        seen.append(-lo[lo < 0])
+        return inner(f, lo, hi, *poles)
+
+    monkeypatch.setattr(roots, "interlaced_roots", spy)
+    solve()
+    monkeypatch.undo()
+    return seen[0].tolist()
+
+
+class TestZetaDoubling:
+    """The first 16 powers of two are tried in one psi call; the bracket
+    is the first power where psi > q, as doubling one at a time finds it,
+    also past 2^15, where the powers are tried one at a time."""
+
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 3.0, 100.0, 1e3, 1e6))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("name", ("exp1", "pareto-fit"))
+    def test_first_power_above_q(self, monkeypatch, name, sigma, q):
+        m = builtin_model(name, sigma=sigma)
+        got = _zeta_brackets(monkeypatch, lambda: find_zeta(m, q))
+        assert got == [_doubling(m.laplace_exponent, q)]
+
+    @pytest.mark.parametrize("q", (1e6, 1e12, 1e40))
+    def test_beyond_the_probed_powers(self, monkeypatch, q):
+        m = builtin_model("exp1", sigma=0.0)  # zeta ~ q / 5
+        got = _zeta_brackets(monkeypatch, lambda: find_zeta(m, q))
+        assert got == [_doubling(m.laplace_exponent, q)] and got[0] > 2.0**15
+        assert m.laplace_exponent(find_zeta(m, q)) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("q", (3e-3, 0.3, 1e3, 1e6))
+    def test_every_row_of_a_ladder(self, monkeypatch, q):
+        members = [cgmy_params(BETA_BENCHMARK, 3.0, 0.1, b) for b in (0.9, 0.4, 0.05)]
+        got = _zeta_brackets(monkeypatch, lambda: _truncated_ladder(members, q, 5))
+        assert got == [_doubling(lambda s: beta_psi(p, s), q) for p in members]
+
+    def test_no_bracket_raises(self):
+        with pytest.raises(BracketingFailure, match="doubling"):
+            roots.interlaced_solve(lambda s, k: 0.0 * s, 1.0, np.array([]), None)
 
 
 @pytest.mark.parametrize("sigma", (1e-60, 1e-100, 1e-150, 1e-155))
