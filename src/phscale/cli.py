@@ -34,7 +34,7 @@ from .meromorphic import (
     scale_bounds,
     truncated_coefficients,
 )
-from .mc import simulate_overshoot_undershoot, simulate_two_sided_exit
+from .mc import _MAX_BINS, simulate_overshoot_undershoot, simulate_two_sided_exit
 from .models import BUILTIN_JUMPS, SnLevyModel, builtin_model, load_model_file
 from .scale import boundary_identities, build_scale
 from .wiener_hopf import wh_factor_minus
@@ -48,6 +48,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid spec must be start:stop:count, got {spec!r}")
     if not -math.inf < start <= stop < math.inf or count < 2:
         raise DomainError("grid requires finite start <= stop and count >= 2")
+    if count > _MAX_BINS:  # refused before linspace allocates the points
+        raise DomainError(f"grid count {count} exceeds {_MAX_BINS}")
     return np.linspace(start, stop, count)
 
 

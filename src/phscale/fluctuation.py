@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
+from .models import check_barriers, check_positive
 from .scale import ScaleFunction
 from .wiener_hopf import exp_sum, like, points
 
@@ -30,16 +31,14 @@ class IntervalPair:
     b_hi: float
 
     def __post_init__(self):
-        if not (0 <= self.a_lo <= self.a_hi):
-            raise DomainError("need 0 <= a_lo <= a_hi")
-        if not (0 <= self.b_lo <= self.b_hi):
-            raise DomainError("need 0 <= b_lo <= b_hi")
+        for name, lo, hi in (("a", self.a_lo, self.a_hi), ("b", self.b_lo, self.b_hi)):
+            if not 0 <= lo <= hi:
+                raise DomainError(f"need 0 <= {name}_lo <= {name}_hi")
 
 
 def up_exit(sf: ScaleFunction, x: float, b: float) -> float:
     """Discounted probability of reaching b before passing below 0: W(x)/W(b)."""
-    if b <= 0 or not (0 <= x <= b and x < math.inf):
-        raise DomainError("need 0 <= x <= b, b > 0, x finite")
+    check_barriers(x, b)
     # ratio via the tilted representation; never overflows
     return math.exp(sf.zeta * (x - b)) * sf.w_tilted(x) / sf.w_tilted(b)
 
@@ -52,8 +51,7 @@ def down_exit(sf: ScaleFunction, x: float, b: float) -> float:
     D = ``down_exit_unbounded``, which holds no e^{zeta x} term: the growth of
     Z(x) and of Z(b) W(x)/W(b) never meets in floating point.
     """
-    if b <= 0 or not (0 <= x <= b and x < math.inf):
-        raise DomainError("need 0 <= x <= b, b > 0, x finite")
+    check_barriers(x, b)
     return down_exit_unbounded(sf, x) - up_exit(sf, x, b) * down_exit_unbounded(sf, b)
 
 
@@ -67,10 +65,12 @@ def down_exit_unbounded(sf: ScaleFunction, x):
     return like(x, sf.decay_sum(points(x, above=0.0), sf.A))
 
 
-def _phases(sf: ScaleFunction):
-    """(lam alpha, eta) of a diagonal jump generator T = -diag(eta): the
-    minimal weights and rates, which give interlaced, hence real, roots.
-    Without jumps (lam = 0) both are empty, whatever T, and every law is 0."""
+def _phases(sf: ScaleFunction, x: float):
+    """(lam alpha, eta) of a diagonal jump generator T = -diag(eta) for the
+    laws from a start x > 0: the minimal weights and rates, which give
+    interlaced, hence real, roots.  Without jumps (lam = 0) both are empty,
+    whatever T, and every law is 0."""
+    check_positive("x", x)
     model = sf.model
     if model is not None and model.lam == 0:
         return np.zeros(0), np.zeros(0)
@@ -107,9 +107,7 @@ def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: floa
 
 def joint_overshoot_undershoot(sf: ScaleFunction, x: float, pair: IntervalPair) -> float:
     """Discounted joint law of (undershoot in B, overshoot magnitude window A)."""
-    if not 0 < x < math.inf:
-        raise DomainError("x must be > 0 and finite")
-    lam_alpha, eta = _phases(sf)
+    lam_alpha, eta = _phases(sf, x)
     window = np.exp(-eta * pair.a_lo) - np.exp(-eta * pair.a_hi)
     return float(lam_alpha * window @ _kappa(sf, eta, x, pair.b_lo, pair.b_hi))
 
@@ -118,9 +116,7 @@ def overshoot_density(sf: ScaleFunction, x: float, a):
     """Density in the overshoot magnitude a > 0 (undershoot unrestricted), at
     a float or a 1-d array of magnitudes."""
     a_s = points(a, above=0.0, strict=True)
-    if not 0 < x < math.inf:
-        raise DomainError("x must be > 0 and finite")
-    lam_alpha, eta = _phases(sf)
+    lam_alpha, eta = _phases(sf, x)
     kappa = _kappa(sf, eta, x, 0.0, math.inf)
     return like(a, exp_sum(eta, lam_alpha * eta * kappa, a_s))
 
@@ -136,9 +132,7 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     continuous when sigma > 0.
     """
     bs = points(b, above=0.0, strict=True)
-    if not 0 < x < math.inf:
-        raise DomainError("x must be > 0 and finite")
-    lam_alpha, eta = _phases(sf)
+    lam_alpha, eta = _phases(sf, x)
     xi = sf.xi
     lo = np.minimum(bs, x)[:, None]  # positions x roots
     below = -(np.exp(-xi * (x - lo)) * np.expm1(-(xi + sf.zeta) * lo)) @ sf.C
@@ -147,12 +141,14 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
 
 
 def conjecture_residuals(sf: ScaleFunction) -> list:
-    """Relative residual, per pole s = -eta_j of psi, of
-    sum_i C_i/(eta_j - xi_i) = lead/(eta_j + zeta): the transform of W,
-    lead/(s - zeta) - sum_i C_i/(s + xi_i) = 1/(psi(s) - q), vanishes at the
-    poles of psi.  It holds for every jump generator, at complex poles too;
-    without jumps psi has no poles and the list is empty."""
+    """Per pole s = -eta_j of psi, the transform of W (``transform``), which
+    is 1/(psi(s) - q) and so vanishes there, relative to its term
+    lead/(s - zeta): for every jump generator, at complex poles too, and
+    empty without jumps.  A scale function without a model (a beta-family
+    truncation, whose lead is 1/psi'(zeta), not w0 + sum C) raises
+    UnsupportedRegime."""
+    if sf.model is None:
+        raise UnsupportedRegime("the transform at the poles of psi needs the model's poles")
     eta = sf.model.poles()
-    lhs = sf.lead / (eta + sf.zeta)
-    rhs = (1.0 / np.subtract.outer(eta, sf.xi)) @ sf.C
-    return (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).tolist()
+    scale = np.maximum(np.abs(sf.lead / (eta + sf.zeta)), 1e-300)
+    return (np.abs(sf.transform(-eta)) / scale).tolist()

@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .models import PhaseTypeArrays, SnLevyModel
+from .models import PhaseTypeArrays, SnLevyModel, check_barriers, check_positive
 
 _HORIZON_EPS = 1e-8
 _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} are dropped
@@ -295,8 +295,7 @@ def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
     exit.  Rejects a q that is not positive and finite, fewer than 1 path, a
     grid of fewer than 1 substep and a negative seed (``default_rng`` takes
     none)."""
-    if not 0 < q < math.inf:
-        raise DomainError("q must be > 0 and finite")
+    check_positive("q", q)
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     if seed < 0:
@@ -394,8 +393,7 @@ def simulate_two_sided_exit(
     ``substeps=100`` is the paper's random-walk grid.
     """
     scheme = _scheme(model, q, b, n_paths, substeps, seed)[0]
-    if b <= 0 or not (0 <= x <= b and x < math.inf):
-        raise DomainError("need 0 <= x <= b, b > 0, x finite")
+    check_barriers(x, b)
     su = su2 = sd = sd2 = 0.0
     for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, substeps):
         su += u.sum()
@@ -427,8 +425,8 @@ def simulate_overshoot_undershoot(
     selects the scheme as in ``simulate_two_sided_exit``.
     """
     scheme = _scheme(model, q, None, n_paths, substeps, seed)[0]
-    if not (0 < x < math.inf and 0 < window_width < math.inf):
-        raise DomainError("x and window_width must be > 0 and finite")
+    check_positive("x", x)
+    check_positive("window_width", window_width)
     if max(10.0, 2.0 * x) / window_width > _MAX_BINS:
         raise DomainError(f"bin width {window_width} at x = {x} gives more than "
                           f"{_MAX_BINS} bins per histogram")

@@ -20,13 +20,12 @@ import numpy as np
 from .errors import (
     DomainError,
     InvertedBounds,
-    NegativeSubordinator,
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .models import CASE1, CASE2, check_sigma_square
+from .models import CASE1, CASE2, check_drift, check_sigma
 from .roots import RootDecomposition, interlaced_solve
-from .scale import ScaleFunction, assemble
+from .scale import ScaleFunction, assemble, boundary_values
 from .wiener_hopf import like, points
 
 _POLE_TOL = 1e-12
@@ -125,9 +124,7 @@ class BetaFamilyParams:
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise DomainError("beta-family parameters must be finite")
-        if self.sigma < 0:
-            raise NegativeSubordinator("sigma must be >= 0")
-        check_sigma_square(self.sigma)
+        check_sigma(self.sigma)
         if self.alpha_b <= 0 or self.beta_b <= 0 or self.c < 0:
             raise DomainError("need alpha > 0, beta > 0, c >= 0")
         if not (0 < self.lam < 3):
@@ -225,26 +222,23 @@ class TruncatedMero:
     sf: ScaleFunction
 
 
-def _w_zero(params: BetaFamilyParams) -> float:
-    """W^{(q)}(0) = W_{zeta}(0) from the small-scale behavior of the process."""
-    if params.sigma > 0:
-        return 0.0
-    if params.lam >= 2:
+def _check_sigma_zero(params: BetaFamilyParams) -> None:
+    """Refuse the sigma = 0 regimes that ``boundary_values`` does not cover:
+    unbounded variation (stability index >= 2) and mu_hat <= 0."""
+    if params.sigma == 0 and params.lam >= 2:
         raise UnsupportedRegime(
             "sigma = 0 with stability index >= 2 (unbounded variation) unsupported"
         )
-    if params.mu_hat <= 0:
-        raise NegativeSubordinator("sigma = 0 requires positive drift")
-    return 1.0 / params.mu_hat
+    check_drift(params.sigma, params.mu_hat)
 
 
 def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> TruncatedMero:
     """The m-term scale function from the first m roots and poles, through the
     closed-form pipeline, and the gaps delta_m, epsilon_m; the bounds need
     delta_m >= 0, so a negative one (at a tiny q) raises InvertedBounds."""
-    w0 = _w_zero(params)  # validates the sigma = 0 regime before root search
+    _check_sigma_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
-    return _truncation(params, q, m, w0, zeta, xis, beta_psi_derivative(params, zeta))
+    return _truncation(params, q, m, zeta, xis, beta_psi_derivative(params, zeta))
 
 
 def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> list:
@@ -257,8 +251,8 @@ def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> 
     the bits of its own ``truncated_coefficients``."""
     if not members:
         return []
-    w0s = [_w_zero(p) for p in members]
     for p in members:
+        _check_sigma_zero(p)
         _check_truncation(p, m)
     base = members[0]
     alpha, beta, c = np.array([(p.alpha_b, p.beta_b, p.c) for p in members]).T
@@ -268,39 +262,34 @@ def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> 
     zetas, xis = interlaced_solve(lambda s, k: _psi(base, s, tuple(v[k] for v in jump)),
                                   q, poles, None)
     ppzs = _psi_prime(base, zetas, (alpha, beta, c))
-    return [_truncation(p, q, m, w0, float(zeta), xi, float(ppz))
-            for p, w0, zeta, xi, ppz in zip(members, w0s, zetas, xis, ppzs)]
+    return [_truncation(p, q, m, float(zeta), xi, float(ppz))
+            for p, zeta, xi, ppz in zip(members, zetas, xis, ppzs)]
 
 
-def _truncation(params: BetaFamilyParams, q: float, m: int, w0: float, zeta: float,
+def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
                 xis: np.ndarray, ppz: float) -> TruncatedMero:
     """The assembly of ``truncated_coefficients`` from the roots (zeta,
-    xi_{1..m+1}), W(0) = w0 and psi'(zeta) = ppz."""
-    etas = beta_poles(params, np.arange(1, m + 1))
-    if params.sigma > 0:
-        theta: Optional[float] = 2.0 / params.sigma**2
-        wp0 = theta
-    elif params.lam < 1:
-        # -zeta/mu + (q + jump mass)/mu^2 with the mass (c/beta) B(alpha, 1-lam),
-        # rewritten through psi(zeta) = q so that nothing cancels
-        b1 = float(params._beta(np.array([params.alpha_b + zeta / params.beta_b]))[0])
-        theta = (params.c / params.beta_b) * b1 / params.mu_hat**2
-        wp0 = theta + zeta / params.mu_hat
-    else:
-        theta, wp0 = None, math.inf  # infinite jump measure, sum A_i xi_i diverges
-    decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m], poles=etas,
+    xi_{1..m+1}) and psi'(zeta) = ppz.  The Levy mass is (c/beta)
+    B(alpha, 1 - lam), infinite for lam >= 1, and the jump transform at zeta
+    is (c/beta) B(alpha + zeta/beta, 1 - lam)."""
+    cb = params.c / params.beta_b
+    w0, wp0, theta = boundary_values(
+        params.sigma, params.mu_hat, q, math.inf if params.lam >= 1 else cb * params._beta0,
+        lambda: cb * float(params._beta(np.array([params.alpha_b + zeta / params.beta_b]))[0]))
+    decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m],
+                               poles=beta_poles(params, np.arange(1, m + 1)),
                                case=CASE1 if params.sigma > 0 else CASE2)
-    sf = assemble(decomp, w0=w0, wp0=wp0, theta=math.inf if theta is None else theta,
-                  psi_prime_zeta=ppz, model=None)
+    sf = assemble(decomp, w0=w0, wp0=wp0, theta=theta, psi_prime_zeta=ppz, model=None)
     delta = 1.0 / ppz - w0 - float(sf.C.sum())
     if not delta >= 0:
         raise InvertedBounds(f"delta_m = {delta} < 0 at m = {m}, q = {q}: the bounds would cross")
+    finite = theta < math.inf  # an infinite mass: sum A_i xi_i diverges
     return TruncatedMero(
         m=m,
         xi=xis,
         delta=delta,
-        theta=theta,
-        epsilon=None if theta is None else theta - (zeta / q) * sf.varrho,
+        theta=theta if finite else None,
+        epsilon=theta - (zeta / q) * sf.varrho if finite else None,
         # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
         sf=replace(sf, w0=w0 + delta, lead=1.0 / ppz),
     )

@@ -140,11 +140,32 @@ def pole_offsets(s, poles) -> np.ndarray:
     return off
 
 
-def check_sigma_square(sigma: float) -> None:
-    """Raise DomainError for a sigma > 0 whose square underflows to 0 or
+def check_sigma(sigma: float) -> None:
+    """Refuse sigma < 0, and a sigma > 0 whose square underflows to 0 or
     overflows, which would leave 2 / sigma^2 or sigma^2 s^2 / 2 meaningless."""
+    if sigma < 0:
+        raise NegativeSubordinator("sigma must be >= 0")
     if sigma > 0 and not 0 < float(sigma) * float(sigma) < math.inf:
         raise DomainError(f"sigma = {sigma!r}: sigma^2 leaves the float range")
+
+
+def check_drift(sigma: float, mu: float) -> None:
+    """Refuse sigma = 0 with mu <= 0, a process that never moves up."""
+    if sigma == 0 and not mu > 0:
+        raise NegativeSubordinator("sigma = 0 requires mu > 0")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not > 0 and finite, NaN included."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be > 0 and finite")
+
+
+def check_barriers(x: float, b: float) -> None:
+    """Refuse a two-sided exit from x between the barriers 0 and b unless
+    0 <= x <= b, b > 0 and x is finite (b may be inf)."""
+    if b <= 0 or not (0 <= x <= b and x < math.inf):
+        raise DomainError("need 0 <= x <= b, b > 0, x finite")
 
 
 def _like(s: np.ndarray, out: np.ndarray):
@@ -175,18 +196,11 @@ class SnLevyModel:
             raise DomainError("jumps must be a HyperExpDist or a PhaseTypeRepr")
         if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.lam)):
             raise DomainError("mu, sigma and lam must be finite")
-        if self.sigma < 0:
-            raise NegativeSubordinator("sigma must be >= 0")
-        check_sigma_square(self.sigma)
+        check_sigma(self.sigma)
         if self.lam < 0:
             raise NegativeSubordinator("jump rate must be >= 0")
-        if self.sigma > 0:
-            case = CASE1
-        elif self.mu > 0:
-            case = CASE2
-        else:
-            raise NegativeSubordinator("sigma = 0 requires mu > 0")
-        object.__setattr__(self, "case", case)
+        check_drift(self.sigma, self.mu)
+        object.__setattr__(self, "case", CASE1 if self.sigma > 0 else CASE2)
 
     @cached_property
     def phase_type(self) -> PhaseTypeArrays:

@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketingFailure, DomainError, RepeatedRootsDetected
-from .models import CASE1, SnLevyModel, near_pole
+from .errors import BracketingFailure, RepeatedRootsDetected
+from .models import CASE1, SnLevyModel, check_positive, near_pole
 
 _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
@@ -163,8 +163,7 @@ def interlaced_solve(
     with ``outer`` None): all their brackets, row after row with zeta first,
     go to the one call, psi reads each bracket's parameters through k, and
     zeta and xi come as one row per exponent.  One row's psi ignores k."""
-    if not 0 < q < np.inf:
-        raise DomainError("q must be > 0 and finite")
+    check_positive("q", q)
     rows = np.atleast_2d(eta)
     n_rows, n = rows.shape
     width = n + 1 + (outer is not None)
@@ -252,8 +251,7 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     takes one complex Newton step on psi, except a root on an eigenvalue of
     T: a pole that the jump transform cancels, which warns of a non-minimal
     representation."""
-    if not 0 < q < np.inf:
-        raise DomainError("q must be > 0 and finite")
+    check_positive("q", q)
     alpha, T, t, poles, _ = model.phase_type
     m = alpha.size
     n = m + 2 if model.case == CASE1 else m + 1

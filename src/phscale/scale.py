@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketingFailure, DomainError, RepeatedRootsDetected
-from .models import CASE1, CASE2, SnLevyModel
+from .errors import BracketingFailure, RepeatedRootsDetected
+from .models import SnLevyModel
 from .roots import RootDecomposition, find_roots
 from .wiener_hopf import _IMAG_TOL, exp_sum, like, partial_fraction_coefficients, points
 
@@ -140,24 +140,27 @@ class ScaleFunction:
         w = np.where(xs < 0, 0.0, self._w(pos, head_w))
         return like(x, w), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
 
+    def transform(self, s: np.ndarray) -> np.ndarray:
+        """lead/(s - zeta) - sum_i C_i/(s + xi_i) on a 1-d array s, unchecked:
+        the Laplace transform 1/(psi(s) - q) of W at s > zeta, continued."""
+        return self.lead / (s - self.zeta) - (1.0 / np.add.outer(s, self.xi)) @ self.C
+
     def laplace_transform_w(self, s):
-        """Analytic Laplace transform of W at s > zeta."""
+        """Analytic Laplace transform of W at s > zeta: ``transform``."""
         ss = points(s, above=self.zeta, strict=True)
-        vals = self.lead / (ss - self.zeta) - (1.0 / np.add.outer(ss, self.xi)) @ self.C
-        return like(s, _real(vals, ss))
+        return like(s, _real(self.transform(ss), ss))
 
     # -- diagnostics --------------------------------------------------------
 
     def sum_c_residual(self) -> float:
-        """Relative residual of sum(C) against 1/psi'(zeta) (case 2: minus 1/mu)."""
+        """Relative residual of sum(C) against 1/psi'(zeta) - w0."""
         target = 1.0 / self.psi_prime_zeta
-        if self.decomp.case == CASE2:
+        if self.model is None:
+            target -= self.w0
+        elif self.w0 > 0:
             # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with
             # w0 = 1/mu; the subtraction cancels when psi'(zeta) is near mu
-            if self.model is None:
-                target -= self.w0
-            else:
-                target *= self.model.jump_tilted_mean(self.zeta) * self.w0
+            target *= self.model.jump_tilted_mean(self.zeta) * self.w0
         return float(abs(self.C.sum().real - target) / max(abs(target), 1e-300))
 
 
@@ -170,6 +173,20 @@ def boundary_identities(sf: ScaleFunction) -> dict:
         "zeta_identity_rel_err": abs(lhs - sf.q * sf.theta) / max(abs(lhs), 1e-300),
         "sum_c_rel_err": sf.sum_c_residual(),
     }
+
+
+def boundary_values(sigma: float, mu: float, q: float, mass: float,
+                    jump: Callable[[], float]) -> Tuple[float, float, float]:
+    """(W(0), W'(0+), theta) from the path variation: (0, 2/sigma^2,
+    2/sigma^2) for sigma > 0, else (1/mu, (q + mass)/mu^2, jump()/mu^2) for
+    the Levy mass ``mass`` and jump() = lam E[e^{-zeta Y}], with inf for an
+    infinite mass, where ``jump`` is not called.  theta = (q + mass - mu
+    zeta)/mu^2 through psi(zeta) = q, without its cancellation."""
+    if sigma > 0:
+        return 0.0, 2.0 / sigma**2, 2.0 / sigma**2
+    if mass == math.inf:
+        return 1.0 / mu, math.inf, math.inf
+    return 1.0 / mu, (q + mass) / mu**2, jump() / mu**2
 
 
 def assemble(
@@ -216,25 +233,9 @@ def assemble(
 
 def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
     """Full pipeline: roots -> partial fractions -> assembled scale function."""
-    if not 0 < q < math.inf:
-        raise DomainError("q must be > 0 and finite")
     decomp = find_roots(model, q)
     zeta = decomp.zeta
-    if model.case == CASE1:
-        w0 = 0.0
-        wp0 = 2.0 / model.sigma**2
-        theta = 2.0 / model.sigma**2
-    else:
-        w0 = 1.0 / model.mu
-        wp0 = (q + model.levy_mass) / model.mu**2
-        # (q + levy_mass - mu zeta)/mu^2, rewritten through psi(zeta) = q so
-        # that nothing cancels when theta is far below zeta/mu
-        theta = model.jump_transform(zeta) / model.mu**2
-    return assemble(
-        decomp,
-        w0=w0,
-        wp0=wp0,
-        theta=theta,
-        psi_prime_zeta=model.laplace_exponent_derivative(zeta),
-        model=model,
-    )
+    w0, wp0, theta = boundary_values(model.sigma, model.mu, q, model.levy_mass,
+                                     lambda: model.jump_transform(zeta))
+    return assemble(decomp, w0=w0, wp0=wp0, theta=theta,
+                    psi_prime_zeta=model.laplace_exponent_derivative(zeta), model=model)

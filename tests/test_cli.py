@@ -508,8 +508,9 @@ class TestCgmyLimit:
         assert err.startswith("error:")
 
 
-# inputs that once ended in a traceback (exit 1): each is refused with one
-# stderr line, the histograms before any bin is allocated
+# inputs refused with one stderr line, most of which once ended in a
+# traceback (exit 1): the histograms and grids before any bin or point is
+# allocated
 @pytest.mark.parametrize("argv, code", [
     (("cgmy-limit", "--betas", "1e300,1e299", "--grid", "0:1:3"), 2),
     (("simulate", "--model", "exp1", "--x", "1", "--b", "5", "--n-paths", "10",
@@ -521,8 +522,11 @@ class TestCgmyLimit:
     (("identities", "--model", "exp1", "--q", "1e-300"), 3),
     (("scale-eval", "--model", "exp1", "--q", "1e-40", "--grid", "0:4:3"), 3),
     (("mero-bounds", "--m", "5", "--q", "1e-20", "--grid", "0:1:3"), 3),
+    (("scale-eval", "--model", "exp1", "--grid", "0:1"), 2),
+    (("joint", "--model", "exp1", "--x", "1", "--a-window", "0:1:2", "--b-window", "0:1"), 2),
+    (("scale-eval", "--model", "exp1", "--grid", f"0:1:{10**6 + 1}"), 2),
 ], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
-        "scale-eval-tiny-q", "mero-bounds-tiny-q"))
+        "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

@@ -17,6 +17,7 @@ from phscale.fluctuation import (
     undershoot_density,
     up_exit,
 )
+from phscale.meromorphic import BETA_BENCHMARK, truncated_coefficients
 from phscale.models import (
     BUILTIN_JUMPS,
     EXP1,
@@ -494,3 +495,11 @@ class TestConjecture:
             res = conjecture_residuals(sf)
             assert len(res) == len(sf.model.jumps.eta)
             assert all(0 <= r <= 1e-10 for r in res), (name, sigma, max(res))
+
+    def test_truncation_without_model_is_refused(self):
+        # a beta-family truncation has no model to give the poles, and its
+        # lead is 1/psi'(zeta), not w0 + sum C, so residuals would not
+        # measure the identity
+        sf = truncated_coefficients(BETA_BENCHMARK, 0.03, 20).sf
+        with pytest.raises(UnsupportedRegime):
+            conjecture_residuals(sf)

@@ -21,7 +21,6 @@ from phscale.meromorphic import (
     _BetaKernel,
     _SHIFT,
     _truncated_ladder,
-    _w_zero,
     beta_poles,
     beta_psi,
     beta_psi_derivative,
@@ -95,6 +94,8 @@ class TestParams:
             BetaFamilyParams(0.1, 0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=3.0)
         with pytest.raises(NegativeSubordinator):
             BetaFamilyParams(0.1, -0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
+        with pytest.raises(DomainError, match="finite"):
+            BetaFamilyParams(0.1, 0.2, alpha_b=3.0, beta_b=math.inf, c=0.1, lam=1.5)
 
     @pytest.mark.parametrize("sigma", (1e-200, 1e200))
     def test_sigma_square_out_of_float_range(self, sigma):
@@ -425,7 +426,7 @@ class TestTruncation:
             eta = [mpmath.mpf(float(v)) for v in tm.sf.decomp.poles]
             zeta = mpmath.mpf(tm.sf.zeta)
             sum_c = mp_sum_c(zeta, q, xi, eta)
-            ref = 1 / mpmath.mpf(tm.sf.psi_prime_zeta) - _w_zero(BETA_BENCHMARK) - sum_c
+            ref = 1 / mpmath.mpf(tm.sf.psi_prime_zeta) - sum_c  # W(0) = 0 for sigma > 0
             assert abs(tm.delta / ref - 1) <= 1e-11
 
     def test_negative_delta_raises(self):
@@ -456,7 +457,7 @@ class TestTruncation:
             u = a + zeta / b
             ppz = mu + sig**2 * zeta + c / b**2 * mpmath.beta(u, y) * (
                 mpmath.digamma(u) - mpmath.digamma(u + y))
-            ref = 1 / ppz - _w_zero(p) - mp_sum_c(zeta, q, xi, eta)
+            ref = 1 / ppz - mp_sum_c(zeta, q, xi, eta)  # W(0) = 0 for sigma > 0
         assert abs(tm.delta / ref - 1) <= 1e-6
 
     def test_theta_and_epsilon(self, tm100):
@@ -492,6 +493,9 @@ class TestTruncation:
         p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.5)
         tm = truncated_coefficients(p, Q, 20)
         assert tm.theta is not None and tm.epsilon is not None
+        # without a model, sum C is checked against 1/psi'(zeta) - w0, and
+        # the w0 of sf holds W(0) + delta_m: sum C = 1/psi'(zeta) - W(0) - delta_m
+        assert tm.sf.sum_c_residual() < 1e-12
 
     def test_finite_mass_theta_against_mpmath(self):
         # theta = -zeta/mu + (q + mass)/mu^2 loses about six digits to

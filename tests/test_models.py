@@ -155,7 +155,14 @@ class TestValidation:
         (lambda: SnLevyModel(mu=math.nan, sigma=1.0, lam=5.0, jumps=EXP1), DomainError),
         (lambda: SnLevyModel(mu=5.0, sigma=math.inf, lam=5.0, jumps=EXP1), DomainError),
         (lambda: SnLevyModel(mu=5.0, sigma=0.0, lam=math.inf, jumps=EXP1), DomainError),
-    ], ids=("p-nan", "eta-nan", "eta-inf", "T-nan", "mu-nan", "sigma-inf", "lam-inf"))
+        # malformed values that are finite
+        (lambda: HyperExpDist(p=(0.5, 0.5), eta=(1.0,)), SimplexViolation),
+        (lambda: PhaseTypeRepr(alpha=(0.5, 0.5), T=((-1.0, 0.0),)), SingularGenerator),
+        (lambda: PhaseTypeRepr(alpha=(1.0, 0.0), T=((-1.0, 2.0), (0.0, -1.0))),
+         SingularGenerator),
+        (lambda: SnLevyModel(mu=5.0, sigma=1.0, lam=-1.0, jumps=EXP1), NegativeSubordinator),
+    ], ids=("p-nan", "eta-nan", "eta-inf", "T-nan", "mu-nan", "sigma-inf", "lam-inf",
+            "p-eta-lengths", "T-not-square", "negative-exit-rate", "lam-negative"))
     def test_non_finite_parameters_rejected(self, make, error):
         with pytest.raises(error):
             make()
