@@ -36,6 +36,7 @@ from .meromorphic import (
 )
 from .mc import _MAX_BINS, simulate_overshoot_undershoot, simulate_two_sided_exit
 from .models import BUILTIN_JUMPS, SnLevyModel, builtin_model, load_model_file
+from .roots import _RESIDUAL_TOL
 from .scale import boundary_identities, build_scale
 from .wiener_hopf import wh_factor_minus
 
@@ -296,7 +297,7 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     sf = build_scale(model, q)
     out = {}
     res = abs(model.laplace_exponent(sf.zeta) - q)
-    out["psi_zeta_minus_q"] = (res, res < 1e-10 * max(1.0, q))
+    out["psi_zeta_minus_q"] = (res, res < _RESIDUAL_TOL * max(1.0, q))
     b = boundary_identities(sf)
     out["sum_c"] = (b["sum_c_rel_err"], b["sum_c_rel_err"] < 1e-8)
     out["zeta_over_q"] = (b["zeta_identity_rel_err"], b["zeta_identity_rel_err"] < 1e-8)

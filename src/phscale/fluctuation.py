@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
-from .models import check_barriers, check_positive
+from .models import check_barriers, check_positive, like
 from .scale import ScaleFunction
-from .wiener_hopf import exp_sum, like, points
+from .wiener_hopf import exp_sum, points
 
 
 @dataclass(frozen=True)

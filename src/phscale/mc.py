@@ -432,10 +432,8 @@ def simulate_overshoot_undershoot(
                           f"{_MAX_BINS} bins per histogram")
     edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
     edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
-    sums_a = np.zeros(len(edges_a) - 1)
-    sq_a = np.zeros_like(sums_a)
-    sums_b = np.zeros(len(edges_b) - 1)
-    sq_b = np.zeros_like(sums_b)
+    sums_a, sq_a = np.zeros((2, len(edges_a) - 1))
+    sums_b, sq_b = np.zeros((2, len(edges_b) - 1))
     for _, d, over, under in _batches(model, q, x, None, n_paths, seed, substeps):
         mask = d > 0
         sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]

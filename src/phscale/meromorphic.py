@@ -23,12 +23,12 @@ from .errors import (
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .models import CASE1, CASE2, check_drift, check_sigma
+from .models import _POLE_REL_TOL, check_drift, check_sigma, like
 from .roots import RootDecomposition, interlaced_solve
 from .scale import ScaleFunction, assemble, boundary_values
-from .wiener_hopf import like, points
+from .wiener_hopf import points
 
-_POLE_TOL = 1e-12
+_MAX_M = 10**5  # the largest truncation m: the residues take O(m^2) time and memory
 _SHIFT = 24  # arguments within _SHIFT of the mirror point move up by _SHIFT
 # B_{2i}(1/2), i = 0..4: the Bernoulli polynomials at 1/2
 _BERNOULLI_HALF = (1.0, -1.0 / 12, 7.0 / 240, -31.0 / 1344, 127.0 / 3840)
@@ -51,7 +51,7 @@ class _BetaKernel:
     G(A) = G(A + _SHIFT) prod_j (A + y1 + j)/(A + j), every term positive."""
 
     def __init__(self, y: float):
-        if y <= 0 and abs(y - round(y)) < _POLE_TOL * (1.0 + abs(y)):
+        if y <= 0 and abs(y - round(y)) < _POLE_REL_TOL * (1.0 + abs(y)):
             raise PoleEvaluation(f"gamma pole at {y}")
         self.y, self.lift = y, y < -1
         y1 = y + 1.0 if self.lift else y
@@ -73,8 +73,8 @@ class _BetaKernel:
         and, below h, the derivative of the sine ratio (dA/dx = -1)."""
         n = np.rint(x)
         r = x - n
-        gap = np.abs(r) + _POLE_TOL * x  # < _POLE_TOL within tolerance of a pole
-        if np.minimum.reduce(gap, initial=np.inf) < _POLE_TOL:
+        gap = np.abs(r) + _POLE_REL_TOL * x  # < _POLE_REL_TOL within tolerance of a pole
+        if np.minimum.reduce(gap, initial=np.inf) < _POLE_REL_TOL:
             raise PoleEvaluation(f"gamma pole at {float(x[np.argmin(gap)])}")
         y = self.y1
         w = np.abs(x - self.h)
@@ -165,7 +165,7 @@ def _psi(p: BetaFamilyParams, s, jump):
         alpha, beta, c, b0 = jump
         x = alpha + s / beta
         out = out + (c / beta) * (p._beta(x.ravel()).reshape(x.shape) - b0)
-    return out.item() if out.ndim == 0 else out
+    return like(s, out)
 
 
 def _psi_prime(p: BetaFamilyParams, s, jump):
@@ -177,7 +177,7 @@ def _psi_prime(p: BetaFamilyParams, s, jump):
         alpha, beta, c = jump
         x = alpha + s / beta
         out = out + (c / beta**2) * p._beta(x.ravel(), derivative=True)[1].reshape(x.shape)
-    return out.item() if out.ndim == 0 else out
+    return like(s, out)
 
 
 def beta_poles(params: BetaFamilyParams, k):
@@ -188,10 +188,10 @@ def beta_poles(params: BetaFamilyParams, k):
 
 
 def _check_truncation(params: BetaFamilyParams, m: int) -> None:
-    """Refuse an m-term truncation before any root search: m < 1, or c = 0,
-    where psi has no poles for the roots to interlace."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    """Refuse an m-term truncation before any root search or array: m < 1,
+    m > _MAX_M, or c = 0, where psi has no poles for the roots to interlace."""
+    if not 1 <= m <= _MAX_M:
+        raise DomainError(f"m = {m}: need 1 <= m <= {_MAX_M}")
     if params.c == 0:
         raise UnsupportedRegime("c = 0: a beta-family without jumps has no poles, "
                                 "so there are no roots to interlace")
@@ -277,8 +277,7 @@ def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
         params.sigma, params.mu_hat, q, math.inf if params.lam >= 1 else cb * params._beta0,
         lambda: cb * float(params._beta(np.array([params.alpha_b + zeta / params.beta_b]))[0]))
     decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m],
-                               poles=beta_poles(params, np.arange(1, m + 1)),
-                               case=CASE1 if params.sigma > 0 else CASE2)
+                               poles=beta_poles(params, np.arange(1, m + 1)))
     sf = assemble(decomp, w0=w0, wp0=wp0, theta=theta, psi_prime_zeta=ppz, model=None)
     delta = 1.0 / ppz - w0 - float(sf.C.sum())
     if not delta >= 0:

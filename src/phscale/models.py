@@ -2,14 +2,15 @@
 
 A model is ``X_t - X_0 = mu*t + sigma*B_t - sum_{n<=N_t} Z_n`` with ``N`` a
 Poisson process of rate ``lam`` and ``Z`` i.i.d. positive jumps.  Only two
-regimes are admitted: ``sigma > 0`` (case 1, unbounded variation) and
-``sigma = 0, mu > 0`` (case 2, compound Poisson drifting up between jumps).
+regimes are admitted, and ``sigma > 0`` is the one test between them:
+``sigma > 0`` (unbounded variation) and ``sigma = 0, mu > 0`` (compound
+Poisson drifting up between jumps).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -23,9 +24,6 @@ from .errors import (
     SimplexViolation,
     SingularGenerator,
 )
-
-CASE1 = "case1"  # sigma > 0
-CASE2 = "case2"  # sigma = 0, mu > 0
 
 # Loose enough to admit published fitted parameter tables that sum to 1 only
 # to ~6 decimal places.
@@ -168,11 +166,11 @@ def check_barriers(x: float, b: float) -> None:
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
 
 
-def _like(s: np.ndarray, out: np.ndarray):
-    """out as an array for an array s, else as a float (a complex for complex s)."""
-    if out.ndim:
-        return out
-    return complex(out) if np.iscomplexobj(s) else float(out)
+def like(x, vals):
+    """vals as a Python float (a complex for complex vals) when x is a scalar,
+    else as the array: the one scalar rule of every evaluator.  vals holds
+    one value per point of x, a scalar x being one point."""
+    return vals.item(0) if np.ndim(x) == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,6 @@ class SnLevyModel:
     sigma: float
     lam: float
     jumps: JumpDist
-    case: str = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.jumps, (HyperExpDist, PhaseTypeRepr)):
@@ -200,7 +197,6 @@ class SnLevyModel:
         if self.lam < 0:
             raise NegativeSubordinator("jump rate must be >= 0")
         check_drift(self.sigma, self.mu)
-        object.__setattr__(self, "case", CASE1 if self.sigma > 0 else CASE2)
 
     @cached_property
     def phase_type(self) -> PhaseTypeArrays:
@@ -243,7 +239,7 @@ class SnLevyModel:
         """lam * E[e^{-s Y}] = lam alpha R(s) t for the jump size Y, at a scalar
         or elementwise on an array."""
         s = np.asarray(s)
-        return _like(s, self._jump_moment(s, self.phase_type.t, 1))
+        return like(s, self._jump_moment(s, self.phase_type.t, 1))
 
     def laplace_exponent(self, s):
         """psi(s) = mu s + sigma^2 s^2 / 2 - lam s alpha R(s) 1, at a scalar or
@@ -253,18 +249,18 @@ class SnLevyModel:
         The jump part equals lam (alpha R(s) t - sum(alpha)) through
         s R(s) 1 = 1 - R(s) t, but does not cancel near s = 0."""
         s = np.asarray(s)
-        return _like(s, s * (self.mu + 0.5 * self.sigma**2 * s - self._jump_moment(s, 1.0, 1)))
+        return like(s, s * (self.mu + 0.5 * self.sigma**2 * s - self._jump_moment(s, 1.0, 1)))
 
     def laplace_exponent_derivative(self, s):
         """psi'(s), analytic form, at a scalar or elementwise on an array (real or complex)."""
         s = np.asarray(s)
-        return _like(s, self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
+        return like(s, self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
 
     def jump_tilted_mean(self, s):
         """lam * E[Y e^{-s Y}] = lam alpha R(s)^2 t = mu + sigma^2 s - psi'(s),
         without cancellation; at a scalar or elementwise on an array (real or complex)."""
         s = np.asarray(s)
-        return _like(s, self._jump_moment(s, self.phase_type.t, 2))
+        return like(s, self._jump_moment(s, self.phase_type.t, 2))
 
 
 def validate_model(raw: dict) -> SnLevyModel:

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BracketingFailure, RepeatedRootsDetected
-from .models import CASE1, SnLevyModel, check_positive, near_pole
+from .models import SnLevyModel, check_positive, near_pole
 
 _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
@@ -41,7 +41,6 @@ class RootDecomposition:
     zeta: float
     xi: np.ndarray
     poles: np.ndarray
-    case: str
 
     @property
     def n_roots(self) -> int:
@@ -139,9 +138,10 @@ def interlaced_roots(
     return np.where(near, x0, x1), np.where(near, f0, f1)
 
 
-# The far ends 2^j of the zeta bracket (-2^j, 0) tried in one call
+# The far ends 2^j of the zeta bracket (-2^j, 0): the first 16 powers tried
+# in one call, the rest up to 2^199 in one more call for the rows that need them
 _TOPS = 2.0 ** np.arange(16)
-_DOUBLINGS = 200  # the powers 2^0 .. 2^199 tried in all
+_FAR = 2.0 ** np.arange(16, 200)
 
 
 def interlaced_solve(
@@ -152,10 +152,13 @@ def interlaced_solve(
     eta_0 = 0 and, unless ``outer`` is None, one more xi beyond the largest
     pole, near eta_n + ``outer`` (2 mu / sigma^2, where sigma^2 s^2 / 2 takes
     over from the drift).  The zeta bracket is (-top, 0), with top the first
-    power of two where psi > q: the first 16 powers in one call, the rest one
-    at a time.  It and all xi brackets go to one ``interlaced_roots`` call,
-    which clears the ends that are poles: eta_k, but not -top, 0 or the outer
-    bracket's far end.  The zeta residual is the f that call returns at -zeta.
+    power of two where psi > q: the first 16 powers in one call, and the
+    powers 2^16 .. 2^199 in one more call for the rows whose psi stays <= q
+    through 2^15: psi gives a point the same bits in an array of any size,
+    so this is the power that doubling one at a time finds.  It and all xi
+    brackets go to one ``interlaced_roots`` call, which clears the ends
+    that are poles: eta_k, but not -top, 0 or the outer bracket's far end.
+    The zeta residual is the f that call returns at -zeta.
 
     psi(s, k) takes the points s and the index k of their brackets
     (``interlaced_roots``), which broadcasts against s.  A 2-d ``eta`` holds
@@ -171,20 +174,18 @@ def interlaced_solve(
     # the powers past the root can overflow psi; they are not used
     with np.errstate(over="ignore", invalid="ignore"):
         up = (psi(_TOPS, k0[:, None]) > q).reshape(n_rows, -1)
-    top = _TOPS[up.argmax(axis=1)]
-    for r in (~up.any(axis=1)).nonzero()[0]:
-        top[r] = 2.0 * _TOPS[-1]
-        for _ in range(_DOUBLINGS - _TOPS.size):
-            if psi(top[r], k0[r]) > q:
-                break
-            top[r] *= 2.0
-        else:
-            raise BracketingFailure("could not bracket zeta by doubling")
+        top = _TOPS[up.argmax(axis=1)]
+        far = (~up.any(axis=1)).nonzero()[0]
+        if far.size:
+            up = (psi(_FAR, k0[far, None]) > q).reshape(far.size, -1)
+            if not up.any(axis=1).all():
+                raise BracketingFailure("could not bracket zeta by doubling")
+            top[far] = _FAR[up.argmax(axis=1)]
     # each row of hi holds 0, eta and the outer end; lo holds -top and the
     # ends of hi before its own
     hi = np.zeros((n_rows, width))
     hi[:, 1:n + 1] = rows
-    lo = np.empty_like(hi)
+    lo = np.empty(hi.shape)
     lo[:, 0], lo[:, 1:] = -top, hi[:, :-1]
     if outer is not None:
         # psi(-s) - q < 0 just beyond the largest pole (or at s = 0 without
@@ -254,11 +255,11 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     check_positive("q", q)
     alpha, T, t, poles, _ = model.phase_type
     m = alpha.size
-    n = m + 2 if model.case == CASE1 else m + 1
+    n = m + 2 if model.sigma > 0 else m + 1
     M = np.zeros((n, n))
     M[:m, :m], M[:m, m] = T, t
     M[-1, : m + 1] = np.append(-model.lam * alpha, model.levy_mass + q)
-    if model.case == CASE1:
+    if model.sigma > 0:
         M[m, m + 1], M[-1, -1] = 1.0, -model.mu
         M[-1] /= 0.5 * model.sigma**2
     else:
@@ -278,15 +279,10 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     expected = n - 1  # every root but zeta
     if xi.size != expected:
         raise BracketingFailure(
-            f"expected {expected} negative roots for {model.case}, found {xi.size}"
+            f"expected {expected} negative roots for sigma = {model.sigma}, found {xi.size}"
         )
-    return RootDecomposition(
-        q=q,
-        zeta=float(roots[~neg].real[0]),
-        xi=xi,
-        poles=np.sort(_snap_real(poles)),
-        case=model.case,
-    )
+    return RootDecomposition(q=q, zeta=float(roots[~neg].real[0]), xi=xi,
+                             poles=np.sort(_snap_real(poles)))
 
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
@@ -296,6 +292,6 @@ def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     if model.lam != 0 and not model.phase_type.diagonal:
         return find_negative_roots_ph(model, q)
     eta = model.poles()
-    outer = 2.0 * model.mu / model.sigma**2 if model.case == CASE1 else None
+    outer = 2.0 * model.mu / model.sigma**2 if model.sigma > 0 else None
     zeta, xi = interlaced_solve(lambda s, k: model.laplace_exponent(s), q, eta, outer)
-    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta, case=model.case)
+    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta)

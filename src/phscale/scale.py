@@ -19,9 +19,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import BracketingFailure, RepeatedRootsDetected
-from .models import SnLevyModel
+from .models import SnLevyModel, like
 from .roots import RootDecomposition, find_roots
-from .wiener_hopf import _IMAG_TOL, exp_sum, like, partial_fraction_coefficients, points
+from .wiener_hopf import _IMAG_TOL, exp_sum, partial_fraction_coefficients, points
 
 _EXP_LOG_GUARD = 700.0
 

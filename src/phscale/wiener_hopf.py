@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .models import pole_offsets
+from .models import like, pole_offsets
 from .roots import RootDecomposition, check_clusters
 
 # Relative size of an imaginary part that counts as rounding, wherever a sum
@@ -43,7 +43,7 @@ def wh_factor_minus(decomp: RootDecomposition, s):
         np.abs(np.imag(out)) < _IMAG_TOL * (1.0 + np.abs(np.real(out)))
     ):
         out = np.real(out)
-    return out if out.ndim else out.item()
+    return like(s, out)
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -97,11 +97,6 @@ def points(x, above=-np.inf, strict=False, finite=False) -> np.ndarray:
     if finite and np.isinf(xs).any():
         raise DomainError("points must be finite")
     return xs
-
-
-def like(x, vals: np.ndarray):
-    """vals as a float when x is a scalar, else as the array."""
-    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:

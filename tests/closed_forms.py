@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 from phscale.errors import DomainError, NumericalFailure, RepeatedRootsDetected
 from phscale.fluctuation import IntervalPair
 from phscale.meromorphic import BetaFamilyParams
-from phscale.models import CASE2, HyperExpDist, PhaseTypeRepr, SnLevyModel
+from phscale.models import HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition, find_roots
 from phscale.wiener_hopf import partial_fraction_coefficients
 
@@ -87,8 +87,8 @@ def cgmy_levy_density(tilde_c: float, tilde_alpha: float, lam: float, x: float) 
 
 def atom_mass(decomp: RootDecomposition) -> float:
     """Point mass of the running minimum at 0: prod_i xi_i/eta_i in the
-    compound Poisson case, else 0."""
-    if decomp.case != CASE2:
+    compound Poisson case (sigma = 0: as many roots as poles), else 0."""
+    if decomp.xi.size != decomp.poles.size:
         return 0.0
     # one ratio per root-pole pair: the separate products overflow at m ~ 170
     return float(np.real(np.prod(decomp.xi / decomp.poles)))

@@ -509,8 +509,8 @@ class TestCgmyLimit:
 
 
 # inputs refused with one stderr line, most of which once ended in a
-# traceback (exit 1): the histograms and grids before any bin or point is
-# allocated
+# traceback (exit 1): the histograms, grids and beta truncations before any
+# bin, point or root is allocated
 @pytest.mark.parametrize("argv, code", [
     (("cgmy-limit", "--betas", "1e300,1e299", "--grid", "0:1:3"), 2),
     (("simulate", "--model", "exp1", "--x", "1", "--b", "5", "--n-paths", "10",
@@ -525,8 +525,11 @@ class TestCgmyLimit:
     (("scale-eval", "--model", "exp1", "--grid", "0:1"), 2),
     (("joint", "--model", "exp1", "--x", "1", "--a-window", "0:1:2", "--b-window", "0:1"), 2),
     (("scale-eval", "--model", "exp1", "--grid", f"0:1:{10**6 + 1}"), 2),
+    (("mero-bounds", "--m", f"{10**5 + 1}", "--grid", "0:1:3"), 2),
+    (("cgmy-limit", "--m", f"{10**5 + 1}", "--grid", "0:1:3"), 2),
 ], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
-        "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count"))
+        "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count",
+        "mero-bounds-m", "cgmy-limit-m"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

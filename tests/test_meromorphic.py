@@ -361,11 +361,27 @@ class TestRoots:
         assert np.max(np.abs(beta_psi(p, -xis) - 100.0) / terms) < 1e-9
         assert np.all(beta_poles(p, np.arange(1, 32)) - xis < 0.01)
 
-    def test_q_and_m_checks(self):
+    def test_q_and_m_checks(self, monkeypatch):
+        import phscale.meromorphic as mero
+
         with pytest.raises(DomainError):
             mero_roots(BETA_BENCHMARK, 0.0, 10)
         with pytest.raises(DomainError):
             mero_roots(BETA_BENCHMARK, Q, 0)
+
+        # m = 10^5 + 1 is refused before the poles are built; m = 10^5 gets
+        # as far as building them
+        def no_poles(*args):
+            raise AssertionError("poles built")
+
+        monkeypatch.setattr(mero, "beta_poles", no_poles)
+        for solve in (mero_roots, truncated_coefficients):
+            with pytest.raises(DomainError, match="100000"):
+                solve(BETA_BENCHMARK, Q, 10**5 + 1)
+            with pytest.raises(AssertionError, match="poles built"):
+                solve(BETA_BENCHMARK, Q, 10**5)
+        with pytest.raises(DomainError, match="100000"):
+            cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [1.0, 0.5], Q, 10**5 + 1, [0.0])
 
     def test_no_jumps_is_refused_before_the_root_search(self, monkeypatch):
         # c = 0 leaves psi without poles: nothing for the roots to interlace

@@ -16,8 +16,6 @@ from phscale.errors import (
 )
 from phscale.models import (
     BUILTIN_JUMPS,
-    CASE1,
-    CASE2,
     EXP1,
     HyperExpDist,
     PARETO_FIT,
@@ -28,6 +26,9 @@ from phscale.models import (
     load_model_file,
     validate_model,
 )
+from phscale.meromorphic import BETA_BENCHMARK, beta_psi, beta_psi_derivative
+from phscale.scale import build_scale
+from phscale.wiener_hopf import wh_factor_minus
 
 from closed_forms import (
     as_phase_type,
@@ -46,16 +47,20 @@ M1 = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1)
 
 
 class TestValidation:
+    # sigma > 0 is the regime test: W(0) = 0 and a root beyond the poles
     def test_case1_classification(self):
         m = validate_model(
             {"drift": 5, "sigma": 1, "lambda": 5,
              "jump": {"type": "hyperexp", "p": [1.0], "eta": [1.0]}}
         )
-        assert m.case == CASE1
+        sf = build_scale(m, 0.05)
+        assert sf.w0 == 0.0 and sf.xi.size == 2
 
+    # sigma = 0: W(0) = 1/mu and one root per pole
     def test_case2_classification(self):
         m = SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=EXP1)
-        assert m.case == CASE2
+        sf = build_scale(m, 0.05)
+        assert sf.w0 == 0.2 and sf.xi.size == 1
 
     def test_negative_subordinator_rejected(self):
         with pytest.raises(NegativeSubordinator):
@@ -179,7 +184,7 @@ class TestValidation:
             ' "jump": {"type": "hyperexp", "p": [1.0], "eta": [1.0]}}'
         )
         m = load_model_file(str(path))
-        assert m.case == CASE2
+        assert m.sigma == 0.0
         assert m.jumps == EXP1
 
 
@@ -301,6 +306,18 @@ class TestDerivative:
                 loop = np.array([fn(cast(v)) for v in s])
                 assert fn(s) == pytest.approx(loop, rel=1e-14, abs=0)
                 assert fn(s.reshape(2, 2)) == pytest.approx(loop.reshape(2, 2), rel=1e-14, abs=0)
+        # the one scalar rule: a float gives a float, a complex a complex
+        # where the function takes one, and an array an array
+        sf = build_scale(m, 0.05)
+        factor = lambda s: wh_factor_minus(sf.decomp, s)
+        for fn in (factor, sf.w, lambda s: beta_psi(BETA_BENCHMARK, s),
+                   lambda s: beta_psi_derivative(BETA_BENCHMARK, s)):
+            assert type(fn(0.3)) is float
+            assert type(fn(real)) is np.ndarray and fn(real).shape == real.shape
+            loop = [fn(float(v)) for v in real]
+            assert fn(real) == pytest.approx(loop, rel=1e-14, abs=0)
+        assert type(factor(0.3 + 1j)) is complex
+        assert type(factor(cplx)) is np.ndarray and factor(cplx).dtype.kind == "c"
 
 
 def test_builtin_unknown_name():

@@ -5,7 +5,7 @@ import pytest
 
 from phscale.errors import PoleEvaluation, RepeatedRootsDetected
 from phscale.meromorphic import BetaFamilyParams, beta_poles, mero_roots
-from phscale.models import CASE1, CASE2, EXP1, SnLevyModel, builtin_model
+from phscale.models import EXP1, SnLevyModel, builtin_model
 from phscale.roots import RootDecomposition, check_clusters, find_roots
 from phscale.wiener_hopf import exp_sum, partial_fraction_coefficients, wh_factor_minus
 
@@ -59,7 +59,7 @@ class TestFactor:
         # s = -0.9 xi_1 lies 1e-13 from the pole -xi_1 = -1e-12, a tenth of
         # xi_1 in relative terms: a value, not a pole
         d = RootDecomposition(q=1e-12, zeta=0.5, xi=np.array([1e-12, 3.0]),
-                              poles=np.array([2.0]), case=CASE1)
+                              poles=np.array([2.0]))
         s = -0.9e-12
         expected = (s + 2.0) / 2.0 * (1e-12 / (s + 1e-12)) * (3.0 / (s + 3.0))
         assert wh_factor_minus(d, s) == pytest.approx(expected, rel=1e-12)
@@ -121,7 +121,6 @@ class TestMultiplicityPath:
             zeta=0.7,
             xi=np.array([1.0, 1.0]),
             poles=np.array([1.5, 3.0]),
-            case=CASE2,
         )
 
     def test_entry_layout(self, repeated):
@@ -175,7 +174,7 @@ def test_atom_mass_at_many_roots():
     p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
     zeta, xi = mero_roots(p, Q, 400)
     d = RootDecomposition(q=Q, zeta=zeta, xi=xi[:400],
-                          poles=beta_poles(p, np.arange(1, 401)), case=CASE2)
+                          poles=beta_poles(p, np.arange(1, 401)))
     partial_fraction_coefficients(d)
     assert 0.0 < atom_mass(d) < 1.0
 
@@ -216,7 +215,7 @@ class TestClusters:
 
     def test_clustered_decomposition_raises(self):
         d = RootDecomposition(q=Q, zeta=0.7, xi=np.array([1.0, 1.0 + 1e-10]),
-                              poles=np.array([1.5, 3.0]), case=CASE2)
+                              poles=np.array([1.5, 3.0]))
         with pytest.raises(RepeatedRootsDetected):
             partial_fraction_coefficients(d)
 
