@@ -37,7 +37,7 @@ from .meromorphic import (
 from .mc import _MAX_BINS, simulate_overshoot_undershoot, simulate_two_sided_exit
 from .models import BUILTIN_JUMPS, SnLevyModel, builtin_model, load_model_file
 from .roots import _RESIDUAL_TOL
-from .scale import boundary_identities, build_scale
+from .scale import ScaleFunction, boundary_identities, build_scale
 from .wiener_hopf import wh_factor_minus
 
 
@@ -51,6 +51,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError("grid requires finite start <= stop and count >= 2")
     if count > _MAX_BINS:  # refused before linspace allocates the points
         raise DomainError(f"grid count {count} exceeds {_MAX_BINS}")
+    if stop - start == math.inf:  # linspace would step by inf and return NaN
+        raise DomainError(f"grid span {stop} - {start} exceeds the float range")
     return np.linspace(start, stop, count)
 
 
@@ -133,15 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
 
-    p = sub.add_parser("overshoot", help="overshoot density on a grid")
-    _add_common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--grid", required=True)
-
-    p = sub.add_parser("undershoot", help="undershoot density on a grid")
-    _add_common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--grid", required=True)
+    for kind in ("overshoot", "undershoot"):
+        p = sub.add_parser(kind, help=f"{kind} density on a grid")
+        _add_common(p)
+        p.add_argument("--x", type=float, required=True)
+        p.add_argument("--grid", required=True)
 
     p = sub.add_parser("joint", help="joint overshoot/undershoot window probability")
     _add_common(p)
@@ -180,60 +178,61 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_scale_eval(args) -> None:
+def _closed_form(args) -> Tuple[SnLevyModel, ScaleFunction]:
+    """The model of a closed-form command and its scale function at ``--q``."""
     model = _resolve_model(args)
-    sf = build_scale(model, args.q)
+    return model, build_scale(model, args.q)
+
+
+def _model_meta(args, model: SnLevyModel, **extra) -> dict:
+    """command, model, q, ``extra`` (x, where the command takes one), sigma, mu, lam."""
+    return {"command": args.command, "model": args.model, "q": args.q, **extra,
+            "sigma": model.sigma, "mu": model.mu, "lam": model.lam}
+
+
+def _cmd_scale_eval(args):
+    model, sf = _closed_form(args)
     grid = _parse_grid(args.grid)
-    _emit(args, dict(zip(("x", "w", "w_prime", "z"), (grid, *sf.evaluate(grid)))),
-          {"command": "scale-eval", "model": args.model, "q": args.q,
-           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+    return (dict(zip(("x", "w", "w_prime", "z"), (grid, *sf.evaluate(grid)))),
+            _model_meta(args, model))
 
 
-def _cmd_exit_prob(args) -> None:
-    model = _resolve_model(args)
-    sf = build_scale(model, args.q)
-    u = up_exit(sf, args.x, args.b)
-    d = down_exit(sf, args.x, args.b)
-    _emit(args, {"x": [args.x], "b": [args.b], "up_exit": [u], "down_exit": [d]},
-          {"command": "exit-prob", "model": args.model, "q": args.q,
-           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+def _cmd_exit_prob(args):
+    model, sf = _closed_form(args)
+    return ({"x": [args.x], "b": [args.b], "up_exit": [up_exit(sf, args.x, args.b)],
+             "down_exit": [down_exit(sf, args.x, args.b)]}, _model_meta(args, model))
 
 
-def _cmd_density(args, kind: str) -> None:
-    model = _resolve_model(args)
-    sf = build_scale(model, args.q)
-    fn = overshoot_density if kind == "overshoot" else undershoot_density
+def _cmd_density(args):
+    model, sf = _closed_form(args)
+    fn = overshoot_density if args.command == "overshoot" else undershoot_density
     grid = _parse_grid(args.grid)
     grid = grid[grid > 0]
-    _emit(args, {"level": grid, "density": fn(sf, args.x, grid)},
-          {"command": kind, "model": args.model, "q": args.q, "x": args.x,
-           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+    return ({"level": grid, "density": fn(sf, args.x, grid)},
+            _model_meta(args, model, x=args.x))
 
 
-def _cmd_joint(args) -> None:
-    model = _resolve_model(args)
-    sf = build_scale(model, args.q)
+def _cmd_joint(args):
+    model, sf = _closed_form(args)
     a_lo, a_hi = _parse_window(args.a_window)
     b_lo, b_hi = _parse_window(args.b_window)
     val = joint_overshoot_undershoot(sf, args.x, IntervalPair(a_lo, a_hi, b_lo, b_hi))
-    _emit(args, {"a_lo": [a_lo], "a_hi": [a_hi], "b_lo": [b_lo], "b_hi": [b_hi],
-                 "value": [val]},
-          {"command": "joint", "model": args.model, "q": args.q, "x": args.x,
-           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+    return ({"a_lo": [a_lo], "a_hi": [a_hi], "b_lo": [b_lo], "b_hi": [b_hi], "value": [val]},
+            _model_meta(args, model, x=args.x))
 
 
-def _cmd_mero_bounds(args) -> None:
+def _cmd_mero_bounds(args):
     if args.model != "beta-benchmark":
         raise DomainError("mero-bounds currently supports the beta-benchmark model only")
     tm = truncated_coefficients(BETA_BENCHMARK, args.q, args.m)
     grid = _parse_grid(args.grid)
     names = ("x", "w_lower", "w_upper", "z_lower", "z_upper", "wp_lower", "wp_upper")
-    _emit(args, dict(zip(names, (grid, *scale_bounds(tm, grid)))),
-          {"command": "mero-bounds", "model": args.model, "q": args.q,
-           "m": args.m, "delta_m": tm.delta})
+    return (dict(zip(names, (grid, *scale_bounds(tm, grid)))),
+            {"command": "mero-bounds", "model": args.model, "q": args.q,
+             "m": args.m, "delta_m": tm.delta})
 
 
-def _cmd_cgmy(args) -> None:
+def _cmd_cgmy(args):
     try:
         betas = [float(v) for v in args.betas.split(",")]
     except ValueError:
@@ -247,14 +246,14 @@ def _cmd_cgmy(args) -> None:
         pair = "_".join(map(str, d["beta_pair"]))
         diag[f"sup_diff_{pair}"] = d["upper_sup_diff"]
         diag[f"lower_sup_diff_{pair}"] = d["lower_sup_diff"]
-    _emit(args, {"beta": np.repeat(betas, grid.size), "x": np.tile(grid, len(betas)),
-                 "lower": np.concatenate([curves[b]["lower"] for b in betas]),
-                 "upper": np.concatenate([curves[b]["upper"] for b in betas])},
-          {"command": "cgmy-limit", "q": args.q, "m": args.m,
-           "tilde_alpha": args.tilde_alpha, "tilde_c": args.tilde_c, **diag})
+    return ({"beta": np.repeat(betas, grid.size), "x": np.tile(grid, len(betas)),
+             "lower": np.concatenate([curves[b]["lower"] for b in betas]),
+             "upper": np.concatenate([curves[b]["upper"] for b in betas])},
+            {"command": "cgmy-limit", "q": args.q, "m": args.m,
+             "tilde_alpha": args.tilde_alpha, "tilde_c": args.tilde_c, **diag})
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args):
     model = _resolve_model(args)
     meta = {"command": "simulate", "mode": args.mode, "model": args.model,
             "q": args.q, "x": args.x, "n_paths": args.n_paths, "seed": args.seed,
@@ -264,32 +263,29 @@ def _cmd_simulate(args) -> None:
             raise DomainError("--b is required for exit simulation")
         u, d = simulate_two_sided_exit(model, args.q, args.x, args.b,
                                        args.n_paths, args.seed)
-        _emit(args, {"kind": ["up", "down"], "value": [u.value, d.value],
-                     "stderr": [u.stderr, d.stderr], "ci_low": [u.ci95[0], d.ci95[0]],
-                     "ci_high": [u.ci95[1], d.ci95[1]]},
-              {**meta, "b": args.b, "scheme": u.scheme})
-    else:
-        if args.b is not None:
-            raise DomainError("--b is for exit simulation only")
-        oh, uh = simulate_overshoot_undershoot(model, args.q, args.x,
-                                               args.bin_width, args.n_paths,
-                                               args.seed)
-        sizes = [oh.centers.size, uh.centers.size]
-        _emit(args, {"kind": np.repeat(["overshoot", "undershoot"], sizes),
-                     "bin_center": np.concatenate([oh.centers, uh.centers]),
-                     "density": np.concatenate([oh.density, uh.density]),
-                     "stderr": np.concatenate([oh.stderr, uh.stderr])},
-              {**meta, "bin_width": args.bin_width, "scheme": oh.scheme})
+        return ({"kind": ["up", "down"], "value": [u.value, d.value],
+                 "stderr": [u.stderr, d.stderr], "ci_low": [u.ci95[0], d.ci95[0]],
+                 "ci_high": [u.ci95[1], d.ci95[1]]},
+                {**meta, "b": args.b, "scheme": u.scheme})
+    if args.b is not None:
+        raise DomainError("--b is for exit simulation only")
+    oh, uh = simulate_overshoot_undershoot(model, args.q, args.x, args.bin_width,
+                                           args.n_paths, args.seed)
+    sizes = [oh.centers.size, uh.centers.size]
+    return ({"kind": np.repeat(["overshoot", "undershoot"], sizes),
+             "bin_center": np.concatenate([oh.centers, uh.centers]),
+             "density": np.concatenate([oh.density, uh.density]),
+             "stderr": np.concatenate([oh.stderr, uh.stderr])},
+            {**meta, "bin_width": args.bin_width, "scheme": oh.scheme})
 
 
-def _cmd_identities(args) -> None:
+def _cmd_identities(args):
     model = _resolve_model(args)
     report = identities_report(model, args.q)
     residuals, gates = zip(*report.values())
-    _emit(args, {"identity": list(report), "residual": residuals,
-                 "status": ["pass" if ok else "FAIL" for ok in gates]},
-          {"command": "identities", "model": args.model, "q": args.q,
-           "sigma": model.sigma, "mu": model.mu, "lam": model.lam})
+    return ({"identity": list(report), "residual": residuals,
+             "status": ["pass" if ok else "FAIL" for ok in gates]},
+            _model_meta(args, model))
 
 
 def identities_report(model: SnLevyModel, q: float) -> dict:
@@ -319,11 +315,12 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     return out
 
 
+# each command returns its table and metadata, which main writes with _emit
 _DISPATCH = {
     "scale-eval": _cmd_scale_eval,
     "exit-prob": _cmd_exit_prob,
-    "overshoot": lambda a: _cmd_density(a, "overshoot"),
-    "undershoot": lambda a: _cmd_density(a, "undershoot"),
+    "overshoot": _cmd_density,
+    "undershoot": _cmd_density,
     "joint": _cmd_joint,
     "mero-bounds": _cmd_mero_bounds,
     "cgmy-limit": _cmd_cgmy,
@@ -347,7 +344,7 @@ def _join_grid(argv: Sequence[str]) -> list:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     try:
-        _DISPATCH[args.command](args)
+        _emit(args, *_DISPATCH[args.command](args))
     except (ModelValidationError, DomainError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

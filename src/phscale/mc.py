@@ -194,16 +194,19 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     def image(a, d):  # e^{-2ad/s}, floored at e^{_EXP_FLOOR}
         return np.exp(np.maximum(c * a * d, _EXP_FLOOR))
 
-    if b is None:
-        return image(np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
-    lo = np.maximum(y_end, 0.0)  # p_down series holds for y' >= 0
-    hi = np.minimum(y_end, b)    # p_up series holds for y' <= b
-    p_dn = image(lo, y)
-    p_up = np.zeros(y.shape)
-    for k in range(1, math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b) + 1):
-        kb = k * b
-        p_dn += image(kb + lo, kb + y) - image(kb, kb + lo - y)
-        p_up += image(kb - hi, kb - y) - image(kb, kb - hi + y)
+    # every image has a, d >= 0: a sum or product past the float range makes
+    # the exponent -inf, which the floor catches
+    with np.errstate(over="ignore"):
+        if b is None:
+            return image(np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
+        lo = np.maximum(y_end, 0.0)  # p_down series holds for y' >= 0
+        hi = np.minimum(y_end, b)    # p_up series holds for y' <= b
+        p_dn = image(lo, y)
+        p_up = np.zeros(y.shape)
+        for k in range(1, math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b) + 1):
+            kb = k * b
+            p_dn += image(kb + lo, kb + y) - image(kb, kb + lo - y)
+            p_up += image(kb - hi, kb - y) - image(kb, kb - hi + y)
     p_dn = np.where(y_end < 0.0, 1.0 - p_up, p_dn)
     p_up = np.where(y_end > b, 1.0 - p_dn, p_up)
     return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)

@@ -187,21 +187,27 @@ def beta_poles(params: BetaFamilyParams, k):
     return params.beta_b * (params.alpha_b + k - 1)
 
 
-def _check_truncation(params: BetaFamilyParams, m: int) -> None:
-    """Refuse an m-term truncation before any root search or array: m < 1,
-    m > _MAX_M, or c = 0, where psi has no poles for the roots to interlace."""
+def _truncation_poles(params: BetaFamilyParams, m: int) -> np.ndarray:
+    """eta_1..eta_{m+1} of an m-term truncation, refused before any root
+    search: m < 1 or m > _MAX_M (before the array), c = 0, where psi has no
+    poles for the roots to interlace, and poles that are not strictly
+    increasing, where alpha + k - 1 rounds to one float for several k."""
     if not 1 <= m <= _MAX_M:
         raise DomainError(f"m = {m}: need 1 <= m <= {_MAX_M}")
     if params.c == 0:
         raise UnsupportedRegime("c = 0: a beta-family without jumps has no poles, "
                                 "so there are no roots to interlace")
+    poles = beta_poles(params, np.arange(1, m + 2))
+    if not np.all(poles[1:] > poles[:-1]):
+        raise DomainError(f"the poles beta (alpha + k - 1), k = 1..{m + 1}, are not strictly "
+                          f"increasing at alpha = {params.alpha_b}, beta = {params.beta_b}")
+    return poles
 
 
 def mero_roots(params: BetaFamilyParams, q: float, m: int) -> Tuple[float, np.ndarray]:
     """(zeta_q, xi_{1..m+1}) with xi_k bracketed in (eta_{k-1}, eta_k)."""
-    _check_truncation(params, m)
     return interlaced_solve(lambda s, k: beta_psi(params, s), q,
-                            beta_poles(params, np.arange(1, m + 2)), None)
+                            _truncation_poles(params, m), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +259,11 @@ def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> 
         return []
     for p in members:
         _check_sigma_zero(p)
-        _check_truncation(p, m)
+    poles = np.array([_truncation_poles(p, m) for p in members])
     base = members[0]
     alpha, beta, c = np.array([(p.alpha_b, p.beta_b, p.c) for p in members]).T
     # brackets per member: zeta and xi_1..xi_{m+1}
     jump = tuple(np.repeat(v, m + 2) for v in (alpha, beta, c, base._beta(alpha)))
-    poles = np.array([beta_poles(p, np.arange(1, m + 2)) for p in members])
     zetas, xis = interlaced_solve(lambda s, k: _psi(base, s, tuple(v[k] for v in jump)),
                                   q, poles, None)
     ppzs = _psi_prime(base, zetas, (alpha, beta, c))
@@ -295,8 +300,10 @@ def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
 
 
 def _w_gap(tm: TruncatedMero, xs: np.ndarray) -> np.ndarray:
-    """delta_m (1 + e^{-xi_{m+1} x}), upper minus lower bound of W."""
-    return tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
+    """delta_m (1 + e^{-xi_{m+1} x}), upper minus lower bound of W; an
+    exponent past the float range is -inf, and its exponential 0."""
+    with np.errstate(over="ignore"):
+        return tm.delta * (1.0 + np.exp(-tm.xi[tm.m] * xs))
 
 
 def w_bounds(tm: TruncatedMero, x):
@@ -329,18 +336,22 @@ def scale_bounds(tm: TruncatedMero, x):
     xs = points(x, above=0.0, finite=True)
     w, wp, z = tm.sf.evaluate(xs)
     xm1 = tm.xi[tm.m]
-    z_gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
     pos = xs > 0
     p, lower = xs[pos], wp[pos]
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     xi = tm.sf.xi
     near = xi[np.clip(np.searchsorted(xi, 1.0 / p) + [[-1], [0]], 0, tm.m - 1)]
-    head_sup = np.max(near * np.exp(-near * p), axis=0)
-    tail_sup = np.where(xm1 <= 1.0 / p, 1.0 / (math.e * p), xm1 * np.exp(-xm1 * p))
+    # a product t x or e x past the float range is inf, and e^{-t x} and
+    # 1/(e x) are then 0
+    with np.errstate(over="ignore"):
+        z_gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
+        head_sup = np.max(near * np.exp(-near * p), axis=0)
+        tail = np.exp(-xm1 * p)
+        tail_sup = np.where(xm1 <= 1.0 / p, 1.0 / (math.e * p), xm1 * tail)
     upper = lower + (head_sup + tail_sup) * tm.delta
     if tm.epsilon is not None:
-        upper = np.minimum(upper, lower + head_sup * tm.delta + np.exp(-xm1 * p) * tm.epsilon)
+        upper = np.minimum(upper, lower + head_sup * tm.delta + tail * tm.epsilon)
     wp_bounds = np.full((2, xs.size), np.nan)
     wp_bounds[:, pos] = lower, upper
     return tuple(like(x, v) for v in (w - _w_gap(tm, xs), w, z - z_gap, z, *wp_bounds))

@@ -128,7 +128,10 @@ def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:
         at_inf = far is not None and far[rows].any()
         if at_inf:
             x = np.where(far[rows], 0.0, x)
-        tile = np.dot(x[:, None], minus[None, :])  # x * minus, one rounding a cell
+        # x * minus, one rounding a cell; a product past the float range is
+        # -inf (Re rates > 0), whose exponential the floor below takes as 0
+        with np.errstate(over="ignore"):
+            tile = np.dot(x[:, None], minus[None, :])
         if at_inf:
             tile[far[rows]] = -np.inf
         if k_m == cols.shape[1]:

@@ -71,6 +71,94 @@ def test_csv_prints_the_json_values_to_12_digits(capsys, argv):
         assert fields == [f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
 
 
+# the metadata lines and the column line of one request per command, as
+# text: a reordered or renamed key fails; "=*" stands for a computed float
+HEADERS = [
+    (("scale-eval", "--model", "exp1", "--sigma", "0.5", "--mu", "3", "--lam", "2",
+      "--grid", "0:2:3"),
+     ["command=scale-eval", "model=exp1", "q=0.05", "sigma=0.5", "mu=3.0", "lam=2.0"],
+     "x,w,w_prime,z"),
+    (("exit-prob", "--model", "weibull-fit", "--q", "0.1", "--x", "1", "--b", "5"),
+     ["command=exit-prob", "model=weibull-fit", "q=0.1", "sigma=1.0", "mu=5.0", "lam=5.0"],
+     "x,b,up_exit,down_exit"),
+    (("overshoot", "--model", "exp1", "--sigma", "0", "--x", "5", "--grid", "0:2:3"),
+     ["command=overshoot", "model=exp1", "q=0.05", "x=5.0", "sigma=0.0", "mu=5.0",
+      "lam=5.0"],
+     "level,density"),
+    (("undershoot", "--model", "weibull-fit", "--mu", "4", "--x", "2", "--grid", "0:4:3"),
+     ["command=undershoot", "model=weibull-fit", "q=0.05", "x=2.0", "sigma=1.0", "mu=4.0",
+      "lam=5.0"],
+     "level,density"),
+    (("joint", "--model", "exp1", "--lam", "6", "--x", "3", "--a-window", "0:inf",
+      "--b-window", "0.5:2"),
+     ["command=joint", "model=exp1", "q=0.05", "x=3.0", "sigma=1.0", "mu=5.0", "lam=6.0"],
+     "a_lo,a_hi,b_lo,b_hi,value"),
+    (("mero-bounds", "--m", "10", "--grid", "0:1:3"),
+     ["command=mero-bounds", "model=beta-benchmark", "q=0.03", "m=10", "delta_m=*"],
+     "x,w_lower,w_upper,z_lower,z_upper,wp_lower,wp_upper"),
+    (("cgmy-limit", "--betas", "1,0.5", "--m", "10", "--grid", "0:1:3"),
+     ["command=cgmy-limit", "q=0.03", "m=10", "tilde_alpha=3.0", "tilde_c=0.1",
+      "sup_diff_1.0_0.5=*", "lower_sup_diff_1.0_0.5=*"],
+     "beta,x,lower,upper"),
+    (("simulate", "--model", "exp1", "--x", "2", "--b", "5", "--n-paths", "200",
+      "--seed", "3"),
+     ["command=simulate", "mode=exit", "model=exp1", "q=0.05", "x=2.0", "n_paths=200",
+      "seed=3", "sigma=1.0", "mu=5.0", "lam=5.0", "b=5.0", "scheme=bridge"],
+     "kind,value,stderr,ci_low,ci_high"),
+    (("simulate", "--model", "exp1", "--sigma", "0", "--x", "2", "--mode", "histogram",
+      "--n-paths", "200", "--bin-width", "0.5"),
+     ["command=simulate", "mode=histogram", "model=exp1", "q=0.05", "x=2.0",
+      "n_paths=200", "seed=0", "sigma=0.0", "mu=5.0", "lam=5.0", "bin_width=0.5",
+      "scheme=drift"],
+     "kind,bin_center,density,stderr"),
+    (("identities", "--model", "pareto-fit", "--mu", "4", "--lam", "6", "--q", "0.1"),
+     ["command=identities", "model=pareto-fit", "q=0.1", "sigma=1.0", "mu=4.0", "lam=6.0"],
+     "identity,residual,status"),
+]
+
+
+@pytest.mark.parametrize("argv, meta, columns", HEADERS,
+                         ids=[h[0][0] + ("-histogram" if "histogram" in h[0] else "")
+                              for h in HEADERS])
+def test_metadata_lines_literally(capsys, argv, meta, columns):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    expected = [f"# version={phscale.__version__}"] + [f"# {m}" for m in meta]
+    head = lines[:len(expected)]
+    for line, want in zip(head, expected):
+        if want.endswith("=*"):
+            key, value = line.split("=", 1)
+            assert key + "=*" == want and math.isfinite(float(value))
+        else:
+            assert line == want
+    assert len(head) == len(expected)
+    assert lines[len(expected)] == columns
+
+
+# valid points whose products leave the float range, where the result is the
+# limit: W = inf, e^{-xi x} = 0, a bridge image floored at e^{-708}; under the
+# suite's error::RuntimeWarning filter a warning on the way fails the run
+@pytest.mark.parametrize("argv, rows", [
+    (("scale-eval", "--model", "exp1", "--grid", "0:1e308:3"),
+     ["0,0,2,1", "5e+307,inf,inf,inf", "1e+308,inf,inf,inf"]),
+    (("exit-prob", "--model", "exp1", "--x", "1", "--b", "1e308"),
+     ["1,1e+308,0,0.836397822814"]),
+    (("mero-bounds", "--m", "5", "--grid", "0:1e308:3"),
+     ["0,-2.98518450954,2.98518450954,1,1,nan,nan", "5e+307,inf,inf,inf,inf,inf,inf",
+      "1e+308,inf,inf,inf,inf,inf,inf"]),
+    (("simulate", "--model", "exp1", "--x", "1e300", "--b", "1e301", "--n-paths", "10"),
+     ["up,0,0,0,0", "down,0,0,0,0"]),
+    (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
+      "--n-paths", "10", "--bin-width", "1e299"),
+     [f"undershoot,{(k + 0.5) * 1e299:.12g},0,0" for k in range(20)]),
+], ids=("scale-eval", "exit-prob", "mero-bounds", "simulate-exit", "simulate-histogram"))
+def test_overflow_to_the_limit_prints_no_warning(capsys, argv, rows):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [l for l in out.splitlines() if not l.startswith("# ")][1:] == rows
+
+
 EDGE_TABLE = {"x": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2],
               "name": list("abcdef"), "n": [1, -2, 3, 40, 5, 6]}
 EDGE_CSV = f"""# version={phscale.__version__}
@@ -527,9 +615,12 @@ class TestCgmyLimit:
     (("scale-eval", "--model", "exp1", "--grid", f"0:1:{10**6 + 1}"), 2),
     (("mero-bounds", "--m", f"{10**5 + 1}", "--grid", "0:1:3"), 2),
     (("cgmy-limit", "--m", f"{10**5 + 1}", "--grid", "0:1:3"), 2),
+    (("scale-eval", "--model", "exp1", "--grid", "-1e308:1e308:3"), 2),
+    (("cgmy-limit", "--betas", "1", "--tilde-alpha", "1e300", "--m", "5", "--grid", "0:1:3"),
+     2),
 ], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
         "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count",
-        "mero-bounds-m", "cgmy-limit-m"))
+        "mero-bounds-m", "cgmy-limit-m", "grid-span", "beta-poles-collapse"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

@@ -398,6 +398,23 @@ class TestRoots:
         with pytest.raises(UnsupportedRegime, match="c = 0"):
             cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.0, [1.0, 0.5], Q, 10, [0.0, 1.0])
 
+    @pytest.mark.parametrize("alpha", (1e300, 1e16))
+    def test_collapsed_poles_are_refused_before_the_root_search(self, monkeypatch, alpha):
+        # alpha + k - 1 rounds to one float for several k: the poles
+        # beta (alpha + k - 1) are no longer strictly increasing
+        import phscale.meromorphic as mero
+
+        def no_search(*args):
+            raise AssertionError("root search started")
+
+        monkeypatch.setattr(mero, "interlaced_solve", no_search)
+        p = BetaFamilyParams(0.1, 0.2, alpha_b=alpha, beta_b=1.0, c=0.1, lam=1.5)
+        for solve in (mero_roots, truncated_coefficients):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                solve(p, Q, 5)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            cgmy_limit_study(BETA_BENCHMARK, alpha, 0.1, [1.0, 0.5], Q, 5, [0.0, 1.0])
+
 
 class TestTruncation:
     def test_positivity(self, tm10, tm100):

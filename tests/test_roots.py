@@ -3,7 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from phscale.errors import BracketingFailure, DomainError
+from phscale.errors import BracketingFailure, DomainError, PoleEvaluation
 from phscale.models import (
     EXP1,
     HyperExpDist,
@@ -237,6 +237,27 @@ def test_outer_root_beyond_float_range_raises(sigma):
     # a typed failure, with no NumPy warning before it
     with pytest.raises(BracketingFailure, match="float range"):
         find_roots(builtin_model("exp1", sigma=sigma), Q)
+
+
+@pytest.mark.parametrize("sigma", [1e6] + [
+    pytest.param(s, marks=pytest.mark.xfail(
+        strict=True, raises=PoleEvaluation,
+        reason="the outer root lies about 2 lam / sigma^2 above the pole -1, "
+               "inside the pole guard's tolerance")) for s in (3e6, 1e7)])
+def test_exp1_large_sigma_roots_against_mpmath(sigma):
+    # psi(s) = q for exp1 is the cubic (mu s + sigma^2 s^2/2 - q)(1 + s) - lam s
+    # = 0: zeta and both xi within a few ulps of its 50-digit roots, well
+    # inside the outer root's distance from the pole
+    model = builtin_model("exp1", sigma=sigma)
+    sf = build_scale(model, Q)
+    with mpmath.workdps(50):
+        mu, lam, q = (mpmath.mpf(v) for v in (model.mu, model.lam, Q))
+        half = mpmath.mpf(sigma) ** 2 / 2
+        ref = sorted((mpmath.re(r) for r in mpmath.polyroots(
+            [half, half + mu, mu - q - lam, -q], maxsteps=200, extraprec=200)), reverse=True)
+    assert sf.xi.size == 2
+    for r, e in zip([sf.zeta, *(-sf.xi)], ref):
+        assert float(abs(r - e) / abs(e)) < 1e-15, (r, e)
 
 
 @pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
