@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
-from .models import check_barriers, check_positive, like
+from .models import SnLevyModel, check_barriers, check_positive, like
 from .scale import ScaleFunction
 from .wiener_hopf import exp_sum, points
 
@@ -69,12 +69,13 @@ def _phases(sf: ScaleFunction, x: float):
     """(lam alpha, eta) of a diagonal jump generator T = -diag(eta) for the
     laws from a start x > 0: the minimal weights and rates, which give
     interlaced, hence real, roots.  Without jumps (lam = 0) both are empty,
-    whatever T, and every law is 0."""
+    whatever T, and every law is 0; a non-diagonal T or a beta-family model
+    raises."""
     check_positive("x", x)
     model = sf.model
-    if model is not None and model.lam == 0:
+    if isinstance(model, SnLevyModel) and model.lam == 0:
         return np.zeros(0), np.zeros(0)
-    if model is None or not model.phase_type.diagonal:
+    if not (isinstance(model, SnLevyModel) and model.phase_type.diagonal):
         raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")
     return model.lam * model.phase_type.alpha, model.phase_type.poles
 
@@ -144,10 +145,10 @@ def conjecture_residuals(sf: ScaleFunction) -> list:
     """Per pole s = -eta_j of psi, the transform of W (``transform``), which
     is 1/(psi(s) - q) and so vanishes there, relative to its term
     lead/(s - zeta): for every jump generator, at complex poles too, and
-    empty without jumps.  A scale function without a model (a beta-family
+    empty without jumps.  A model other than a phase-type one (a beta-family
     truncation, whose lead is 1/psi'(zeta), not w0 + sum C) raises
     UnsupportedRegime."""
-    if sf.model is None:
+    if not isinstance(sf.model, SnLevyModel):
         raise UnsupportedRegime("the transform at the poles of psi needs the model's poles")
     eta = sf.model.poles()
     scale = np.maximum(np.abs(sf.lead / (eta + sf.zeta)), 1e-300)

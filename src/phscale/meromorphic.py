@@ -1,12 +1,12 @@
 """Scale-function bounds for the meromorphic beta-family.
 
-The Laplace exponent is ``psi(z) = mu_hat*z + sigma^2 z^2/2
-+ (c/beta) { B(alpha + z/beta, 1-lam) - B(alpha, 1-lam) }`` with beta function
-B.  Its poles sit at -eta_k with eta_k = beta*(alpha + k - 1), the negative
-roots of psi(s) = q interlace them, and the scale function is a countable
-exponential sum which we sandwich between finite-sum bounds with an explicit
-truncation gap.  ``_BetaKernel`` evaluates B(x, 1 - lam), and its derivative
-in x on request, with NumPy on arrays; one point is an array of one.
+The Laplace exponent is ``psi(z) = mu*z + sigma^2 z^2/2 + (c/beta)
+{ B(alpha + z/beta, 1-lam) - B(alpha, 1-lam) }`` with beta function B and
+``mu`` the paper's drift mu-hat.  Its poles sit at -eta_k with eta_k =
+beta*(alpha + k - 1), the negative roots of psi(s) = q interlace them, and
+the scale function is a countable exponential sum which we sandwich between
+finite-sum bounds with an explicit truncation gap.  ``_BetaKernel`` evaluates
+B(x, 1 - lam), and its derivative in x on request, with NumPy on arrays.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .models import _POLE_REL_TOL, check_drift, check_sigma, like
 from .roots import RootDecomposition, interlaced_solve
-from .scale import ScaleFunction, assemble, boundary_values
+from .scale import ScaleFunction, assemble
 from .wiener_hopf import points
 
 _MAX_M = 10**5  # the largest truncation m: the residues take O(m^2) time and memory
@@ -111,10 +111,10 @@ class _BetaKernel:
 
 @dataclass(frozen=True)
 class BetaFamilyParams:
-    """Beta-family parameters; ``lam`` is the stability index in (0, 3),
-    not a Poisson rate."""
+    """Beta-family parameters; ``lam`` is the stability index in (0, 3), not
+    a Poisson rate.  ``assemble`` reads sigma, mu, levy_mass, jump_transform."""
 
-    mu_hat: float
+    mu: float
     sigma: float
     alpha_b: float
     beta_b: float
@@ -129,6 +129,7 @@ class BetaFamilyParams:
             raise DomainError("need alpha > 0, beta > 0, c >= 0")
         if not (0 < self.lam < 3):
             raise DomainError("stability index must lie in (0, 3)")
+        check_drift(self.sigma, self.mu)
 
     @cached_property
     def _beta(self) -> _BetaKernel:
@@ -139,6 +140,19 @@ class BetaFamilyParams:
     def _beta0(self) -> float:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
         return float(self._beta(np.array([self.alpha_b]))[0])
+
+    @property
+    def levy_mass(self) -> float:
+        """Total mass of the Levy measure, (c/beta) B(alpha, 1 - lam),
+        infinite for lam >= 1."""
+        return math.inf if self.lam >= 1 else self.c / self.beta_b * self._beta0
+
+    def jump_transform(self, s):
+        """(c/beta) B(alpha + s/beta, 1 - lam), the integral of e^{-s y} against
+        the Levy measure for lam < 1, at a float or elementwise on an array."""
+        s = np.asarray(s, dtype=float)
+        x = self.alpha_b + s / self.beta_b
+        return like(s, self.c / self.beta_b * self._beta(x.ravel()).reshape(x.shape))
 
 
 def beta_psi(params: BetaFamilyParams, s):
@@ -155,12 +169,12 @@ def beta_psi_derivative(params: BetaFamilyParams, s):
 
 
 def _psi(p: BetaFamilyParams, s, jump):
-    """``beta_psi`` with the mu_hat, sigma and kernel of ``p`` and the
-    jump = (alpha, beta, c, B(alpha, 1 - lam)), None for c = 0.  A ladder
-    solve gives the jump of each point's member: arrays that broadcast
-    against s."""
+    """``beta_psi`` with the mu (the paper's mu-hat), sigma and kernel of
+    ``p`` and the jump = (alpha, beta, c, B(alpha, 1 - lam)), None for c = 0.
+    A ladder solve gives the jump of each point's member: arrays that
+    broadcast against s."""
     s = np.asarray(s, dtype=float)
-    out = p.mu_hat * s + 0.5 * p.sigma**2 * s**2
+    out = p.mu * s + 0.5 * p.sigma**2 * s**2
     if jump is not None:
         alpha, beta, c, b0 = jump
         x = alpha + s / beta
@@ -172,7 +186,7 @@ def _psi_prime(p: BetaFamilyParams, s, jump):
     """``beta_psi_derivative`` as ``_psi`` gives ``beta_psi``, with
     jump = (alpha, beta, c)."""
     s = np.asarray(s, dtype=float)
-    out = p.mu_hat + p.sigma**2 * s
+    out = p.mu + p.sigma**2 * s
     if jump is not None:
         alpha, beta, c = jump
         x = alpha + s / beta
@@ -189,9 +203,13 @@ def beta_poles(params: BetaFamilyParams, k):
 
 def _truncation_poles(params: BetaFamilyParams, m: int) -> np.ndarray:
     """eta_1..eta_{m+1} of an m-term truncation, refused before any root
-    search: m < 1 or m > _MAX_M (before the array), c = 0, where psi has no
-    poles for the roots to interlace, and poles that are not strictly
-    increasing, where alpha + k - 1 rounds to one float for several k."""
+    search: sigma = 0 with lam >= 2 (unbounded variation), m < 1 or
+    m > _MAX_M (before the array), c = 0, where psi has no poles for the
+    roots to interlace, and poles that are not strictly increasing, where
+    alpha + k - 1 rounds to one float for several k."""
+    if params.sigma == 0 and params.lam >= 2:
+        raise UnsupportedRegime("sigma = 0 with stability index >= 2 "
+                                "(unbounded variation) unsupported")
     if not 1 <= m <= _MAX_M:
         raise DomainError(f"m = {m}: need 1 <= m <= {_MAX_M}")
     if params.c == 0:
@@ -228,37 +246,24 @@ class TruncatedMero:
     sf: ScaleFunction
 
 
-def _check_sigma_zero(params: BetaFamilyParams) -> None:
-    """Refuse the sigma = 0 regimes that ``boundary_values`` does not cover:
-    unbounded variation (stability index >= 2) and mu_hat <= 0."""
-    if params.sigma == 0 and params.lam >= 2:
-        raise UnsupportedRegime(
-            "sigma = 0 with stability index >= 2 (unbounded variation) unsupported"
-        )
-    check_drift(params.sigma, params.mu_hat)
-
-
 def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> TruncatedMero:
     """The m-term scale function from the first m roots and poles, through the
     closed-form pipeline, and the gaps delta_m, epsilon_m; the bounds need
     delta_m >= 0, so a negative one (at a tiny q) raises InvertedBounds."""
-    _check_sigma_zero(params)  # validates the sigma = 0 regime before root search
     zeta, xis = mero_roots(params, q, m)
     return _truncation(params, q, m, zeta, xis, beta_psi_derivative(params, zeta))
 
 
 def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> list:
     """``truncated_coefficients`` of each member of a ladder that shares
-    mu_hat, sigma and lam (``cgmy_params``), from one root solve: one pole
-    row per member in one ``interlaced_solve``, whose psi reads each
-    bracket's alpha, beta, c and B(alpha, 1 - lam) through ``_psi``, with one
-    kernel, and B(alpha, 1 - lam) and psi'(zeta) of every member in one array
-    call each.  Every step is elementwise per bracket, so each member gets
-    the bits of its own ``truncated_coefficients``."""
+    mu (the paper's mu-hat), sigma and lam (``cgmy_params``), from one root
+    solve: one pole row per member in one ``interlaced_solve``, whose psi
+    reads each bracket's alpha, beta, c and B(alpha, 1 - lam) through
+    ``_psi``, with one kernel, and B(alpha, 1 - lam) and psi'(zeta) of every
+    member in one array call each.  Every step is elementwise per bracket, so
+    each member gets the bits of its own ``truncated_coefficients``."""
     if not members:
         return []
-    for p in members:
-        _check_sigma_zero(p)
     poles = np.array([_truncation_poles(p, m) for p in members])
     base = members[0]
     alpha, beta, c = np.array([(p.alpha_b, p.beta_b, p.c) for p in members]).T
@@ -274,28 +279,22 @@ def _truncated_ladder(members: Sequence[BetaFamilyParams], q: float, m: int) -> 
 def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
                 xis: np.ndarray, ppz: float) -> TruncatedMero:
     """The assembly of ``truncated_coefficients`` from the roots (zeta,
-    xi_{1..m+1}) and psi'(zeta) = ppz.  The Levy mass is (c/beta)
-    B(alpha, 1 - lam), infinite for lam >= 1, and the jump transform at zeta
-    is (c/beta) B(alpha + zeta/beta, 1 - lam)."""
-    cb = params.c / params.beta_b
-    w0, wp0, theta = boundary_values(
-        params.sigma, params.mu_hat, q, math.inf if params.lam >= 1 else cb * params._beta0,
-        lambda: cb * float(params._beta(np.array([params.alpha_b + zeta / params.beta_b]))[0]))
+    xi_{1..m+1}) and psi'(zeta) = ppz."""
     decomp = RootDecomposition(q=q, zeta=zeta, xi=xis[:m],
                                poles=beta_poles(params, np.arange(1, m + 1)))
-    sf = assemble(decomp, w0=w0, wp0=wp0, theta=theta, psi_prime_zeta=ppz, model=None)
-    delta = 1.0 / ppz - w0 - float(sf.C.sum())
+    sf = assemble(decomp, params, ppz)
+    delta = 1.0 / ppz - sf.w0 - float(sf.C.sum())
     if not delta >= 0:
         raise InvertedBounds(f"delta_m = {delta} < 0 at m = {m}, q = {q}: the bounds would cross")
-    finite = theta < math.inf  # an infinite mass: sum A_i xi_i diverges
+    finite = sf.theta < math.inf  # an infinite mass: sum A_i xi_i diverges
     return TruncatedMero(
         m=m,
         xi=xis,
         delta=delta,
-        theta=theta if finite else None,
-        epsilon=theta - (zeta / q) * sf.varrho if finite else None,
+        theta=sf.theta if finite else None,
+        epsilon=sf.theta - (zeta / q) * sf.varrho if finite else None,
         # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
-        sf=replace(sf, w0=w0 + delta, lead=1.0 / ppz),
+        sf=replace(sf, w0=sf.w0 + delta, lead=1.0 / ppz),
     )
 
 
@@ -367,7 +366,7 @@ def cgmy_params(
     except OverflowError:
         raise DomainError(f"c = c~ beta^lam overflows at beta = {beta}") from None
     return BetaFamilyParams(
-        mu_hat=base.mu_hat,
+        mu=base.mu,
         sigma=base.sigma,
         alpha_b=tilde_alpha / beta,
         beta_b=beta,
@@ -396,7 +395,12 @@ def cgmy_limit_study(
     for beta, tm in zip(betas, _truncated_ladder(members, q, m)):
         lower, upper = w_bounds(tm, grid)
         curves[beta] = {"lower": lower, "upper": upper, "delta": tm.delta}
-    sup = lambda b1, b2, key: float(np.max(np.abs(curves[b1][key] - curves[b2][key])))
+
+    def sup(b1, b2, key):  # curves past the float range differ by an unbounded amount
+        f1, f2 = curves[b1][key], curves[b2][key]
+        with np.errstate(invalid="ignore"):  # inf - inf, taken as inf
+            return float(np.max(np.where(np.isinf(f1) | np.isinf(f2), np.inf, np.abs(f1 - f2))))
+
     sup_diffs = [
         {"beta_pair": (b1, b2), "upper_sup_diff": sup(b1, b2, "upper"),
          "lower_sup_diff": sup(b1, b2, "lower")}
@@ -407,5 +411,5 @@ def cgmy_limit_study(
 
 # Benchmark beta-family scenario: infinite-activity, bounded-variation jumps
 # with a small Gaussian part.
-BETA_BENCHMARK = BetaFamilyParams(mu_hat=0.1, sigma=0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
+BETA_BENCHMARK = BetaFamilyParams(mu=0.1, sigma=0.2, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
 BETA_BENCHMARK_Q = 0.03

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import BracketingFailure, RepeatedRootsDetected
 from .models import SnLevyModel, like
 from .roots import RootDecomposition, find_roots
 from .wiener_hopf import _IMAG_TOL, exp_sum, partial_fraction_coefficients, points
+
+if TYPE_CHECKING:
+    from .meromorphic import BetaFamilyParams
 
 _EXP_LOG_GUARD = 700.0
 
@@ -51,8 +54,9 @@ class ScaleFunction:
     """Assembled q-scale function of one model.
 
     ``decomp`` holds the roots and poles; ``q``, ``zeta`` and ``xi`` are its
-    own objects.  ``A``, ``C`` are arrays aligned with ``xi`` (complex where
-    the roots hold a conjugate pair): the residues A_i of phi_q_minus and
+    own objects, and ``model`` is the model the roots came from.  ``A``,
+    ``C`` are arrays aligned with ``xi`` (complex where the roots hold a
+    conjugate pair): the residues A_i of phi_q_minus and
     C_i = (zeta/q) A_i xi_i/(zeta + xi_i).  ``varrho`` = sum_i A_i xi_i, and
     ``lead`` = w0 + sum C is the coefficient of e^{zeta x}, which coincides
     with 1/psi'(zeta) up to rounding.
@@ -70,7 +74,7 @@ class ScaleFunction:
     C: np.ndarray
     varrho: float
     decomp: RootDecomposition
-    model: Optional[SnLevyModel]
+    model: SnLevyModel | BetaFamilyParams
 
     def decay_sum(self, xs: np.ndarray, weights, minus_one=0) -> np.ndarray:
         """sum_i weights_i e^{-xi_i x} on the grid xs, as reals, or
@@ -78,19 +82,25 @@ class ScaleFunction:
         which takes a weight matrix for one column per weight vector."""
         return _real(exp_sum(self.xi, weights, xs, minus_one), xs)
 
-    def _tilt(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
-        """W_zeta at xs from head = sum_i C_i (e^{-xi_i x} - 1), as
+    def _zx(self, xs: np.ndarray) -> np.ndarray:
+        """zeta x at points xs >= 0, inf where the product leaves the float
+        range: e^{zeta x} is then inf and e^{-zeta x} is 0."""
+        with np.errstate(over="ignore"):
+            return self.zeta * xs
+
+    def _tilt(self, zx: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """W_zeta at zeta x = zx from head = sum_i C_i (e^{-xi_i x} - 1), as
         e^{-zeta x} (w0 - head) - lead (e^{-zeta x} - 1): this is
         lead - sum_i C_i e^{-(xi_i + zeta) x} as lead = w0 + sum C, with no
         difference of near terms as x -> 0 and no overflow."""
-        return np.exp(-self.zeta * xs) * (self.w0 - head) - self.lead * np.expm1(-self.zeta * xs)
+        return np.exp(-zx) * (self.w0 - head) - self.lead * np.expm1(-zx)
 
     def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
-        return self._tilt(xs, self.decay_sum(xs, self.C, True))
+        return self._tilt(self._zx(xs), self.decay_sum(xs, self.C, True))
 
-    def _w(self, xs: np.ndarray, head: np.ndarray) -> np.ndarray:
-        """W at points xs >= 0 from head = sum_i C_i (e^{-xi_i x} - 1)."""
-        return _envelope(self.zeta * xs, self._tilt(xs, head))
+    def _w(self, zx: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """W at zeta x = zx >= 0 from head = sum_i C_i (e^{-xi_i x} - 1)."""
+        return _envelope(zx, self._tilt(zx, head))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -102,7 +112,8 @@ class ScaleFunction:
         """W(x); 0 on (-inf, 0)."""
         xs = points(x)
         pos = np.maximum(xs, 0.0)
-        return like(x, np.where(xs < 0, 0.0, self._w(pos, self.decay_sum(pos, self.C, True))))
+        head = self.decay_sum(pos, self.C, True)
+        return like(x, np.where(xs < 0, 0.0, self._w(self._zx(pos), head)))
 
     def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope; at
@@ -133,11 +144,11 @@ class ScaleFunction:
         pos = np.maximum(xs, 0.0)
         weights = np.stack((self.C, self.C / self.xi, self.C * self.xi), axis=1)
         head_w, head_z, tail = self.decay_sum(pos, weights, 2).T
-        zx = self.zeta * pos
+        zx = self._zx(pos)
         z = 1.0 + self.q * ((self.lead / self.zeta) * _envelope(zx, 1.0, np.expm1) + head_z)
         wp = _envelope(zx, self.zeta * self.lead + np.exp(-zx) * tail)
         wp = np.where(xs > 0, wp, np.where(xs == 0, self.wp0, 0.0))
-        w = np.where(xs < 0, 0.0, self._w(pos, head_w))
+        w = np.where(xs < 0, 0.0, self._w(zx, head_w))
         return like(x, w), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
 
     def transform(self, s: np.ndarray) -> np.ndarray:
@@ -155,7 +166,8 @@ class ScaleFunction:
     def sum_c_residual(self) -> float:
         """Relative residual of sum(C) against 1/psi'(zeta) - w0."""
         target = 1.0 / self.psi_prime_zeta
-        if self.model is None:
+        if not isinstance(self.model, SnLevyModel):
+            # a beta-family truncation: lead is 1/psi'(zeta), not w0 + sum C
             target -= self.w0
         elif self.w0 > 0:
             # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with
@@ -175,30 +187,26 @@ def boundary_identities(sf: ScaleFunction) -> dict:
     }
 
 
-def boundary_values(sigma: float, mu: float, q: float, mass: float,
-                    jump: Callable[[], float]) -> Tuple[float, float, float]:
-    """(W(0), W'(0+), theta) from the path variation: (0, 2/sigma^2,
-    2/sigma^2) for sigma > 0, else (1/mu, (q + mass)/mu^2, jump()/mu^2) for
-    the Levy mass ``mass`` and jump() = lam E[e^{-zeta Y}], with inf for an
-    infinite mass, where ``jump`` is not called.  theta = (q + mass - mu
-    zeta)/mu^2 through psi(zeta) = q, without its cancellation."""
+def boundary_values(model: SnLevyModel | BetaFamilyParams, q: float,
+                    zeta: float) -> Tuple[float, float, float]:
+    """(W(0), W'(0+), theta) from the path variation of ``model``: (0,
+    2/sigma^2, 2/sigma^2) for sigma > 0, else (1/mu, (q + mass)/mu^2,
+    jump_transform(zeta)/mu^2) for the Levy mass ``levy_mass`` and
+    jump_transform(zeta) = lam E[e^{-zeta Y}], with inf for an infinite mass,
+    where the transform is not called.  theta = (q + mass - mu zeta)/mu^2
+    through psi(zeta) = q, without its cancellation."""
+    sigma, mu, mass = model.sigma, model.mu, model.levy_mass
     if sigma > 0:
         return 0.0, 2.0 / sigma**2, 2.0 / sigma**2
     if mass == math.inf:
         return 1.0 / mu, math.inf, math.inf
-    return 1.0 / mu, (q + mass) / mu**2, jump() / mu**2
+    return 1.0 / mu, (q + mass) / mu**2, model.jump_transform(zeta) / mu**2
 
 
-def assemble(
-    decomp: RootDecomposition,
-    *,
-    w0: float,
-    wp0: float,
-    theta: float,
-    psi_prime_zeta: float,
-    model: Optional[SnLevyModel],
-) -> ScaleFunction:
-    """Build a ScaleFunction from simple roots and the residues at them; a
+def assemble(decomp: RootDecomposition, model: SnLevyModel | BetaFamilyParams,
+             psi_prime_zeta: float) -> ScaleFunction:
+    """Build the ScaleFunction of ``model`` from the simple roots of
+    ``decomp``, the residues at them and the model's ``boundary_values``; a
     sum over conjugate pairs that is not real raises RepeatedRootsDetected.
     psi is convex with psi(0) = 0, so psi'(zeta) >= q/zeta > 0 at the root:
     any other psi'(zeta) (0 where the zeta solve lost psi to rounding at a
@@ -207,6 +215,7 @@ def assemble(
     if not 0 < psi_prime_zeta < math.inf:
         raise BracketingFailure(f"psi'(zeta) = {psi_prime_zeta} at zeta = {zeta}; "
                                 "zeta is no simple positive root")
+    w0, wp0, theta = boundary_values(model, decomp.q, zeta)
     A = partial_fraction_coefficients(decomp)
     C = (zeta / decomp.q) * A * (xi / (zeta + xi))
     varrho, lead = complex(A @ xi), complex(w0 + C.sum())
@@ -234,8 +243,4 @@ def assemble(
 def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:
     """Full pipeline: roots -> partial fractions -> assembled scale function."""
     decomp = find_roots(model, q)
-    zeta = decomp.zeta
-    w0, wp0, theta = boundary_values(model.sigma, model.mu, q, model.levy_mass,
-                                     lambda: model.jump_transform(zeta))
-    return assemble(decomp, w0=w0, wp0=wp0, theta=theta,
-                    psi_prime_zeta=model.laplace_exponent_derivative(zeta), model=model)
+    return assemble(decomp, model, model.laplace_exponent_derivative(decomp.zeta))

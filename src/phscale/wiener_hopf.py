@@ -120,20 +120,17 @@ def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:
         # |rates_j| >= reach[j] for all later j too: from searchsorted(reach,
         # ln 2 / x) on, every column has |rates x| >= ln 2
         reach = np.minimum.accumulate(np.abs(minus[::-1]))[::-1]
-    # x = inf times a complex rate a + 0j is NaN in the imaginary part: such
-    # rows take the exponent's limit -inf (Re rates > 0) instead of the product
-    far = np.isinf(xs) if np.iscomplexobj(minus) else None
     for rows in _row_blocks(xs.size, minus.size):
         x = xs[rows]
-        at_inf = far is not None and far[rows].any()
-        if at_inf:
-            x = np.where(far[rows], 0.0, x)
         # x * minus, one rounding a cell; a product past the float range is
-        # -inf (Re rates > 0), whose exponential the floor below takes as 0
-        with np.errstate(over="ignore"):
+        # -inf (Re rates > 0), whose exponential the floor below takes as 0.
+        # A complex cell past the float range (x = inf too) may hold NaN
+        # parts, so every complex cell whose real part x Re(-rates) is below
+        # the floor takes the exponent's limit -inf: e^t = 0, expm1(t) = -1
+        with np.errstate(over="ignore", invalid="ignore"):
             tile = np.dot(x[:, None], minus[None, :])
-        if at_inf:
-            tile[far[rows]] = -np.inf
+            if np.iscomplexobj(tile):
+                np.putmask(tile, ~(np.multiply.outer(x, minus.real) > _EXP_FLOOR), -np.inf)
         if k_m == cols.shape[1]:
             out[rows] = np.expm1(tile, out=tile) @ cols
             continue

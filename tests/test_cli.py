@@ -136,6 +136,14 @@ def test_metadata_lines_literally(capsys, argv, meta, columns):
     assert lines[len(expected)] == columns
 
 
+def _cgmy_rows(mid, end):
+    """cgmy-limit rows of the three default betas on the grid 0, mid, end:
+    the bounds at 0 and inf past it."""
+    return [row for beta, w in (("1", "2.98518450954"), ("0.5", "3.98653802921"),
+                                ("0.1", "5.54768343303"))
+            for row in (f"{beta},0,-{w},{w}", f"{beta},{mid},inf,inf", f"{beta},{end},inf,inf")]
+
+
 # valid points whose products leave the float range, where the result is the
 # limit: W = inf, e^{-xi x} = 0, a bridge image floored at e^{-708}; under the
 # suite's error::RuntimeWarning filter a warning on the way fails the run
@@ -147,16 +155,27 @@ def test_metadata_lines_literally(capsys, argv, meta, columns):
     (("mero-bounds", "--m", "5", "--grid", "0:1e308:3"),
      ["0,-2.98518450954,2.98518450954,1,1,nan,nan", "5e+307,inf,inf,inf,inf,inf,inf",
       "1e+308,inf,inf,inf,inf,inf,inf"]),
+    (("mero-bounds", "--m", "5", "--grid", "0:1.7e308:3"),
+     ["0,-2.98518450954,2.98518450954,1,1,nan,nan", "8.5e+307,inf,inf,inf,inf,inf,inf",
+      "1.7e+308,inf,inf,inf,inf,inf,inf"]),
+    (("cgmy-limit", "--m", "5", "--grid", "0:1e308:3"), _cgmy_rows("5e+307", "1e+308")),
+    (("cgmy-limit", "--m", "5", "--grid", "0:1.7e308:3"), _cgmy_rows("8.5e+307", "1.7e+308")),
     (("simulate", "--model", "exp1", "--x", "1e300", "--b", "1e301", "--n-paths", "10"),
      ["up,0,0,0,0", "down,0,0,0,0"]),
     (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
       "--n-paths", "10", "--bin-width", "1e299"),
      [f"undershoot,{(k + 0.5) * 1e299:.12g},0,0" for k in range(20)]),
-], ids=("scale-eval", "exit-prob", "mero-bounds", "simulate-exit", "simulate-histogram"))
+], ids=("scale-eval", "exit-prob", "mero-bounds", "mero-bounds-1.7e308", "cgmy-limit",
+        "cgmy-limit-1.7e308", "simulate-exit", "simulate-histogram"))
 def test_overflow_to_the_limit_prints_no_warning(capsys, argv, rows):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert [l for l in out.splitlines() if not l.startswith("# ")][1:] == rows
+    lines = out.splitlines()
+    assert [l for l in lines if not l.startswith("# ")][1:] == rows
+    if argv[0] == "cgmy-limit":  # two curves past the float range differ unboundedly
+        assert [l for l in lines if "sup_diff" in l] == [
+            f"# {kind}sup_diff_{pair}=inf" for pair in ("1.0_0.5", "0.5_0.1")
+            for kind in ("", "lower_")]
 
 
 EDGE_TABLE = {"x": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2],
@@ -281,19 +300,27 @@ class TestExitProb:
 
     def test_infinite_barrier_with_complex_roots(self, capsys, tmp_path):
         # a generator with a conjugate pair of roots: at x = inf a rate a + 0j
-        # once made the tile inf * 0 = NaN, and exit-prob printed nan,nan
+        # once made the tile inf * 0 = NaN, and exit-prob printed nan,nan; so
+        # did a finite barrier whose product x * rate leaves the float range
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps({
             "drift": 5.0, "sigma": 1.0, "lambda": 5.0,
             "jump": {"type": "phase_type", "alpha": [0.5, 0.3, 0.2],
                      "T": [[-3.0, 2.5, 0.0], [0.0, -2.0, 1.9], [3.5, 0.0, -4.0]]}}))
         rows = []
-        for b in ("inf", "1e300"):
+        for b in ("inf", "1e300", "1e308"):
             code, out, err = run(capsys, "exit-prob", "--model", str(path), "--x", "1",
                                  "--b", b)
             assert (code, err) == (0, "")
             rows.append(parse_csv(out)[1][0])
-        assert [(r["up_exit"], r["down_exit"]) for r in rows] == [("0", "0.981349971549")] * 2
+        assert [(r["up_exit"], r["down_exit"]) for r in rows] == [("0", "0.981349971549")] * 3
+        # under the suite's error::RuntimeWarning filter: no warning on the way
+        code, out, err = run(capsys, "exit-prob", "--model", str(path), "--x", "1e308",
+                             "--b", "1e308")
+        assert (code, err) == (0, "") and out.splitlines()[-1] == "1e+308,1e+308,1,0"
+        code, out, err = run(capsys, "scale-eval", "--model", str(path), "--grid", "0:1e308:3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-3:] == ["0,0,2,1", "5e+307,inf,inf,inf", "1e+308,inf,inf,inf"]
 
     # the zeta bracket's powers of two overflow psi at sigma = 1e150; both
     # cells fail later, with the messages of the one-at-a-time doubling

@@ -497,9 +497,20 @@ class TestConjecture:
             assert all(0 <= r <= 1e-10 for r in res), (name, sigma, max(res))
 
     def test_truncation_without_model_is_refused(self):
-        # a beta-family truncation has no model to give the poles, and its
-        # lead is 1/psi'(zeta), not w0 + sum C, so residuals would not
-        # measure the identity
+        # a beta-family truncation carries its beta model, not a phase-type
+        # one, and its lead is 1/psi'(zeta), not w0 + sum C, so residuals
+        # would not measure the identity
         sf = truncated_coefficients(BETA_BENCHMARK, 0.03, 20).sf
         with pytest.raises(UnsupportedRegime):
             conjecture_residuals(sf)
+
+    def test_truncation_refuses_the_overshoot_laws(self):
+        # the laws need the phase-type arrays of a diagonal generator, which a
+        # beta-family model does not have: refused by type, as in the residuals
+        sf = truncated_coefficients(BETA_BENCHMARK, 0.03, 20).sf
+        laws = (lambda: overshoot_density(sf, 1.0, 0.5),
+                lambda: undershoot_density(sf, 1.0, 0.5),
+                lambda: joint_overshoot_undershoot(sf, 1.0, IntervalPair(0.0, INF, 0.0, INF)))
+        for law in laws:
+            with pytest.raises(UnsupportedRegime):
+                law()

@@ -172,7 +172,7 @@ class TestPsi:
         got = beta_psi_derivative(p, s)
         assert got.shape == s.shape and isinstance(beta_psi_derivative(p, zeta), float)
         with mpmath.workdps(40):
-            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.sigma, p.alpha_b, p.beta_b,
+            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu, p.sigma, p.alpha_b, p.beta_b,
                                                    p.c, 1 - p.lam))
             ref, terms = [], []
             for v in map(mpmath.mpf, s):
@@ -346,7 +346,7 @@ class TestRoots:
         # 1e4 at xi = 800), each good to a few eps, so the residual is bounded
         # relative to those terms
         p = BETA_BENCHMARK
-        terms = 1.0 + p.mu_hat * xis + 0.5 * p.sigma**2 * xis**2
+        terms = 1.0 + p.mu * xis + 0.5 * p.sigma**2 * xis**2
         assert np.max(np.abs(beta_psi(p, -xis) - Q) / terms) < 1e-9
         etas = beta_poles(BETA_BENCHMARK, np.arange(1, m + 2))
         assert np.all(np.concatenate(([0.0], etas[:-1])) < xis)
@@ -357,7 +357,7 @@ class TestRoots:
         # middle of each gap starts at the poles of Gamma(x + y)
         p = BETA_BENCHMARK
         zeta, xis = mero_roots(p, 100.0, 30)
-        terms = 1.0 + p.mu_hat * xis + 0.5 * p.sigma**2 * xis**2
+        terms = 1.0 + p.mu * xis + 0.5 * p.sigma**2 * xis**2
         assert np.max(np.abs(beta_psi(p, -xis) - 100.0) / terms) < 1e-9
         assert np.all(beta_poles(p, np.arange(1, 32)) - xis < 0.01)
 
@@ -479,7 +479,7 @@ class TestTruncation:
         p, q, m = BETA_BENCHMARK, 1e-12, 30
         tm = truncated_coefficients(p, q, m)
         with mpmath.workdps(40):
-            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.sigma, p.alpha_b, p.beta_b,
+            mu, sig, a, b, c, y = map(mpmath.mpf, (p.mu, p.sigma, p.alpha_b, p.beta_b,
                                                    p.c, 1 - p.lam))
             psi = lambda z: (mu * z + sig**2 * z**2 / 2
                              + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y)))
@@ -504,9 +504,8 @@ class TestTruncation:
         ubv = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=2.5)
         with pytest.raises(UnsupportedRegime):
             truncated_coefficients(ubv, Q, 5)
-        neg = BetaFamilyParams(-0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
-        with pytest.raises(NegativeSubordinator):
-            truncated_coefficients(neg, Q, 5)
+        with pytest.raises(NegativeSubordinator):  # refused at construction
+            BetaFamilyParams(-0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=1.5)
 
     def test_infinite_mass_dichotomy(self):
         # sigma = 0, lam in [1, 2): sum A_i xi_i diverges, theta undefined
@@ -526,7 +525,7 @@ class TestTruncation:
         p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.5)
         tm = truncated_coefficients(p, Q, 20)
         assert tm.theta is not None and tm.epsilon is not None
-        # without a model, sum C is checked against 1/psi'(zeta) - w0, and
+        # for a beta model, sum C is checked against 1/psi'(zeta) - w0, and
         # the w0 of sf holds W(0) + delta_m: sum C = 1/psi'(zeta) - W(0) - delta_m
         assert tm.sf.sum_c_residual() < 1e-12
 
@@ -538,11 +537,45 @@ class TestTruncation:
         q = 1e3
         tm = truncated_coefficients(p, q, 25)
         with mpmath.workdps(50):
-            mu, a, b, c, y = map(mpmath.mpf, (p.mu_hat, p.alpha_b, p.beta_b, p.c, 1 - p.lam))
+            mu, a, b, c, y = map(mpmath.mpf, (p.mu, p.alpha_b, p.beta_b, p.c, 1 - p.lam))
             psi = lambda z: mu * z + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y))
             zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.sf.zeta))
             theta = float((c / b) * mpmath.beta(a + zeta / b, y) / mu**2)
         assert tm.theta == pytest.approx(theta, rel=1e-11, abs=0.0)
+
+    def test_truncation_carries_its_model(self):
+        assert truncated_coefficients(BETA_BENCHMARK, Q, 20).sf.model is BETA_BENCHMARK
+
+    @pytest.mark.parametrize("lam", (0.1, 0.5, 1.0, 1.5))
+    def test_levy_mass_against_mpmath(self, lam):
+        # (c/beta) B(alpha, 1 - lam) for a finite mass, inf from lam = 1 on
+        p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=lam)
+        if lam >= 1:
+            assert p.levy_mass == math.inf
+            return
+        with mpmath.workdps(40):
+            ref = float(mpmath.mpf(p.c) / p.beta_b * mpmath.beta(p.alpha_b, 1 - mpmath.mpf(lam)))
+        assert p.levy_mass == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lam", (0.1, 0.5))
+    def test_jump_transform_against_mpmath(self, lam):
+        # (c/beta) B(alpha + s/beta, 1 - lam), at a float and on an array
+        p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=lam)
+        s = np.array([0.01, 1.0, 10.0])
+        with mpmath.workdps(40):
+            a, b, c, y = map(mpmath.mpf, (p.alpha_b, p.beta_b, p.c, 1 - mpmath.mpf(lam)))
+            ref = [float(c / b * mpmath.beta(a + mpmath.mpf(v) / b, y)) for v in s]
+        np.testing.assert_allclose(p.jump_transform(s), ref, rtol=1e-14, atol=0.0)
+        assert [p.jump_transform(float(v)) for v in s] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_wp0_finite_mass_against_mpmath(self):
+        # sigma = 0 and lam < 1: W'(0+) = (q + Pi)/mu^2 with the Levy mass Pi
+        p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.5)
+        tm = truncated_coefficients(p, Q, 20)
+        with mpmath.workdps(40):
+            mu, a, b, c, y = map(mpmath.mpf, (p.mu, p.alpha_b, p.beta_b, p.c, 1 - p.lam))
+            ref = float((mpmath.mpf(Q) + c / b * mpmath.beta(a, y)) / mu**2)
+        assert tm.sf.wp0 == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("m", (25, 100, 800))
     def test_beta_psi_calls_per_solve(self, monkeypatch, m):

@@ -371,8 +371,7 @@ class TestArrayEvaluation:
 
     @staticmethod
     def _reassemble(sf, decomp):
-        return assemble(decomp, w0=sf.w0, wp0=sf.wp0, theta=sf.theta,
-                        psi_prime_zeta=sf.psi_prime_zeta, model=sf.model)
+        return assemble(decomp, sf.model, sf.psi_prime_zeta)
 
     @pytest.mark.parametrize("model", [pytest.param(ERLANG2, id="erlang2"), pytest.param(
         SnLevyModel(mu=5.0, sigma=0.0, lam=5.0, jumps=COXIAN3), id="coxian3-s0")])
