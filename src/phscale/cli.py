@@ -73,7 +73,7 @@ def _resolve_model(args) -> SnLevyModel:
     if name in BUILTIN_JUMPS:
         return builtin_model(name, **given)
     if name == "beta-benchmark":
-        raise DomainError("beta-benchmark is only valid for mero-bounds/cgmy-limit")
+        raise DomainError("beta-benchmark is only valid for mero-bounds")
     if given:
         flags = ", ".join(f"--{k}" for k in given)
         raise DomainError(f"{flags}: only for a built-in model; the model file {name!r} "
@@ -240,15 +240,13 @@ def _cmd_cgmy(args):
     grid = _parse_grid(args.grid)
     study = cgmy_limit_study(BETA_BENCHMARK, args.tilde_alpha, args.tilde_c,
                              betas, args.q, args.m, grid)
-    curves = study["curves"]
     diag = {}
-    for d in study["sup_diffs"]:
-        pair = "_".join(map(str, d["beta_pair"]))
-        diag[f"sup_diff_{pair}"] = d["upper_sup_diff"]
-        diag[f"lower_sup_diff_{pair}"] = d["lower_sup_diff"]
+    for b1, b2, upper, lower in zip(betas, betas[1:], study["upper_sup_diff"].tolist(),
+                                    study["lower_sup_diff"].tolist()):
+        diag[f"sup_diff_{b1}_{b2}"] = upper
+        diag[f"lower_sup_diff_{b1}_{b2}"] = lower
     return ({"beta": np.repeat(betas, grid.size), "x": np.tile(grid, len(betas)),
-             "lower": np.concatenate([curves[b]["lower"] for b in betas]),
-             "upper": np.concatenate([curves[b]["upper"] for b in betas])},
+             "lower": study["lower"].ravel(), "upper": study["upper"].ravel()},
             {"command": "cgmy-limit", "q": args.q, "m": args.m,
              "tilde_alpha": args.tilde_alpha, "tilde_c": args.tilde_c, **diag})
 

@@ -85,24 +85,26 @@ def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: floa
     rates x roots expression summed over the roots."""
     zeta, xi = sf.zeta, sf.xi
     c = eta + zeta
-    # e^{zeta x} folded into the decays: each exponent is <= -eta_j x, and
-    # exp(-inf) = 0 covers an infinite window end
-    out = (
-        np.exp(zeta * x - c * max(b_lo, x)) - np.exp(zeta * x - c * max(b_hi, x))
-    ) * (sf.lead / c)
-    eta, c = eta[:, None], c[:, None]  # rates x roots from here on
-    d = eta - xi
-    bl, bh = min(b_lo, x), min(b_hi, x)
-    # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
-    start = np.exp(-xi * (x - bl) - eta * bl)
-    end = np.exp(-xi * (x - bh) - eta * bh)
-    # (start - end) / d, through expm1 where d (bh - bl) is small (or d = 0)
-    dw = d * (bh - bl)
-    small = np.abs(dw) < 0.5
-    d1 = np.where(d == 0.0, 1.0, d)
-    ratio = np.where(d == 0.0, bh - bl, -np.expm1(-np.where(small, dw, 0.0)) / d1)
-    first = np.where(small, start * ratio, (start - end) / d1)
-    second = np.exp(-xi * x) * (np.exp(-c * b_lo) - np.exp(-c * b_hi)) / c
+    m_lo, m_hi = max(b_lo, x), max(b_hi, x)
+    with np.errstate(over="ignore"):  # exponents past the float range are -inf
+        # e^{zeta x} folded into the decays: -eta M - zeta (M - x) <= 0 for
+        # M = max(b, x) >= x, and exp(-inf) = 0 covers an infinite window end
+        out = (
+            np.exp(-eta * m_lo - zeta * (m_lo - x)) - np.exp(-eta * m_hi - zeta * (m_hi - x))
+        ) * (sf.lead / c)
+        eta, c = eta[:, None], c[:, None]  # rates x roots from here on
+        d = eta - xi
+        bl, bh = min(b_lo, x), min(b_hi, x)
+        # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
+        start = np.exp(-xi * (x - bl) - eta * bl)
+        end = np.exp(-xi * (x - bh) - eta * bh)
+        # (start - end) / d, through expm1 where d (bh - bl) is small (or d = 0)
+        dw = d * (bh - bl)
+        small = np.abs(dw) < 0.5
+        d1 = np.where(d == 0.0, 1.0, d)
+        ratio = np.where(d == 0.0, bh - bl, -np.expm1(-np.where(small, dw, 0.0)) / d1)
+        first = np.where(small, start * ratio, (start - end) / d1)
+        second = np.exp(-xi * x) * (np.exp(-c * b_lo) - np.exp(-c * b_hi)) / c
     return out + (first - second) @ sf.C
 
 
@@ -136,7 +138,8 @@ def undershoot_density(sf: ScaleFunction, x: float, b):
     lam_alpha, eta = _phases(sf, x)
     xi = sf.xi
     lo = np.minimum(bs, x)[:, None]  # positions x roots
-    below = -(np.exp(-xi * (x - lo)) * np.expm1(-(xi + sf.zeta) * lo)) @ sf.C
+    with np.errstate(over="ignore"):  # e^{-xi (x - b)} = 0 past the float range
+        below = -(np.exp(-xi * (x - lo)) * np.expm1(-(xi + sf.zeta) * lo)) @ sf.C
     above = np.exp(sf.zeta * (x - np.maximum(bs, x))) * sf.w_tilted(x)
     return like(b, exp_sum(eta, lam_alpha, bs) * np.where(bs < x, below, above))
 
@@ -145,9 +148,9 @@ def conjecture_residuals(sf: ScaleFunction) -> list:
     """Per pole s = -eta_j of psi, the transform of W (``transform``), which
     is 1/(psi(s) - q) and so vanishes there, relative to its term
     lead/(s - zeta): for every jump generator, at complex poles too, and
-    empty without jumps.  A model other than a phase-type one (a beta-family
-    truncation, whose lead is 1/psi'(zeta), not w0 + sum C) raises
-    UnsupportedRegime."""
+    empty without jumps.  A model other than a phase-type one raises
+    UnsupportedRegime: a beta-family truncation sums m of the infinitely
+    many terms of W, so its transform does not vanish at the poles."""
     if not isinstance(sf.model, SnLevyModel):
         raise UnsupportedRegime("the transform at the poles of psi needs the model's poles")
     eta = sf.model.poles()

@@ -67,10 +67,13 @@ class _BetaKernel:
             for k in range(1, 5))
         self.jh = np.arange(_SHIFT)[:, None] + self.h  # A + j = |x - h| + jh
 
-    def __call__(self, x: np.ndarray, derivative: bool = False):
-        """B(x, y) at every element of a 1-D array x, or (B, dB/dx) with
-        ``derivative``: dB/dx = B (psi0(x) - psi0(x + y)), from d log G(A)/dA
-        and, below h, the derivative of the sine ratio (dA/dx = -1)."""
+    def __call__(self, x, derivative: bool = False):
+        """B(x, y) at every element of an array x of any shape (a float is a
+        0-d array), or (B, dB/dx) with ``derivative``: dB/dx = B (psi0(x) -
+        psi0(x + y)), from d log G(A)/dA and, below h, the derivative of the
+        sine ratio (dA/dx = -1).  The work runs on the flattened points."""
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).ravel()
         n = np.rint(x)
         r = x - n
         gap = np.abs(r) + _POLE_REL_TOL * x  # < _POLE_REL_TOL within tolerance of a pole
@@ -106,7 +109,7 @@ class _BetaKernel:
             if derivative:
                 db = db * (x + self.y) + b
             b = b * (x + self.y)
-        return (b, db) if derivative else b
+        return (b.reshape(shape), db.reshape(shape)) if derivative else b.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ class BetaFamilyParams:
     @cached_property
     def _beta0(self) -> float:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
-        return float(self._beta(np.array([self.alpha_b]))[0])
+        return float(self._beta(self.alpha_b))
 
     @property
     def levy_mass(self) -> float:
@@ -151,8 +154,7 @@ class BetaFamilyParams:
         """(c/beta) B(alpha + s/beta, 1 - lam), the integral of e^{-s y} against
         the Levy measure for lam < 1, at a float or elementwise on an array."""
         s = np.asarray(s, dtype=float)
-        x = self.alpha_b + s / self.beta_b
-        return like(s, self.c / self.beta_b * self._beta(x.ravel()).reshape(x.shape))
+        return like(s, self.c / self.beta_b * self._beta(self.alpha_b + s / self.beta_b))
 
 
 def beta_psi(params: BetaFamilyParams, s):
@@ -177,8 +179,7 @@ def _psi(p: BetaFamilyParams, s, jump):
     out = p.mu * s + 0.5 * p.sigma**2 * s**2
     if jump is not None:
         alpha, beta, c, b0 = jump
-        x = alpha + s / beta
-        out = out + (c / beta) * (p._beta(x.ravel()).reshape(x.shape) - b0)
+        out = out + (c / beta) * (p._beta(alpha + s / beta) - b0)
     return like(s, out)
 
 
@@ -189,8 +190,7 @@ def _psi_prime(p: BetaFamilyParams, s, jump):
     out = p.mu + p.sigma**2 * s
     if jump is not None:
         alpha, beta, c = jump
-        x = alpha + s / beta
-        out = out + (c / beta**2) * p._beta(x.ravel(), derivative=True)[1].reshape(x.shape)
+        out = out + (c / beta**2) * p._beta(alpha + s / beta, derivative=True)[1]
     return like(s, out)
 
 
@@ -385,28 +385,24 @@ def cgmy_limit_study(
     grid: Sequence[float],
 ) -> dict:
     """Bound curves for a decreasing sequence of beta values plus convergence
-    diagnostics (sup-norm differences of successive upper/lower curves)."""
+    diagnostics: ``lower`` and ``upper`` hold the W bounds on the grid, one
+    row per beta, and ``upper_sup_diff`` and ``lower_sup_diff`` the sup-norm
+    differences of successive rows, inf where either curve is inf (two
+    curves past the float range differ by an unbounded amount)."""
     betas = list(betas)
     if not (all(b > 0 for b in betas) and all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))):
         raise DomainError("betas must be positive and strictly decreasing")
-    grid = np.asarray(list(grid), dtype=float)
+    xs = points(grid, above=0.0, finite=True)
     members = [cgmy_params(base, tilde_alpha, tilde_c, beta) for beta in betas]
-    curves = {}
-    for beta, tm in zip(betas, _truncated_ladder(members, q, m)):
-        lower, upper = w_bounds(tm, grid)
-        curves[beta] = {"lower": lower, "upper": upper, "delta": tm.delta}
-
-    def sup(b1, b2, key):  # curves past the float range differ by an unbounded amount
-        f1, f2 = curves[b1][key], curves[b2][key]
-        with np.errstate(invalid="ignore"):  # inf - inf, taken as inf
-            return float(np.max(np.where(np.isinf(f1) | np.isinf(f2), np.inf, np.abs(f1 - f2))))
-
-    sup_diffs = [
-        {"beta_pair": (b1, b2), "upper_sup_diff": sup(b1, b2, "upper"),
-         "lower_sup_diff": sup(b1, b2, "lower")}
-        for b1, b2 in zip(betas, betas[1:])
-    ]
-    return {"grid": grid, "curves": curves, "sup_diffs": sup_diffs}
+    # beta x (lower, upper) x grid
+    bounds = np.reshape([w_bounds(tm, xs) for tm in _truncated_ladder(members, q, m)],
+                        (len(betas), 2, xs.size))
+    new, old = bounds[1:], bounds[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf, taken as inf
+        diff = np.where(np.isinf(new) | np.isinf(old), np.inf, np.abs(new - old))
+    sup = diff.max(axis=-1, initial=0.0)  # 0 on an empty grid
+    return {"lower": bounds[:, 0], "upper": bounds[:, 1],
+            "upper_sup_diff": sup[:, 1], "lower_sup_diff": sup[:, 0]}
 
 
 # Benchmark beta-family scenario: infinite-activity, bounded-variation jumps

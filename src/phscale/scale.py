@@ -167,7 +167,8 @@ class ScaleFunction:
         """Relative residual of sum(C) against 1/psi'(zeta) - w0."""
         target = 1.0 / self.psi_prime_zeta
         if not isinstance(self.model, SnLevyModel):
-            # a beta-family truncation: lead is 1/psi'(zeta), not w0 + sum C
+            # a beta-family truncation: w0 holds W(0) + delta_m, and delta_m =
+            # 1/psi'(zeta) - W(0) - sum C, so sum C = lead - w0 by construction
             target -= self.w0
         elif self.w0 > 0:
             # 1/psi'(zeta) - 1/mu = lam E[Y e^{-zeta Y}] / (mu psi'(zeta)), with

@@ -160,13 +160,20 @@ def _cgmy_rows(mid, end):
       "1.7e+308,inf,inf,inf,inf,inf,inf"]),
     (("cgmy-limit", "--m", "5", "--grid", "0:1e308:3"), _cgmy_rows("5e+307", "1e+308")),
     (("cgmy-limit", "--m", "5", "--grid", "0:1.7e308:3"), _cgmy_rows("8.5e+307", "1.7e+308")),
+    (("overshoot", "--model", "exp1", "--q", "100", "--x", "1e308", "--grid", "1:2:3"),
+     ["1,0", "1.5,0", "2,0"]),
+    (("undershoot", "--model", "exp1", "--x", "1e308", "--grid", "1:1e308:3"),
+     ["1,0", "5e+307,0", "1e+308,0"]),
+    (("joint", "--model", "exp1", "--q", "100", "--x", "1e308",
+      "--a-window", "0:inf", "--b-window", "0:inf"), ["0,inf,0,inf,0"]),
     (("simulate", "--model", "exp1", "--x", "1e300", "--b", "1e301", "--n-paths", "10"),
      ["up,0,0,0,0", "down,0,0,0,0"]),
     (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
       "--n-paths", "10", "--bin-width", "1e299"),
      [f"undershoot,{(k + 0.5) * 1e299:.12g},0,0" for k in range(20)]),
 ], ids=("scale-eval", "exit-prob", "mero-bounds", "mero-bounds-1.7e308", "cgmy-limit",
-        "cgmy-limit-1.7e308", "simulate-exit", "simulate-histogram"))
+        "cgmy-limit-1.7e308", "overshoot", "undershoot", "joint", "simulate-exit",
+        "simulate-histogram"))
 def test_overflow_to_the_limit_prints_no_warning(capsys, argv, rows):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -494,10 +501,11 @@ class TestScaleEval:
         assert run(capsys, "exit-prob", "--model", str(path), "--x", "1", "--b", "5")[0] == 0
 
     def test_beta_benchmark_rejected_outside_mero(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "scale-eval", "--model", "beta-benchmark", "--grid", "0:1:3"
         )
         assert code == 2
+        assert err == "error: beta-benchmark is only valid for mero-bounds\n"
 
 
 class TestDensitiesAndJoint:

@@ -285,6 +285,25 @@ class TestBetaKernel:
         assert bs.tolist() == [b[0] for b, _ in one]
         assert dbs.tolist() == [db[0] for _, db in one]
 
+    @pytest.mark.parametrize("lam", (0.5, 1.5, 2.5))
+    def test_any_shape_gets_the_bits_of_the_flat_call(self, lam):
+        # the kernel flattens its input and restores the shape: a 2-D array and
+        # a float get the bits of the 1-D call, on the reflection branch
+        # (x < h), in the shift (|x - h| < _SHIFT) and on the direct branch;
+        # y = 1 - lam = -1.5 takes the lift
+        kernel = _BetaKernel(1.0 - lam)
+        xs = np.array([-40.3, -7.3, -0.4, 0.1, 0.6, 1.7, 5.2, 23.0, 30.5, 1e3])
+        bs, dbs = kernel(xs, derivative=True)
+        grid = xs.reshape(2, 5)
+        b2, db2 = kernel(grid, derivative=True)
+        assert (b2.shape, db2.shape) == (grid.shape, grid.shape)
+        assert b2.tolist() == kernel(grid).tolist() == bs.reshape(grid.shape).tolist()
+        assert db2.tolist() == dbs.reshape(grid.shape).tolist()
+        for x, b, db in zip(xs.tolist(), bs, dbs):
+            one, d_one = kernel(x, derivative=True)
+            assert (np.shape(one), np.shape(d_one), np.shape(kernel(x))) == ((), (), ())
+            assert (float(one), float(d_one), float(kernel(x))) == (b, db, b)
+
     @pytest.mark.parametrize("y, x, k", [(-0.5, 0.5, 0), (-1.5, 1.5, 0), (-1.5, 0.5, 1)])
     def test_derivative_at_a_zero(self, y, x, k):
         # x + y = -k: B = 0 and dB/dx = Gamma(y) Gamma(x) (-1)^k k!
@@ -529,6 +548,19 @@ class TestTruncation:
         # the w0 of sf holds W(0) + delta_m: sum C = 1/psi'(zeta) - W(0) - delta_m
         assert tm.sf.sum_c_residual() < 1e-12
 
+    @pytest.mark.parametrize("m", (5, 20, 100, 800))
+    @pytest.mark.parametrize("q", (1e-3, 0.03, 3.0))
+    def test_lead_is_w0_plus_sum_c(self, q, m):
+        # w0 holds W(0) + delta_m with delta_m = 1/psi'(zeta) - W(0) - sum C, so
+        # the lead 1/psi'(zeta) stays w0 + sum C up to rounding, for single
+        # truncations and for every member of a ladder
+        finite = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.5)
+        ladder = [cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta) for beta in LADDERS[0]]
+        tms = [truncated_coefficients(p, q, m) for p in (BETA_BENCHMARK, finite)]
+        for tm in tms + _truncated_ladder(ladder, q, m):
+            sf = tm.sf
+            assert abs(sf.lead - (sf.w0 + float(sf.C.sum()))) <= 4 * np.spacing(sf.lead)
+
     def test_finite_mass_theta_against_mpmath(self):
         # theta = -zeta/mu + (q + mass)/mu^2 loses about six digits to
         # cancellation at q = 1e3; (c/beta) B(alpha + zeta/beta, 1-lam)/mu^2
@@ -749,10 +781,45 @@ class TestCgmy:
         study = cgmy_limit_study(
             BETA_BENCHMARK, 3.0, 0.1, betas=[1.0, 0.5, 0.1], q=Q, m=100, grid=grid
         )
-        diffs = [d["upper_sup_diff"] for d in study["sup_diffs"]]
+        diffs = list(study["upper_sup_diff"])
         assert diffs[0] > diffs[1]
-        lower = [d["lower_sup_diff"] for d in study["sup_diffs"]]
+        lower = list(study["lower_sup_diff"])
         assert lower[0] > lower[1]
+
+    def test_rows_are_the_member_bounds(self):
+        betas, grid = [0.9, 0.5, 0.12], np.linspace(0.0, 2.0, 41)
+        study = cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, betas, Q, 50, grid)
+        assert sorted(study) == ["lower", "lower_sup_diff", "upper", "upper_sup_diff"]
+        assert study["lower"].shape == study["upper"].shape == (3, 41)
+        for beta, lower, upper in zip(betas, study["lower"], study["upper"]):
+            tm = truncated_coefficients(cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta), Q, 50)
+            ref_lower, ref_upper = w_bounds(tm, grid)
+            assert (lower.tolist(), upper.tolist()) == (ref_lower.tolist(), ref_upper.tolist())
+        for key in ("lower", "upper"):
+            rows = study[key]
+            assert study[f"{key}_sup_diff"].tolist() == [
+                float(np.max(np.abs(a - b))) for a, b in zip(rows, rows[1:])]
+
+    def test_empty_grid_has_zero_sup_diffs(self):
+        study = cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [1.0, 0.5], Q, 10, [])
+        assert study["lower"].shape == study["upper"].shape == (2, 0)
+        assert study["upper_sup_diff"].tolist() == study["lower_sup_diff"].tolist() == [0.0]
+
+    @pytest.mark.parametrize("bad", (-1.0, math.nan, math.inf))
+    def test_grid_refused_before_the_ladder_solve(self, monkeypatch, bad):
+        import phscale.meromorphic as mero
+
+        calls = []
+        psi = mero._psi
+
+        def counting(p, s, jump):
+            calls.append(np.shape(s))
+            return psi(p, s, jump)
+
+        monkeypatch.setattr(mero, "_psi", counting)
+        with pytest.raises(DomainError):
+            cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [1.0, 0.5], Q, 10, [0.0, bad, 1.0])
+        assert calls == []
 
     def test_levy_density_limit(self):
         x = -1.0
