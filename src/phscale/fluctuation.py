@@ -68,13 +68,10 @@ def down_exit_unbounded(sf: ScaleFunction, x):
 def _phases(sf: ScaleFunction, x: float):
     """(lam alpha, eta) of a diagonal jump generator T = -diag(eta) for the
     laws from a start x > 0: the minimal weights and rates, which give
-    interlaced, hence real, roots.  Without jumps (lam = 0) both are empty,
-    whatever T, and every law is 0; a non-diagonal T or a beta-family model
-    raises."""
+    interlaced, hence real, roots.  Both are empty for the empty law without
+    jumps, and every law is 0; a non-diagonal T or a beta-family model raises."""
     check_positive("x", x)
     model = sf.model
-    if isinstance(model, SnLevyModel) and model.lam == 0:
-        return np.zeros(0), np.zeros(0)
     if not (isinstance(model, SnLevyModel) and model.phase_type.diagonal):
         raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")
     return model.lam * model.phase_type.alpha, model.phase_type.poles
@@ -98,12 +95,11 @@ def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: floa
         # fold e^{-xi x} into the exponents: -xi(x - b) - eta b <= 0 for b <= x
         start = np.exp(-xi * (x - bl) - eta * bl)
         end = np.exp(-xi * (x - bh) - eta * bh)
-        # (start - end) / d, through expm1 where d (bh - bl) is small (or d = 0)
+        # (start - end) / d (no root is a rate), through expm1 where d (bh - bl) is small
         dw = d * (bh - bl)
         small = np.abs(dw) < 0.5
-        d1 = np.where(d == 0.0, 1.0, d)
-        ratio = np.where(d == 0.0, bh - bl, -np.expm1(-np.where(small, dw, 0.0)) / d1)
-        first = np.where(small, start * ratio, (start - end) / d1)
+        ratio = -np.expm1(-np.where(small, dw, 0.0)) / d
+        first = np.where(small, start * ratio, (start - end) / d)
         second = np.exp(-xi * x) * (np.exp(-c * b_lo) - np.exp(-c * b_hi)) / c
     return out + (first - second) @ sf.C
 

@@ -363,7 +363,7 @@ def _run_batch(
         return out
     if epoch is None:
         return out
-    sample_jumps = _jump_sampler(model.phase_type)
+    sample_jumps = _jump_sampler(model.phase_type) if model.lam > 0 else None
     live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
     while live.size:
         T = rng.exponential(1.0 / rate, size=live.size) if rate > 0 else np.ones(live.size)

@@ -365,6 +365,8 @@ def cgmy_params(
         c = tilde_c * beta**base.lam
     except OverflowError:
         raise DomainError(f"c = c~ beta^lam overflows at beta = {beta}") from None
+    if c == 0 < tilde_c:
+        raise DomainError(f"c = c~ beta^lam underflows to 0 at beta = {beta}")
     return BetaFamilyParams(
         mu=base.mu,
         sigma=base.sigma,

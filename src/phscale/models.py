@@ -200,8 +200,9 @@ class SnLevyModel:
 
     @cached_property
     def phase_type(self) -> PhaseTypeArrays:
-        """The jump law as phase-type arrays; hyperexponential jumps have T = -diag(eta)."""
-        return self.jumps.phase_type_arrays()
+        """The jump law as phase-type arrays, T = -diag(eta) for hyperexponential
+        jumps; without jumps (lam = 0) the empty diagonal law, whatever ``jumps`` holds."""
+        return self.jumps.phase_type_arrays() if self.lam > 0 else _diagonal_arrays((), ())
 
     @property
     def levy_mass(self) -> float:
@@ -214,14 +215,12 @@ class SnLevyModel:
 
     def poles(self) -> np.ndarray:
         """Absolute values of the poles of psi (eigenvalue magnitudes of -T)."""
-        return self.phase_type.poles if self.lam != 0 else np.array([])
+        return self.phase_type.poles
 
     def _jump_moment(self, s: np.ndarray, b, power: int) -> np.ndarray:
         """lam alpha R(s)^power b elementwise in s, with the resolvent
-        R(s) = (sI - T)^{-1}, for b a scalar or of shape (m,); raises
-        PoleEvaluation where s is within tolerance of a pole of psi."""
-        if self.lam == 0:
-            return 0.0 * s  # without jumps psi has no poles
+        R(s) = (sI - T)^{-1}, for b a scalar or of shape (m,), an empty sum 0
+        without jumps; raises PoleEvaluation where s is within tolerance of a pole."""
         alpha, T, _, poles, diagonal = self.phase_type
         off = pole_offsets(s, poles)
         if diagonal:

@@ -287,9 +287,9 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     """zeta and all negative roots: one ``interlaced_solve`` between the poles
-    for a diagonal jump generator T or no jumps (lam = 0, where psi has no
-    poles), the eigenvalue linearisation otherwise."""
-    if model.lam != 0 and not model.phase_type.diagonal:
+    for a diagonal jump generator T (none for the empty law without jumps),
+    the eigenvalue linearisation otherwise."""
+    if not model.phase_type.diagonal:
         return find_negative_roots_ph(model, q)
     eta = model.poles()
     outer = 2.0 * model.mu / model.sigma**2 if model.sigma > 0 else None

@@ -1,5 +1,6 @@
 """Closed forms that only the tests use as references: jump-law densities,
-means and phase counts, the phase-type form of a hyperexponential law, the
+means and phase counts, the phase-type form of a hyperexponential law, a
+Coxian law with a non-diagonal generator, the
 beta-family and tempered-stable Levy densities; the tail-measure double
 integral rho; the running-minimum atom, density and
 Laplace form rebuilt from Wiener-Hopf partial fractions; partial fractions at repeated roots by
@@ -39,6 +40,11 @@ def n_phases(law) -> int:
 def as_phase_type(law: HyperExpDist) -> PhaseTypeRepr:
     """The hyperexponential law as a phase-type law with diagonal generator."""
     return PhaseTypeRepr(alpha=law.p, T=tuple(map(tuple, -np.diag(law.eta))))
+
+
+# a three-phase Coxian law with a second start phase; its T is not diagonal
+COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
+                       T=((-3.0, 1.0, 0.5), (0.0, -2.0, 1.5), (0.0, 0.0, -1.0)))
 
 
 def law_density(law, z: float) -> float:

@@ -653,9 +653,10 @@ class TestCgmyLimit:
     (("scale-eval", "--model", "exp1", "--grid", "-1e308:1e308:3"), 2),
     (("cgmy-limit", "--betas", "1", "--tilde-alpha", "1e300", "--m", "5", "--grid", "0:1:3"),
      2),
+    (("cgmy-limit", "--betas", "1e-300,1e-301", "--grid", "0:1:3"), 2),
 ], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
         "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count",
-        "mero-bounds-m", "cgmy-limit-m", "grid-span", "beta-poles-collapse"))
+        "mero-bounds-m", "cgmy-limit-m", "grid-span", "beta-poles-collapse", "cgmy-c-underflow"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

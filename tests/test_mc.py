@@ -28,14 +28,13 @@ from phscale.mc import (
 from phscale.models import (
     BUILTIN_JUMPS,
     EXP1,
-    PhaseTypeRepr,
     SnLevyModel,
     WEIBULL_FIT,
     builtin_model,
 )
 from phscale.scale import build_scale
 
-from closed_forms import as_phase_type
+from closed_forms import COXIAN, as_phase_type
 
 Q = 0.05
 
@@ -328,10 +327,6 @@ def choice_sample_jumps(ph, rng, n):
     return time
 
 
-COXIAN = PhaseTypeRepr(alpha=(0.7, 0.3, 0.0),
-                       T=((-3.0, 1.0, 0.5), (0.0, -2.0, 1.5), (0.0, 0.0, -1.0)))
-
-
 @pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), as_phase_type(WEIBULL_FIT), COXIAN],
                          ids=[*BUILTIN_JUMPS, "weibull-fit-ph", "coxian"])
 @pytest.mark.parametrize("seed", (0, 7, 2024))
@@ -474,6 +469,26 @@ def test_drift_without_jumps_never_goes_down(monkeypatch):
     assert not up.any() and not down.any()
     assert np.isnan(over).all() and np.isnan(under).all()
     assert rng.random() == np.random.default_rng(0).random()  # no draw taken
+
+
+@pytest.mark.parametrize("substeps", (None, 7), ids=("bridge", "grid"))
+def test_no_jumps_builds_no_sampler(monkeypatch, substeps):
+    # lambda = 0 has the empty jump law, from which no sampler can be built:
+    # both modes run without one, and every exit below 0 creeps
+    def no_sampler(ph):
+        raise AssertionError("_jump_sampler called")
+
+    monkeypatch.setattr(mc, "_jump_sampler", no_sampler)
+    m = builtin_model("exp1", sigma=1.0, mu=0.5, lam=0.0)
+    sf = build_scale(m, Q)
+    up, down = simulate_two_sided_exit(m, Q, 1.0, 3.0, 4000, seed=3, substeps=substeps)
+    if substeps is None:  # the grid misses crossings between its points
+        assert abs(up.value - up_exit(sf, 1.0, 3.0)) < 4 * up.stderr
+        assert abs(down.value - down_exit(sf, 1.0, 3.0)) < 4 * down.stderr
+    over, under = simulate_overshoot_undershoot(m, Q, 1.0, 0.5, 4000, seed=3, substeps=substeps)
+    if substeps is None:  # creeping puts all the mass at 0, in the first bin
+        for hist in (over, under):
+            assert hist.density[0] > 0 and not hist.density[1:].any()
 
 
 def masked_bridge_batch(model, q, x, b, n, rng):

@@ -832,6 +832,12 @@ class TestCgmy:
         with pytest.raises(DomainError, match="overflows"):
             cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta=1e300)
 
+    def test_c_underflow_is_domain_error(self):
+        # c~ beta^lam rounds to 0 at beta = 1e-300, lam = 1.5, though c~ = 0.1:
+        # refused by name, not taken for a family without jumps
+        with pytest.raises(DomainError, match="underflows"):
+            cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta=1e-300)
+
     def test_betas_must_decrease(self):
         with pytest.raises(DomainError):
             cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [0.5, 1.0], Q, 10, [0.0, 1.0])

@@ -31,6 +31,7 @@ from phscale.scale import build_scale
 from phscale.wiener_hopf import wh_factor_minus
 
 from closed_forms import (
+    COXIAN,
     as_phase_type,
     coxian_laws,
     jump_density,
@@ -349,3 +350,31 @@ def test_hyperexp_is_diagonal_phase_type(name):
         for fn in ("laplace_exponent", "laplace_exponent_derivative",
                    "jump_transform", "jump_tilted_mean"):
             assert getattr(ph, fn)(s) == pytest.approx(getattr(he, fn)(s), rel=1e-14, abs=0)
+
+
+NO_JUMP_LAWS = pytest.mark.parametrize("jumps", [EXP1, as_phase_type(WEIBULL_FIT), COXIAN],
+                                       ids=["exp1", "diagonal-ph", "coxian"])
+
+
+@NO_JUMP_LAWS
+def test_no_jumps_is_the_empty_diagonal_law(jumps):
+    # lam = 0 states the absence of jumps once: an empty diagonal law, whatever
+    # the jump law given, so psi has no poles and no phases
+    for sigma, mu in ((1.0, 2.0), (0.0, 1.0)):
+        m = SnLevyModel(mu=mu, sigma=sigma, lam=0.0, jumps=jumps)
+        ph = m.phase_type
+        assert ph.diagonal
+        assert [a.size for a in (ph.alpha, ph.T, ph.t, ph.poles)] == [0, 0, 0, 0]
+        assert m.poles().size == 0 and m.levy_mass == 0.0
+
+
+@NO_JUMP_LAWS
+def test_no_jumps_psi_is_the_gaussian_part(jumps):
+    # bit for bit mu s + sigma^2 s^2 / 2, scalars and arrays, on either side of 0
+    m = SnLevyModel(mu=2.0, sigma=1.5, lam=0.0, jumps=jumps)
+    s = np.array([-40.0, -3.0, -1.0, -1e-9, 0.0, 1e-9, 0.7, 5.0])
+    gauss = s * (m.mu + 0.5 * m.sigma**2 * s)
+    assert m.laplace_exponent(s).tobytes() == gauss.tobytes()
+    assert [m.laplace_exponent(v) for v in s] == gauss.tolist()
+    assert not m.jump_transform(s).any() and not m.jump_tilted_mean(s).any()
+    assert m.jump_transform(0.5) == 0.0

@@ -411,6 +411,28 @@ class TestArrayEvaluation:
                 getattr(bad, name)(pts)
 
 
+class TestResidues:
+    """The residues of W, lead = 1/psi'(zeta) and C_i = -1/psi'(-xi_i),
+    against 50-digit residues at 50-digit roots."""
+
+    # a root next to a pole is accurate relative to its size, not to its
+    # offset from the pole, and psi' there keeps only the offset's digits
+    OFFSET = pytest.mark.xfail(strict=True, reason="root-pole offset (ROADMAP item 3)")
+
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("name", ["exp1", pytest.param("weibull-fit", marks=OFFSET),
+                                      pytest.param("pareto-fit", marks=OFFSET)])
+    def test_c_matches_mpmath(self, name, sigma, q):
+        model = builtin_model(name, sigma=sigma)
+        sf = build_scale(model, q)
+        with mpmath.workdps(50):
+            (_, lead), *terms = mp_residue_terms(model, q)
+            rel = [abs(float(v / r - 1)) for v, r in
+                   zip([sf.lead, *sf.C], [lead, *(-c for _, c in terms)])]
+        assert max(rel) <= 1e-13, rel
+
+
 class TestOneTile:
     """W, W' and Z from the one exponential tile of ``exp_sum``, against
     50-digit residue sums."""
