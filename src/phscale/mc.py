@@ -1,8 +1,11 @@
 """Monte Carlo first-passage oracle.
 
+A model gives its ``mu``, its ``sigma``, the total mass Lambda of its Levy
+measure (``levy_mass``), the jump rate, and ``sample_jumps(rng, n)``, which
+draws n jumps of the normalised Levy measure; an infinite Lambda is refused.
 The discount e^{-q tau} is read as killing at an independent Exp(q) time, so
-a path runs through epochs of length T ~ Exp(lambda + q), each ending in a
-jump with probability lambda/(lambda + q) and in killing otherwise.  For
+a path runs through epochs of length T ~ Exp(Lambda + q), each ending in a
+jump with probability Lambda/(Lambda + q) and in killing otherwise.  For
 sigma > 0 (the default, ``substeps=None``, scheme ``"bridge"``) an epoch is
 sampled exactly: the Brownian endpoint y' = y + mu T + sigma sqrt(T) N(0, 1),
 then one uniform against the Brownian-bridge probability that the path left
@@ -32,11 +35,8 @@ epochs keep their clock at 0, as killing stands in for the discount, so a
 jump below 0 there counts e^0 = 1 and no path expires.  The loop carries only
 the paths still alive, as compact arrays filtered in ascending path order, so
 every draw goes to the same path as in a loop over all paths.  A path without
-jumps that cannot go down (sigma = 0, lambda = 0, no upper barrier) is
-retired at once.  A jump's phase is drawn through a 1024-cell lookup table on
-the start distribution's cdf, built once per sampler, that gives the searched
-index bit for bit; only a uniform in one of the few cells that a cdf step
-straddles is searched.
+jumps that cannot go down (sigma = 0, Lambda = 0, no upper barrier) is
+retired at once.
 """
 from __future__ import annotations
 
@@ -46,14 +46,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
-from .models import PhaseTypeArrays, SnLevyModel, check_barriers, check_positive
+from .errors import DomainError, UnsupportedRegime
+from .models import SnLevyModel, check_barriers, check_positive
 
 _HORIZON_EPS = 1e-8
 _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} are dropped
 _EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
-_CELLS = 1024  # cells of the phase-draw table; a power of 2, so u * _CELLS is exact
 _MAX_BINS = 10**6  # bins per histogram; a finer window is refused before allocating
 
 
@@ -103,76 +102,6 @@ class HistogramEstimate:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """Cumulative weights normalised as ``Generator.choice(p=p)`` normalises
-    them, so ``cdf.searchsorted(rng.random(n), side="right")`` draws the
-    components that ``rng.choice(len(p), n, p=p)`` would, without its checks."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _table_search(cdf: np.ndarray):
-    """draw(u) -> ``cdf.searchsorted(u, side="right")`` for u in [0, 1),
-    through a table of ``_CELLS`` equal cells built once, here.
-
-    u * _CELLS is exact, so each u falls in its true cell.  The search is
-    constant on a cell [i, i + 1) / _CELLS unless a cdf value lies strictly
-    inside it; the table holds that constant, or -1 for the few cells that a
-    cdf step straddles, whose u alone are searched."""
-    edges = np.arange(_CELLS + 1) / _CELLS
-    lo = cdf.searchsorted(edges[:-1], side="right")
-    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), lo, -1)
-
-    def draw(u: np.ndarray) -> np.ndarray:
-        found = table[(u * _CELLS).astype(np.intp)]
-        odd = np.flatnonzero(found < 0)
-        if odd.size:
-            found[odd] = cdf.searchsorted(u[odd], side="right")
-        return found
-
-    return draw
-
-
-def _jump_sampler(ph: PhaseTypeArrays):
-    """sample(rng, n) -> n i.i.d. jump sizes of the phase-type law (alpha, T, t);
-    its tables are built once, here."""
-    alpha, T, t, _, diagonal = ph
-    start = _table_search(_choice_cdf(alpha / alpha.sum()))
-    if diagonal:  # one exponential of rate t_j = eta_j in the drawn phase
-        scale = 1.0 / t
-
-        def sample_diagonal(rng: np.random.Generator, n: int) -> np.ndarray:
-            phase = start(rng.random(n))
-            # bit for bit rng.exponential(scale[phase]), which multiplies the same draws
-            return rng.standard_exponential(n) * scale[phase]
-
-        return sample_diagonal
-    m = alpha.size
-    total = -np.diag(T)
-    scale = 1.0 / total
-    # cumulative transition probabilities out of each state (to states, then absorb)
-    probs = np.column_stack((T, t)) / total[:, None]
-    probs[np.arange(m), np.arange(m)] = 0.0
-    cum = np.cumsum(probs, axis=1)
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        # CTMC absorption time over the compact (idx, state) of the unabsorbed
-        # samples, kept in ascending order
-        state = start(rng.random(n))
-        time = np.zeros(n)
-        idx = np.arange(n)
-        while idx.size:
-            # bit for bit rng.exponential(scale[state]), which multiplies the same draws
-            time[idx] += rng.standard_exponential(idx.size) * scale[state]
-            nxt = (rng.random(idx.size)[:, None] > cum[state]).sum(axis=1)
-            go = np.flatnonzero(nxt < m)
-            idx, state = idx[go], nxt[go]
-        return time
-
-    return sample
-
-
 def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
     with variance s = sigma^2 T leaves (0, b) first through 0, first through
@@ -217,8 +146,8 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
     one uniform against the bridge exit probabilities, under which an exit
     counts 1 (a crossing of 0 creeps), and one that keeps a jump against
     killing.  The clock stays at 0: a killed path needs no discount."""
-    mu, var, lam = model.mu, model.sigma**2, model.lam
-    rate = lam + q
+    mu, var, mass = model.mu, model.sigma**2, model.levy_mass
+    rate = mass + q
 
     def epoch(rng, live, pos, t, T, out):
         up, down, over, under = out
@@ -233,7 +162,7 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
         down[crept] = 1.0
         over[crept] = under[crept] = 0.0
         up[live[hit_up]] = 1.0
-        return end, ~(dn | hit_up) & (rng.random(k) * rate < lam), t
+        return end, ~(dn | hit_up) & (rng.random(k) * rate < mass), t
 
     return epoch
 
@@ -293,11 +222,11 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int)
 def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
             substeps: Optional[int], seed: int = 0):
     """(name, rate, epoch) of the sampling scheme: its name, the rate of the
-    exponential epoch lengths (lambda + q for bridge epochs, which kill at
-    rate q, lambda otherwise) and its epoch function, None where no path can
-    exit.  Rejects a q that is not positive and finite, fewer than 1 path, a
-    grid of fewer than 1 substep and a negative seed (``default_rng`` takes
-    none)."""
+    exponential epoch lengths (Lambda + q for bridge epochs, which kill at
+    rate q, the Levy mass Lambda otherwise) and its epoch function, None
+    where no path can exit.  Rejects a q that is not positive and finite,
+    fewer than 1 path, a grid of fewer than 1 substep, a negative seed
+    (``default_rng`` takes none) and an infinite Lambda."""
     check_positive("q", q)
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
@@ -305,15 +234,17 @@ def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
         raise DomainError("seed must be >= 0")
     if substeps is not None and substeps < 1:
         raise DomainError("substeps must be >= 1")
-    lam = model.lam
+    mass = model.levy_mass
+    if mass == math.inf:
+        raise UnsupportedRegime("infinite jump activity: no finite jump rate to simulate at")
     if model.sigma == 0:  # mu > 0: without jumps or an upper barrier no path exits
-        return "drift", lam, None if lam == 0 and b is None else _drift_epoch(model, q, b)
+        return "drift", mass, None if mass == 0 and b is None else _drift_epoch(model, q, b)
     if substeps is None:
-        return "bridge", lam + q, _bridge_epoch(model, q, b)
-    return f"grid-{substeps}", lam, _grid_epoch(model, q, b, substeps)
+        return "bridge", mass + q, _bridge_epoch(model, q, b)
+    return f"grid-{substeps}", mass, _grid_epoch(model, q, b, substeps)
 
 
-def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out):
+def _epoch_end(rng, sample_jumps, q, live, pos, t, stay, out):
     """Close an epoch at time t for the paths ``live`` at pos, of which the
     mask ``stay`` marks those that did not exit during it: one jump for each
     of these (none without jumps), written in at their positions in
@@ -323,7 +254,7 @@ def _epoch_end(rng, sample_jumps, q, lam, live, pos, t, stay, out):
     that stay, did not cross and are within the horizon, and returned."""
     keep = stay & (t <= math.log(1.0 / _HORIZON_EPS) / q)
     n_stay = np.count_nonzero(stay)
-    if lam > 0 and n_stay:
+    if sample_jumps is not None and n_stay:
         _, down, over, under = out
         jump = np.zeros(live.size)
         jump[stay] = sample_jumps(rng, n_stay)
@@ -363,12 +294,12 @@ def _run_batch(
         return out
     if epoch is None:
         return out
-    sample_jumps = _jump_sampler(model.phase_type) if model.lam > 0 else None
+    sample_jumps = model.sample_jumps if model.levy_mass > 0 else None
     live, pos, t = np.arange(n), np.full(n, float(x)), np.zeros(n)
     while live.size:
         T = rng.exponential(1.0 / rate, size=live.size) if rate > 0 else np.ones(live.size)
         end, stay, t = epoch(rng, live, pos, t, T, out)
-        live, pos, t = _epoch_end(rng, sample_jumps, q, model.lam, live, end, t, stay, out)
+        live, pos, t = _epoch_end(rng, sample_jumps, q, live, end, t, stay, out)
     return out
 
 

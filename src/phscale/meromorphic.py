@@ -115,7 +115,8 @@ class _BetaKernel:
 @dataclass(frozen=True)
 class BetaFamilyParams:
     """Beta-family parameters; ``lam`` is the stability index in (0, 3), not
-    a Poisson rate.  ``assemble`` reads sigma, mu, levy_mass, jump_transform."""
+    a Poisson rate.  ``assemble`` reads sigma, mu, levy_mass, jump_transform;
+    Monte Carlo reads mu, sigma, levy_mass and sample_jumps."""
 
     mu: float
     sigma: float
@@ -155,6 +156,12 @@ class BetaFamilyParams:
         the Levy measure for lam < 1, at a float or elementwise on an array."""
         s = np.asarray(s, dtype=float)
         return like(s, self.c / self.beta_b * self._beta(self.alpha_b + s / self.beta_b))
+
+    def sample_jumps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. jump sizes for lam < 1, drawn at rate ``levy_mass``: the
+        Levy density (c/beta) u^(alpha-1) (1-u)^(-lam) of u = e^{-beta y} is
+        a Beta(alpha, 1 - lam) law, so y = -log(U)/beta."""
+        return -np.log(rng.beta(self.alpha_b, 1.0 - self.lam, n)) / self.beta_b
 
 
 def beta_psi(params: BetaFamilyParams, s):
@@ -340,10 +347,10 @@ def scale_bounds(tm: TruncatedMero, x):
     # t e^{-t x} peaks at t = 1/x: over the sorted xi_1..xi_m the max sits next
     # to 1/x, and over the tail t >= xi_{m+1} it is 1/(e x) or the value at xi_{m+1}
     xi = tm.sf.xi
-    near = xi[np.clip(np.searchsorted(xi, 1.0 / p) + [[-1], [0]], 0, tm.m - 1)]
     # a product t x or e x past the float range is inf, and e^{-t x} and
-    # 1/(e x) are then 0
+    # 1/(e x) are then 0; 1/x of a subnormal x is inf, past every xi
     with np.errstate(over="ignore"):
+        near = xi[np.clip(np.searchsorted(xi, 1.0 / p) + [[-1], [0]], 0, tm.m - 1)]
         z_gap = tm.sf.q * tm.delta * (xs + (1.0 - np.exp(-xm1 * xs)) / xm1)
         head_sup = np.max(near * np.exp(-near * p), axis=0)
         tail = np.exp(-xm1 * p)

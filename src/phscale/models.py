@@ -29,6 +29,7 @@ from .errors import (
 # to ~6 decimal places.
 _SIMPLEX_TOL = 1e-5
 _POLE_REL_TOL = 1e-12  # relative guard around poles of psi
+_CELLS = 1024  # cells of the phase-draw table; a power of 2, so u * _CELLS is exact
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,76 @@ def _diagonal_arrays(weights, rates) -> PhaseTypeArrays:
     eta, phase = np.unique(r[w != 0], return_inverse=True)
     alpha = np.bincount(phase, weights=w[w != 0], minlength=eta.size)
     return PhaseTypeArrays(alpha, -np.diag(eta), eta, eta, True)
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative weights normalised as ``Generator.choice(p=p)`` normalises
+    them, so ``cdf.searchsorted(rng.random(n), side="right")`` draws the
+    components that ``rng.choice(len(p), n, p=p)`` would, without its checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _table_search(cdf: np.ndarray):
+    """draw(u) -> ``cdf.searchsorted(u, side="right")`` for u in [0, 1),
+    through a table of ``_CELLS`` equal cells built once, here.
+
+    u * _CELLS is exact, so each u falls in its true cell.  The search is
+    constant on a cell [i, i + 1) / _CELLS unless a cdf value lies strictly
+    inside it; the table holds that constant, or -1 for the few cells that a
+    cdf step straddles, whose u alone are searched."""
+    edges = np.arange(_CELLS + 1) / _CELLS
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    table = np.where(lo == cdf.searchsorted(edges[1:], side="left"), lo, -1)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        found = table[(u * _CELLS).astype(np.intp)]
+        odd = np.flatnonzero(found < 0)
+        if odd.size:
+            found[odd] = cdf.searchsorted(u[odd], side="right")
+        return found
+
+    return draw
+
+
+def _jump_sampler(ph: PhaseTypeArrays):
+    """sample(rng, n) -> n i.i.d. jump sizes of the phase-type law (alpha, T, t);
+    its tables are built once, here."""
+    alpha, T, t, _, diagonal = ph
+    start = _table_search(_choice_cdf(alpha / alpha.sum()))
+    if diagonal:  # one exponential of rate t_j = eta_j in the drawn phase
+        scale = 1.0 / t
+
+        def sample_diagonal(rng: np.random.Generator, n: int) -> np.ndarray:
+            phase = start(rng.random(n))
+            # bit for bit rng.exponential(scale[phase]), which multiplies the same draws
+            return rng.standard_exponential(n) * scale[phase]
+
+        return sample_diagonal
+    m = alpha.size
+    total = -np.diag(T)
+    scale = 1.0 / total
+    # cumulative transition probabilities out of each state (to states, then absorb)
+    probs = np.column_stack((T, t)) / total[:, None]
+    probs[np.arange(m), np.arange(m)] = 0.0
+    cum = np.cumsum(probs, axis=1)
+
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        # CTMC absorption time over the compact (idx, state) of the unabsorbed
+        # samples, kept in ascending order
+        state = start(rng.random(n))
+        time = np.zeros(n)
+        idx = np.arange(n)
+        while idx.size:
+            # bit for bit rng.exponential(scale[state]), which multiplies the same draws
+            time[idx] += rng.standard_exponential(idx.size) * scale[state]
+            nxt = (rng.random(idx.size)[:, None] > cum[state]).sum(axis=1)
+            go = np.flatnonzero(nxt < m)
+            idx, state = idx[go], nxt[go]
+        return time
+
+    return sample
 
 
 def near_pole(s, poles):
@@ -212,6 +283,11 @@ class SnLevyModel:
         decimals; small-time identities are sensitive to the actual mass.
         """
         return self.lam * float(self.phase_type.alpha.sum())
+
+    @cached_property
+    def sample_jumps(self):
+        """sample(rng, n) -> n i.i.d. jump sizes; its tables are built once per model."""
+        return _jump_sampler(self.phase_type)
 
     def poles(self) -> np.ndarray:
         """Absolute values of the poles of psi (eigenvalue magnitudes of -T)."""

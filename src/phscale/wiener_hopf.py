@@ -135,7 +135,8 @@ def exp_sum(rates, weights, xs: np.ndarray, minus_one=0) -> np.ndarray:
             out[rows] = np.expm1(tile, out=tile) @ cols
             continue
         if k_m:  # e^0 - 1 = 0 is exact: x = 0 needs no expm1
-            j = np.searchsorted(reach, _LN2 / np.min(x, where=x > 0, initial=np.inf))
+            with np.errstate(over="ignore"):  # ln 2 / x = inf at a subnormal x: all take expm1
+                j = np.searchsorted(reach, _LN2 / np.min(x, where=x > 0, initial=np.inf))
             head = np.expm1(tile[:, :j])
         if tile.real.min(initial=0.0) > _EXP_FLOOR:
             E = np.exp(tile, out=tile)

@@ -171,9 +171,17 @@ def _cgmy_rows(mid, end):
     (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
       "--n-paths", "10", "--bin-width", "1e299"),
      [f"undershoot,{(k + 0.5) * 1e299:.12g},0,0" for k in range(20)]),
+    # subnormal points, where ln 2 / x and 1 / x overflow to inf
+    (("scale-eval", "--model", "exp1", "--grid", "0:1e-320:3"),
+     ["0,0,2,1", "4.99994433591e-321,9.99988867183e-321,2,1",
+      "9.99988867183e-321,1.99997773437e-320,2,1"]),
+    (("mero-bounds", "--m", "5", "--grid", "0:1e-310:3"),
+     ["0,-2.98518450954,2.98518450954,1,1,nan,nan",
+      "5e-311,-2.98518450954,2.98518450954,1,1,33.9410954226,72.6531553096",
+      "1e-310,-2.98518450954,2.98518450954,1,1,33.9410954226,72.6531553096"]),
 ], ids=("scale-eval", "exit-prob", "mero-bounds", "mero-bounds-1.7e308", "cgmy-limit",
         "cgmy-limit-1.7e308", "overshoot", "undershoot", "joint", "simulate-exit",
-        "simulate-histogram"))
+        "simulate-histogram", "scale-eval-subnormal", "mero-bounds-subnormal"))
 def test_overflow_to_the_limit_prints_no_warning(capsys, argv, rows):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from phscale import mc
-from phscale.errors import DomainError
+from phscale import mc, models
+from phscale.errors import DomainError, UnsupportedRegime
 from phscale.fluctuation import (
     IntervalPair,
     down_exit,
@@ -17,19 +17,21 @@ from phscale.mc import (
     HistogramEstimate,
     SimulationEstimate,
     _MAX_BINS,
-    _choice_cdf,
-    _jump_sampler,
     _run_batch,
-    _table_search,
     bridge_exit_probabilities,
     simulate_overshoot_undershoot,
     simulate_two_sided_exit,
 )
+from phscale.meromorphic import BetaFamilyParams, scale_bounds, truncated_coefficients
 from phscale.models import (
     BUILTIN_JUMPS,
     EXP1,
+    HyperExpDist,
     SnLevyModel,
     WEIBULL_FIT,
+    _choice_cdf,
+    _jump_sampler,
+    _table_search,
     builtin_model,
 )
 from phscale.scale import build_scale
@@ -365,7 +367,7 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
     down = np.zeros(n)
     over = np.full(n, np.nan)
     under = np.full(n, np.nan)
-    mu, sigma, lam = model.mu, model.sigma, model.lam
+    mu, sigma, lam = model.mu, model.sigma, model.levy_mass
     ph = model.phase_type
     if b is not None:
         at_top = pos >= b
@@ -478,7 +480,7 @@ def test_no_jumps_builds_no_sampler(monkeypatch, substeps):
     def no_sampler(ph):
         raise AssertionError("_jump_sampler called")
 
-    monkeypatch.setattr(mc, "_jump_sampler", no_sampler)
+    monkeypatch.setattr(models, "_jump_sampler", no_sampler)
     m = builtin_model("exp1", sigma=1.0, mu=0.5, lam=0.0)
     sf = build_scale(m, Q)
     up, down = simulate_two_sided_exit(m, Q, 1.0, 3.0, 4000, seed=3, substeps=substeps)
@@ -496,7 +498,7 @@ def masked_bridge_batch(model, q, x, b, n, rng):
     loop over boolean masks of all n paths, drawing per epoch T, the normal,
     the bridge uniform and the kill uniform for every live path, then the
     jumps from ``choice_sample_jumps`` for the paths that jump."""
-    mu, var, lam = model.mu, model.sigma**2, model.lam
+    mu, var, lam = model.mu, model.sigma**2, model.levy_mass
     rate = lam + q
     pos = np.full(n, float(x))
     active = np.ones(n, dtype=bool)
@@ -553,6 +555,49 @@ def test_bridge_batch_matches_masked_reference(model, x, b, seed):
     ref = masked_bridge_batch(*args, np.random.default_rng(seed))
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("b", (5.0, None), ids=("exit", "histogram"))
+@pytest.mark.parametrize("sigma, substeps", [(0.0, None), (1.0, None), (1.0, 7)],
+                         ids=("drift", "bridge", "grid-7"))
+def test_run_batch_reads_only_the_levy_measure(sigma, substeps, b):
+    # lam = 5 with weights c (1/4, 3/4) and lam = 5c with weights (1/4, 3/4)
+    # are one Levy measure: equal levy_mass and jump cdf, so equal bytes
+    c = 1.0 - 2.0**-20
+    one, other = (SnLevyModel(mu=1.0, sigma=sigma, lam=lam, jumps=HyperExpDist(p=p, eta=(1.0, 3.0)))
+                  for lam, p in ((5.0, (0.25 * c, 0.75 * c)), (5.0 * c, (0.25, 0.75))))
+    assert one.levy_mass == other.levy_mass
+    got, ref = (_run_batch(m, Q, 2.0, b, 3000, np.random.default_rng(7), substeps)
+                for m in (one, other))
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+class TestBetaFamily:
+    """The beta-family with finite jump activity (stability index lam < 1),
+    its jumps drawn as -log(U)/beta with U ~ Beta(alpha, 1 - lam)."""
+
+    @pytest.mark.parametrize("sigma, lam, seed", [(0.0, 0.5, 11), (0.0, 0.9, 12), (0.3, 0.5, 13)],
+                             ids=("drift-0.5", "drift-0.9", "bridge-0.5"))
+    def test_exit_within_the_sandwich(self, sigma, lam, seed):
+        # up = W(x)/W(b), down = Z(x) - Z(b) W(x)/W(b), bounded by the
+        # m = 1600 sandwich at {x, b} with the ends crossed
+        params = BetaFamilyParams(mu=1.0, sigma=sigma, alpha_b=3.0, beta_b=1.0, c=1.0, lam=lam)
+        q, x, b = 0.03, 1.0, 3.0
+        w_lo, w_up, z_lo, z_up = scale_bounds(truncated_coefficients(params, q, 1600), [x, b])[:4]
+        up_lo, up_hi = w_lo[0] / w_up[1], w_up[0] / w_lo[1]
+        down_lo, down_hi = z_lo[0] - z_up[1] * up_hi, z_up[0] - z_lo[1] * up_lo
+        up, down = simulate_two_sided_exit(params, q, x, b, 200_000, seed=seed)
+        assert up.scheme == ("drift" if sigma == 0 else "bridge")
+        for est, lo, hi in ((up, up_lo, up_hi), (down, down_lo, down_hi)):
+            assert lo - 3 * est.stderr <= est.value <= hi + 3 * est.stderr
+
+    def test_infinite_activity_refused(self):
+        params = BetaFamilyParams(mu=1.0, sigma=0.3, alpha_b=3.0, beta_b=1.0, c=1.0, lam=1.5)
+        for run in (lambda: simulate_two_sided_exit(params, 0.03, 1.0, 3.0, 10, seed=0),
+                    lambda: simulate_overshoot_undershoot(params, 0.03, 1.0, 0.1, 10, seed=0)):
+            with pytest.raises(UnsupportedRegime):
+                run()
 
 
 class TestDomainChecks:
