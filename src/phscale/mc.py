@@ -13,6 +13,11 @@ then one uniform against the Brownian-bridge probability that the path left
 epoch (Kuznetsov, Kyprianou, Pardo & van Schaik 2011; Glasserman 2003, 6.4).
 A crossing of 0 inside an epoch is creeping, with overshoot and undershoot
 exactly 0.  The estimates are then exact up to rounding in the image series.
+On the strip the series runs only for the epochs whose uniform lies below an
+upper bound of the exit probability it returns (``_strip_exits``), so every
+exit is decided as the full series decides it.  A histogram sums each of its
+bins directly: one bin index per level (``_bin_index``), then ``np.bincount``
+of the discounts and of their squares.
 
 ``substeps=n`` selects the paper's validation protocol instead (scheme
 ``"grid-<n>"``, the paper uses n = 100): e^{-q tau} weights up to a horizon
@@ -102,6 +107,18 @@ class HistogramEstimate:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
+def _image(c, a, d):
+    """e^{c a d} with c = -2/s: the image e^{-2ad/s}, floored at e^{_EXP_FLOOR}."""
+    return np.exp(np.maximum(c * a * d, _EXP_FLOOR))
+
+
+def _image_count(s, b: float) -> int:
+    """K, the last image index of the strip series over variances s: terms
+    of index k are at most e^{-2(k-1)^2 b^2/s}, so the sums stop once that
+    falls below machine epsilon at the largest s."""
+    return math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b)
+
+
 def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
     """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
     with variance s = sigma^2 T leaves (0, b) first through 0, first through
@@ -114,31 +131,66 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
 
     the first for y' >= 0, the second for y' <= b; an endpoint beyond a
     barrier has left for sure, so there the other side's complement is used.
-    Terms of index k are at most e^{-2(k-1)^2 b^2/s}, so the sums stop once
-    that falls below machine epsilon.  As b -> inf, p_down -> e^{-2yy'/s}.
+    The sums stop after ``_image_count`` terms.  As b -> inf, p_down ->
+    e^{-2yy'/s}.
     """
     y, y_end, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, y_end, s)))
+    if b is None:
+        # a product past the float range makes the exponent -inf, which the floor catches
+        with np.errstate(over="ignore"):
+            return _image(-2.0 / s, np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
+    return _strip_series(y, y_end, s, b, _image_count(s, b))
+
+
+def _strip_series(y, y_end, s, b: float, n_images: int):
+    """The strip's image series of ``bridge_exit_probabilities``, summed
+    over k <= n_images.  The caller takes n_images over all the epochs it
+    decides, so a subset of them is summed as within the whole."""
     c = -2.0 / s
-
-    def image(a, d):  # e^{-2ad/s}, floored at e^{_EXP_FLOOR}
-        return np.exp(np.maximum(c * a * d, _EXP_FLOOR))
-
     # every image has a, d >= 0: a sum or product past the float range makes
     # the exponent -inf, which the floor catches
     with np.errstate(over="ignore"):
-        if b is None:
-            return image(np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
         lo = np.maximum(y_end, 0.0)  # p_down series holds for y' >= 0
         hi = np.minimum(y_end, b)    # p_up series holds for y' <= b
-        p_dn = image(lo, y)
+        p_dn = _image(c, lo, y)
         p_up = np.zeros(y.shape)
-        for k in range(1, math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b) + 1):
+        for k in range(1, n_images + 1):
             kb = k * b
-            p_dn += image(kb + lo, kb + y) - image(kb, kb + lo - y)
-            p_up += image(kb - hi, kb - y) - image(kb, kb - hi + y)
+            p_dn += _image(c, kb + lo, kb + y) - _image(c, kb, kb + lo - y)
+            p_up += _image(c, kb - hi, kb - y) - _image(c, kb, kb - hi + y)
     p_dn = np.where(y_end < 0.0, 1.0 - p_up, p_dn)
     p_up = np.where(y_end > b, 1.0 - p_dn, p_up)
     return np.clip(p_dn, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
+
+
+def _strip_exits(y, y_end, s, b: float, u):
+    """(down, up): the indices of the epochs with u < p_down, and with
+    p_down <= u < p_down + p_up, for the floating-point (p_down, p_up) of
+    ``bridge_exit_probabilities`` on the strip (0, b), all y in [0, b].
+
+    The series runs only where u lies below an upper bound of the p_down +
+    p_up it returns.  With K = ``_image_count(s, b)`` over all the epochs,
+    the bound sums the series' k = 0 image e^{-2yy'/s} and its first
+    up-crossing image e^{-2(b-y')(b-y)/s}, bit for bit as the series forms
+    them; 2K - 1 times e^{-2b^2/s} at the largest s, to or below whose
+    exponent that of every other positive term rounds; and a rounding slack
+    of 16(K + 1) machine epsilons.  An endpoint beyond a barrier makes one
+    of the first two images at least 1 > u, and a NaN bound decides
+    nothing, so the series sees those epochs."""
+    n_images = _image_count(s, b)
+    c = -2.0 / s
+    tail = 16 * (n_images + 1) * np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        if n_images:
+            tail += (2 * n_images - 1) * _image(-2.0 / s.max(), b, b)
+        bound = _image(c, y_end, y)
+        bound += _image(c, b - y_end, b - y)
+    bound += tail
+    near = np.flatnonzero(~(u >= bound))
+    p_dn, p_up = _strip_series(y[near], y_end[near], s[near], b, n_images)
+    u = u[near]
+    dn = u < p_dn
+    return near[dn], near[~dn & (u < p_dn + p_up)]
 
 
 def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
@@ -154,15 +206,18 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
         k = live.size
         s = var * T
         end = pos + mu * T + np.sqrt(s) * rng.standard_normal(k)
-        p_dn, p_up = bridge_exit_probabilities(pos, end, s, b)
         u = rng.random(k)
-        dn = u < p_dn
-        hit_up = ~dn & (u < p_dn + p_up)
+        if b is None:
+            dn, hit_up = np.flatnonzero(u < bridge_exit_probabilities(pos, end, s)[0]), []
+        else:
+            dn, hit_up = _strip_exits(pos, end, s, b, u)
         crept = live[dn]
         down[crept] = 1.0
         over[crept] = under[crept] = 0.0
         up[live[hit_up]] = 1.0
-        return end, ~(dn | hit_up) & (rng.random(k) * rate < mass), t
+        jump = rng.random(k) * rate < mass
+        jump[dn] = jump[hit_up] = False
+        return end, jump, t
 
     return epoch
 
@@ -340,6 +395,22 @@ def simulate_two_sided_exit(
     )
 
 
+def _bin_index(levels, edges):
+    """The bin of each level among ``edges``, ascending and equally spaced
+    up to rounding, as ``np.histogram`` bins it: e_i <= level < e_{i+1},
+    the last bin closed; a level outside [e_0, e_n] gets the index n, the
+    number of bins.  As NumPy's equal-width path does, the bin width gives
+    a guess, which one comparison against the edges on each side corrects
+    (the guess is off by at most one bin); no sort, no binary search."""
+    n = edges.size - 1
+    if n == 0:  # a single edge (a bin at least twice the window's width) makes no bin
+        return np.zeros(levels.size, dtype=np.intp)
+    i = np.clip((levels - edges[0]) * (n / (edges[-1] - edges[0])), 0, n - 1).astype(np.intp)
+    i -= levels < edges[i]
+    i += (levels >= edges[i + 1]) & (i < n - 1)
+    return np.where((levels >= edges[0]) & (levels <= edges[-1]), i, n)
+
+
 def simulate_overshoot_undershoot(
     model: SnLevyModel,
     q: float,
@@ -364,19 +435,20 @@ def simulate_overshoot_undershoot(
     if max(10.0, 2.0 * x) / window_width > _MAX_BINS:
         raise DomainError(f"bin width {window_width} at x = {x} gives more than "
                           f"{_MAX_BINS} bins per histogram")
-    edges_a = np.arange(0.0, 10.0 + window_width / 2, window_width)
-    edges_b = np.arange(0.0, 2.0 * x + window_width / 2, window_width)
-    sums_a, sq_a = np.zeros((2, len(edges_a) - 1))
-    sums_b, sq_b = np.zeros((2, len(edges_b) - 1))
+    edges = (np.arange(0.0, 10.0 + window_width / 2, window_width),
+             np.arange(0.0, 2.0 * x + window_width / 2, window_width))
+    sums = [np.zeros((2, e.size - 1)) for e in edges]  # sum of d, sum of d^2 per bin
     for _, d, over, under in _batches(model, q, x, None, n_paths, seed, substeps):
-        mask = d > 0
-        sums_a += np.histogram(over[mask], bins=edges_a, weights=d[mask])[0]
-        sq_a += np.histogram(over[mask], bins=edges_a, weights=d[mask] ** 2)[0]
-        sums_b += np.histogram(under[mask], bins=edges_b, weights=d[mask])[0]
-        sq_b += np.histogram(under[mask], bins=edges_b, weights=d[mask] ** 2)[0]
+        exits = d > 0
+        d = d[exits]
+        d2 = d**2
+        for s, levels, e in zip(sums, (over[exits], under[exits]), edges):
+            i = _bin_index(levels, e)
+            s[0] += np.bincount(i, d, e.size)[:-1]
+            s[1] += np.bincount(i, d2, e.size)[:-1]
 
-    def finish(s, s2, edges):
-        mean, se = _mean_stderr(s, s2, n_paths)
+    def finish(s, edges):
+        mean, se = _mean_stderr(s[0], s[1], n_paths)
         return HistogramEstimate(
             edges=edges,
             density=mean / window_width,
@@ -386,4 +458,4 @@ def simulate_overshoot_undershoot(
             scheme=scheme,
         )
 
-    return finish(sums_a, sq_a, edges_a), finish(sums_b, sq_b, edges_b)
+    return finish(sums[0], edges[0]), finish(sums[1], edges[1])

@@ -147,8 +147,11 @@ class BetaFamilyParams:
 
     @property
     def levy_mass(self) -> float:
-        """Total mass of the Levy measure, (c/beta) B(alpha, 1 - lam),
-        infinite for lam >= 1."""
+        """Total mass of the Levy measure, (c/beta) B(alpha, 1 - lam):
+        0 for c = 0, where there is no Levy measure, else infinite for
+        lam >= 1."""
+        if self.c == 0:
+            return 0.0
         return math.inf if self.lam >= 1 else self.c / self.beta_b * self._beta0
 
     def jump_transform(self, s):

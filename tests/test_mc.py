@@ -305,6 +305,37 @@ class TestHistograms:
         assert a == b
 
 
+def test_histogram_sums_each_bin_exactly():
+    # one batch: density * width * n is the bin's sum of discounts, within
+    # 1e-14 of its correctly rounded value (prefix-sum differences are not)
+    m = builtin_model("pareto-fit", sigma=0.0, mu=1.0, lam=10.0)
+    width, n, seed = 0.1, mc._BATCH, 4
+    hists = simulate_overshoot_undershoot(m, Q, 5.0, width, n, seed=seed)
+    _, d, over, under = _run_batch(m, Q, 5.0, None, n, np.random.default_rng([seed, 0]))
+    exits = d > 0
+    for hist, levels in zip(hists, (over[exits], under[exits])):
+        bins = np.searchsorted(hist.edges, levels, "right") - 1
+        exact = np.array([math.fsum(d[exits][bins == i]) for i in range(hist.density.size)])
+        assert exact.sum() > 0
+        np.testing.assert_allclose(hist.density * width * n, exact, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("top, width", [(10.0, 0.1), (10.0, 0.3), (2.0 * 3.7, 0.05), (10.0, 1e-5),
+                                        (10.0, 30.0)],
+                         ids=["overshoot", "uneven-last", "undershoot", "max-bins", "no-bin"])
+def test_bin_index_matches_searchsorted(top, width):
+    # every edge and its two float neighbours land where np.histogram puts
+    # them, [e_i, e_{i+1}) with the last bin closed; outside levels drop to n
+    edges = np.arange(0.0, top + width / 2, width)
+    n = edges.size - 1
+    levels = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             [edges[-1] * 1.5, np.inf, -np.inf, -width]])
+    ref = np.searchsorted(edges, levels, "right") - 1
+    ref[levels == edges[-1]] = n - 1
+    ref[(ref < 0) | (ref >= n)] = n
+    assert np.array_equal(mc._bin_index(levels, edges), ref)
+
+
 def choice_sample_jumps(ph, rng, n):
     """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
     ``rng.choice``: the reference for the sampler, which draws them through a
@@ -540,13 +571,17 @@ def masked_bridge_batch(model, q, x, b, n, rng):
 
 
 @pytest.mark.parametrize("seed", (0, 5, 11))
-@pytest.mark.parametrize("x, b", [(2.0, 5.0), (2.0, None)], ids=["exit", "histogram"])
+# starts next to either barrier and a narrow strip put u close to the bound
+# on p_down + p_up, above which the image series is not run
+@pytest.mark.parametrize("x, b", [(2.0, 5.0), (2.0, None), (0.05, 5.0), (4.95, 5.0), (0.25, 0.5)],
+                         ids=["exit", "histogram", "exit-near-0", "exit-near-b", "exit-narrow"])
 @pytest.mark.parametrize("model", [
     builtin_model("exp1", sigma=1.0),
     builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0),
     SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN),
     builtin_model("exp1", sigma=1.0, lam=0.0),
-], ids=["exp1", "pareto-fit", "coxian", "lam-0"])
+    builtin_model("exp1", sigma=3.0),  # several image terms per epoch
+], ids=["exp1", "pareto-fit", "coxian", "lam-0", "sigma-3"])
 def test_bridge_batch_matches_masked_reference(model, x, b, seed):
     # the same draws to the same paths, so every output is equal bit for bit,
     # overshoot and undershoot included, in exit mode as in histogram mode
@@ -591,6 +626,17 @@ class TestBetaFamily:
         assert up.scheme == ("drift" if sigma == 0 else "bridge")
         for est, lo, hi in ((up, up_lo, up_hi), (down, down_lo, down_hi)):
             assert lo - 3 * est.stderr <= est.value <= hi + 3 * est.stderr
+
+    @pytest.mark.parametrize("b", (5.0, None), ids=("exit", "histogram"))
+    def test_no_levy_measure_is_brownian_motion_with_drift(self, b):
+        # c = 0 has Levy mass 0 at any stability index, so lam = 1.5 is not
+        # refused as infinite activity: it runs as exp1 without jumps
+        params = BetaFamilyParams(mu=1.0, sigma=0.3, alpha_b=3.0, beta_b=1.0, c=0.0, lam=1.5)
+        assert params.levy_mass == 0.0
+        got, ref = (_run_batch(m, Q, 2.0, b, 3000, np.random.default_rng(17))
+                    for m in (params, builtin_model("exp1", sigma=0.3, mu=1.0, lam=0.0)))
+        for g, r in zip(got, ref):
+            assert g.tobytes() == r.tobytes()
 
     def test_infinite_activity_refused(self):
         params = BetaFamilyParams(mu=1.0, sigma=0.3, alpha_b=3.0, beta_b=1.0, c=1.0, lam=1.5)
