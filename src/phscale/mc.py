@@ -425,9 +425,13 @@ def simulate_overshoot_undershoot(
     Returns (overshoot_hist, undershoot_hist); densities are per unit level so
     they compare directly against the closed-form densities at bin centers.
     Creeping paths (sigma > 0) land at overshoot 0 and undershoot 0, in the
-    first bin of each histogram.  The overshoot bins cover [0, 10] and the
-    undershoot bins [0, 2x], at most ``_MAX_BINS`` each.  ``substeps``
-    selects the scheme as in ``simulate_two_sided_exit``.
+    first bin of each histogram.  The overshoot bins cover the window [0, 10]
+    and the undershoot bins [0, 2x], at most ``_MAX_BINS`` each, with edges
+    0, w, 2w, ... for the width w: the last bin ends within w/2 of its
+    window's end, so a window no wider than w/2 has no bins (w = 15 at x = 2
+    gives the one overshoot bin [0, 15] and no undershoot bin), and a width
+    that leaves both histograms without a bin, w >= 2 max(10, 2x), is
+    refused.  ``substeps`` selects the scheme as in ``simulate_two_sided_exit``.
     """
     scheme = _scheme(model, q, None, n_paths, substeps, seed)[0]
     check_positive("x", x)
@@ -437,6 +441,9 @@ def simulate_overshoot_undershoot(
                           f"{_MAX_BINS} bins per histogram")
     edges = (np.arange(0.0, 10.0 + window_width / 2, window_width),
              np.arange(0.0, 2.0 * x + window_width / 2, window_width))
+    if max(e.size for e in edges) < 2:
+        raise DomainError(f"bin width {window_width} at x = {x} leaves both histograms "
+                          "without a bin")
     sums = [np.zeros((2, e.size - 1)) for e in edges]  # sum of d, sum of d^2 per bin
     for _, d, over, under in _batches(model, q, x, None, n_paths, seed, substeps):
         exits = d > 0

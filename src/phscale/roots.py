@@ -138,8 +138,7 @@ def interlaced_roots(
     return np.where(near, x0, x1), np.where(near, f0, f1)
 
 
-# The far ends 2^j of the zeta bracket (-2^j, 0): the first 16 powers tried
-# in one call, the rest up to 2^199 in one more call for the rows that need them
+# the powers 2^j of the doubling rule of ``interlaced_solve``
 _TOPS = 2.0 ** np.arange(16)
 _FAR = 2.0 ** np.arange(16, 200)
 
@@ -151,14 +150,14 @@ def interlaced_solve(
     poles at -eta (ascending, positive): xi_k in (eta_{k-1}, eta_k) with
     eta_0 = 0 and, unless ``outer`` is None, one more xi beyond the largest
     pole, near eta_n + ``outer`` (2 mu / sigma^2, where sigma^2 s^2 / 2 takes
-    over from the drift).  The zeta bracket is (-top, 0), with top the first
-    power of two where psi > q: the first 16 powers in one call, and the
-    powers 2^16 .. 2^199 in one more call for the rows whose psi stays <= q
-    through 2^15: psi gives a point the same bits in an array of any size,
-    so this is the power that doubling one at a time finds.  It and all xi
-    brackets go to one ``interlaced_roots`` call, which clears the ends
-    that are poles: eta_k, but not -top, 0 or the outer bracket's far end.
-    The zeta residual is the f that call returns at -zeta.
+    over from the drift).  All brackets go to one ``interlaced_roots`` call
+    on f(s) = psi(-s) - q, which clears the ends that are poles (eta_k); its
+    f at -zeta is the zeta residual.  One doubling rule finds the unbounded
+    ends: base + unit 2^j at the first j where f > 0, with (base, unit) =
+    (0, -1) for zeta and (eta_n, max(2 outer, 1)) for the outer root (n may be 0).
+    Every end tries j < 16 in one psi call, and j = 16 .. 199 in one more if
+    it needs them: psi gives a point the same bits in an array of any size,
+    so this is the j that doubling one at a time finds, and psi sees arrays only.
 
     psi(s, k) takes the points s and the index k of their brackets
     (``interlaced_roots``), which broadcasts against s.  A 2-d ``eta`` holds
@@ -171,38 +170,39 @@ def interlaced_solve(
     n_rows, n = rows.shape
     width = n + 1 + (outer is not None)
     k0 = np.arange(0, n_rows * width, width)  # the zeta bracket of each row
-    # the powers past the root can overflow psi; they are not used
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = (psi(_TOPS, k0[:, None]) > q).reshape(n_rows, -1)
-        top = _TOPS[up.argmax(axis=1)]
-        far = (~up.any(axis=1)).nonzero()[0]
-        if far.size:
-            up = (psi(_FAR, k0[far, None]) > q).reshape(far.size, -1)
-            if not up.any(axis=1).all():
-                raise BracketingFailure("could not bracket zeta by doubling")
-            top[far] = _FAR[up.argmax(axis=1)]
-    # each row of hi holds 0, eta and the outer end; lo holds -top and the
-    # ends of hi before its own
+    # each row of hi holds 0, eta and the outer end; lo holds the zeta end and
+    # the ends of hi before its own
     hi = np.zeros((n_rows, width))
     hi[:, 1:n + 1] = rows
-    lo = np.empty(hi.shape)
-    lo[:, 0], lo[:, 1:] = -top, hi[:, :-1]
+    hi, pole_hi = hi.ravel(), hi.ravel() > 0  # the outer end is still 0
+
+    def f(s, k):
+        return psi(-s, k) - q
+    # f < 0 just past eta_n; past eta_n + 2 outer, sigma^2 s^2 / 2 beats the drift
+    ends = k0 if outer is None else np.append(k0, width - 1)
+    base, unit = np.zeros((ends.size, 1)), np.full((ends.size, 1), -1.0)
     if outer is not None:
-        # psi(-s) - q < 0 just beyond the largest pole (or at s = 0 without
-        # poles); past eta_n + 2 outer, sigma^2 s^2 / 2 has overtaken the drift
-        start = lo[0, -1]
-        end = start + max(2.0 * outer, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while (f_end := psi(-end, width - 1)) <= q:
-                end = start + 2 * (end - start)
-            # the secant steps form products up to |f| (end - start)^2
-            if not abs(f_end - q) * (end - start) * (end - start) < np.inf:
-                raise BracketingFailure(f"outer root beyond the float range, near {end}")
-        hi[0, -1] = end
-    pole_hi = np.zeros(hi.shape, dtype=bool)
-    pole_hi[:, 1:n + 1] = True
-    lo, hi = lo.ravel(), hi.ravel()
-    roots, resid = interlaced_roots(lambda s, k: psi(-s, k) - q, lo, hi, lo > 0, pole_hi.ravel())
+        base[-1], unit[-1] = hi[-2], max(2.0 * outer, 1.0)
+    end, f_end, k = np.empty(ends.size), np.empty(ends.size), slice(None)
+    # the powers past the root can overflow psi; they are not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        for powers in (_TOPS, _FAR):
+            s = base[k] + unit[k] * powers
+            fs = f(s, ends[k, None])
+            at = np.arange(len(s)), (fs > 0).argmax(axis=1)
+            end[k], f_end[k] = s[at], fs[at]
+            if not (k := (~(f_end > 0)).nonzero()[0]).size:
+                break
+        else:
+            raise BracketingFailure("could not bracket a root by doubling")
+        # the secant steps form products up to |f| (end - eta_n)^2
+        d = end[-1] - base[-1, 0]
+        if outer is not None and not abs(f_end[-1]) * d * d < np.inf:
+            raise BracketingFailure(f"outer root beyond the float range, near {end[-1]}")
+    hi[ends[n_rows:]] = end[n_rows:]
+    lo = np.concatenate(([0.0], hi[:-1]))
+    lo[k0] = end[:n_rows]
+    roots, resid = interlaced_roots(f, lo, hi, lo > 0, pole_hi)
     if not np.all((lo < roots) & (roots < hi)):
         raise BracketingFailure("interlacing violated")
     bad = (np.abs(resid[k0]) > _RESIDUAL_TOL * max(1.0, q)).nonzero()[0]

@@ -650,6 +650,10 @@ class TestCgmyLimit:
       "--bin-width", "1e-300"), 2),
     (("simulate", "--model", "exp1", "--x", "1e300", "--mode", "histogram",
       "--n-paths", "10"), 2),
+    # a bin width of at least twice both windows, [0, 10] and [0, 2x], leaves
+    # both histograms without a bin
+    (("simulate", "--model", "exp1", "--sigma", "0", "--x", "2", "--mode", "histogram",
+      "--n-paths", "10", "--bin-width", "30"), 2),
     (("identities", "--model", "exp1", "--q", "1e-300"), 3),
     (("scale-eval", "--model", "exp1", "--q", "1e-40", "--grid", "0:4:3"), 3),
     (("mero-bounds", "--m", "5", "--q", "1e-20", "--grid", "0:1:3"), 3),
@@ -662,9 +666,10 @@ class TestCgmyLimit:
     (("cgmy-limit", "--betas", "1", "--tilde-alpha", "1e300", "--m", "5", "--grid", "0:1:3"),
      2),
     (("cgmy-limit", "--betas", "1e-300,1e-301", "--grid", "0:1:3"), 2),
-], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "identities-tiny-q",
-        "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec", "window-spec", "grid-count",
-        "mero-bounds-m", "cgmy-limit-m", "grid-span", "beta-poles-collapse", "cgmy-c-underflow"))
+], ids=("cgmy-overflow", "negative-seed", "bin-width", "histogram-x", "histogram-no-bins",
+        "identities-tiny-q", "scale-eval-tiny-q", "mero-bounds-tiny-q", "grid-spec",
+        "window-spec", "grid-count", "mero-bounds-m", "cgmy-limit-m", "grid-span",
+        "beta-poles-collapse", "cgmy-c-underflow"))
 def test_typed_refusal(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")

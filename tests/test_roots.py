@@ -239,19 +239,22 @@ def test_outer_root_beyond_float_range_raises(sigma):
         find_roots(builtin_model("exp1", sigma=sigma), Q)
 
 
-@pytest.mark.parametrize("sigma", [1e6] + [
-    pytest.param(s, marks=pytest.mark.xfail(
+# sigma = 1, q = 1e3: the outer bracket's far end doubles twice, from
+# eta_1 + 2 (2 mu / sigma^2) = 21 to 81
+@pytest.mark.parametrize("sigma, q", [(1e6, Q), (1.0, 1e3)] + [
+    pytest.param(s, Q, marks=pytest.mark.xfail(
         strict=True, raises=PoleEvaluation,
         reason="the outer root lies about 2 lam / sigma^2 above the pole -1, "
-               "inside the pole guard's tolerance")) for s in (3e6, 1e7)])
-def test_exp1_large_sigma_roots_against_mpmath(sigma):
+               "inside the pole guard's tolerance")) for s in (3e6, 1e7)],
+    ids=("1000000.0", "1.0-1000.0", "3000000.0", "10000000.0"))
+def test_exp1_large_sigma_roots_against_mpmath(sigma, q):
     # psi(s) = q for exp1 is the cubic (mu s + sigma^2 s^2/2 - q)(1 + s) - lam s
     # = 0: zeta and both xi within a few ulps of its 50-digit roots, well
     # inside the outer root's distance from the pole
     model = builtin_model("exp1", sigma=sigma)
-    sf = build_scale(model, Q)
+    sf = build_scale(model, q)
     with mpmath.workdps(50):
-        mu, lam, q = (mpmath.mpf(v) for v in (model.mu, model.lam, Q))
+        mu, lam, q = (mpmath.mpf(v) for v in (model.mu, model.lam, q))
         half = mpmath.mpf(sigma) ** 2 / 2
         ref = sorted((mpmath.re(r) for r in mpmath.polyroots(
             [half, half + mu, mu - q - lam, -q], maxsteps=200, extraprec=200)), reverse=True)
@@ -269,12 +272,14 @@ def test_psi_calls_per_solve(monkeypatch, name, sigma, q):
     psi = SnLevyModel.laplace_exponent
 
     def counting(self, s):
-        calls.append(1)
+        calls.append(np.ndim(s))
         return psi(self, s)
 
     monkeypatch.setattr(SnLevyModel, "laplace_exponent", counting)
     find_roots(model, q)
     assert len(calls) <= 35
+    # both unbounded bracket ends, zeta's and the outer one, are probed on arrays
+    assert 0 not in calls
 
 
 @pytest.mark.parametrize("sigma", (0.0, 1.0))
