@@ -9,15 +9,16 @@ jump with probability Lambda/(Lambda + q) and in killing otherwise.  For
 sigma > 0 (the default, ``substeps=None``, scheme ``"bridge"``) an epoch is
 sampled exactly: the Brownian endpoint y' = y + mu T + sigma sqrt(T) N(0, 1),
 then one uniform against the Brownian-bridge probability that the path left
-(0, inf) -- or the strip (0, b), through 0 or through b first -- inside the
-epoch (Kuznetsov, Kyprianou, Pardo & van Schaik 2011; Glasserman 2003, 6.4).
-A crossing of 0 inside an epoch is creeping, with overshoot and undershoot
-exactly 0.  The estimates are then exact up to rounding in the image series.
-On the strip the series runs only for the epochs whose uniform lies below an
-upper bound of the exit probability it returns (``_strip_exits``), so every
-exit is decided as the full series decides it.  A histogram sums each of its
-bins directly: one bin index per level (``_bin_index``), then ``np.bincount``
-of the discounts and of their squares.
+the strip (0, b), through 0 or through b first, inside the epoch (Kuznetsov,
+Kyprianou, Pardo & van Schaik 2011; Glasserman 2003, 6.4).  A crossing of 0
+inside an epoch is creeping, with overshoot and undershoot exactly 0.  The
+estimates are then exact up to rounding in the image series, which
+``_strip_exits`` runs only for the epochs whose uniform lies below an upper
+bound of the exit probability it returns.  No upper barrier is b = inf, in
+exit mode and in histograms: the half-line, whose exit probability is the
+series' k = 0 image e^{-2yy'/s}, so that image alone decides each epoch.  A
+histogram sums each of its bins directly: one bin index per level
+(``_bin_index``), then ``np.bincount`` of the discounts and of their squares.
 
 ``substeps=n`` selects the paper's validation protocol instead (scheme
 ``"grid-<n>"``, the paper uses n = 100): e^{-q tau} weights up to a horizon
@@ -40,8 +41,7 @@ epochs keep their clock at 0, as killing stands in for the discount, so a
 jump below 0 there counts e^0 = 1 and no path expires.  The loop carries only
 the paths still alive, as compact arrays filtered in ascending path order, so
 every draw goes to the same path as in a loop over all paths.  A path without
-jumps that cannot go down (sigma = 0, Lambda = 0, no upper barrier) is
-retired at once.
+jumps that cannot go down (sigma = 0, Lambda = 0, b = inf) is retired at once.
 """
 from __future__ import annotations
 
@@ -119,10 +119,11 @@ def _image_count(s, b: float) -> int:
     return math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b)
 
 
-def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
+def bridge_exit_probabilities(y, y_end, s, b: float = math.inf):
     """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
     with variance s = sigma^2 T leaves (0, b) first through 0, first through
-    b, within the epoch; b = None is the half-line (0, inf) and p_up = 0.
+    b, within the epoch; b = inf is the half-line (0, inf), where K = 0 leaves
+    the k = 0 image p_down = e^{-2yy'/s} (1 for y' < 0) and p_up = 0.
 
     For 0 <= y <= b the image series are
 
@@ -131,14 +132,9 @@ def bridge_exit_probabilities(y, y_end, s, b: Optional[float] = None):
 
     the first for y' >= 0, the second for y' <= b; an endpoint beyond a
     barrier has left for sure, so there the other side's complement is used.
-    The sums stop after ``_image_count`` terms.  As b -> inf, p_down ->
-    e^{-2yy'/s}.
+    The sums stop after ``_image_count`` terms.
     """
     y, y_end, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, y_end, s)))
-    if b is None:
-        # a product past the float range makes the exponent -inf, which the floor catches
-        with np.errstate(over="ignore"):
-            return _image(-2.0 / s, np.maximum(y * y_end, 0.0), 1.0), np.zeros(y.shape)
     return _strip_series(y, y_end, s, b, _image_count(s, b))
 
 
@@ -168,22 +164,24 @@ def _strip_exits(y, y_end, s, b: float, u):
     p_down <= u < p_down + p_up, for the floating-point (p_down, p_up) of
     ``bridge_exit_probabilities`` on the strip (0, b), all y in [0, b].
 
-    The series runs only where u lies below an upper bound of the p_down +
-    p_up it returns.  With K = ``_image_count(s, b)`` over all the epochs,
-    the bound sums the series' k = 0 image e^{-2yy'/s} and its first
-    up-crossing image e^{-2(b-y')(b-y)/s}, bit for bit as the series forms
-    them; 2K - 1 times e^{-2b^2/s} at the largest s, to or below whose
-    exponent that of every other positive term rounds; and a rounding slack
-    of 16(K + 1) machine epsilons.  An endpoint beyond a barrier makes one
-    of the first two images at least 1 > u, and a NaN bound decides
-    nothing, so the series sees those epochs."""
-    n_images = _image_count(s, b)
+    The k = 0 image e^{-2yy'/s} comes first, as the series forms it: at
+    b = inf it is p_down (1 or more for y' < 0), and no epoch exits up.  On
+    a strip the series runs where u lies below a bound of its p_down + p_up:
+    with K = ``_image_count(s, b)`` over all the epochs, that image, the
+    first up-crossing image e^{-2(b-y')(b-y)/s} as the series forms it, 2K - 1
+    times e^{-2b^2/s} at the largest s (no other positive term's exponent
+    rounds above its own), and a slack of 16(K + 1) machine epsilons.  An
+    endpoint beyond a barrier makes one of the first two images at least
+    1 > u, and a NaN bound decides nothing: the series sees those epochs."""
     c = -2.0 / s
-    tail = 16 * (n_images + 1) * np.finfo(float).eps
     with np.errstate(over="ignore"):
+        bound = _image(c, y_end, y)
+        if b == math.inf:
+            return np.flatnonzero(u < bound), np.empty(0, dtype=np.intp)
+        n_images = _image_count(s, b)
+        tail = 16 * (n_images + 1) * np.finfo(float).eps
         if n_images:
             tail += (2 * n_images - 1) * _image(-2.0 / s.max(), b, b)
-        bound = _image(c, y_end, y)
         bound += _image(c, b - y_end, b - y)
     bound += tail
     near = np.flatnonzero(~(u >= bound))
@@ -193,7 +191,7 @@ def _strip_exits(y, y_end, s, b: float, u):
     return near[dn], near[~dn & (u < p_dn + p_up)]
 
 
-def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
+def _bridge_epoch(model: SnLevyModel, q: float, b: float):
     """Exact epochs with killing at rate q (sigma > 0): the Brownian endpoint,
     one uniform against the bridge exit probabilities, under which an exit
     counts 1 (a crossing of 0 creeps), and one that keeps a jump against
@@ -207,10 +205,7 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
         s = var * T
         end = pos + mu * T + np.sqrt(s) * rng.standard_normal(k)
         u = rng.random(k)
-        if b is None:
-            dn, hit_up = np.flatnonzero(u < bridge_exit_probabilities(pos, end, s)[0]), []
-        else:
-            dn, hit_up = _strip_exits(pos, end, s, b, u)
+        dn, hit_up = _strip_exits(pos, end, s, b, u)
         crept = live[dn]
         down[crept] = 1.0
         over[crept] = under[crept] = 0.0
@@ -222,14 +217,14 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: Optional[float]):
     return epoch
 
 
-def _drift_epoch(model: SnLevyModel, q: float, b: Optional[float]):
+def _drift_epoch(model: SnLevyModel, q: float, b: float):
     """sigma = 0: a drift segment, crossed exactly; it reaches b, if at all,
     at t + (b - pos) / mu."""
     mu = model.mu
 
     def epoch(rng, live, pos, t, T, out):
         end = pos + mu * T
-        if b is None:
+        if b == math.inf:
             return end, np.ones(live.size, dtype=bool), t + T
         stay = end < b
         reach = np.flatnonzero(~stay)
@@ -239,7 +234,7 @@ def _drift_epoch(model: SnLevyModel, q: float, b: Optional[float]):
     return epoch
 
 
-def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int):
+def _grid_epoch(model: SnLevyModel, q: float, b: float, substeps: int):
     """sigma > 0 on the paper's grid: a ``substeps``-point random walk, its
     crossings tested at grid points."""
     mu, sigma = model.mu, model.sigma
@@ -256,7 +251,7 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int)
         np.add(mu * dt[:, None] * steps, path, out=path)
         path += pos[:, None]
         hit_dn = path < 0.0
-        hit = hit_dn | (path >= b) if b is not None else hit_dn
+        hit = hit_dn | (path >= b) if b < math.inf else hit_dn
         first = np.argmax(hit, axis=1)
         any_hit = hit[np.arange(k), first]  # argmax is 0 on a row without a hit
         rows = np.flatnonzero(any_hit)
@@ -274,7 +269,7 @@ def _grid_epoch(model: SnLevyModel, q: float, b: Optional[float], substeps: int)
     return epoch
 
 
-def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
+def _scheme(model: SnLevyModel, q: float, b: float, n_paths: int,
             substeps: Optional[int], seed: int = 0):
     """(name, rate, epoch) of the sampling scheme: its name, the rate of the
     exponential epoch lengths (Lambda + q for bridge epochs, which kill at
@@ -293,7 +288,7 @@ def _scheme(model: SnLevyModel, q: float, b: Optional[float], n_paths: int,
     if mass == math.inf:
         raise UnsupportedRegime("infinite jump activity: no finite jump rate to simulate at")
     if model.sigma == 0:  # mu > 0: without jumps or an upper barrier no path exits
-        return "drift", mass, None if mass == 0 and b is None else _drift_epoch(model, q, b)
+        return "drift", mass, None if mass == 0 and b == math.inf else _drift_epoch(model, q, b)
     if substeps is None:
         return "bridge", mass + q, _bridge_epoch(model, q, b)
     return f"grid-{substeps}", mass, _grid_epoch(model, q, b, substeps)
@@ -329,7 +324,7 @@ def _run_batch(
     model: SnLevyModel,
     q: float,
     x: float,
-    b: Optional[float],
+    b: float,
     n: int,
     rng: np.random.Generator,
     substeps: Optional[int] = None,
@@ -344,7 +339,7 @@ def _run_batch(
     """
     _, rate, epoch = _scheme(model, q, b, n, substeps)
     out = np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
-    if b is not None and x >= b:  # every path starts at or above b
+    if x >= b:  # every path starts at or above b
         out[0][:] = 1.0
         return out
     if epoch is None:
@@ -358,7 +353,7 @@ def _run_batch(
     return out
 
 
-def _batches(model: SnLevyModel, q: float, x: float, b: Optional[float], n_paths: int,
+def _batches(model: SnLevyModel, q: float, x: float, b: float, n_paths: int,
              seed: int, substeps: Optional[int]):
     """The ``_run_batch`` results for n_paths paths in batches of ``_BATCH``,
     batch k on its own stream ``default_rng([seed, k])``."""
@@ -433,7 +428,7 @@ def simulate_overshoot_undershoot(
     that leaves both histograms without a bin, w >= 2 max(10, 2x), is
     refused.  ``substeps`` selects the scheme as in ``simulate_two_sided_exit``.
     """
-    scheme = _scheme(model, q, None, n_paths, substeps, seed)[0]
+    scheme = _scheme(model, q, math.inf, n_paths, substeps, seed)[0]
     check_positive("x", x)
     check_positive("window_width", window_width)
     if max(10.0, 2.0 * x) / window_width > _MAX_BINS:
@@ -445,7 +440,7 @@ def simulate_overshoot_undershoot(
         raise DomainError(f"bin width {window_width} at x = {x} leaves both histograms "
                           "without a bin")
     sums = [np.zeros((2, e.size - 1)) for e in edges]  # sum of d, sum of d^2 per bin
-    for _, d, over, under in _batches(model, q, x, None, n_paths, seed, substeps):
+    for _, d, over, under in _batches(model, q, x, math.inf, n_paths, seed, substeps):
         exits = d > 0
         d = d[exits]
         d2 = d**2

@@ -274,6 +274,24 @@ def mp_hyperexp_psi(model: SnLevyModel):
     return psi, dpsi
 
 
+def mp_diagonal_psi(model: SnLevyModel):
+    """(psi, psi') of a phase-type model with a diagonal generator T = -diag(r)
+    in mpmath at the working precision, as mu s + sigma^2 s^2/2 - lam sum_j
+    alpha_j s/(s + r_j): no matrix solve, and no mean drift, which for rates
+    far below 1 is a large negative number whose terms cancel at s ~ 1."""
+    mu, sigma, lam = (mpmath.mpf(v) for v in (model.mu, model.sigma, model.lam))
+    laws = [(mpmath.mpf(a), -mpmath.mpf(row[j]))
+            for j, (a, row) in enumerate(zip(model.jumps.alpha, model.jumps.T))]
+
+    def psi(s):
+        return mu * s + sigma**2 * s**2 / 2 - lam * s * mpmath.fsum(a / (s + r) for a, r in laws)
+
+    def dpsi(s):
+        return mu + sigma**2 * s - lam * mpmath.fsum(a * r / (s + r) ** 2 for a, r in laws)
+
+    return psi, dpsi
+
+
 def mp_refine(psi, dpsi, q: float, r):
     """The root r of psi(s) = q, real or complex, refined by Newton steps to
     the working precision (less 5 digits)."""
@@ -287,23 +305,26 @@ def mp_refine(psi, dpsi, q: float, r):
     raise AssertionError(f"no refined root near {r}")
 
 
-def mp_residue_terms(model: SnLevyModel, q: float) -> list:
+def mp_residue_terms(model: SnLevyModel, q: float, mp_psi=None) -> list:
     """[(r, 1/psi'(r))] over the roots r of psi(r) = q of a phase-type model,
     zeta first, in mpmath at the working precision: each root refined by
     ``mp_refine`` from the double root of ``find_roots``, on the psi of
-    ``mp_hyperexp_psi`` for hyperexponential jumps and ``mp_ph_psi`` otherwise."""
-    psi, dpsi = (mp_hyperexp_psi if isinstance(model.jumps, HyperExpDist) else mp_ph_psi)(model)
+    ``mp_psi(model)`` if given, else of ``mp_hyperexp_psi`` for
+    hyperexponential jumps and ``mp_ph_psi`` otherwise."""
+    if mp_psi is None:
+        mp_psi = mp_hyperexp_psi if isinstance(model.jumps, HyperExpDist) else mp_ph_psi
+    psi, dpsi = mp_psi(model)
     d = find_roots(model, q)
     return [(ref, 1 / dpsi(ref))
             for ref in (mp_refine(psi, dpsi, q, r) for r in [d.zeta, *(-d.xi)])]
 
 
-def mp_scale(model: SnLevyModel, q: float):
+def mp_scale(model: SnLevyModel, q: float, mp_psi=None):
     """(zeta, W, Z) of a phase-type model in mpmath at the working precision, as the
     residue sums of 1/(psi(s) - q): W(x) = sum_r e^{r x}/psi'(r) over the roots
-    r of psi(r) = q (``mp_residue_terms``).  Z(x) = 1 + q int_0^x W term by
-    term.  Neither uses the residues A_i, nor lead = w0 + sum C."""
-    roots = mp_residue_terms(model, q)
+    r of psi(r) = q (``mp_residue_terms``, with ``mp_psi``).  Z(x) = 1 + q
+    int_0^x W term by term.  Neither uses the residues A_i, nor lead = w0 + sum C."""
+    roots = mp_residue_terms(model, q, mp_psi)
 
     def w(x):
         return mpmath.re(mpmath.fsum(c * mpmath.exp(r * x) for r, c in roots))

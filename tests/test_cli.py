@@ -700,6 +700,17 @@ class TestSimulate:
         _, out, _ = run(capsys, *base, "--mode", "histogram")
         assert parse_csv(out)[0]["scheme"] == "bridge"
 
+    @pytest.mark.parametrize("sigma, scheme", [("0", "drift"), ("1", "bridge")])
+    def test_exit_at_an_infinite_barrier(self, capsys, sigma, scheme):
+        # b = inf is the half-line: no path exits up
+        code, out, _ = run(capsys, "simulate", "--model", "exp1", "--sigma", sigma,
+                           "--x", "2", "--b", "inf", "--q", "0.05", "--n-paths", "2000")
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert meta["scheme"] == scheme
+        values = {r["kind"]: float(r["value"]) for r in rows}
+        assert values["up"] == 0.0 and 0.0 < values["down"] < 1.0
+
     def test_exit_requires_barrier(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--model", "exp1", "--x", "2",

@@ -166,7 +166,7 @@ class TestBridge:
         creep = down_exit_unbounded(sf, 2.0) - joint_overshoot_undershoot(
             sf, 2.0, IntervalPair(0.0, math.inf, 0.0, math.inf))
         n = 100_000
-        _, d, over, under = _run_batch(m, Q, 2.0, None, n, np.random.default_rng(3))
+        _, d, over, under = _run_batch(m, Q, 2.0, math.inf, n, np.random.default_rng(3))
         crept = (d > 0) & (over == 0.0)
         assert np.all(under[crept] == 0.0)
         assert np.all(over[(d > 0) & ~crept] > 0.0)
@@ -256,6 +256,23 @@ class TestBridgeProbabilities:
         assert np.max(np.abs(p_dn - one)) < 1e-15
         assert np.max(p_up) < 1e-15
 
+    def test_half_line_is_decided_by_the_first_image(self):
+        # at b = inf the k = 0 image alone decides: the epochs with u below
+        # p_down, none up, also for u on or next to p_down, a start on 0
+        # and an endpoint below 0
+        rng = np.random.default_rng(1)
+        n = 3000
+        y = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 3.0, n))
+        s = 10.0 ** rng.uniform(-3, 2, n)
+        y_end = y + np.sqrt(s) * rng.standard_normal(n)
+        p_dn = bridge_exit_probabilities(y, y_end, s)[0]
+        assert (y_end < 0).any() and (y == 0).any()
+        for u in (rng.random(n), np.minimum(p_dn, np.nextafter(1.0, 0.0)),
+                  np.nextafter(p_dn, 0.0), np.nextafter(p_dn, 1.0) % 1.0):
+            down, up = mc._strip_exits(y, y_end, s, math.inf, u)
+            assert np.array_equal(down, np.flatnonzero(u < p_dn))
+            assert up.size == 0
+
     def test_scalar_and_certain_cases(self):
         p_dn, p_up = bridge_exit_probabilities(0.0, 0.7, 0.3, 1.0)
         assert (p_dn, p_up) == (1.0, 0.0)  # a start on 0 creeps at once
@@ -311,7 +328,7 @@ def test_histogram_sums_each_bin_exactly():
     m = builtin_model("pareto-fit", sigma=0.0, mu=1.0, lam=10.0)
     width, n, seed = 0.1, mc._BATCH, 4
     hists = simulate_overshoot_undershoot(m, Q, 5.0, width, n, seed=seed)
-    _, d, over, under = _run_batch(m, Q, 5.0, None, n, np.random.default_rng([seed, 0]))
+    _, d, over, under = _run_batch(m, Q, 5.0, math.inf, n, np.random.default_rng([seed, 0]))
     exits = d > 0
     for hist, levels in zip(hists, (over[exits], under[exits])):
         bins = np.searchsorted(hist.edges, levels, "right") - 1
@@ -466,7 +483,7 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
 
 
 @pytest.mark.parametrize("seed", (0, 5, 11))
-@pytest.mark.parametrize("x, b", [(2.0, 5.0), (5.0, 5.0), (2.0, None)],
+@pytest.mark.parametrize("x, b", [(2.0, 5.0), (5.0, 5.0), (2.0, math.inf)],
                          ids=["exit", "x=b", "histogram"])
 @pytest.mark.parametrize("model, substeps", [
     (builtin_model("exp1", sigma=0.0), None),
@@ -498,10 +515,35 @@ def test_drift_without_jumps_never_goes_down(monkeypatch):
     monkeypatch.setattr(mc, "_epoch_end", no_epoch)
     m = builtin_model("exp1", sigma=0.0, mu=1.0, lam=0.0)
     rng = np.random.default_rng(0)
-    up, down, over, under = _run_batch(m, Q, 5.0, None, 1000, rng)
+    up, down, over, under = _run_batch(m, Q, 5.0, math.inf, 1000, rng)
     assert not up.any() and not down.any()
     assert np.isnan(over).all() and np.isnan(under).all()
     assert rng.random() == np.random.default_rng(0).random()  # no draw taken
+
+
+def test_drift_without_jumps_never_exits_an_infinite_strip(monkeypatch):
+    # exit mode at b = inf retires every path of a pure upward drift at
+    # once, as histograms do: no epoch function is built
+    def no_epoch(*args):
+        raise AssertionError("_drift_epoch called")
+
+    monkeypatch.setattr(mc, "_drift_epoch", no_epoch)
+    m = builtin_model("exp1", sigma=0.0, mu=1.0, lam=0.0)
+    for est in simulate_two_sided_exit(m, 1e-8, 1.0, math.inf, 1000, seed=0):
+        assert (est.value, est.stderr, est.scheme) == (0.0, 0.0, "drift")
+
+
+def test_bridge_exit_on_the_half_line(monkeypatch):
+    # b = inf: the k = 0 image decides every epoch without the strip series,
+    # no path exits up, and down matches the closed form D(x)
+    def no_series(*args):
+        raise AssertionError("_strip_series called")
+
+    monkeypatch.setattr(mc, "_strip_series", no_series)
+    m = builtin_model("exp1", sigma=1.0)
+    up, down = simulate_two_sided_exit(m, Q, 2.0, math.inf, 40_000, seed=21)
+    assert up.value == 0.0 and up.stderr == 0.0
+    assert abs(down.value - down_exit(build_scale(m, Q), 2.0, math.inf)) < 4 * down.stderr
 
 
 @pytest.mark.parametrize("substeps", (None, 7), ids=("bridge", "grid"))
@@ -573,7 +615,8 @@ def masked_bridge_batch(model, q, x, b, n, rng):
 @pytest.mark.parametrize("seed", (0, 5, 11))
 # starts next to either barrier and a narrow strip put u close to the bound
 # on p_down + p_up, above which the image series is not run
-@pytest.mark.parametrize("x, b", [(2.0, 5.0), (2.0, None), (0.05, 5.0), (4.95, 5.0), (0.25, 0.5)],
+@pytest.mark.parametrize("x, b", [(2.0, 5.0), (2.0, math.inf), (0.05, 5.0), (4.95, 5.0),
+                                  (0.25, 0.5)],
                          ids=["exit", "histogram", "exit-near-0", "exit-near-b", "exit-narrow"])
 @pytest.mark.parametrize("model", [
     builtin_model("exp1", sigma=1.0),
@@ -592,7 +635,7 @@ def test_bridge_batch_matches_masked_reference(model, x, b, seed):
         assert g.tobytes() == r.tobytes()
 
 
-@pytest.mark.parametrize("b", (5.0, None), ids=("exit", "histogram"))
+@pytest.mark.parametrize("b", (5.0, math.inf), ids=("exit", "histogram"))
 @pytest.mark.parametrize("sigma, substeps", [(0.0, None), (1.0, None), (1.0, 7)],
                          ids=("drift", "bridge", "grid-7"))
 def test_run_batch_reads_only_the_levy_measure(sigma, substeps, b):
@@ -627,7 +670,7 @@ class TestBetaFamily:
         for est, lo, hi in ((up, up_lo, up_hi), (down, down_lo, down_hi)):
             assert lo - 3 * est.stderr <= est.value <= hi + 3 * est.stderr
 
-    @pytest.mark.parametrize("b", (5.0, None), ids=("exit", "histogram"))
+    @pytest.mark.parametrize("b", (5.0, math.inf), ids=("exit", "histogram"))
     def test_no_levy_measure_is_brownian_motion_with_drift(self, b):
         # c = 0 has Levy mass 0 at any stability index, so lam = 1.5 is not
         # refused as infinite activity: it runs as exp1 without jumps
