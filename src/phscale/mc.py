@@ -251,7 +251,7 @@ def _grid_epoch(model: SnLevyModel, q: float, b: float, substeps: int):
         np.add(mu * dt[:, None] * steps, path, out=path)
         path += pos[:, None]
         hit_dn = path < 0.0
-        hit = hit_dn | (path >= b) if b < math.inf else hit_dn
+        hit = hit_dn | (path >= b)
         first = np.argmax(hit, axis=1)
         any_hit = hit[np.arange(k), first]  # argmax is 0 on a row without a hit
         rows = np.flatnonzero(any_hit)

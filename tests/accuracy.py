@@ -13,10 +13,10 @@ W, W' and Z of ``evaluate`` at the points ``XS`` wherever W is finite in
 doubles, D = ``down_exit_unbounded`` at those points up to 20, and the up-
 and down-exit probabilities at x = 1, b = 3.  The references are the
 50-digit roots and residues of ``closed_forms.mp_residue_terms`` (each root
-refined by ``mp_refine``; ``diag40`` on the psi of ``mp_diagonal_psi``, as
-``mp_ph_psi`` takes about 47 s for its roots), the residue sums W and Z of
-``closed_forms.mp_scale`` and W'(x) = sum_r r e^{r x}/psi'(r) over the same
-terms.  D(x) = Z(x) - (q/zeta) W(x) is taken as the same residue sum with its
+refined by ``mp_refine``; a diagonal generator such as ``diag40`` on the psi
+of ``mp_diagonal_psi``, as ``mp_ph_psi`` takes about 47 s for its roots), the
+residue sums W and Z of ``closed_forms.mp_scale`` and W'(x) = sum_r r e^{r x}
+/ psi'(r) over the same terms.  D(x) = Z(x) - (q/zeta) W(x) is taken as the same residue sum with its
 e^{zeta x} terms and constant cancelled in closed form:
 q sum_{r != zeta} e^{r x} (zeta - r) / (r zeta psi'(r)), the constant
 1 - q sum_r 1/(r psi'(r)) being 0 by partial fractions of 1/(psi(s) - q) at
@@ -37,7 +37,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from closed_forms import COXIAN, mp_diagonal_psi, mp_residue_terms, mp_scale  # noqa: E402
+from closed_forms import COXIAN, mp_residue_terms, mp_scale  # noqa: E402
 from phscale import build_scale  # noqa: E402
 from phscale.fluctuation import down_exit, down_exit_unbounded, up_exit  # noqa: E402
 from phscale.models import BUILTIN_JUMPS, PhaseTypeRepr, SnLevyModel  # noqa: E402
@@ -47,7 +47,6 @@ MODELS = ("exp1", "weibull-fit", "pareto-fit")
 _RATES = np.geomspace(1e-9, 1e-7, 40)  # det T = 1e-320, condition number 100
 LAWS = {**{m: BUILTIN_JUMPS[m] for m in MODELS}, "coxian": COXIAN,
         "diag40": PhaseTypeRepr(alpha=(1 / 40,) * 40, T=tuple(map(tuple, np.diag(-_RATES))))}
-MP_PSI = {"diag40": mp_diagonal_psi}
 # first cut (ACCURACY_1.json); sigma = 1, q = 1e3 for exp1: the outer
 # bracket's far end doubles twice
 CELLS = [(m, s, q) for m in MODELS for s in (0.0, 1.0) for q in (1e-3, 0.05, 100.0)]
@@ -79,8 +78,8 @@ def measure(name: str, sigma: float, q: float) -> dict:
     model = SnLevyModel(mu=5.0, sigma=sigma, lam=5.0, jumps=LAWS[name])
     with mpmath.workdps(DPS):
         try:  # the references; the whole cell fails with them
-            terms = mp_residue_terms(model, q, MP_PSI.get(name))
-            _, w, z = mp_scale(model, q, MP_PSI.get(name))
+            terms = mp_residue_terms(model, q)
+            _, w, z = mp_scale(model, q)
             zeta, lead = terms[0]
 
             def wp(x):

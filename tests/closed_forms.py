@@ -305,26 +305,29 @@ def mp_refine(psi, dpsi, q: float, r):
     raise AssertionError(f"no refined root near {r}")
 
 
-def mp_residue_terms(model: SnLevyModel, q: float, mp_psi=None) -> list:
+def mp_residue_terms(model: SnLevyModel, q: float) -> list:
     """[(r, 1/psi'(r))] over the roots r of psi(r) = q of a phase-type model,
     zeta first, in mpmath at the working precision: each root refined by
     ``mp_refine`` from the double root of ``find_roots``, on the psi of
-    ``mp_psi(model)`` if given, else of ``mp_hyperexp_psi`` for
-    hyperexponential jumps and ``mp_ph_psi`` otherwise."""
-    if mp_psi is None:
-        mp_psi = mp_hyperexp_psi if isinstance(model.jumps, HyperExpDist) else mp_ph_psi
+    ``mp_hyperexp_psi`` for hyperexponential jumps, ``mp_diagonal_psi`` for a
+    diagonal generator and ``mp_ph_psi`` otherwise."""
+    if isinstance(model.jumps, HyperExpDist):
+        mp_psi = mp_hyperexp_psi
+    else:
+        T = np.asarray(model.jumps.T)
+        mp_psi = mp_diagonal_psi if np.array_equal(T, np.diag(np.diag(T))) else mp_ph_psi
     psi, dpsi = mp_psi(model)
     d = find_roots(model, q)
     return [(ref, 1 / dpsi(ref))
             for ref in (mp_refine(psi, dpsi, q, r) for r in [d.zeta, *(-d.xi)])]
 
 
-def mp_scale(model: SnLevyModel, q: float, mp_psi=None):
+def mp_scale(model: SnLevyModel, q: float):
     """(zeta, W, Z) of a phase-type model in mpmath at the working precision, as the
     residue sums of 1/(psi(s) - q): W(x) = sum_r e^{r x}/psi'(r) over the roots
-    r of psi(r) = q (``mp_residue_terms``, with ``mp_psi``).  Z(x) = 1 + q
-    int_0^x W term by term.  Neither uses the residues A_i, nor lead = w0 + sum C."""
-    roots = mp_residue_terms(model, q, mp_psi)
+    r of psi(r) = q (``mp_residue_terms``).  Z(x) = 1 + q int_0^x W term by
+    term.  Neither uses the residues A_i, nor lead = w0 + sum C."""
+    roots = mp_residue_terms(model, q)
 
     def w(x):
         return mpmath.re(mpmath.fsum(c * mpmath.exp(r * x) for r, c in roots))

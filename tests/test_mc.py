@@ -417,10 +417,9 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
     under = np.full(n, np.nan)
     mu, sigma, lam = model.mu, model.sigma, model.levy_mass
     ph = model.phase_type
-    if b is not None:
-        at_top = pos >= b
-        up[at_top] = 1.0
-        active &= ~at_top
+    at_top = pos >= b
+    up[at_top] = 1.0
+    active &= ~at_top
     while active.any():
         idx = np.flatnonzero(active)
         k = len(idx)
@@ -436,8 +435,7 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
             )
             path = p0[:, None] + steps
             hit_dn = path < 0.0
-            hit_up = path >= b if b is not None else np.zeros_like(hit_dn)
-            hit = hit_dn | hit_up
+            hit = hit_dn | (path >= b)
             any_hit = hit.any(axis=1)
             first = np.argmax(hit, axis=1)
             rows = np.flatnonzero(any_hit)
@@ -457,14 +455,11 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
             survivors = np.flatnonzero(~any_hit)
             pos[idx[survivors]] = path[survivors, -1]
         else:
-            if b is not None:
-                reach = p0 + mu * T >= b
-                t_up = t0 + (b - p0) / mu
-                up[idx[reach]] = np.exp(-q * t_up[reach])
-                active[idx[reach]] = False
-                survivors = np.flatnonzero(~reach)
-            else:
-                survivors = np.arange(k)
+            reach = p0 + mu * T >= b
+            t_up = t0 + (b - p0) / mu
+            up[idx[reach]] = np.exp(-q * t_up[reach])
+            active[idx[reach]] = False
+            survivors = np.flatnonzero(~reach)
             pos[idx[survivors]] += mu * T[survivors]
         live = idx[survivors]
         t[live] += T[survivors]
@@ -579,7 +574,7 @@ def masked_bridge_batch(model, q, x, b, n, rng):
     down = np.zeros(n)
     over = np.full(n, np.nan)
     under = np.full(n, np.nan)
-    if b is not None and x >= b:
+    if x >= b:
         up[:] = 1.0
         active[:] = False
     while active.any():
