@@ -6,48 +6,44 @@ draws n jumps of the normalised Levy measure; an infinite Lambda is refused.
 The discount e^{-q tau} is read as killing at an independent Exp(q) time, so
 a path runs through epochs of length T ~ Exp(Lambda + q), each ending in a
 jump with probability Lambda/(Lambda + q) and in killing otherwise.  For
-sigma > 0 (the default, ``substeps=None``, scheme ``"bridge"``) an epoch is
-sampled exactly: the Brownian endpoint y' = y + mu T + sigma sqrt(T) N(0, 1),
-then one uniform against the Brownian-bridge probability that the path left
-the strip (0, b), through 0 or through b first, inside the epoch (Kuznetsov,
-Kyprianou, Pardo & van Schaik 2011; Glasserman 2003, 6.4).  A crossing of 0
-inside an epoch is creeping, with overshoot and undershoot exactly 0.  The
-estimates are then exact up to rounding in the image series, which
-``_strip_exits`` runs only for the epochs whose uniform lies below an upper
-bound of the exit probability it returns.  No upper barrier is b = inf, in
-exit mode and in histograms: the half-line, whose exit probability is the
-series' k = 0 image e^{-2yy'/s}, so that image alone decides each epoch.  A
-histogram sums each of its bins directly: one bin index per level
-(``_bin_index``), then ``np.bincount`` of the discounts and of their squares.
+sigma > 0 (scheme ``"bridge"``) an epoch is sampled exactly: the Brownian
+endpoint y' = y + mu T + sigma sqrt(T) N(0, 1), then one uniform against the
+Brownian-bridge probability that the path left the strip (0, b), through 0
+or through b first, inside the epoch (Kuznetsov, Kyprianou, Pardo & van
+Schaik 2011; Glasserman 2003, 6.4).  A crossing of 0 inside an epoch is
+creeping, with overshoot and undershoot exactly 0.  The estimates are then
+exact up to rounding in the image series, which ``_strip_exits`` runs only
+for the epochs whose uniform lies below an upper bound of the exit
+probability it returns.  No upper barrier is b = inf, in exit mode and in
+histograms: the half-line, whose exit probability is the series' k = 0 image
+e^{-2yy'/s}, so that image alone decides each epoch.  A histogram sums each
+of its bins directly: one bin index per level (``_bin_index``), then
+``np.bincount`` of the discounts and of their squares.
 
-``substeps=n`` selects the paper's validation protocol instead (scheme
-``"grid-<n>"``, the paper uses n = 100): e^{-q tau} weights up to a horizon
-e^{-q t} < 1e-8, exponential interarrival times at the jump rate, and
-Brownian segments advanced on an n-point random-walk subgrid with crossings
-tested at grid points only, a detector biased towards too few exits.
-Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly under
-the same e^{-q tau} weights.  Fixed (seed, batch) RNG streams make every
-estimate bit-reproducible.
+Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly,
+with e^{-q tau} weights up to a horizon e^{-q t} < 1e-8 and exponential
+interarrival times at the jump rate.  Fixed (seed, batch) RNG streams make
+every estimate bit-reproducible.
 
-``_scheme`` is the one place that picks the scheme, from sigma and
-``substeps``: it names it and gives its epoch rate and epoch function
-(``_bridge_epoch``, ``_drift_epoch`` or ``_grid_epoch``).  One batch loop,
-``_run_batch``, serves the three schemes.  Each epoch draws its length T,
-then the epoch function moves the live paths and records the exits inside
-the epoch, and ``_epoch_end`` adds the jumps and filters the live set once,
-after the epoch's exits, jumps and expiries are known.  Every exit below 0
-records its overshoot and undershoot, in exit mode as in histogram mode.  Bridge
-epochs keep their clock at 0, as killing stands in for the discount, so a
-jump below 0 there counts e^0 = 1 and no path expires.  The loop carries only
-the paths still alive, as compact arrays filtered in ascending path order, so
-every draw goes to the same path as in a loop over all paths.  A path without
-jumps that cannot go down (sigma = 0, Lambda = 0, b = inf) is retired at once.
+``_scheme`` is the one place that picks the scheme, from sigma: it names it
+and gives its epoch rate and epoch function (``_bridge_epoch`` or
+``_drift_epoch``).  One batch loop, ``_run_batch``, serves both schemes.
+Each epoch draws its length T, then the epoch function moves the live paths
+and records the exits inside the epoch, and ``_epoch_end`` adds the jumps
+and filters the live set once, after the epoch's exits, jumps and expiries
+are known.  Every exit below 0 records its overshoot and undershoot, in exit
+mode as in histogram mode.  Bridge epochs keep their clock at 0, as killing
+stands in for the discount, so a jump below 0 there counts e^0 = 1 and no
+path expires.  The loop carries only the paths still alive, as compact
+arrays filtered in ascending path order, so every draw goes to the same path
+as in a loop over all paths.  A path without jumps that cannot go down
+(sigma = 0, Lambda = 0, b = inf) is retired at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,7 +67,7 @@ def _mean_stderr(s, s2, n: int):
 @dataclass(frozen=True)
 class SimulationEstimate:
     """Point estimate with standard error and normal 95% CI; ``scheme`` is
-    the sampling scheme: "bridge", "grid-<substeps>" or "drift"."""
+    the sampling scheme: "bridge" or "drift"."""
 
     value: float
     stderr: float
@@ -234,64 +230,24 @@ def _drift_epoch(model: SnLevyModel, q: float, b: float):
     return epoch
 
 
-def _grid_epoch(model: SnLevyModel, q: float, b: float, substeps: int):
-    """sigma > 0 on the paper's grid: a ``substeps``-point random walk, its
-    crossings tested at grid points."""
-    mu, sigma = model.mu, model.sigma
-    steps = np.arange(1, substeps + 1)
-
-    def epoch(rng, live, pos, t, T, out):
-        up, down, over, under = out
-        k = live.size
-        dt = T / substeps
-        # path = pos + (mu dt j + sigma sqrt(dt) W_j), built in place
-        path = rng.standard_normal((k, substeps))
-        np.cumsum(path, axis=1, out=path)
-        path *= sigma * np.sqrt(dt)[:, None]
-        np.add(mu * dt[:, None] * steps, path, out=path)
-        path += pos[:, None]
-        hit_dn = path < 0.0
-        hit = hit_dn | (path >= b)
-        first = np.argmax(hit, axis=1)
-        any_hit = hit[np.arange(k), first]  # argmax is 0 on a row without a hit
-        rows = np.flatnonzero(any_hit)
-        cols = first[rows]
-        val = np.exp(-q * (t[rows] + dt[rows] * (cols + 1)))
-        is_dn = hit_dn[rows, cols]
-        exits = live[rows]
-        up[exits[~is_dn]] = val[~is_dn]
-        dn, r, c = exits[is_dn], rows[is_dn], cols[is_dn]
-        down[dn] = val[is_dn]
-        over[dn] = -path[r, c]
-        under[dn] = np.where(c > 0, path[r, np.maximum(c - 1, 0)], pos[r])
-        return path[:, -1], ~any_hit, t + T
-
-    return epoch
-
-
-def _scheme(model: SnLevyModel, q: float, b: float, n_paths: int,
-            substeps: Optional[int], seed: int = 0):
+def _scheme(model: SnLevyModel, q: float, b: float, n_paths: int, seed: int = 0):
     """(name, rate, epoch) of the sampling scheme: its name, the rate of the
     exponential epoch lengths (Lambda + q for bridge epochs, which kill at
     rate q, the Levy mass Lambda otherwise) and its epoch function, None
     where no path can exit.  Rejects a q that is not positive and finite,
-    fewer than 1 path, a grid of fewer than 1 substep, a negative seed
-    (``default_rng`` takes none) and an infinite Lambda."""
+    fewer than 1 path, a negative seed (``default_rng`` takes none) and an
+    infinite Lambda."""
     check_positive("q", q)
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    if substeps is not None and substeps < 1:
-        raise DomainError("substeps must be >= 1")
     mass = model.levy_mass
     if mass == math.inf:
         raise UnsupportedRegime("infinite jump activity: no finite jump rate to simulate at")
     if model.sigma == 0:  # mu > 0: without jumps or an upper barrier no path exits
         return "drift", mass, None if mass == 0 and b == math.inf else _drift_epoch(model, q, b)
-    if substeps is None:
-        return "bridge", mass + q, _bridge_epoch(model, q, b)
-    return f"grid-{substeps}", mass, _grid_epoch(model, q, b, substeps)
+    return "bridge", mass + q, _bridge_epoch(model, q, b)
 
 
 def _epoch_end(rng, sample_jumps, q, live, pos, t, stay, out):
@@ -320,15 +276,8 @@ def _epoch_end(rng, sample_jumps, q, live, pos, t, stay, out):
     return live[kept], pos[kept], t[kept]
 
 
-def _run_batch(
-    model: SnLevyModel,
-    q: float,
-    x: float,
-    b: float,
-    n: int,
-    rng: np.random.Generator,
-    substeps: Optional[int] = None,
-):
+def _run_batch(model: SnLevyModel, q: float, x: float, b: float, n: int,
+               rng: np.random.Generator):
     """Advance n paths from x until exit or horizon.
 
     Returns (up_discounts, down_discounts, overshoot, undershoot) arrays of
@@ -337,7 +286,7 @@ def _run_batch(
     rate of the scheme that ``_scheme`` picks (1 at rate 0), moves the live
     paths by the scheme's epoch function and closes through ``_epoch_end``.
     """
-    _, rate, epoch = _scheme(model, q, b, n, substeps)
+    _, rate, epoch = _scheme(model, q, b, n)
     out = np.zeros(n), np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
     if x >= b:  # every path starts at or above b
         out[0][:] = 1.0
@@ -353,13 +302,12 @@ def _run_batch(
     return out
 
 
-def _batches(model: SnLevyModel, q: float, x: float, b: float, n_paths: int,
-             seed: int, substeps: Optional[int]):
+def _batches(model: SnLevyModel, q: float, x: float, b: float, n_paths: int, seed: int):
     """The ``_run_batch`` results for n_paths paths in batches of ``_BATCH``,
     batch k on its own stream ``default_rng([seed, k])``."""
     for k, done in enumerate(range(0, n_paths, _BATCH)):
         rng = np.random.default_rng([seed, k])
-        yield _run_batch(model, q, x, b, min(_BATCH, n_paths - done), rng, substeps)
+        yield _run_batch(model, q, x, b, min(_BATCH, n_paths - done), rng)
 
 
 def simulate_two_sided_exit(
@@ -369,17 +317,12 @@ def simulate_two_sided_exit(
     b: float,
     n_paths: int,
     seed: int,
-    substeps: Optional[int] = None,
 ) -> Tuple[SimulationEstimate, SimulationEstimate]:
-    """(up, down) estimates of the discounted two-sided exit probabilities.
-
-    ``substeps=None`` samples sigma > 0 paths by exact bridge epochs;
-    ``substeps=100`` is the paper's random-walk grid.
-    """
-    scheme = _scheme(model, q, b, n_paths, substeps, seed)[0]
+    """(up, down) estimates of the discounted two-sided exit probabilities."""
+    scheme = _scheme(model, q, b, n_paths, seed)[0]
     check_barriers(x, b)
     su = su2 = sd = sd2 = 0.0
-    for u, d, _, _ in _batches(model, q, x, b, n_paths, seed, substeps):
+    for u, d, _, _ in _batches(model, q, x, b, n_paths, seed):
         su += u.sum()
         su2 += (u**2).sum()
         sd += d.sum()
@@ -413,7 +356,6 @@ def simulate_overshoot_undershoot(
     window_width: float,
     n_paths: int,
     seed: int,
-    substeps: Optional[int] = None,
 ) -> Tuple[HistogramEstimate, HistogramEstimate]:
     """Binned discounted overshoot/undershoot laws at the first down-crossing.
 
@@ -426,9 +368,9 @@ def simulate_overshoot_undershoot(
     window's end, so a window no wider than w/2 has no bins (w = 15 at x = 2
     gives the one overshoot bin [0, 15] and no undershoot bin), and a width
     that leaves both histograms without a bin, w >= 2 max(10, 2x), is
-    refused.  ``substeps`` selects the scheme as in ``simulate_two_sided_exit``.
+    refused.
     """
-    scheme = _scheme(model, q, math.inf, n_paths, substeps, seed)[0]
+    scheme = _scheme(model, q, math.inf, n_paths, seed)[0]
     check_positive("x", x)
     check_positive("window_width", window_width)
     if max(10.0, 2.0 * x) / window_width > _MAX_BINS:
@@ -440,7 +382,7 @@ def simulate_overshoot_undershoot(
         raise DomainError(f"bin width {window_width} at x = {x} leaves both histograms "
                           "without a bin")
     sums = [np.zeros((2, e.size - 1)) for e in edges]  # sum of d, sum of d^2 per bin
-    for _, d, over, under in _batches(model, q, x, math.inf, n_paths, seed, substeps):
+    for _, d, over, under in _batches(model, q, x, math.inf, n_paths, seed):
         exits = d > 0
         d = d[exits]
         d2 = d**2

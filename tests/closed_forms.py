@@ -7,8 +7,10 @@ Laplace form rebuilt from Wiener-Hopf partial fractions; partial fractions at re
 quotient differentiation; the cleared Cramer-Lundberg polynomial of
 hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
 Coxian laws to try it on, and W and Z as its residue sums at any precision;
-and a scalar polynomial-times-exponential sum with loop evaluators of a
-scale function built on it."""
+a scalar polynomial-times-exponential sum with loop evaluators of a
+scale function built on it; and the paper's Monte Carlo grid, whose jumps
+come from ``rng.choice`` (the reference for the oracle's sampler), with its
+batching and its first-order continuity correction."""
 import math
 import random
 from types import SimpleNamespace
@@ -18,8 +20,10 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from phscale import mc
 from phscale.errors import DomainError, NumericalFailure, RepeatedRootsDetected
-from phscale.fluctuation import IntervalPair
+from phscale.fluctuation import IntervalPair, down_exit, up_exit
+from phscale.mc import SimulationEstimate
 from phscale.meromorphic import BetaFamilyParams
 from phscale.models import HyperExpDist, PhaseTypeRepr, SnLevyModel
 from phscale.roots import RootDecomposition, find_roots
@@ -424,3 +428,140 @@ def loop_scale(sf) -> dict:
         "z": z,
         "laplace_transform_w": laplace,
     }
+
+
+def choice_sample_jumps(ph, rng, n):
+    """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
+    ``rng.choice``: the reference for the sampler, which draws them through a
+    lookup table on a cached cdf."""
+    alpha, T = ph.alpha, ph.T
+    m = alpha.size
+    state = rng.choice(m, size=n, p=alpha / alpha.sum())
+    if ph.diagonal:
+        return rng.exponential(1.0 / -np.diag(T)[state])
+    total = -np.diag(T)
+    probs = np.column_stack((T / total[:, None], -T.sum(1) / total))
+    probs[np.arange(m), np.arange(m)] = 0.0
+    time = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        s = state[idx]
+        time[idx] += rng.exponential(1.0 / total[s])
+        nxt = (rng.random(len(idx))[:, None] > np.cumsum(probs[s], axis=1)).sum(axis=1)
+        alive[idx[nxt == m]] = False
+        state[idx[nxt < m]] = nxt[nxt < m]
+    return time
+
+
+def masked_run_batch(model, q, x, b, n, rng, substeps=None):
+    """One batch of n paths: for sigma = 0 the reference for ``_run_batch``'s
+    exact drift epochs, for sigma > 0 the paper's grid, a ``substeps``-point
+    random walk per inter-jump epoch with crossings tested at grid points only
+    and e^{-q tau} weights up to a horizon e^{-q t} < 1e-8.  One loop over
+    boolean masks of all n paths, indexing every path by its position in the
+    batch, with jumps from ``choice_sample_jumps``."""
+    t_max = math.log(1.0 / 1e-8) / q  # horizon e^{-q t} < 1e-8
+    pos = np.full(n, float(x))
+    t = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+    up = np.zeros(n)
+    down = np.zeros(n)
+    over = np.full(n, np.nan)
+    under = np.full(n, np.nan)
+    mu, sigma, lam = model.mu, model.sigma, model.levy_mass
+    ph = model.phase_type
+    at_top = pos >= b
+    up[at_top] = 1.0
+    active &= ~at_top
+    while active.any():
+        idx = np.flatnonzero(active)
+        k = len(idx)
+        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.full(k, 1.0)
+        p0 = pos[idx]
+        t0 = t[idx]
+        if sigma > 0:
+            dt = T / substeps
+            steps = (
+                mu * dt[:, None] * np.arange(1, substeps + 1)
+                + sigma * np.sqrt(dt)[:, None]
+                * np.cumsum(rng.standard_normal((k, substeps)), axis=1)
+            )
+            path = p0[:, None] + steps
+            hit_dn = path < 0.0
+            hit = hit_dn | (path >= b)
+            any_hit = hit.any(axis=1)
+            first = np.argmax(hit, axis=1)
+            rows = np.flatnonzero(any_hit)
+            cols = first[rows]
+            val = np.exp(-q * (t0[rows] + dt[rows] * (cols + 1)))
+            is_dn = hit_dn[rows, cols]
+            gidx = idx[rows]
+            down[gidx[is_dn]] = val[is_dn]
+            up[gidx[~is_dn]] = val[~is_dn]
+            over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
+            under[gidx[is_dn]] = np.where(
+                cols[is_dn] > 0,
+                path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
+                p0[rows[is_dn]],
+            )
+            active[gidx] = False
+            survivors = np.flatnonzero(~any_hit)
+            pos[idx[survivors]] = path[survivors, -1]
+        else:
+            reach = p0 + mu * T >= b
+            t_up = t0 + (b - p0) / mu
+            up[idx[reach]] = np.exp(-q * t_up[reach])
+            active[idx[reach]] = False
+            survivors = np.flatnonzero(~reach)
+            pos[idx[survivors]] += mu * T[survivors]
+        live = idx[survivors]
+        t[live] += T[survivors]
+        if lam > 0 and len(live):
+            before = pos[live]
+            after = before - choice_sample_jumps(ph, rng, len(live))
+            crossed = after < 0.0
+            gdn = live[crossed]
+            down[gdn] = np.exp(-q * t[gdn])
+            over[gdn] = -after[crossed]
+            under[gdn] = before[crossed]
+            active[gdn] = False
+            pos[live[~crossed]] = after[~crossed]
+        active &= ~(t > t_max)
+    return up, down, over, under
+
+
+def grid_two_sided_exit(model: SnLevyModel, q: float, x: float, b: float, n_paths: int,
+                        seed: int, substeps: int) -> Tuple[SimulationEstimate, SimulationEstimate]:
+    """(up, down) estimates on the paper's grid of ``substeps`` points per
+    epoch: ``masked_run_batch`` in batches of ``mc._BATCH`` paths, batch k on
+    its own stream ``default_rng([seed, k])``, as the oracle batches."""
+    su = su2 = sd = sd2 = 0.0
+    for k, done in enumerate(range(0, n_paths, mc._BATCH)):
+        rng = np.random.default_rng([seed, k])
+        u, d, _, _ = masked_run_batch(model, q, x, b, min(mc._BATCH, n_paths - done), rng,
+                                      substeps)
+        su += u.sum()
+        su2 += (u**2).sum()
+        sd += d.sum()
+        sd2 += (d**2).sum()
+    scheme = f"grid-{substeps}"
+    return (SimulationEstimate.from_sums(su, su2, n_paths, seed, scheme),
+            SimulationEstimate.from_sums(sd, sd2, n_paths, seed, scheme))
+
+
+# beta_1 = -zeta(1/2)/sqrt(2 pi) ~ 0.5826 of Broadie, Glasserman & Kou (1997)
+BGK_BETA1 = -float(mpmath.zeta(0.5)) / math.sqrt(2.0 * math.pi)
+
+
+def grid_corrected_exit(sf, x: float, b: float, sigma: float, lam: float,
+                        substeps: int) -> Tuple[float, float]:
+    """(up, down) exit probabilities the paper's grid estimates to first order:
+    monitoring a Brownian motion at spacing dt acts like continuous
+    monitoring of barriers moved outward by d = beta_1 sigma E[sqrt(dt)]
+    (Broadie, Glasserman & Kou 1997, Math. Finance 7), so 0 moves to -d and b
+    to b + d, and the strip (-d, b + d) from x is (0, b + 2d) from x + d.
+    Jumps are tested exactly, and d is 0 at sigma = 0."""
+    # E[sqrt(dt)] = Gamma(3/2)/sqrt(substeps lam) for dt = T/substeps, T ~ Exp(lam)
+    d = BGK_BETA1 * sigma * math.gamma(1.5) / math.sqrt(substeps * lam)
+    return up_exit(sf, x + d, b + 2.0 * d), down_exit(sf, x + d, b + 2.0 * d)

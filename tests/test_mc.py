@@ -36,7 +36,14 @@ from phscale.models import (
 )
 from phscale.scale import build_scale
 
-from closed_forms import COXIAN, as_phase_type
+from closed_forms import (
+    COXIAN,
+    as_phase_type,
+    choice_sample_jumps,
+    grid_corrected_exit,
+    grid_two_sided_exit,
+    masked_run_batch,
+)
 
 Q = 0.05
 
@@ -121,23 +128,35 @@ class TestAgainstClosedForm:
         # the paper's grid: halving the time step moves the sigma = 1 estimate
         # by < 2 stderr
         m = builtin_model("exp1", sigma=1.0)
-        coarse, _ = simulate_two_sided_exit(
-            m, Q, 2.0, 5.0, 100_000, seed=5, substeps=100
-        )
-        fine, _ = simulate_two_sided_exit(
-            m, Q, 2.0, 5.0, 100_000, seed=5, substeps=200
-        )
+        coarse, _ = grid_two_sided_exit(m, Q, 2.0, 5.0, 100_000, seed=5, substeps=100)
+        fine, _ = grid_two_sided_exit(m, Q, 2.0, 5.0, 100_000, seed=5, substeps=200)
         assert abs(coarse.value - fine.value) < 2 * coarse.stderr
+
+    @pytest.mark.parametrize("sigma, x, substeps", [
+        (1.0, 2.0, 25), (1.0, 2.0, 100), (1.0, 4.0, 25), (1.0, 4.0, 100), (0.0, 4.0, 100),
+    ], ids=["x2-grid25", "x2-grid100", "x4-grid25", "x4-grid100", "sigma0"])
+    def test_grid_matches_continuity_correction(self, scales, sigma, x, substeps):
+        # the grid's bias is that of barriers moved outward by
+        # beta_1 sigma E[sqrt(dt)], which scales as 1/sqrt(substeps); the
+        # sigma = 0 control moves nothing
+        m = builtin_model("exp1", sigma=sigma)
+        corrected = grid_corrected_exit(scales[("exp1", sigma)], x, 5.0, sigma, m.levy_mass,
+                                        substeps)
+        for est, ref in zip(grid_two_sided_exit(m, Q, x, 5.0, 100_000, 11, substeps), corrected):
+            assert abs(est.value - ref) < 3 * est.stderr
 
 
 def _mean_up_z(sf, substeps):
     """Mean z-score over seeds 0-9 of the up-exit estimate at exp1, sigma = 1,
-    x = 4, b = 5."""
+    x = 4, b = 5: by bridge epochs, or on the paper's grid of ``substeps``."""
     m = builtin_model("exp1", sigma=1.0)
     target = up_exit(sf, 4.0, 5.0)
     zs = []
     for seed in range(10):
-        up, _ = simulate_two_sided_exit(m, Q, 4.0, 5.0, 100_000, seed, substeps)
+        if substeps is None:
+            up, _ = simulate_two_sided_exit(m, Q, 4.0, 5.0, 100_000, seed)
+        else:
+            up, _ = grid_two_sided_exit(m, Q, 4.0, 5.0, 100_000, seed, substeps)
         zs.append((up.value - target) / up.stderr)
     return float(np.mean(zs))
 
@@ -178,21 +197,10 @@ class TestBridge:
         m0 = builtin_model("exp1", sigma=0.0)
         up, down = simulate_two_sided_exit(m1, Q, 2.0, 5.0, 100, seed=0)
         assert up.scheme == down.scheme == "bridge"
-        up, _ = simulate_two_sided_exit(m1, Q, 2.0, 5.0, 100, seed=0, substeps=100)
-        assert up.scheme == "grid-100"
         up, _ = simulate_two_sided_exit(m0, Q, 2.0, 5.0, 100, seed=0)
         assert up.scheme == "drift"
         oh, uh = simulate_overshoot_undershoot(m1, Q, 2.0, 0.1, 100, seed=0)
         assert oh.scheme == uh.scheme == "bridge"
-        oh, _ = simulate_overshoot_undershoot(m1, Q, 2.0, 0.1, 100, 0, substeps=7)
-        assert oh.scheme == "grid-7"
-
-    def test_substeps_below_one(self):
-        m = builtin_model("exp1", sigma=1.0)
-        with pytest.raises(DomainError):
-            simulate_two_sided_exit(m, Q, 2.0, 5.0, 100, seed=0, substeps=0)
-        with pytest.raises(DomainError):
-            simulate_overshoot_undershoot(m, Q, 2.0, 0.1, 100, 0, substeps=0)
 
     def test_negative_seed(self):
         # default_rng([seed, k]) takes no negative seed
@@ -353,30 +361,6 @@ def test_bin_index_matches_searchsorted(top, width):
     assert np.array_equal(mc._bin_index(levels, edges), ref)
 
 
-def choice_sample_jumps(ph, rng, n):
-    """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
-    ``rng.choice``: the reference for the sampler, which draws them through a
-    lookup table on a cached cdf."""
-    alpha, T = ph.alpha, ph.T
-    m = alpha.size
-    state = rng.choice(m, size=n, p=alpha / alpha.sum())
-    if ph.diagonal:
-        return rng.exponential(1.0 / -np.diag(T)[state])
-    total = -np.diag(T)
-    probs = np.column_stack((T / total[:, None], -T.sum(1) / total))
-    probs[np.arange(m), np.arange(m)] = 0.0
-    time = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        s = state[idx]
-        time[idx] += rng.exponential(1.0 / total[s])
-        nxt = (rng.random(len(idx))[:, None] > np.cumsum(probs[s], axis=1)).sum(axis=1)
-        alive[idx[nxt == m]] = False
-        state[idx[nxt < m]] = nxt[nxt < m]
-    return time
-
-
 @pytest.mark.parametrize("jumps", [*BUILTIN_JUMPS.values(), as_phase_type(WEIBULL_FIT), COXIAN],
                          ids=[*BUILTIN_JUMPS, "weibull-fit-ph", "coxian"])
 @pytest.mark.parametrize("seed", (0, 7, 2024))
@@ -403,100 +387,23 @@ def test_table_search_matches_searchsorted(jumps):
     assert np.array_equal(_table_search(cdf)(u), cdf.searchsorted(u, side="right"))
 
 
-def masked_run_batch(model, q, x, b, n, rng, substeps=None):
-    """Reference for ``_run_batch`` with sigma = 0, or sigma > 0 on a grid of
-    ``substeps``: one loop over boolean masks of all n paths, indexing every
-    path by its position in the batch, with jumps from ``choice_sample_jumps``."""
-    t_max = math.log(1.0 / 1e-8) / q  # horizon e^{-q t} < 1e-8
-    pos = np.full(n, float(x))
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    up = np.zeros(n)
-    down = np.zeros(n)
-    over = np.full(n, np.nan)
-    under = np.full(n, np.nan)
-    mu, sigma, lam = model.mu, model.sigma, model.levy_mass
-    ph = model.phase_type
-    at_top = pos >= b
-    up[at_top] = 1.0
-    active &= ~at_top
-    while active.any():
-        idx = np.flatnonzero(active)
-        k = len(idx)
-        T = rng.exponential(1.0 / lam, size=k) if lam > 0 else np.full(k, 1.0)
-        p0 = pos[idx]
-        t0 = t[idx]
-        if sigma > 0:
-            dt = T / substeps
-            steps = (
-                mu * dt[:, None] * np.arange(1, substeps + 1)
-                + sigma * np.sqrt(dt)[:, None]
-                * np.cumsum(rng.standard_normal((k, substeps)), axis=1)
-            )
-            path = p0[:, None] + steps
-            hit_dn = path < 0.0
-            hit = hit_dn | (path >= b)
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            rows = np.flatnonzero(any_hit)
-            cols = first[rows]
-            val = np.exp(-q * (t0[rows] + dt[rows] * (cols + 1)))
-            is_dn = hit_dn[rows, cols]
-            gidx = idx[rows]
-            down[gidx[is_dn]] = val[is_dn]
-            up[gidx[~is_dn]] = val[~is_dn]
-            over[gidx[is_dn]] = -path[rows[is_dn], cols[is_dn]]
-            under[gidx[is_dn]] = np.where(
-                cols[is_dn] > 0,
-                path[rows[is_dn], np.maximum(cols[is_dn] - 1, 0)],
-                p0[rows[is_dn]],
-            )
-            active[gidx] = False
-            survivors = np.flatnonzero(~any_hit)
-            pos[idx[survivors]] = path[survivors, -1]
-        else:
-            reach = p0 + mu * T >= b
-            t_up = t0 + (b - p0) / mu
-            up[idx[reach]] = np.exp(-q * t_up[reach])
-            active[idx[reach]] = False
-            survivors = np.flatnonzero(~reach)
-            pos[idx[survivors]] += mu * T[survivors]
-        live = idx[survivors]
-        t[live] += T[survivors]
-        if lam > 0 and len(live):
-            before = pos[live]
-            after = before - choice_sample_jumps(ph, rng, len(live))
-            crossed = after < 0.0
-            gdn = live[crossed]
-            down[gdn] = np.exp(-q * t[gdn])
-            over[gdn] = -after[crossed]
-            under[gdn] = before[crossed]
-            active[gdn] = False
-            pos[live[~crossed]] = after[~crossed]
-        active &= ~(t > t_max)
-    return up, down, over, under
-
-
 @pytest.mark.parametrize("seed", (0, 5, 11))
 @pytest.mark.parametrize("x, b", [(2.0, 5.0), (5.0, 5.0), (2.0, math.inf)],
                          ids=["exit", "x=b", "histogram"])
-@pytest.mark.parametrize("model, substeps", [
-    (builtin_model("exp1", sigma=0.0), None),
-    (builtin_model("weibull-fit", sigma=0.0), None),
-    (builtin_model("pareto-fit", sigma=0.0, mu=1.0, lam=10.0), None),
-    (builtin_model("exp1", sigma=0.0, lam=0.0), None),
-    (SnLevyModel(mu=1.0, sigma=0.0, lam=10.0, jumps=COXIAN), None),
-    (builtin_model("pareto-fit", sigma=1.0, mu=1.0, lam=10.0), 7),
-    (SnLevyModel(mu=1.0, sigma=1.0, lam=10.0, jumps=COXIAN), 7),
-    (builtin_model("exp1", sigma=1.0, lam=0.0), 7),
-], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian", "grid-pareto-fit", "grid-coxian",
-        "grid-lam-0"])
-def test_run_batch_matches_masked_reference(model, substeps, x, b, seed):
-    # the same draws to the same paths, so every output is equal bit for bit,
-    # overshoot and undershoot included, in exit mode as in histogram mode
+@pytest.mark.parametrize("model", [
+    builtin_model("exp1", sigma=0.0),
+    builtin_model("weibull-fit", sigma=0.0),
+    builtin_model("pareto-fit", sigma=0.0, mu=1.0, lam=10.0),
+    builtin_model("exp1", sigma=0.0, lam=0.0),
+    SnLevyModel(mu=1.0, sigma=0.0, lam=10.0, jumps=COXIAN),
+], ids=["exp1", "weibull-fit", "pareto-fit", "lam-0", "coxian"])
+def test_run_batch_matches_masked_reference(model, x, b, seed):
+    # drift epochs: the same draws to the same paths, so every output is
+    # equal bit for bit, overshoot and undershoot included, in exit mode as
+    # in histogram mode
     args = (model, Q, x, b, 3000)
-    got = _run_batch(*args, np.random.default_rng(seed), substeps)
-    ref = masked_run_batch(*args, np.random.default_rng(seed), substeps)
+    got = _run_batch(*args, np.random.default_rng(seed))
+    ref = masked_run_batch(*args, np.random.default_rng(seed))
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
 
@@ -541,8 +448,7 @@ def test_bridge_exit_on_the_half_line(monkeypatch):
     assert abs(down.value - down_exit(build_scale(m, Q), 2.0, math.inf)) < 4 * down.stderr
 
 
-@pytest.mark.parametrize("substeps", (None, 7), ids=("bridge", "grid"))
-def test_no_jumps_builds_no_sampler(monkeypatch, substeps):
+def test_no_jumps_builds_no_sampler(monkeypatch):
     # lambda = 0 has the empty jump law, from which no sampler can be built:
     # both modes run without one, and every exit below 0 creeps
     def no_sampler(ph):
@@ -551,14 +457,12 @@ def test_no_jumps_builds_no_sampler(monkeypatch, substeps):
     monkeypatch.setattr(models, "_jump_sampler", no_sampler)
     m = builtin_model("exp1", sigma=1.0, mu=0.5, lam=0.0)
     sf = build_scale(m, Q)
-    up, down = simulate_two_sided_exit(m, Q, 1.0, 3.0, 4000, seed=3, substeps=substeps)
-    if substeps is None:  # the grid misses crossings between its points
-        assert abs(up.value - up_exit(sf, 1.0, 3.0)) < 4 * up.stderr
-        assert abs(down.value - down_exit(sf, 1.0, 3.0)) < 4 * down.stderr
-    over, under = simulate_overshoot_undershoot(m, Q, 1.0, 0.5, 4000, seed=3, substeps=substeps)
-    if substeps is None:  # creeping puts all the mass at 0, in the first bin
-        for hist in (over, under):
-            assert hist.density[0] > 0 and not hist.density[1:].any()
+    up, down = simulate_two_sided_exit(m, Q, 1.0, 3.0, 4000, seed=3)
+    assert abs(up.value - up_exit(sf, 1.0, 3.0)) < 4 * up.stderr
+    assert abs(down.value - down_exit(sf, 1.0, 3.0)) < 4 * down.stderr
+    over, under = simulate_overshoot_undershoot(m, Q, 1.0, 0.5, 4000, seed=3)
+    for hist in (over, under):  # creeping puts all the mass at 0, in the first bin
+        assert hist.density[0] > 0 and not hist.density[1:].any()
 
 
 def masked_bridge_batch(model, q, x, b, n, rng):
@@ -631,16 +535,15 @@ def test_bridge_batch_matches_masked_reference(model, x, b, seed):
 
 
 @pytest.mark.parametrize("b", (5.0, math.inf), ids=("exit", "histogram"))
-@pytest.mark.parametrize("sigma, substeps", [(0.0, None), (1.0, None), (1.0, 7)],
-                         ids=("drift", "bridge", "grid-7"))
-def test_run_batch_reads_only_the_levy_measure(sigma, substeps, b):
+@pytest.mark.parametrize("sigma", (0.0, 1.0), ids=("drift", "bridge"))
+def test_run_batch_reads_only_the_levy_measure(sigma, b):
     # lam = 5 with weights c (1/4, 3/4) and lam = 5c with weights (1/4, 3/4)
     # are one Levy measure: equal levy_mass and jump cdf, so equal bytes
     c = 1.0 - 2.0**-20
     one, other = (SnLevyModel(mu=1.0, sigma=sigma, lam=lam, jumps=HyperExpDist(p=p, eta=(1.0, 3.0)))
                   for lam, p in ((5.0, (0.25 * c, 0.75 * c)), (5.0 * c, (0.25, 0.75))))
     assert one.levy_mass == other.levy_mass
-    got, ref = (_run_batch(m, Q, 2.0, b, 3000, np.random.default_rng(7), substeps)
+    got, ref = (_run_batch(m, Q, 2.0, b, 3000, np.random.default_rng(7))
                 for m in (one, other))
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
