@@ -14,7 +14,8 @@ Schaik 2011; Glasserman 2003, 6.4).  A crossing of 0 inside an epoch is
 creeping, with overshoot and undershoot exactly 0.  The estimates are then
 exact up to rounding in the image series, which ``_strip_exits`` runs only
 for the epochs whose uniform lies below an upper bound of the exit
-probability it returns.  No upper barrier is b = inf, in exit mode and in
+probability it returns, and refuses where it would need more than
+``_MAX_IMAGES`` images.  No upper barrier is b = inf, in exit mode and in
 histograms: the half-line, whose exit probability is the series' k = 0 image
 e^{-2yy'/s}, so that image alone decides each epoch.  A histogram sums each
 of its bins directly: one bin index per level (``_bin_index``), then
@@ -55,6 +56,7 @@ _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} 
 _EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
 _MAX_BINS = 10**6  # bins per histogram; a finer window is refused before allocating
+_MAX_IMAGES = 1000  # image terms per bridge epoch batch; more are refused (_image_count)
 
 
 def _mean_stderr(s, s2, n: int):
@@ -111,33 +113,31 @@ def _image(c, a, d):
 def _image_count(s, b: float) -> int:
     """K, the last image index of the strip series over variances s: terms
     of index k are at most e^{-2(k-1)^2 b^2/s}, so the sums stop once that
-    falls below machine epsilon at the largest s."""
-    return math.ceil(math.sqrt(_TAIL * s.max(initial=0.0)) / b)
+    falls below machine epsilon at the largest s (K = 0 at b = inf).  The
+    work grows as K, so a K above ``_MAX_IMAGES`` is refused, as is an s past
+    the float range."""
+    s_max = float(s.max(initial=0.0))
+    k = math.sqrt(_TAIL * s_max) / b
+    if not k <= _MAX_IMAGES:
+        raise UnsupportedRegime(f"bridge epochs of variance up to {s_max:.3g} on (0, {b:g}) "
+                                f"need more than {_MAX_IMAGES} image terms or pass the float range")
+    return math.ceil(k)
 
 
-def bridge_exit_probabilities(y, y_end, s, b: float = math.inf):
+def _strip_series(y, y_end, s, b: float, n_images: int):
     """(p_down, p_up): probabilities that a Brownian bridge from y to y_end
     with variance s = sigma^2 T leaves (0, b) first through 0, first through
-    b, within the epoch; b = inf is the half-line (0, inf), where K = 0 leaves
-    the k = 0 image p_down = e^{-2yy'/s} (1 for y' < 0) and p_up = 0.
-
-    For 0 <= y <= b the image series are
+    b, within the epoch.  For 0 <= y <= b the image series, summed over
+    k <= n_images (``_image_count``), are
 
         p_down = sum_{k>=0} e^{-2(kb+y')(kb+y)/s} - sum_{k>=1} e^{-2kb(kb+y'-y)/s}
         p_up   = sum_{k>=1} e^{-2(kb-y')(kb-y)/s} - e^{-2kb(kb-y'+y)/s}
 
     the first for y' >= 0, the second for y' <= b; an endpoint beyond a
     barrier has left for sure, so there the other side's complement is used.
-    The sums stop after ``_image_count`` terms.
-    """
-    y, y_end, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, y_end, s)))
-    return _strip_series(y, y_end, s, b, _image_count(s, b))
-
-
-def _strip_series(y, y_end, s, b: float, n_images: int):
-    """The strip's image series of ``bridge_exit_probabilities``, summed
-    over k <= n_images.  The caller takes n_images over all the epochs it
-    decides, so a subset of them is summed as within the whole."""
+    At b = inf, n_images = 0 leaves p_down = e^{-2yy'/s} (1 for y' < 0) and
+    p_up = 0.  The caller takes n_images over all the epochs it decides, so
+    a subset of them is summed as within the whole."""
     c = -2.0 / s
     # every image has a, d >= 0: a sum or product past the float range makes
     # the exponent -inf, which the floor catches
@@ -158,7 +158,7 @@ def _strip_series(y, y_end, s, b: float, n_images: int):
 def _strip_exits(y, y_end, s, b: float, u):
     """(down, up): the indices of the epochs with u < p_down, and with
     p_down <= u < p_down + p_up, for the floating-point (p_down, p_up) of
-    ``bridge_exit_probabilities`` on the strip (0, b), all y in [0, b].
+    ``_strip_series`` on the strip (0, b), all y in [0, b].
 
     The k = 0 image e^{-2yy'/s} comes first, as the series forms it: at
     b = inf it is p_down (1 or more for y' < 0), and no epoch exits up.  On
@@ -169,12 +169,12 @@ def _strip_exits(y, y_end, s, b: float, u):
     rounds above its own), and a slack of 16(K + 1) machine epsilons.  An
     endpoint beyond a barrier makes one of the first two images at least
     1 > u, and a NaN bound decides nothing: the series sees those epochs."""
+    n_images = _image_count(s, b)
     c = -2.0 / s
     with np.errstate(over="ignore"):
         bound = _image(c, y_end, y)
         if b == math.inf:
             return np.flatnonzero(u < bound), np.empty(0, dtype=np.intp)
-        n_images = _image_count(s, b)
         tail = 16 * (n_images + 1) * np.finfo(float).eps
         if n_images:
             tail += (2 * n_images - 1) * _image(-2.0 / s.max(), b, b)
@@ -198,7 +198,8 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: float):
     def epoch(rng, live, pos, t, T, out):
         up, down, over, under = out
         k = live.size
-        s = var * T
+        with np.errstate(over="ignore"):  # an s past the float range is refused
+            s = var * T
         end = pos + mu * T + np.sqrt(s) * rng.standard_normal(k)
         u = rng.random(k)
         dn, hit_up = _strip_exits(pos, end, s, b, u)

@@ -246,12 +246,11 @@ class TruncatedMero:
     the lower bound for W'.  Its decomposition holds xi_1..xi_m and the poles
     eta_1..eta_m; ``xi`` adds xi_{m+1}, which the gaps need.  The ``wp0`` and
     ``theta`` of ``sf`` are those of the process (inf for sigma = 0 with
-    infinite jump activity, where ``theta`` here is None)."""
+    infinite jump activity, where ``epsilon`` is None)."""
 
     m: int
     xi: np.ndarray  # xi_1 .. xi_{m+1}
     delta: float
-    theta: Optional[float]
     epsilon: Optional[float]
     sf: ScaleFunction
 
@@ -296,13 +295,12 @@ def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
     delta = 1.0 / ppz - sf.w0 - float(sf.C.sum())
     if not delta >= 0:
         raise InvertedBounds(f"delta_m = {delta} < 0 at m = {m}, q = {q}: the bounds would cross")
-    finite = sf.theta < math.inf  # an infinite mass: sum A_i xi_i diverges
     return TruncatedMero(
         m=m,
         xi=xis,
         delta=delta,
-        theta=sf.theta if finite else None,
-        epsilon=sf.theta - (zeta / q) * sf.varrho if finite else None,
+        # an infinite mass (theta = inf): sum A_i xi_i diverges
+        epsilon=sf.theta - (zeta / q) * sf.varrho if sf.theta < math.inf else None,
         # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
         sf=replace(sf, w0=sf.w0 + delta, lead=1.0 / ppz),
     )

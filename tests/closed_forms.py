@@ -8,7 +8,8 @@ quotient differentiation; the cleared Cramer-Lundberg polynomial of
 hyperexponential jumps; a 50-digit phase-type Laplace exponent with random
 Coxian laws to try it on, and W and Z as its residue sums at any precision;
 a scalar polynomial-times-exponential sum with loop evaluators of a
-scale function built on it; and the paper's Monte Carlo grid, whose jumps
+scale function built on it; the Brownian-bridge exit probabilities of the
+oracle's image series; and the paper's Monte Carlo grid, whose jumps
 come from ``rng.choice`` (the reference for the oracle's sampler), with its
 batching and its first-order continuity correction."""
 import math
@@ -430,6 +431,14 @@ def loop_scale(sf) -> dict:
     }
 
 
+def bridge_exit_probabilities(y, y_end, s, b: float = math.inf):
+    """(p_down, p_up) of ``mc._strip_series`` for Brownian bridges from y to
+    y_end with variances s, summed over the ``mc._image_count`` images of
+    the largest s; b = inf is the half-line (0, inf)."""
+    y, y_end, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, y_end, s)))
+    return mc._strip_series(y, y_end, s, b, mc._image_count(s, b))
+
+
 def choice_sample_jumps(ph, rng, n):
     """Jump sizes of the phase-type arrays ``ph`` with the components drawn by
     ``rng.choice``: the reference for the sampler, which draws them through a
@@ -482,16 +491,16 @@ def masked_run_batch(model, q, x, b, n, rng, substeps=None):
         t0 = t[idx]
         if sigma > 0:
             dt = T / substeps
-            steps = (
-                mu * dt[:, None] * np.arange(1, substeps + 1)
-                + sigma * np.sqrt(dt)[:, None]
-                * np.cumsum(rng.standard_normal((k, substeps)), axis=1)
-            )
-            path = p0[:, None] + steps
+            # path = p0 + (mu dt j + sigma sqrt(dt) W_j), built in place
+            path = rng.standard_normal((k, substeps))
+            np.cumsum(path, axis=1, out=path)
+            path *= sigma * np.sqrt(dt)[:, None]
+            np.add(mu * dt[:, None] * np.arange(1, substeps + 1), path, out=path)
+            path += p0[:, None]
             hit_dn = path < 0.0
             hit = hit_dn | (path >= b)
-            any_hit = hit.any(axis=1)
             first = np.argmax(hit, axis=1)
+            any_hit = hit[np.arange(k), first]  # argmax is 0 on a row without a hit
             rows = np.flatnonzero(any_hit)
             cols = first[rows]
             val = np.exp(-q * (t0[rows] + dt[rows] * (cols + 1)))

@@ -201,6 +201,16 @@ OVER_BINS = {1.0: (1.0, 1.5, 2.0, 2.5, 3.0), 0.0: (0.5, 1.0, 1.5, 2.0, 3.0)}
 UNDER_BINS = (1.0, 2.0, 3.0, 4.5, 6.0)
 
 
+def _print_panel(title, sf, hist, window):
+    """Every bin of a criterion-5 histogram as CSV rows: bin centre, the
+    closed form over the bin (``window`` of its left edge) per unit level,
+    the MC density and its standard error."""
+    print(f"\n# {title}\nbin_center,closed_form,mc_density,mc_stderr")
+    for i, c in enumerate(hist.centers):
+        exact = joint_overshoot_undershoot(sf, SCEN_X, window(float(hist.edges[i]))) / SCEN_W
+        print(f"{c:.3f},{exact:.8g},{hist.density[i]:.8g},{hist.stderr[i]:.3g}")
+
+
 class TestCriterion5OvershootUndershoot:
     @pytest.mark.parametrize("name", ["exp1", "weibull-fit", "pareto-fit"])
     def test_density_mass_identity_case2(self, name):
@@ -243,6 +253,10 @@ class TestCriterion5OvershootUndershoot:
         oh, uh = simulate_overshoot_undershoot(
             m, Q, SCEN_X, SCEN_W, 500_000, seed=7
         )
+        _print_panel(f"overshoot_{name}_sigma{sigma:g}", sf, oh,
+                     lambda lo: IntervalPair(lo, lo + SCEN_W, 0.0, INF))
+        _print_panel(f"undershoot_{name}_sigma{sigma:g}", sf, uh,
+                     lambda lo: IntervalPair(0.0, INF, lo, lo + SCEN_W))
         zs = []
         for lo in OVER_BINS[sigma]:
             i = int(round(lo / SCEN_W))

@@ -18,7 +18,6 @@ from phscale.mc import (
     SimulationEstimate,
     _MAX_BINS,
     _run_batch,
-    bridge_exit_probabilities,
     simulate_overshoot_undershoot,
     simulate_two_sided_exit,
 )
@@ -39,6 +38,7 @@ from phscale.scale import build_scale
 from closed_forms import (
     COXIAN,
     as_phase_type,
+    bridge_exit_probabilities,
     choice_sample_jumps,
     grid_corrected_exit,
     grid_two_sided_exit,
@@ -446,6 +446,20 @@ def test_bridge_exit_on_the_half_line(monkeypatch):
     up, down = simulate_two_sided_exit(m, Q, 2.0, math.inf, 40_000, seed=21)
     assert up.value == 0.0 and up.stderr == 0.0
     assert abs(down.value - down_exit(build_scale(m, Q), 2.0, math.inf)) < 4 * down.stderr
+
+
+@pytest.mark.parametrize("sigma,b", [(1e150, 5.0), (1.3e154, 5.0), (1.3e154, math.inf)])
+def test_image_series_past_its_cap_is_refused(monkeypatch, sigma, b):
+    # K ~ sigma sqrt(T)/b images per bridge epoch: about 1e149 at sigma =
+    # 1e150, and at 1.3e154 sigma^2 T overflows, which leaves even the
+    # half-line's one image NaN; each is refused before any image is formed
+    def no_series(*args):
+        raise AssertionError("_strip_series called")
+
+    monkeypatch.setattr(mc, "_strip_series", no_series)
+    m = builtin_model("exp1", sigma=sigma)
+    with pytest.raises(UnsupportedRegime, match="image terms"):
+        simulate_two_sided_exit(m, Q, 1.0, b, 2000, seed=0)
 
 
 def test_no_jumps_builds_no_sampler(monkeypatch):

@@ -513,7 +513,7 @@ class TestTruncation:
         assert abs(tm.delta / ref - 1) <= 1e-6
 
     def test_theta_and_epsilon(self, tm100):
-        assert tm100.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50
+        assert tm100.sf.theta == pytest.approx(2.0 / 0.2**2, rel=1e-14)  # = 50
         assert tm100.epsilon is not None and tm100.epsilon > 0
 
     def test_w_zero_regimes(self):
@@ -532,7 +532,7 @@ class TestTruncation:
         partial = []
         for m in (10, 100, 400):
             tm = truncated_coefficients(p, Q, m)
-            assert tm.theta is None and tm.epsilon is None
+            assert tm.sf.theta == math.inf and tm.epsilon is None
             partial.append(
                 (tm.sf.zeta / tm.sf.q)
                 * float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.A)))
@@ -543,7 +543,7 @@ class TestTruncation:
         # lam < 1: finite jump mass, theta from the compound-Poisson formula
         p = BetaFamilyParams(0.1, 0.0, alpha_b=3.0, beta_b=1.0, c=0.1, lam=0.5)
         tm = truncated_coefficients(p, Q, 20)
-        assert tm.theta is not None and tm.epsilon is not None
+        assert tm.sf.theta < math.inf and tm.epsilon is not None
         # for a beta model, sum C is checked against 1/psi'(zeta) - w0, and
         # the w0 of sf holds W(0) + delta_m: sum C = 1/psi'(zeta) - W(0) - delta_m
         assert tm.sf.sum_c_residual() < 1e-12
@@ -573,7 +573,7 @@ class TestTruncation:
             psi = lambda z: mu * z + (c / b) * (mpmath.beta(a + z / b, y) - mpmath.beta(a, y))
             zeta = mpmath.findroot(lambda z: psi(z) - q, mpmath.mpf(tm.sf.zeta))
             theta = float((c / b) * mpmath.beta(a + zeta / b, y) / mu**2)
-        assert tm.theta == pytest.approx(theta, rel=1e-11, abs=0.0)
+        assert tm.sf.theta == pytest.approx(theta, rel=1e-11, abs=0.0)
 
     def test_truncation_carries_its_model(self):
         assert truncated_coefficients(BETA_BENCHMARK, Q, 20).sf.model is BETA_BENCHMARK
@@ -629,7 +629,7 @@ class TestTruncation:
         for m in (10, 100, 400):
             tm = truncated_coefficients(BETA_BENCHMARK, Q, m)
             s = float(np.sum(np.asarray(tm.xi[:m]) * np.asarray(tm.sf.A)))
-            errs.append(abs(tm.sf.zeta / tm.sf.q - tm.theta / s))
+            errs.append(abs(tm.sf.zeta / tm.sf.q - tm.sf.theta / s))
         assert errs[0] > errs[1] > errs[2]
 
 
