@@ -149,6 +149,6 @@ def conjecture_residuals(sf: ScaleFunction) -> list:
     many terms of W, so its transform does not vanish at the poles."""
     if not isinstance(sf.model, SnLevyModel):
         raise UnsupportedRegime("the transform at the poles of psi needs the model's poles")
-    eta = sf.model.poles()
+    eta = sf.model.phase_type.poles
     scale = np.maximum(np.abs(sf.lead / (eta + sf.zeta)), 1e-300)
     return (np.abs(sf.transform(-eta)) / scale).tolist()

@@ -221,8 +221,6 @@ def _drift_epoch(model: SnLevyModel, q: float, b: float):
 
     def epoch(rng, live, pos, t, T, out):
         end = pos + mu * T
-        if b == math.inf:
-            return end, np.ones(live.size, dtype=bool), t + T
         stay = end < b
         reach = np.flatnonzero(~stay)
         out[0][live[reach]] = np.exp(-q * (t[reach] + (b - pos[reach]) / mu))

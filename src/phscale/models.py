@@ -289,10 +289,6 @@ class SnLevyModel:
         """sample(rng, n) -> n i.i.d. jump sizes; its tables are built once per model."""
         return _jump_sampler(self.phase_type)
 
-    def poles(self) -> np.ndarray:
-        """Absolute values of the poles of psi (eigenvalue magnitudes of -T)."""
-        return self.phase_type.poles
-
     def _jump_moment(self, s: np.ndarray, b, power: int) -> np.ndarray:
         """lam alpha R(s)^power b elementwise in s, with the resolvent
         R(s) = (sI - T)^{-1}, for b a scalar or of shape (m,), an empty sum 0

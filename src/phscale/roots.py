@@ -291,7 +291,7 @@ def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     the eigenvalue linearisation otherwise."""
     if not model.phase_type.diagonal:
         return find_negative_roots_ph(model, q)
-    eta = model.poles()
+    eta = model.phase_type.poles
     outer = 2.0 * model.mu / model.sigma**2 if model.sigma > 0 else None
     zeta, xi = interlaced_solve(lambda s, k: model.laplace_exponent(s), q, eta, outer)
     return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta)

@@ -98,10 +98,6 @@ class ScaleFunction:
     def _w_tilted(self, xs: np.ndarray) -> np.ndarray:
         return self._tilt(self._zx(xs), self.decay_sum(xs, self.C, True))
 
-    def _w(self, zx: np.ndarray, head: np.ndarray) -> np.ndarray:
-        """W at zeta x = zx >= 0 from head = sum_i C_i (e^{-xi_i x} - 1)."""
-        return _envelope(zx, self._tilt(zx, head))
-
     # -- evaluation ---------------------------------------------------------
 
     def w_tilted(self, x):
@@ -112,8 +108,7 @@ class ScaleFunction:
         """W(x); 0 on (-inf, 0)."""
         xs = points(x)
         pos = np.maximum(xs, 0.0)
-        head = self.decay_sum(pos, self.C, True)
-        return like(x, np.where(xs < 0, 0.0, self._w(self._zx(pos), head)))
+        return like(x, np.where(xs < 0, 0.0, _envelope(self._zx(pos), self._w_tilted(pos))))
 
     def log_w(self, x):
         """log W(x), safe against overflow of the exponential envelope; at
@@ -148,7 +143,7 @@ class ScaleFunction:
         z = 1.0 + self.q * ((self.lead / self.zeta) * _envelope(zx, 1.0, np.expm1) + head_z)
         wp = _envelope(zx, self.zeta * self.lead + np.exp(-zx) * tail)
         wp = np.where(xs > 0, wp, np.where(xs == 0, self.wp0, 0.0))
-        w = np.where(xs < 0, 0.0, self._w(zx, head_w))
+        w = np.where(xs < 0, 0.0, _envelope(zx, self._tilt(zx, head_w)))
         return like(x, w), like(x, wp), like(x, np.where(xs <= 0, 1.0, z))
 
     def transform(self, s: np.ndarray) -> np.ndarray:

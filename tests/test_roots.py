@@ -229,6 +229,19 @@ class TestZetaDoubling:
         with pytest.raises(BracketingFailure, match="doubling"):
             roots.interlaced_solve(lambda s, k: 0.0 * s, 1.0, np.array([]), None)
 
+    def test_root_at_its_bracket_end_raises(self):
+        # psi(-s) - q = s^2 has its only zero at the zeta bracket's end 0,
+        # which no interlaced root may sit on
+        with pytest.raises(BracketingFailure, match="interlacing violated"):
+            roots.interlaced_solve(lambda s, k: Q + s * s, Q, np.array([]), None)
+
+    def test_step_in_psi_leaves_a_zeta_residual(self):
+        # psi jumps from q - 1 to q + 1 at s = 0.5: the bracket closes on the
+        # step, where f is -1 on one side
+        with pytest.raises(BracketingFailure, match=r"zeta residual too large: -1\.0"):
+            roots.interlaced_solve(lambda s, k: Q + np.where(s > 0.5, 1.0, -1.0), Q,
+                                   np.array([]), None)
+
 
 @pytest.mark.parametrize("sigma", (1e-60, 1e-100, 1e-150, 1e-155))
 def test_outer_root_beyond_float_range_raises(sigma):
@@ -347,6 +360,17 @@ class TestPhRoots:
         assert d.n_roots == 3
         for xi in d.xi:
             assert abs(m.laplace_exponent(-complex(xi)) - Q) < 1e-8
+
+    def test_missing_negative_roots_raise(self, monkeypatch):
+        # eigenvalues of the linearisation that all read positive leave none
+        # of the 3 negative roots of the Erlang-2 model
+        erlang = PhaseTypeRepr(alpha=(1.0, 0.0), T=((-2.0, 2.0), (0.0, -2.0)))
+        m = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=erlang)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: np.abs(eigvals(M)))
+        with pytest.raises(BracketingFailure,
+                           match=r"expected 3 negative roots for sigma = 1\.0, found 0"):
+            find_negative_roots_ph(m, Q)
 
     def test_nonminimal_representation_warns(self):
         # the first phase is never entered, so the law is Exp(1): the
