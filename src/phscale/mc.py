@@ -14,12 +14,13 @@ Schaik 2011; Glasserman 2003, 6.4).  A crossing of 0 inside an epoch is
 creeping, with overshoot and undershoot exactly 0.  The estimates are then
 exact up to rounding in the image series, which ``_strip_exits`` runs only
 for the epochs whose uniform lies below an upper bound of the exit
-probability it returns, and refuses where it would need more than
-``_MAX_IMAGES`` images.  No upper barrier is b = inf, in exit mode and in
-histograms: the half-line, whose exit probability is the series' k = 0 image
-e^{-2yy'/s}, so that image alone decides each epoch.  A histogram sums each
-of its bins directly: one bin index per level (``_bin_index``), then
-``np.bincount`` of the discounts and of their squares.
+probability it returns.  A request whose epochs would need more than
+``_MAX_IMAGES`` images at the 1 - 1e-12 quantile of their length is refused
+before any path is drawn (``_bridge_epoch``).  No upper barrier is b = inf,
+in exit mode and in histograms: the half-line, whose exit probability is the
+series' k = 0 image e^{-2yy'/s}, so that image alone decides each epoch.  A
+histogram sums each of its bins directly: one bin index per level
+(``_bin_index``), then ``np.bincount`` of the discounts and of their squares.
 
 Drift-only segments (sigma = 0, scheme ``"drift"``) are crossed exactly,
 with e^{-q tau} weights up to a horizon e^{-q t} < 1e-8 and exponential
@@ -56,7 +57,8 @@ _TAIL = -0.5 * math.log(np.finfo(float).eps)  # image terms beyond e^{-2 _TAIL} 
 _EXP_FLOOR = -700.0  # e^{-700} ~ 1e-304; below it np.exp slows down on underflow
 _BATCH = 20_000  # fixed so that results are independent of total path count
 _MAX_BINS = 10**6  # bins per histogram; a finer window is refused before allocating
-_MAX_IMAGES = 1000  # image terms per bridge epoch batch; more are refused (_image_count)
+_MAX_IMAGES = 1000  # image terms per bridge epoch at the _EPOCH_TAIL quantile; more are refused
+_EPOCH_TAIL = 12 * math.log(10)  # (Lambda + q) T at the epoch length T exceeded with chance 1e-12
 
 
 def _mean_stderr(s, s2, n: int):
@@ -114,14 +116,19 @@ def _image_count(s, b: float) -> int:
     """K, the last image index of the strip series over variances s: terms
     of index k are at most e^{-2(k-1)^2 b^2/s}, so the sums stop once that
     falls below machine epsilon at the largest s (K = 0 at b = inf).  The
-    work grows as K, so a K above ``_MAX_IMAGES`` is refused, as is an s past
-    the float range."""
+    request's cap on K is ``_bridge_epoch``'s; an s past the float range is
+    refused here."""
     s_max = float(s.max(initial=0.0))
-    k = math.sqrt(_TAIL * s_max) / b
-    if not k <= _MAX_IMAGES:
+    k = _images(s_max, b)
+    if not math.isfinite(k):
         raise UnsupportedRegime(f"bridge epochs of variance up to {s_max:.3g} on (0, {b:g}) "
-                                f"need more than {_MAX_IMAGES} image terms or pass the float range")
+                                "pass the float range of the image terms")
     return math.ceil(k)
+
+
+def _images(s: float, b: float) -> float:
+    """sqrt(_TAIL s) / b, the image count of ``_image_count`` before rounding up."""
+    return math.sqrt(_TAIL * s) / b
 
 
 def _strip_series(y, y_end, s, b: float, n_images: int):
@@ -191,9 +198,19 @@ def _bridge_epoch(model: SnLevyModel, q: float, b: float):
     """Exact epochs with killing at rate q (sigma > 0): the Brownian endpoint,
     one uniform against the bridge exit probabilities, under which an exit
     counts 1 (a crossing of 0 creeps), and one that keeps a jump against
-    killing.  The clock stays at 0: a killed path needs no discount."""
+    killing.  The clock stays at 0: a killed path needs no discount.
+
+    The image count grows as sqrt(T), so the model, q and b decide the
+    refusal, once: K at the epoch length T ~ Exp(Lambda + q) exceeds with
+    chance 1e-12 must be at most ``_MAX_IMAGES``, whatever the paths and
+    the seed draw.  Each epoch batch still sums its own K images."""
     mu, var, mass = model.mu, model.sigma**2, model.levy_mass
     rate = mass + q
+    s_tail = var * (_EPOCH_TAIL / rate)
+    if not _images(s_tail, b) <= _MAX_IMAGES:
+        raise UnsupportedRegime(f"bridge epochs of variance {s_tail:.3g} (exceeded with "
+                                f"chance 1e-12) on (0, {b:g}) need more than {_MAX_IMAGES} "
+                                "image terms or pass the float range")
 
     def epoch(rng, live, pos, t, T, out):
         up, down, over, under = out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from math import isfinite, nan, ulp
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -26,6 +27,7 @@ from .models import SnLevyModel, check_positive, near_pole
 _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
 _IMAG_SNAP_RTOL = 1e-8
+_FEW = 16  # at most this many live brackets take their secant steps on Python floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +65,18 @@ def interlaced_roots(
     brackets that creep only.  Then all brackets take Anderson-Bjorck steps
     together on g(s) = f(s) (s - lo)(hi - s), clearing only the pole ends, so
     g has the sign and root of f but no pole.  A secant point on or beyond an
-    end moves 2 ulps inside (Brent's minimum step); a bracket that three
-    steps did not halve is bisected once.  A bracket stops at 4 ulps wide or
-    where f = 0, returning the end with the smaller |f| and that f.  Every
-    operation is elementwise per bracket, so a bracket's steps do not depend
-    on the others."""
+    end moves 2 ulps inside (Brent's minimum step).  The bisection schedule
+    is global, counted in the steps of the whole call: after steps 3, 6, 9,
+    ..., each bracket that those three steps did not halve is bisected once.
+    A bracket stops at 4 ulps wide or where f = 0, returning the end with the
+    smaller |f| and that f.  Every operation is elementwise per bracket, so a
+    bracket's steps do not depend on the others.  Once at most ``_FEW``
+    brackets are live, their steps run on Python floats, with the same
+    operations in the same order (``math.ulp`` for ``np.spacing``) on the
+    same global schedule, so every root, value and f call is unchanged; f
+    still takes one array per step.  A step on which the array code may warn
+    (a division by 0 or a value past the float range), and every later one,
+    runs on arrays."""
     n, d = lo.size, 0.25 * (hi - lo)
     pole_lo, pole_hi = np.broadcast_to(pole_lo, lo.shape), np.broadcast_to(pole_hi, hi.shape)
     # 1 at a pole end and 0 at the others: the creep moves the pole ends only
@@ -105,19 +114,98 @@ def interlaced_roots(
     g0, g1 = fa * clear(a, every), fb * clear(b, every)
     width = last = np.abs(x1 - x0)
     bisect = None  # after every third step: the brackets it did not halve
-    for step in itertools.count(1):
+    step, few = 0, True
+    while True:
+        step += 1
         ulp2 = 2 * np.spacing(np.maximum(np.abs(x0), np.abs(x1)))
         k = ((width > 2 * ulp2) & (f1 != 0)).nonzero()[0]
-        if k.size == n:
-            k = every
-        elif not k.size:
+        if not k.size:
             break
-        a0, a1, h0, h1, u2 = x0[k], x1[k], g0[k], g1[k], ulp2[k]
-        c = a1 - h1 * (a1 - a0) / (h1 - h0)
-        if bisect is not None:
-            c = np.where(bisect[k], 0.5 * (a0 + a1), c)
-        c = np.minimum(np.maximum(c, np.minimum(a0, a1) + u2), np.maximum(a0, a1) - u2)
-        fc = f(c, k)
+        if few and k.size <= _FEW:
+            # the same steps on Python floats, one tuple per bracket of k,
+            # until every bracket stops (pending None) or a step may warn,
+            # dividing by 0 or leaving the finite floats: that step and the
+            # rest run on arrays, from its start (pending ()) or, once f has
+            # its points, from its update (pending (k, c, fc))
+            few, pending = False, None
+            # each bracket's (x0, x1, f0, f1, g0, g1, width) and clear terms
+            ends = list(zip(*(v[k].tolist() for v in (x0, x1, f0, f1, g0, g1, width))))
+            terms = list(zip(*(v[k].tolist() for v in (sl, ol, oh, sh))))
+            LAST = last[k].tolist()
+            BIS = None if bisect is None else bisect[k].tolist()
+            live, n_live = range(k.size), 0
+            for step in itertools.count(step):
+                stepping, points, total = [], [], 0.0
+                for i in live:
+                    a0, a1, _, v1, h0, h1, w = ends[i]
+                    lo_, hi_ = (a0, a1) if a0 < a1 else (a1, a0)
+                    u2 = 2 * ulp(hi_ if hi_ > -lo_ else -lo_)
+                    if not (w > 2 * u2 and v1 != 0):
+                        continue
+                    den = h1 - h0
+                    c = a1 - h1 * (a1 - a0) / den if den and h1 else nan
+                    total += den + c + (a0 + a1)
+                    if BIS is not None and BIS[i]:
+                        c = 0.5 * (a0 + a1)
+                    # np.maximum and np.minimum return their second argument on a tie
+                    c = c if c > (e := lo_ + u2) else e
+                    stepping.append(i)
+                    points.append(c if c < (e := hi_ - u2) else e)
+                live = stepping
+                # total is not finite where the step divides by 0 (c is nan;
+                # the update divides by h1) or den, c or the midpoint a0 + a1,
+                # which the array step forms wherever it may bisect, leave the
+                # finite floats; a sum past them only sends the step to arrays
+                if not isfinite(total):
+                    pending = ()
+                if pending is not None or not live:
+                    break
+                if len(live) != n_live:  # only then does the index array change
+                    n_live = len(live)
+                    kk = every if n_live == n else k[live]
+                c = np.array(points)
+                fc = f(c, kk)
+                saved, total = ends[:], 0.0
+                for i, s, v in zip(live, points, fc.tolist()):
+                    a0, a1, v0, v1, h0, h1, _ = ends[i]
+                    sl_, ol_, oh_, sh_ = terms[i]
+                    gc = v * ((s * sl_ - ol_) * (oh_ - s * sh_))
+                    shrink = 1.0 - gc / h1
+                    h0 *= shrink if shrink > 0 else 0.5
+                    total += gc + shrink + h0
+                    if gc == 0 or (gc > 0) != (h1 > 0):  # the newest end replaces the other
+                        a0, v0, h0 = a1, v1, h1
+                    ends[i] = a0, s, v0, v, h0, gc, abs(s - a0)
+                if not isfinite(total):  # gc, shrink or g0 past the finite floats
+                    ends, pending = saved, (kk, c, fc)
+                    break
+                if step % 3 == 0:
+                    W = [e[6] for e in ends]
+                    BIS, LAST = [w > 0.5 * l for w, l in zip(W, LAST)], W
+                else:
+                    BIS = None
+            x0[k], x1[k], f0[k], f1[k], g0[k], g1[k], _ = np.array(ends).T
+            if pending is None:
+                break
+            width, last, bisect = np.abs(x1 - x0), last.copy(), None
+            last[k] = LAST
+            if BIS is not None:
+                bisect = np.zeros(n, dtype=bool)
+                bisect[k] = BIS
+            if not pending:
+                step -= 1  # this step again, on arrays
+                continue
+            k, c, fc = pending
+            a0, a1, h0, h1 = x0[k], x1[k], g0[k], g1[k]
+        else:
+            if k.size == n:
+                k = every
+            a0, a1, h0, h1, u2 = x0[k], x1[k], g0[k], g1[k], ulp2[k]
+            c = a1 - h1 * (a1 - a0) / (h1 - h0)
+            if bisect is not None:
+                c = np.where(bisect[k], 0.5 * (a0 + a1), c)
+            c = np.minimum(np.maximum(c, np.minimum(a0, a1) + u2), np.maximum(a0, a1) - u2)
+            fc = f(c, k)
         gc = fc * clear(c, k)
         flip = np.sign(gc) != np.sign(h1)
         shrink = 1.0 - gc / h1

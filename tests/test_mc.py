@@ -462,12 +462,18 @@ def test_image_series_past_its_cap_is_refused(monkeypatch, sigma, b):
         simulate_two_sided_exit(m, Q, 1.0, b, 2000, seed=0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "whether simulate refuses near the image cap depends on the path count "
-    "and the seed: K is taken over the largest epoch of each 20,000-path "
-    "batch, so exp1 at sigma = 900, b = 5 runs at 2000 paths (up ~ 0.215) "
-    "and is refused at 20,000"))
+@pytest.mark.parametrize("b", (5.0, math.inf))
+def test_epoch_variance_past_the_float_range_is_refused(b):
+    # the per-epoch guard behind the request's cap: an s = sigma^2 T that
+    # overflowed leaves no finite image count, also where b = inf needs none
+    with pytest.raises(UnsupportedRegime, match="image terms"):
+        mc._image_count(np.array([1.0, np.inf]), b)
+
+
 def test_image_cap_refusal_does_not_depend_on_the_path_count():
+    # the model, q and b decide the refusal, at the 1 - 1e-12 quantile of
+    # the epoch length, not the longest epoch a batch happens to draw
+    # (exp1 at sigma = 900, b = 5 needs about 1800 images there)
     m = builtin_model("exp1", sigma=900.0)
     refused = []
     for n_paths in (2000, 20_000):

@@ -1,4 +1,6 @@
 """Cramer-Lundberg roots: positive root, negative roots, interlacing."""
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +14,14 @@ from phscale.models import (
     builtin_model,
 )
 import phscale.roots as roots
-from phscale.meromorphic import BETA_BENCHMARK, _truncated_ladder, beta_psi, cgmy_params
+from phscale.meromorphic import (
+    BETA_BENCHMARK,
+    BETA_BENCHMARK_Q,
+    _truncated_ladder,
+    beta_psi,
+    cgmy_params,
+    mero_roots,
+)
 from phscale.roots import (
     find_negative_roots_ph,
     find_roots,
@@ -173,6 +182,93 @@ class TestInterlacedRoots:
         f = lambda s, k: np.where(s > 0.5, np.nan, s - 0.75)
         with pytest.raises(BracketingFailure, match="NaN"):
             interlaced_roots(f, np.array([0.0]), np.array([1.0]))
+
+
+def _float_steps_agree(monkeypatch, solve):
+    """What ``solve()`` sees of ``interlaced_roots``, which must be the same
+    with its secant steps all on arrays (``_FEW`` = 0), switching at the
+    default ``_FEW`` and all on Python floats: the shape of every f call, the
+    hex of every root and f value returned, a BracketingFailure and the
+    NumPy warnings, in order."""
+    inner = roots.interlaced_roots
+    runs = []
+    for few in (0, roots._FEW, 10**6):
+        seen = []
+
+        def spy(f, *args):
+            def counted(s, k):
+                seen.append(np.shape(s))
+                return f(s, k)
+
+            found = inner(counted, *args)
+            seen.append([float(v).hex() for v in np.concatenate(found)])
+            return found
+
+        monkeypatch.setattr(roots, "_FEW", few)
+        monkeypatch.setattr(roots, "interlaced_roots", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                solve()
+            except BracketingFailure as exc:
+                seen.append(str(exc))
+        seen += [str(w.message) for w in caught]
+        runs.append(seen)
+    monkeypatch.undo()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    return runs[0]
+
+
+class TestFloatSteps:
+    """The secant steps of at most ``_FEW`` live brackets run on Python
+    floats, with the array step's operations: every root, f value, f call
+    and warning is the same on either kind of step."""
+
+    @pytest.mark.parametrize("name", ("exp1", "weibull-fit", "pareto-fit"))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("q", (1e-3, 0.05, 100.0))
+    def test_builtins(self, monkeypatch, name, sigma, q):
+        m = builtin_model(name, sigma=sigma)
+        _float_steps_agree(monkeypatch, lambda: find_roots(m, q))
+
+    @pytest.mark.parametrize("m", (5, 25, 100))
+    def test_beta_family(self, monkeypatch, m):
+        _float_steps_agree(monkeypatch, lambda: mero_roots(BETA_BENCHMARK, BETA_BENCHMARK_Q, m))
+
+    def test_ladder(self, monkeypatch):
+        # 3 rows of 22 brackets: the default switches to floats mid-solve
+        members = [cgmy_params(BETA_BENCHMARK, 3.0, 0.1, b) for b in (0.9, 0.4, 0.05)]
+        seen = _float_steps_agree(
+            monkeypatch, lambda: _truncated_ladder(members, BETA_BENCHMARK_Q, 20))
+        sizes = [shape[-1] for shape in seen if isinstance(shape, tuple)]
+        assert max(sizes) > roots._FEW >= min(sizes)
+
+    @pytest.mark.parametrize("f, lo, hi, poles, note", [
+        # tan s = s in 39 brackets between the poles of tan
+        (lambda s, k: np.tan(s) - s, (np.arange(1, 40) - 0.5) * np.pi,
+         (np.arange(1, 40) + 0.5) * np.pi, True, None),
+        # the first secant point is the root 0.5, where f = 0 stops the bracket
+        (lambda s, k: s - 0.5, np.array([0.0]), np.array([1.0]), False, None),
+        # 17 brackets stop after two steps; the 18th, at a triple root, takes
+        # the bisections of the global schedule after the switch to floats
+        (lambda s, k: (s - np.arange(18)[k] - 0.3) ** np.where(np.arange(18)[k] < 17, 1, 3),
+         np.arange(18.0), np.arange(1.0, 19.0), False, None),
+        # f is NaN past 0.5, at a probe
+        (lambda s, k: np.where(s > 0.5, np.nan, s - 0.75), np.array([0.0]), np.array([1.0]),
+         True, "f is NaN inside a bracket"),
+        # f is NaN near the root 1.4 of the second bracket, at its first
+        # secant point, which the first bracket's update has passed
+        (lambda s, k: np.where(abs(s - 1.4) < 0.05, np.nan, s - np.array([0.3, 1.4])[k]),
+         np.array([0.0, 1.0]), np.array([1.0, 2.0]), False, "f is NaN inside a bracket"),
+        # g at the two probes is -1e308 and 1e308, whose difference overflows
+        # on the first step: that step runs on arrays, with NumPy's warning
+        (lambda s, k: (s - 0.5) * 4.0 * 1e308, np.array([0.0]), np.array([1.0]), False,
+         "overflow encountered in subtract"),
+    ], ids=("tan", "root-hit", "triple-root", "nan-probe", "nan-step", "overflow"))
+    def test_unit_brackets(self, monkeypatch, f, lo, hi, poles, note):
+        seen = _float_steps_agree(
+            monkeypatch, lambda: roots.interlaced_roots(f, lo, hi, poles, poles))
+        assert note is None or note in seen
 
 
 def _doubling(psi, q):
