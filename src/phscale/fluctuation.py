@@ -66,15 +66,13 @@ def down_exit_unbounded(sf: ScaleFunction, x):
 
 
 def _phases(sf: ScaleFunction, x: float):
-    """(lam alpha, eta) of a diagonal jump generator T = -diag(eta) for the
-    laws from a start x > 0: the minimal weights and rates, which give
-    interlaced, hence real, roots.  Both are empty for the empty law without
-    jumps, and every law is 0; a non-diagonal T or a beta-family model raises."""
+    """(lam alpha, eta) of the real-pole record of a diagonal T for the laws from
+    a start x > 0, empty without jumps; a model without such a record raises."""
     check_positive("x", x)
-    model = sf.model
-    if not (isinstance(model, SnLevyModel) and model.phase_type.diagonal):
+    rp = sf.model.real_poles
+    if rp is None or rp.alpha is None:
         raise UnsupportedRegime("closed-form overshoot laws need a diagonal jump generator")
-    return model.lam * model.phase_type.alpha, model.phase_type.poles
+    return rp.lam * rp.alpha, rp.eta
 
 
 def _kappa(sf: ScaleFunction, eta: np.ndarray, x: float, b_lo: float, b_hi: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import (
     PoleEvaluation,
     UnsupportedRegime,
 )
-from .models import _POLE_REL_TOL, check_drift, check_sigma, like
+from .models import _POLE_REL_TOL, RealPoles, check_drift, check_sigma, like
 from .roots import RootDecomposition, interlaced_solve
 from .scale import ScaleFunction, assemble
 from .wiener_hopf import points
@@ -144,6 +144,15 @@ class BetaFamilyParams:
     def _beta0(self) -> float:
         """B(alpha, 1 - lam), the constant in the Laplace exponent."""
         return float(self._beta(self.alpha_b))
+
+    @cached_property
+    def real_poles(self) -> RealPoles:
+        """c_k = c (lam)_k/k! = c B(k + lam, 1 - lam)/(Gamma(lam) Gamma(1 - lam)) and the
+        poles eta_k of the density c e^{-alpha beta y} (1 - e^{-beta y})^-lam; d = psi'(0+)."""
+        scale = self.c / (math.gamma(self.lam) * self._beta.gamma_y)
+        return RealPoles(self.mu, self.sigma, beta_psi_derivative(self, 0.0),
+                         lambda k: scale * self._beta(k + self.lam),
+                         lambda k: beta_poles(self, k + 1))
 
     @property
     def levy_mass(self) -> float:

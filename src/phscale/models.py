@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -237,6 +237,36 @@ def check_barriers(x: float, b: float) -> None:
         raise DomainError("need 0 <= x <= b, b > 0, x finite")
 
 
+@dataclass(frozen=True, eq=False)
+class RealPoles:
+    """mu, sigma, the mean drift d = psi'(0+) and the Levy density sum_k c_k e^{-eta_k y}
+    of a model with real poles -eta_k: a diagonal phase-type law, c = lam alpha eta, with
+    lam and alpha for its forms; or the beta-family, whose c and eta are functions of k."""
+
+    mu: float
+    sigma: float
+    d: float
+    c: object
+    eta: object
+    lam: float = 0.0
+    alpha: Optional[np.ndarray] = None
+
+    def _moment(self, s, b, power):  # lam alpha (sI + diag(eta))^-power b, lam applied last
+        return self.lam * ((b / pole_offsets(s, self.eta)**power) * self.alpha).sum(-1)
+
+    def psi(self, s):
+        return s * (self.mu + 0.5 * self.sigma**2 * s - self._moment(s, 1.0, 1))
+
+    def psi_prime(self, s):
+        return self.mu + self.sigma**2 * s - self.tilted_mean(s)
+
+    def jump_transform(self, s):
+        return self._moment(s, self.eta, 1)
+
+    def tilted_mean(self, s):
+        return self._moment(s, self.eta, 2)
+
+
 def like(x, vals):
     """vals as a Python float (a complex for complex vals) when x is a scalar,
     else as the array: the one scalar rule of every evaluator.  vals holds
@@ -248,8 +278,8 @@ def like(x, vals):
 class SnLevyModel:
     """Validated spectrally negative Levy model with PH/hyperexponential jumps.
 
-    The jump formulas are written once, for phase-type jumps (alpha, T, t):
-    hyperexponential jumps are the diagonal case T = -diag(eta).  Weights
+    Hyperexponential jumps and any diagonal T = -diag(eta) take their
+    formulas from ``real_poles``, any other T from its resolvent.  Weights
     that sum to 1 only within the validator's tolerance (fitted tables) give
     Levy mass lam * sum(alpha), so psi(0) = 0.
     """
@@ -289,28 +319,30 @@ class SnLevyModel:
         """sample(rng, n) -> n i.i.d. jump sizes; its tables are built once per model."""
         return _jump_sampler(self.phase_type)
 
+    @cached_property
+    def real_poles(self) -> Optional[RealPoles]:
+        """The record of a diagonal T = -diag(eta), empty without jumps; None for any other T."""
+        alpha, _, _, eta, diagonal = self.phase_type
+        return RealPoles(self.mu, self.sigma, self.mu - self.lam * (alpha / eta).sum(),
+                         self.lam * alpha * eta, eta, self.lam, alpha) if diagonal else None
+
     def _jump_moment(self, s: np.ndarray, b, power: int) -> np.ndarray:
-        """lam alpha R(s)^power b elementwise in s, with the resolvent
-        R(s) = (sI - T)^{-1}, for b a scalar or of shape (m,), an empty sum 0
-        without jumps; raises PoleEvaluation where s is within tolerance of a pole."""
-        alpha, T, _, poles, diagonal = self.phase_type
-        off = pole_offsets(s, poles)
-        if diagonal:
-            y = b / off**power  # off = s + eta
-        else:
-            A = s[..., None, None] * np.eye(alpha.size) - T
-            y = np.broadcast_to(b, A.shape[:-1])[..., None]
-            for _ in range(power):
-                y = np.linalg.solve(A, y)
-            y = y[..., 0]
+        """lam alpha R(s)^power b elementwise in s for a non-diagonal T, R(s) = (sI - T)^{-1},
+        b a scalar or of shape (m,); raises PoleEvaluation where s is on a pole."""
+        alpha, T, _, poles, _ = self.phase_type
+        pole_offsets(s, poles)
+        A = s[..., None, None] * np.eye(alpha.size) - T
+        y = np.broadcast_to(b, A.shape[:-1])[..., None]
+        for _ in range(power):
+            y = np.linalg.solve(A, y)
         # a sum along the last axis adds in the same order for every shape of s
-        return self.lam * (y * alpha).sum(-1)
+        return self.lam * (y[..., 0] * alpha).sum(-1)
 
     def jump_transform(self, s):
         """lam * E[e^{-s Y}] = lam alpha R(s) t for the jump size Y, at a scalar
         or elementwise on an array."""
-        s = np.asarray(s)
-        return like(s, self._jump_moment(s, self.phase_type.t, 1))
+        s, rp = np.asarray(s), self.real_poles
+        return like(s, rp.jump_transform(s) if rp else self._jump_moment(s, self.phase_type.t, 1))
 
     def laplace_exponent(self, s):
         """psi(s) = mu s + sigma^2 s^2 / 2 - lam s alpha R(s) 1, at a scalar or
@@ -319,19 +351,21 @@ class SnLevyModel:
 
         The jump part equals lam (alpha R(s) t - sum(alpha)) through
         s R(s) 1 = 1 - R(s) t, but does not cancel near s = 0."""
-        s = np.asarray(s)
-        return like(s, s * (self.mu + 0.5 * self.sigma**2 * s - self._jump_moment(s, 1.0, 1)))
+        s, rp = np.asarray(s), self.real_poles
+        return like(s, rp.psi(s) if rp else
+                    s * (self.mu + 0.5 * self.sigma**2 * s - self._jump_moment(s, 1.0, 1)))
 
     def laplace_exponent_derivative(self, s):
         """psi'(s), analytic form, at a scalar or elementwise on an array (real or complex)."""
-        s = np.asarray(s)
-        return like(s, self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
+        s, rp = np.asarray(s), self.real_poles
+        return like(s, rp.psi_prime(s) if rp else
+                    self.mu + self.sigma**2 * s - self.jump_tilted_mean(s))
 
     def jump_tilted_mean(self, s):
         """lam * E[Y e^{-s Y}] = lam alpha R(s)^2 t = mu + sigma^2 s - psi'(s),
         without cancellation; at a scalar or elementwise on an array (real or complex)."""
-        s = np.asarray(s)
-        return like(s, self._jump_moment(s, self.phase_type.t, 2))
+        s, rp = np.asarray(s), self.real_poles
+        return like(s, rp.tilted_mean(s) if rp else self._jump_moment(s, self.phase_type.t, 2))
 
 
 def validate_model(raw: dict) -> SnLevyModel:

@@ -28,6 +28,7 @@ _RESIDUAL_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
 _IMAG_SNAP_RTOL = 1e-8
 _FEW = 16  # at most this many live brackets take their secant steps on Python floats
+_NEWTON_STEPS, _NEWTON_RTOL = 4, 1e-8  # another step while the last moved a root by over 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +338,9 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
     lam alpha u + (mu s + sigma^2 s^2/2 - levy_mass - q) w = 0: state
     (u, w, s w) for sigma > 0 and (u, w) for sigma = 0 give a matrix of size
     m + 2 or m + 1 whose eigenvalues are the roots of the model's psi.  Each
-    takes one complex Newton step on psi, except a root on an eigenvalue of
-    T: a pole that the jump transform cancels, which warns of a non-minimal
+    takes complex Newton steps on psi, which give a root ~ q/psi'(0+) the
+    digits of a q that the matrix rounds away, except a root on an eigenvalue
+    of T: a pole that the jump transform cancels, which warns of a non-minimal
     representation."""
     check_positive("q", q)
     alpha, T, t, poles, _ = model.phase_type
@@ -359,9 +361,15 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
             "PH representation appears non-minimal: root counts may be off",
             stacklevel=2,
         )
-    s = roots[~on_pole]
-    roots[~on_pole] = s - (model.laplace_exponent(s) - q) / model.laplace_exponent_derivative(s)
-    roots = _snap_real(roots)
+    live = ~on_pole
+    for _ in range(_NEWTON_STEPS):
+        s = roots[live]
+        step = (model.laplace_exponent(s) - q) / model.laplace_exponent_derivative(s)
+        roots[live] = s - step
+        live[live] = np.abs(step) > _NEWTON_RTOL * np.abs(roots[live])
+        if not live.any():
+            break
+    moving, roots = roots[live], _snap_real(roots)
     neg = roots.real < 0
     xi = np.sort(-roots[neg])
     expected = n - 1  # every root but zeta
@@ -369,17 +377,18 @@ def find_negative_roots_ph(model: SnLevyModel, q: float) -> RootDecomposition:
         raise BracketingFailure(
             f"expected {expected} negative roots for sigma = {model.sigma}, found {xi.size}"
         )
+    if moving.size:
+        raise BracketingFailure(f"roots still moving after {_NEWTON_STEPS} Newton steps: {moving}")
     return RootDecomposition(q=q, zeta=float(roots[~neg].real[0]), xi=xi,
                              poles=np.sort(_snap_real(poles)))
 
 
 def find_roots(model: SnLevyModel, q: float) -> RootDecomposition:
     """zeta and all negative roots: one ``interlaced_solve`` between the poles
-    for a diagonal jump generator T (none for the empty law without jumps),
-    the eigenvalue linearisation otherwise."""
-    if not model.phase_type.diagonal:
+    of the model's real-pole record (none for the empty law without jumps),
+    the eigenvalue linearisation for a model without one."""
+    if (rp := model.real_poles) is None:
         return find_negative_roots_ph(model, q)
-    eta = model.phase_type.poles
-    outer = 2.0 * model.mu / model.sigma**2 if model.sigma > 0 else None
-    zeta, xi = interlaced_solve(lambda s, k: model.laplace_exponent(s), q, eta, outer)
-    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=eta)
+    outer = 2.0 * rp.mu / rp.sigma**2 if rp.sigma > 0 else None
+    zeta, xi = interlaced_solve(lambda s, k: model.laplace_exponent(s), q, rp.eta, outer)
+    return RootDecomposition(q=q, zeta=zeta, xi=xi, poles=rp.eta)

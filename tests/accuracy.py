@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/accuracy.py [--output ACCURACY_2.json]
+    PYTHONPATH=src python tests/accuracy.py [--output ACCURACY_3.json] [--before OLD.json]
 
 For each cell (jump law, sigma, q), with mu = lambda = 5, it writes the worst
 relative error of each quantity to the JSON file and prints the same numbers
@@ -23,8 +23,10 @@ q sum_{r != zeta} e^{r x} (zeta - r) / (r zeta psi'(r)), the constant
 s = 0.  The down-exit reference is D(x) - (W(x)/W(b)) D(b).
 
 A quantity that raises records the name of its error type instead of a
-number.  The script measures: no test reads its output, and pytest does not
-collect it.
+number.  With ``--before`` an earlier output (say, of the same script run
+against the parent commit's ``src/``), each cell also keeps, under
+``before``, the values of that output that differ from its own.  The
+script measures: no test reads its output, and pytest does not collect it.
 """
 import argparse
 import json
@@ -58,11 +60,13 @@ CELLS += [(m, s, q) for m in MODELS for s in (0.0, 1.0) for q in (1e-12, 1e3)
           if (m, s, q) != ("exp1", 1.0, 1e3)]
 CELLS += [("exp1", s, q) for s in (0.0, 1.0) for q in (1e-13, 1e-21, 1e-29)]
 CELLS += [("coxian", s, 0.05) for s in (0.0, 1.0)] + [("diag40", 1.0, 0.05)]
+# third cut: the Coxian where the eigenvalue linearisation rounds q away
+CELLS += [("coxian", s, q) for s in (0.0, 1.0) for q in (1e-20, 1e-30)]
 XS = (1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 50.0)
 D_MAX_X = 20.0
 EXIT_X, EXIT_B = 1.0, 3.0
 QUANTITIES = ("zeta", "xi", "lead", "C", "W", "Wp", "Z", "D", "up_exit", "down_exit")
-OUTPUT = Path(__file__).resolve().parent.parent / "ACCURACY_2.json"
+OUTPUT = Path(__file__).resolve().parent.parent / "ACCURACY_3.json"
 
 
 def worst(got, ref) -> float:
@@ -123,11 +127,19 @@ def _cell(v) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=OUTPUT)
+    parser.add_argument("--before", type=Path, help="an earlier output to keep the moved values of")
     args = parser.parse_args(argv)
     cells = [{"model": m, "sigma": s, "q": q, **measure(m, s, q)} for m, s, q in CELLS]
     for cell in cells:  # strict JSON has no inf or nan
         cell.update({k: str(v) for k, v in cell.items()
                      if isinstance(v, float) and not math.isfinite(v)})
+    if args.before:
+        old = {(c["model"], c["sigma"], c["q"]): c
+               for c in json.loads(args.before.read_text())["cells"]}
+        for cell in cells:
+            prev = old.get((cell["model"], cell["sigma"], cell["q"]), {})
+            if moved := {k: prev[k] for k in QUANTITIES if k in prev and prev[k] != cell[k]}:
+                cell["before"] = moved
     record = {
         "reference": f"mpmath at {DPS} digits: tests/closed_forms.py mp_residue_terms, "
                      "mp_refine and mp_scale",

@@ -238,19 +238,22 @@ def coxian_laws(n: int, seed: int) -> List[PhaseTypeRepr]:
 
 def mp_ph_psi(model: SnLevyModel):
     """(psi, psi') of a phase-type model in mpmath at the working precision,
-    in the textbook form mu s + sigma^2 s^2/2 + lam (alpha (sI-T)^{-1} t - sum(alpha)):
-    weights summing to 1 only within the simplex tolerance give Levy mass
-    lam * sum(alpha), so psi(0) = 0."""
+    psi(s) = s (mu + sigma^2 s/2 - lam alpha (sI-T)^{-1} 1).  Through
+    s (sI-T)^{-1} 1 = 1 - (sI-T)^{-1} t it is the textbook form
+    mu s + sigma^2 s^2/2 + lam (alpha (sI-T)^{-1} t - sum(alpha)), with Levy
+    mass lam * sum(alpha) for weights summing to 1 only within the simplex
+    tolerance, so psi(0) = 0; but near s = 0 that form cancels about
+    -log10|s| digits, and Newton steps on it stall above the working
+    precision at a root ~1e-20."""
     mu, sigma, lam = (mpmath.mpf(v) for v in (model.mu, model.sigma, model.lam))
     T = mpmath.matrix([[mpmath.mpf(v) for v in row] for row in model.jumps.T])
     m = T.rows
     t = -T * mpmath.matrix([1] * m)
     alpha = mpmath.matrix([[mpmath.mpf(v) for v in model.jumps.alpha]])
-    mass = mpmath.fsum(alpha)
 
     def psi(s):
-        y = mpmath.lu_solve(s * mpmath.eye(m) - T, t)
-        return mu * s + sigma**2 * s**2 / 2 + lam * ((alpha * y)[0] - mass)
+        y = mpmath.lu_solve(s * mpmath.eye(m) - T, mpmath.matrix([1] * m))
+        return s * (mu + sigma**2 * s / 2 - lam * (alpha * y)[0])
 
     def dpsi(s):
         A = s * mpmath.eye(m) - T

@@ -505,8 +505,8 @@ class TestConjecture:
             conjecture_residuals(sf)
 
     def test_truncation_refuses_the_overshoot_laws(self):
-        # the laws need the phase-type arrays of a diagonal generator, which a
-        # beta-family model does not have: refused by type, as in the residuals
+        # the laws need lam alpha and eta of a finite real-pole record, and the
+        # beta-family's record has infinitely many terms: refused
         sf = truncated_coefficients(BETA_BENCHMARK, 0.03, 20).sf
         laws = (lambda: overshoot_density(sf, 1.0, 0.5),
                 lambda: undershoot_density(sf, 1.0, 0.5),

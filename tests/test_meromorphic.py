@@ -345,6 +345,73 @@ class TestPoles:
             beta_poles(BETA_BENCHMARK, 0)
 
 
+# the real-pole record of the beta-family against mpmath: the benchmark, and
+# mu = 1, alpha = 3, beta = 1, c = 1 at lam = 0.5 (sigma = 0) and lam = 2.5
+# (sigma = 0.3: sigma = 0 with lam >= 2 is unsupported)
+RECORD_CASES = [BETA_BENCHMARK,
+                BetaFamilyParams(1.0, 0.0, alpha_b=3.0, beta_b=1.0, c=1.0, lam=0.5),
+                BetaFamilyParams(1.0, 0.3, alpha_b=3.0, beta_b=1.0, c=1.0, lam=2.5)]
+
+
+def _mp_record(p):
+    """(d, c_k, eta_k) of the beta-family in mpmath at the working precision:
+    d = psi'(0+) = mu + (c/beta^2) B(alpha, 1 - lam) (psi0(alpha) -
+    psi0(alpha + 1 - lam)), c_k = c (lam)_k / k!, eta_k = beta (alpha + k)."""
+    mu, a, b, c, lam = (mpmath.mpf(v) for v in (p.mu, p.alpha_b, p.beta_b, p.c, p.lam))
+    y = 1 - lam
+    d = mu + c / b**2 * mpmath.beta(a, y) * (mpmath.digamma(a) - mpmath.digamma(a + y))
+    return d, (lambda k: c * mpmath.rf(lam, k) / mpmath.factorial(k)), (lambda k: b * (a + k))
+
+
+def _mp_sum(term):
+    """sum_{k >= 0} term(k) at 20 digits by Euler-Maclaurin: nsum's default
+    extrapolation is 2e-6 to 4e-2 off on these slowly decaying terms, and
+    Euler-Maclaurin takes about 50 s a sum at 40 digits, 0.2 s at 20."""
+    with mpmath.workdps(20):
+        return mpmath.nsum(term, [0, mpmath.inf], method="euler-maclaurin")
+
+
+@pytest.mark.parametrize("p", RECORD_CASES, ids=("benchmark", "lam0.5", "lam2.5"))
+class TestRealPoles:
+    def test_mean_drift(self, p):
+        with mpmath.workdps(40):
+            d = _mp_record(p)[0]
+            assert float(abs(p.real_poles.d - d) / abs(d)) < 1e-13
+
+    def test_weights_and_poles(self, p):
+        # c_k for k <= 10^4, the reference by c_{k+1} = c_k (lam + k)/(k + 1);
+        # eta_k = beta (alpha + k) is the (k + 1)-th pole
+        k = np.arange(10**4 + 1)
+        assert p.real_poles.eta(k).tobytes() == beta_poles(p, k + 1).tobytes()
+        got = p.real_poles.c(k)
+        with mpmath.workdps(40):
+            lam, ref, worst = mpmath.mpf(p.lam), mpmath.mpf(p.c), 0.0
+            for k, g in enumerate(got):
+                worst = max(worst, float(abs(g - ref) / ref))
+                ref *= (lam + k) / (k + 1)
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("s", (0.5, -2.0))
+    def test_centred_form_is_psi(self, p, s):
+        # psi(s) = s (d + s (sigma^2/2 + sum_k c_k / (eta_k^2 (eta_k + s)))),
+        # centred at the record's d, sums for every lam < 3
+        with mpmath.workdps(40):
+            _, c, eta = _mp_record(p)
+            a, b, cc, lam = (mpmath.mpf(v) for v in (p.alpha_b, p.beta_b, p.c, p.lam))
+            ref = (p.mu * s + mpmath.mpf(p.sigma) ** 2 * s**2 / 2
+                   + cc / b * (mpmath.beta(a + s / b, 1 - lam) - mpmath.beta(a, 1 - lam)))
+        tail = _mp_sum(lambda k: c(k) / (eta(k) ** 2 * (eta(k) + s)))
+        got = s * (p.real_poles.d + s * (mpmath.mpf(p.sigma) ** 2 / 2 + tail))
+        assert float(abs(got - ref) / abs(ref)) < 1e-13
+
+
+def test_real_poles_mass_is_levy_mass():
+    # sum_k c_k / eta_k = (c/beta) B(alpha, 1 - lam), finite for lam < 1
+    _, c, eta = _mp_record(RECORD_CASES[1])
+    mass = _mp_sum(lambda k: c(k) / eta(k))
+    assert float(abs(mass - RECORD_CASES[1].levy_mass) / mass) < 1e-13
+
+
 class TestRoots:
     def test_residuals_and_interlacing(self):
         zeta, xis = mero_roots(BETA_BENCHMARK, Q, 100)

@@ -352,6 +352,22 @@ def test_hyperexp_is_diagonal_phase_type(name):
             assert getattr(ph, fn)(s) == pytest.approx(getattr(he, fn)(s), rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_JUMPS))
+def test_real_poles_of_the_builtins(name):
+    # the record's density sum_k c_k e^{-eta_k y} integrates to the Levy mass,
+    # sum_k c_k/eta_k = lam sum(alpha) with the fitted weights' deficit, and
+    # its mean drift is d = mu - sum_k c_k/eta_k^2 = psi'(0)
+    m = builtin_model(name)
+    rp = m.real_poles
+    assert abs((rp.c / rp.eta).sum() - m.levy_mass) <= 1e-13 * m.levy_mass
+    for ref in (m.mu - (rp.c / rp.eta**2).sum(), m.laplace_exponent_derivative(0.0)):
+        assert abs(rp.d - ref) <= 1e-13 * m.mu
+
+
+def test_non_diagonal_generator_has_no_real_poles():
+    assert SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=COXIAN).real_poles is None
+
+
 NO_JUMP_LAWS = pytest.mark.parametrize("jumps", [EXP1, as_phase_type(WEIBULL_FIT), COXIAN],
                                        ids=["exp1", "diagonal-ph", "coxian"])
 

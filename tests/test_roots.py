@@ -31,6 +31,7 @@ from phscale.roots import (
 from phscale.scale import build_scale
 
 from closed_forms import (
+    COXIAN,
     as_phase_type,
     coxian_laws,
     cramer_lundberg_polynomial,
@@ -468,6 +469,17 @@ class TestPhRoots:
                            match=r"expected 3 negative roots for sigma = 1\.0, found 0"):
             find_negative_roots_ph(m, Q)
 
+    def test_roots_still_moving_raise(self, monkeypatch):
+        # eigenvalues 1e-3 relative off and a psi' twice too large: each
+        # Newton step halves the error, still about 6e-5 after the fourth
+        m = SnLevyModel(mu=5.0, sigma=1.0, lam=5.0, jumps=COXIAN)
+        eigvals, dpsi = np.linalg.eigvals, SnLevyModel.laplace_exponent_derivative
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals(M) * (1 + 1e-3))
+        monkeypatch.setattr(SnLevyModel, "laplace_exponent_derivative",
+                            lambda self, s: 2 * dpsi(self, s))
+        with pytest.raises(BracketingFailure, match="still moving after 4 Newton steps"):
+            find_negative_roots_ph(m, Q)
+
     def test_nonminimal_representation_warns(self):
         # the first phase is never entered, so the law is Exp(1): the
         # eigenvalue -2 of T is a root of det(sI-T) and of the jump-transform
@@ -607,3 +619,38 @@ def test_small_q_identities_pass(name, mu, lam, sigma):
     for q in SMALL_Q:
         report = identities_report(model, q)
         assert all(ok for _, ok in report.values()), (q, report)
+
+
+# The eigenvalue path at small q: the linearisation holds levy_mass + q,
+# which rounds q away, so its eigenvalue for zeta is off by about eps in
+# absolute terms, and one Newton step left zeta 0.56 relative off at
+# q = 1e-30 (exit-prob printed up 0.776 for 0.830, with exit 0)
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+@pytest.mark.parametrize("q", (1e-20, 1e-30, 1e-100))
+def test_coxian_zeta_at_small_q(sigma, q):
+    # zeta within 1e-13 of the 50-digit fixed point of s = q/g(s), with
+    # g(s) = psi(s)/s = mu + sigma^2 s/2 - lam alpha (sI - T)^{-1} 1: its jump
+    # part is lam (alpha (sI - T)^{-1} t - alpha 1)/s for the mass alpha 1 of
+    # the float alpha (1 - 2^-54), without the cancellation at s -> 0; at
+    # sigma = 0, 1 - d W(x) within 1e-13 of the ruin probability
+    # alpha_+ e^{(T + t alpha_+) x} 1, alpha_+ = (lam/mu) alpha (-T)^{-1}
+    # (Asmussen and Albrecher 2010, ch. IX), with d = g(0) = psi'(0+)
+    model = SnLevyModel(mu=6.0, sigma=sigma, lam=2.0, jumps=COXIAN)
+    sf = build_scale(model, q)
+    with mpmath.workdps(50):
+        T = mpmath.matrix(COXIAN.T)
+        alpha, one = mpmath.matrix([COXIAN.alpha]), mpmath.matrix([1.0] * 3)
+        mu, lam, half = mpmath.mpf(model.mu), mpmath.mpf(model.lam), mpmath.mpf(sigma) ** 2 / 2
+
+        def g(s):
+            return mu + half * s - lam * (alpha * mpmath.lu_solve(s * mpmath.eye(3) - T, one))[0]
+
+        d = zeta = g(0)
+        for _ in range(10):
+            zeta = q / g(zeta)
+        assert float(abs(sf.zeta - zeta) / zeta) < 1e-13
+        if sigma == 0:
+            plus = lam / mu * alpha * mpmath.inverse(-T)
+            for x in (0.1, 1.0, 5.0):
+                ruin = (plus * mpmath.expm((T - T * one * plus) * x) * one)[0]
+                assert float(abs(1 - d * sf.w(x) - ruin) / ruin) < 1e-13, x
