@@ -118,7 +118,8 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``phscale`` parser, built on the first call and shared by every
-    later call in the process: parsing does not change it."""
+    later call in the process: parsing does not change it.  Each subcommand's
+    ``run`` default returns its table and metadata, which ``main`` writes."""
     ap = argparse.ArgumentParser(
         prog="phscale",
         description="Scale functions and fluctuation identities for spectrally "
@@ -129,30 +130,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale-eval", help="W, W', Z on a grid")
     _add_common(p)
     p.add_argument("--grid", required=True, help="start:stop:count")
+    p.set_defaults(run=_cmd_scale_eval)
 
     p = sub.add_parser("exit-prob", help="two-sided exit probabilities")
     _add_common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
+    p.set_defaults(run=_cmd_exit_prob)
 
     for kind in ("overshoot", "undershoot"):
         p = sub.add_parser(kind, help=f"{kind} density on a grid")
         _add_common(p)
         p.add_argument("--x", type=float, required=True)
         p.add_argument("--grid", required=True)
+        p.set_defaults(run=_cmd_density)
 
     p = sub.add_parser("joint", help="joint overshoot/undershoot window probability")
     _add_common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a-window", required=True, help="lo:hi (overshoot magnitudes)")
     p.add_argument("--b-window", required=True, help="lo:hi (undershoot positions)")
+    p.set_defaults(run=_cmd_joint)
 
     p = sub.add_parser("mero-bounds", help="truncated bounds for the beta-family")
     _add_common(p, model=False)
     p.add_argument("--model", default="beta-benchmark")
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--grid", required=True)
-    p.set_defaults(q=BETA_BENCHMARK_Q)
+    p.set_defaults(q=BETA_BENCHMARK_Q, run=_cmd_mero_bounds)
 
     p = sub.add_parser("cgmy-limit", help="beta -> 0 convergence study")
     _add_common(p, model=False)
@@ -161,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", default="1,0.5,0.1", help="comma-separated decreasing")
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--grid", required=True)
-    p.set_defaults(q=BETA_BENCHMARK_Q)
+    p.set_defaults(q=BETA_BENCHMARK_Q, run=_cmd_cgmy)
 
     p = sub.add_parser("simulate", help="Monte Carlo first-passage oracle")
     _add_common(p)
@@ -171,9 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bin-width", type=float, default=0.1)
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("identities", help="identity residual report")
     _add_common(p)
+    p.set_defaults(run=_cmd_identities)
 
     return ap
 
@@ -313,20 +320,6 @@ def identities_report(model: SnLevyModel, q: float) -> dict:
     return out
 
 
-# each command returns its table and metadata, which main writes with _emit
-_DISPATCH = {
-    "scale-eval": _cmd_scale_eval,
-    "exit-prob": _cmd_exit_prob,
-    "overshoot": _cmd_density,
-    "undershoot": _cmd_density,
-    "joint": _cmd_joint,
-    "mero-bounds": _cmd_mero_bounds,
-    "cgmy-limit": _cmd_cgmy,
-    "simulate": _cmd_simulate,
-    "identities": _cmd_identities,
-}
-
-
 def _join_grid(argv: Sequence[str]) -> list:
     """argv with ``--grid SPEC`` as ``--grid=SPEC``: argparse would read a
     SPEC that starts with a minus sign, such as -1:1:5, as an option."""
@@ -342,7 +335,7 @@ def _join_grid(argv: Sequence[str]) -> list:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     try:
-        _emit(args, *_DISPATCH[args.command](args))
+        _emit(args, *args.run(args))
     except (ModelValidationError, DomainError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,19 +75,19 @@ class SimulationEstimate:
 
     value: float
     stderr: float
-    ci95: Tuple[float, float]
     n_paths: int
     seed: int
     scheme: str = "bridge"
+
+    @property
+    def ci95(self) -> Tuple[float, float]:
+        return self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr
 
     @staticmethod
     def from_sums(s: float, s2: float, n: int, seed: int,
                   scheme: str = "bridge") -> "SimulationEstimate":
         mean, se = map(float, _mean_stderr(s, s2, n))
-        return SimulationEstimate(
-            value=mean, stderr=se, ci95=(mean - 1.96 * se, mean + 1.96 * se),
-            n_paths=n, seed=seed, scheme=scheme,
-        )
+        return SimulationEstimate(value=mean, stderr=se, n_paths=n, seed=seed, scheme=scheme)
 
 
 @dataclass(frozen=True)

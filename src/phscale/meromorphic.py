@@ -204,12 +204,16 @@ def _psi(p: BetaFamilyParams, s, jump):
 
 def _psi_prime(p: BetaFamilyParams, s, jump):
     """``beta_psi_derivative`` as ``_psi`` gives ``beta_psi``, with
-    jump = (alpha, beta, c)."""
+    jump = (alpha, beta, c); a float beta^2 out of the float range is a DomainError."""
     s = np.asarray(s, dtype=float)
     out = p.mu + p.sigma**2 * s
     if jump is not None:
         alpha, beta, c = jump
-        out = out + (c / beta**2) * p._beta(alpha + s / beta, derivative=True)[1]
+        try:
+            scale = c / beta**2
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"beta = {beta!r}: beta^2 leaves the float range") from None
+        out = out + scale * p._beta(alpha + s / beta, derivative=True)[1]
     return like(s, out)
 
 
@@ -255,13 +259,21 @@ class TruncatedMero:
     the lower bound for W'.  Its decomposition holds xi_1..xi_m and the poles
     eta_1..eta_m; ``xi`` adds xi_{m+1}, which the gaps need.  The ``wp0`` and
     ``theta`` of ``sf`` are those of the process (inf for sigma = 0 with
-    infinite jump activity, where ``epsilon`` is None)."""
+    infinite jump activity, where ``epsilon`` is None); ``m`` and ``epsilon`` read ``sf``."""
 
-    m: int
     xi: np.ndarray  # xi_1 .. xi_{m+1}
     delta: float
-    epsilon: Optional[float]
     sf: ScaleFunction
+
+    @property
+    def m(self) -> int:
+        return self.sf.xi.size
+
+    @property
+    def epsilon(self) -> Optional[float]:
+        """theta - (zeta/q) varrho; None where theta = inf: sum_i A_i xi_i diverges."""
+        sf = self.sf
+        return sf.theta - (sf.zeta / sf.q) * sf.varrho if sf.theta < math.inf else None
 
 
 def truncated_coefficients(params: BetaFamilyParams, q: float, m: int) -> TruncatedMero:
@@ -305,11 +317,8 @@ def _truncation(params: BetaFamilyParams, q: float, m: int, zeta: float,
     if not delta >= 0:
         raise InvertedBounds(f"delta_m = {delta} < 0 at m = {m}, q = {q}: the bounds would cross")
     return TruncatedMero(
-        m=m,
         xi=xis,
         delta=delta,
-        # an infinite mass (theta = inf): sum A_i xi_i diverges
-        epsilon=sf.theta - (zeta / q) * sf.varrho if sf.theta < math.inf else None,
         # assemble's lead is w0 + sum C; the bound takes the gap at 0 instead
         sf=replace(sf, w0=sf.w0 + delta, lead=1.0 / ppz),
     )

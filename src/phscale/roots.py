@@ -145,18 +145,17 @@ def interlaced_roots(
                         continue
                     den = h1 - h0
                     c = a1 - h1 * (a1 - a0) / den if den and h1 else nan
-                    total += den + c + (a0 + a1)
+                    total += den + c
                     if BIS is not None and BIS[i]:
-                        c = 0.5 * (a0 + a1)
+                        c = 0.5 * a0 + 0.5 * a1
                     # np.maximum and np.minimum return their second argument on a tie
                     c = c if c > (e := lo_ + u2) else e
                     stepping.append(i)
                     points.append(c if c < (e := hi_ - u2) else e)
                 live = stepping
                 # total is not finite where the step divides by 0 (c is nan;
-                # the update divides by h1) or den, c or the midpoint a0 + a1,
-                # which the array step forms wherever it may bisect, leave the
-                # finite floats; a sum past them only sends the step to arrays
+                # the update divides by h1) or den or c leave the finite
+                # floats; a sum past them only sends the step to arrays
                 if not isfinite(total):
                     pending = ()
                 if pending is not None or not live:
@@ -204,7 +203,7 @@ def interlaced_roots(
             a0, a1, h0, h1, u2 = x0[k], x1[k], g0[k], g1[k], ulp2[k]
             c = a1 - h1 * (a1 - a0) / (h1 - h0)
             if bisect is not None:
-                c = np.where(bisect[k], 0.5 * (a0 + a1), c)
+                c = np.where(bisect[k], 0.5 * a0 + 0.5 * a1, c)
             c = np.minimum(np.maximum(c, np.minimum(a0, a1) + u2), np.maximum(a0, a1) - u2)
             fc = f(c, k)
         gc = fc * clear(c, k)

@@ -53,8 +53,8 @@ def _envelope(zx: np.ndarray, vals, expfn=np.exp) -> np.ndarray:
 class ScaleFunction:
     """Assembled q-scale function of one model.
 
-    ``decomp`` holds the roots and poles; ``q``, ``zeta`` and ``xi`` are its
-    own objects, and ``model`` is the model the roots came from.  ``A``,
+    ``decomp`` holds the roots and poles, and ``q``, ``zeta`` and ``xi`` read
+    its own objects; ``model`` is the model the roots came from.  ``A``,
     ``C`` are arrays aligned with ``xi`` (complex where the roots hold a
     conjugate pair): the residues A_i of phi_q_minus and
     C_i = (zeta/q) A_i xi_i/(zeta + xi_i).  ``varrho`` = sum_i A_i xi_i, and
@@ -62,19 +62,28 @@ class ScaleFunction:
     with 1/psi'(zeta) up to rounding.
     """
 
-    q: float
-    zeta: float
     psi_prime_zeta: float
     w0: float
     wp0: float
     theta: float
     lead: float
-    xi: np.ndarray
     A: np.ndarray
     C: np.ndarray
     varrho: float
     decomp: RootDecomposition
     model: SnLevyModel | BetaFamilyParams
+
+    @property
+    def q(self) -> float:
+        return self.decomp.q
+
+    @property
+    def zeta(self) -> float:
+        return self.decomp.zeta
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.decomp.xi
 
     def decay_sum(self, xs: np.ndarray, weights, minus_one=0) -> np.ndarray:
         """sum_i weights_i e^{-xi_i x} on the grid xs, as reals, or
@@ -219,21 +228,9 @@ def assemble(decomp: RootDecomposition, model: SnLevyModel | BetaFamilyParams,
         raise RepeatedRootsDetected(f"varrho has imaginary part {varrho.imag}")
     if abs(lead.imag) > _IMAG_TOL * (1.0 + abs(lead.real)):
         raise RepeatedRootsDetected("leading coefficient not real")
-    return ScaleFunction(
-        q=decomp.q,
-        zeta=zeta,
-        psi_prime_zeta=psi_prime_zeta,
-        w0=w0,
-        wp0=wp0,
-        theta=theta,
-        lead=lead.real,
-        xi=xi,
-        A=A,
-        C=C,
-        varrho=varrho.real,
-        decomp=decomp,
-        model=model,
-    )
+    return ScaleFunction(psi_prime_zeta=psi_prime_zeta, w0=w0, wp0=wp0, theta=theta,
+                         lead=lead.real, A=A, C=C, varrho=varrho.real, decomp=decomp,
+                         model=model)
 
 
 def build_scale(model: SnLevyModel, q: float) -> ScaleFunction:

@@ -1,4 +1,5 @@
 """Command-line interface: output formats, values, and exit codes."""
+import argparse
 import csv
 import io
 import json
@@ -256,6 +257,14 @@ def test_one_parser_per_process(tmp_path):
     assert b"# q=0.05\n" in second
     assert second == (tmp_path / "first.csv").read_bytes()
     assert build_parser() is build_parser()
+
+
+def test_every_subcommand_has_a_handler():
+    # main calls the parsed subcommand's run default: a subcommand added
+    # without one fails here, not at its first call
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("run")), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -675,6 +684,16 @@ def test_typed_refusal(capsys, argv, code):
     assert (got, out) == (code, "")
     assert err.startswith("error:" if code == 2 else "numerical failure:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("betas, code, message", [
+    ("1e200,1e199", 3, "gamma pole"), ("1e-199,1e-200", 2, "not strictly increasing")])
+def test_extreme_betas_refused_before_psi_prime(capsys, betas, code, message):
+    # the Gamma pole at alpha = 3e-200 and the poles that round to one float
+    # at alpha = 3e199 are refused before psi' squares beta
+    got, out, err = run(capsys, "cgmy-limit", "--betas", betas, "--grid", "0:1:3")
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1
 
 
 class TestSimulate:

@@ -905,6 +905,16 @@ class TestCgmy:
         with pytest.raises(DomainError, match="underflows"):
             cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta=1e-300)
 
+    @pytest.mark.parametrize("beta", (1e-200, 1e200))
+    def test_psi_prime_refuses_beta_square_out_of_float_range(self, beta):
+        # c / beta^2 divides by 0 or squares 1e200: refused by name, as the
+        # Levy data of real_poles evaluate psi'(0+)
+        p = cgmy_params(BETA_BENCHMARK, 3.0, 0.1, beta)
+        with pytest.raises(DomainError, match="float range"):
+            beta_psi_derivative(p, 0.5)
+        with pytest.raises(DomainError, match="float range"):
+            p.real_poles
+
     def test_betas_must_decrease(self):
         with pytest.raises(DomainError):
             cgmy_limit_study(BETA_BENCHMARK, 3.0, 0.1, [0.5, 1.0], Q, 10, [0.0, 1.0])

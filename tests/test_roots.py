@@ -272,6 +272,24 @@ class TestFloatSteps:
         assert note is None or note in seen
 
 
+def test_bracket_at_the_top_of_the_float_range():
+    # the bisection midpoint of two ends near the float maximum is formed
+    # from their halves, which cannot overflow; its sum a0 + a1 would be inf,
+    # clamped 2 ulps inside the upper end, and the bracket would never stop
+    calls = []
+
+    def f(s, k):
+        calls.append(1)
+        if len(calls) > 300:
+            raise AssertionError("no root within 300 calls of f")
+        return ((s - 1.3e308) / 1e307) ** 3
+
+    with np.errstate(over="ignore"):
+        root, val = roots.interlaced_roots(f, np.array([1e308]), np.array([1.7e308]),
+                                           False, False)
+    assert (root.tolist(), val.tolist()) == ([1.3e308], [0.0])
+
+
 def _doubling(psi, q):
     """The far end of the zeta bracket, doubled one power at a time."""
     top = 1.0

@@ -250,6 +250,15 @@ def test_small_sigma_matches_sigma_zero(name, sigma, q):
     assert sf.z(x) == pytest.approx(limit.z(x), rel=1e-9)
 
 
+def test_roots_are_read_off_the_decomposition():
+    # q, zeta and xi are those of decomp: a new decomposition moves them with it
+    sf = build_scale(builtin_model("exp1", sigma=1.0), Q)
+    d = dataclasses.replace(sf.decomp, q=2 * sf.q, zeta=2 * sf.zeta, xi=2 * sf.xi)
+    moved = dataclasses.replace(sf, decomp=d)
+    assert (moved.q, moved.zeta, moved.xi) == (d.q, d.zeta, d.xi)
+    assert moved.q is d.q and moved.zeta is d.zeta and moved.xi is d.xi
+
+
 def test_build_scale_rejects_nonpositive_q():
     with pytest.raises(DomainError):
         build_scale(builtin_model("exp1"), 0.0)
